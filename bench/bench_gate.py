@@ -25,19 +25,12 @@ Subcommands:
       crashed or was dropped from the merge must not pass); records with a
       zero baseline throughput are skipped (wall-clock-only records).
 
-  speedup BENCH --bench NAME --base CONFIG --test CONFIG
-          [--min-ratio 2.0] [--metric candidates|subframes]
+  speedup BENCH --bench NAME --base CONFIG --test CONFIG [--min-ratio 2.0]
       Gate a required improvement rather than the absence of a regression:
       find the NAME/CONFIG base and test records in BENCH and fail unless
-      the test record's throughput is at least MIN_RATIO x the base
-      record's. With the default metric, candidates, throughput is
-      decode_attempts per wall_ms — the CI decode-bench job holds the
-      lockstep SIMD decoder to >= 2x the scalar path this way, and both
-      records must come from the same run (equal decode_attempts — same
-      work) with nonzero wall_ms. With --metric subframes the gate
-      compares subframes_per_sec directly (the two configs simulate the
-      identical scenario by construction — the determinism suite pins
-      that — so no work-equality check applies); the CI bench-smoke job
+      the test record's subframes_per_sec is at least MIN_RATIO x the base
+      record's. The two configs must simulate the identical scenario (for
+      bench_shard the determinism suite pins that); the CI bench-smoke job
       holds bench_shard's 4-shard config to >= 2.5x the 1-shard config
       this way.
 
@@ -138,33 +131,14 @@ def cmd_speedup(args):
         if cfg not in by_config:
             raise SystemExit(
                 f"{args.bench_file}: no {args.bench}/{cfg} record")
-    base, test = by_config[args.base], by_config[args.test]
-    if args.metric == "subframes":
-        base_rate = base.get("subframes_per_sec", 0.0)
-        test_rate = test.get("subframes_per_sec", 0.0)
-        if base_rate <= 0 or test_rate <= 0:
-            raise SystemExit(
-                f"{args.bench}: subframes_per_sec missing or zero")
-        unit = "subframes/s"
-    else:
-        for r in (base, test):
-            if r.get("wall_ms", 0.0) <= 0:
-                raise SystemExit(
-                    f"{args.bench}/{r['config']}: wall_ms missing or zero "
-                    f"(speedup needs raw run records, not a slimmed "
-                    f"baseline)")
-        if base.get("decode_attempts") != test.get("decode_attempts"):
-            print(f"  base {base['decode_attempts']} vs test "
-                  f"{test['decode_attempts']} decode attempts — the two "
-                  f"configs did different work, ratio is meaningless")
-            return 1
-        base_rate = base["decode_attempts"] * 1000.0 / base["wall_ms"]
-        test_rate = test["decode_attempts"] * 1000.0 / test["wall_ms"]
-        unit = "candidates/s"
-    ratio = test_rate / base_rate if base_rate > 0 else 0.0
+    base_rate = by_config[args.base].get("subframes_per_sec", 0.0)
+    test_rate = by_config[args.test].get("subframes_per_sec", 0.0)
+    if base_rate <= 0 or test_rate <= 0:
+        raise SystemExit(f"{args.bench}: subframes_per_sec missing or zero")
+    ratio = test_rate / base_rate
     ok = ratio >= args.min_ratio
     print(f"  {'ok' if ok else 'TOO SLOW':9s}{args.bench}: {args.test} "
-          f"{test_rate:.0f} vs {args.base} {base_rate:.0f} {unit} "
+          f"{test_rate:.0f} vs {args.base} {base_rate:.0f} subframes/s "
           f"({ratio:.2f}x, need >= {args.min_ratio:.2f}x)")
     if not ok:
         return 1
@@ -255,8 +229,6 @@ def main():
     s.add_argument("--base", required=True)
     s.add_argument("--test", required=True)
     s.add_argument("--min-ratio", type=float, default=2.0)
-    s.add_argument("--metric", choices=["candidates", "subframes"],
-                   default="candidates")
     s.set_defaults(fn=cmd_speedup)
 
     w = sub.add_parser("write-baseline")

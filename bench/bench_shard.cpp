@@ -3,7 +3,7 @@
 // background populations — stepped at shards {1, 4}. Reports wall time
 // and cell-subframes/s per config via --json; the CI bench-smoke job
 // gates the 4-shard record at >= 2.5x the 1-shard record with
-// `bench_gate.py speedup --metric subframes` (and the binary itself
+// `bench_gate.py speedup` (and the binary itself
 // asserts the ratio when the host has the cores to make it meaningful).
 //
 // The contract under test is the tentpole one: shards is purely a

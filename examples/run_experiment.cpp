@@ -33,9 +33,6 @@
 //                          subframe barriers in multi-cluster scenarios
 //                          (default 1; results are identical for any N;
 //                          see DESIGN.md §15)
-//     --lanes N            blind-decode candidates per lockstep batch
-//                          (1..16, default 8; 1 = scalar path; results are
-//                          identical for any N)
 //     --conv-pdcch         encode every cell's control channel with the
 //                          36.212 convolutional code instead of repetition
 //                          coding (exercises the Viterbi hot path; used to
@@ -61,8 +58,7 @@
 //     --help               print this option summary
 //
 //   ./build/examples/run_experiment --algo all --location 31 --csv out.csv
-//   ./build/examples/run_experiment --algo pbe --trace out.jsonl \
-//       --metrics metrics.json
+//   ./build/examples/run_experiment --trace out.jsonl --metrics metrics.json
 //   ./build/examples/run_experiment --algo pbe --record run.pbt
 //   ./build/examples/run_experiment --replay run.pbt --threads 8
 #include <chrono>
@@ -78,7 +74,6 @@
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
 #include "check/check.h"
-#include "decoder/blind_decoder.h"
 #include "fault/fault.h"
 #include "nr/numerology.h"
 #include "obs/obs.h"
@@ -144,8 +139,6 @@ void usage(std::FILE* out) {
                "  --threads N        decode worker threads (default 1)\n"
                "  --shards N         shard worker threads for multi-cluster\n"
                "                     scenarios (default 1; identical results)\n"
-               "  --lanes N          lockstep decode lanes, 1..16 (default 8;\n"
-               "                     1 = scalar path; identical results)\n"
                "  --conv-pdcch       convolutional control coding on every\n"
                "                     cell (records a Viterbi decode corpus)\n"
                "  --nr SCS_KHZ       5G NR secondary carriers at 15|30|120\n"
@@ -216,8 +209,6 @@ Options parse(int argc, char** argv) {
       par::set_default_threads(std::atoi(need("--threads")));
     } else if (!std::strcmp(argv[i], "--shards")) {
       sim::set_default_shards(std::atoi(need("--shards")));
-    } else if (!std::strcmp(argv[i], "--lanes")) {
-      decoder::set_decode_lanes(std::atoi(need("--lanes")));
     } else if (!std::strcmp(argv[i], "--conv-pdcch")) {
       o.conv_pdcch = true;
     } else if (!std::strcmp(argv[i], "--nr")) {

@@ -1,12 +1,9 @@
 #include "decoder/blind_decoder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
-#include <utility>
 
 #include "nr/coreset.h"
-#include "nr/polar.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "phy/convolutional.h"
@@ -15,7 +12,11 @@ namespace pbecc::decoder {
 
 namespace {
 
-std::atomic<int> g_decode_lanes{8};
+// Memo-miss candidates per lockstep Viterbi batch (DESIGN.md §14). A block
+// is the unit of pool fan-out, and the block partition is a pure function
+// of the miss list, so results never depend on the thread count.
+constexpr std::size_t kBlockLanes = 8;
+static_assert(kBlockLanes <= phy::kMaxDecodeLanes);
 
 // Blind-search format list per RAT: an LTE cell carries exactly the five
 // 36.212 formats (byte-identical with the pre-NR decoder), an NR cell
@@ -29,10 +30,9 @@ const phy::DciFormat* format_list(const phy::CellConfig& cell, int* n) {
   return phy::kLteDciFormats;
 }
 
-// Smallest integer `matches` count that satisfies region_agrees()'s
-// `matches >= frac * total` double comparison — derived with the same
-// double arithmetic so the lockstep path's integer threshold is exactly
-// the scalar path's acceptance boundary.
+// Smallest integer `matches` count that satisfies `matches >= frac * total`
+// in double arithmetic: the re-encode agreement rule for Viterbi-coded
+// candidates, turned into an exact integer threshold.
 std::int32_t min_passing_matches(double frac, std::size_t total) {
   auto m = static_cast<std::int32_t>(frac * static_cast<double>(total));
   while (static_cast<double>(m) < frac * static_cast<double>(total)) ++m;
@@ -40,13 +40,6 @@ std::int32_t min_passing_matches(double frac, std::size_t total) {
 }
 
 }  // namespace
-
-void set_decode_lanes(int lanes) {
-  g_decode_lanes.store(std::clamp(lanes, 1, phy::kMaxDecodeLanes),
-                       std::memory_order_relaxed);
-}
-
-int decode_lanes() { return g_decode_lanes.load(std::memory_order_relaxed); }
 
 BlindDecoder::BlindDecoder(phy::CellConfig cell) : cell_(cell) {
   for (int i = 0; i < kNumAlLanes; ++i) {
@@ -88,24 +81,6 @@ util::BitVec BlindDecoder::majority_decode(const phy::PdcchSubframe& sf,
 
 bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
                                  int n_cces, const util::BitVec& msg) const {
-  const auto base_idx = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
-  if (sf.coding != phy::PdcchCoding::kRepetition) {
-    // Re-encode the Viterbi decision and correlate with the raw block:
-    // a genuine codeword agrees except for channel noise; a wrong-format
-    // or cross-message decision lands near 50%. kPolar re-encodes through
-    // the nr::polar_* seam (today the identical convolutional stand-in).
-    const auto region = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
-    const util::BitVec re =
-        sf.coding == phy::PdcchCoding::kPolar
-            ? nr::polar_rate_match(nr::polar_encode(msg), region)
-            : phy::rate_match(phy::conv_encode(msg), region);
-    std::size_t matches = 0;
-    for (std::size_t i = 0; i < re.size(); ++i) {
-      matches += sf.bits.bit(base_idx + i) == re.bit(i) ? 1 : 0;
-    }
-    return static_cast<double>(matches) >= 0.85 * static_cast<double>(re.size());
-  }
-
   // Path-metric stand-in: the decoded message, re-modulated, must agree
   // with the raw region across every repetition. A true message differs
   // only by channel noise; a phantom formed from a majority over unrelated
@@ -142,76 +117,8 @@ bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
              0.9 * static_cast<double>(filler_total);
 }
 
-BlindDecoder::CandidateResult BlindDecoder::run_formats(
-    const phy::PdcchSubframe& sf, int al, int start,
-    const util::BitVec& span) const {
-  CandidateResult res;
-  int n_formats = 0;
-  const phy::DciFormat* formats = format_list(cell_, &n_formats);
-  for (int f = 0; f < n_formats; ++f) {
-    const auto format = formats[f];
-    const int msg_bits = phy::dci_payload_bits(format) + 16;
-    const bool conv = sf.coding != phy::PdcchCoding::kRepetition;
-    util::BitVec bits;
-    if (conv) {
-      const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-      const std::size_t steps =
-          static_cast<std::size_t>(msg_bits) + phy::kConvTailBits;
-      if (region_bits < 2 * steps) continue;  // infeasible rate
-      ++res.attempts;
-      bits = sf.coding == phy::PdcchCoding::kPolar
-                 ? nr::polar_decode(span, static_cast<std::size_t>(msg_bits))
-                 : phy::conv_decode(span, static_cast<std::size_t>(msg_bits));
-    } else {
-      if (phy::repetitions_that_fit(msg_bits, al) == 0) continue;
-      ++res.attempts;
-      bits = majority_decode(sf, start, al, msg_bits);
-    }
-    auto dci = phy::decode_dci(bits, format, cell_.n_prbs());
-    if (!dci.has_value()) {
-      ++res.failures;
-      continue;
-    }
-    if (!region_agrees(sf, start, al, bits)) {
-      ++res.failures;
-      continue;
-    }
-    res.dci = *dci;
-    break;  // this candidate is consumed
-  }
-  return res;
-}
-
-BlindDecoder::CandidateResult BlindDecoder::try_candidate(
-    const phy::PdcchSubframe& sf, int al, int start) {
-  // Extract the candidate span once: it is both the Viterbi input and the
-  // memo key.
-  const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-  const auto base = static_cast<std::size_t>(start) * phy::kBitsPerCce;
-  util::BitVec span;
-  for (std::size_t i = 0; i < region_bits; ++i) {
-    span.push_bit(sf.bits.bit(base + i));
-  }
-
-  const auto ai = static_cast<std::size_t>(al_index(al));
-  const auto pos = static_cast<std::size_t>(start / al);
-  MemoEntry& entry = memo_[ai][pos];
-  if (entry.valid && entry.coding == sf.coding && entry.span == span) {
-    CandidateResult res = entry.result;
-    res.memo_hit = true;
-    return res;
-  }
-  CandidateResult res = run_formats(sf, al, start, span);
-  entry.valid = true;
-  entry.coding = sf.coding;
-  entry.span = std::move(span);
-  entry.result = res;
-  return res;
-}
-
 std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
                                          const int* starts,
-                                         const util::BitVec* spans,
                                          const std::size_t* miss,
                                          std::size_t n_miss,
                                          CandidateResult* out) {
@@ -223,8 +130,7 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
   if (sf.coding != phy::PdcchCoding::kRepetition) {
     // Per-format waves: every still-undecided missing candidate decodes
     // format f's shape in one lockstep Viterbi batch. A candidate that
-    // validates drops out of the remaining waves, exactly like the scalar
-    // format loop's break.
+    // validates drops out of the remaining waves: it is consumed.
     //
     // Every wave rate-matches the same span, so scan each span exactly
     // once into vote prefix sums: each format's log-likelihoods then cost
@@ -236,50 +142,45 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
       prefixes.resize(n_miss * pre_stride);
     }
     for (std::size_t m = 0; m < n_miss; ++m) {
-      const util::BitVec& span = spans[miss[m]];
+      const util::BitVec& span = spans_[miss[m]];
       std::int32_t* pre = prefixes.data() + m * pre_stride;
       pre[0] = 0;
       for (std::size_t b = 0; b < region_bits; ++b) {
         pre[b + 1] = pre[b] + (span.bit(b) ? 1 : -1);
       }
     }
-    std::array<bool, phy::kMaxDecodeLanes> done{};
+    std::array<bool, kBlockLanes> done{};
     for (int f = 0; f < n_formats; ++f) {
       const auto format = formats[f];
       const int msg_bits = phy::dci_payload_bits(format) + 16;
-      const std::size_t steps =
-          static_cast<std::size_t>(msg_bits) + phy::kConvTailBits;
-      if (region_bits < 2 * steps) continue;  // infeasible rate, no attempt
+      if (region_bits < phy::conv_min_region_bits(
+                            static_cast<std::size_t>(msg_bits))) {
+        continue;  // infeasible rate, no attempt
+      }
 
-      // The acceptance test downstream is region_agrees(): re-encoded
-      // matches >= 0.85 * region_bits. The final Viterbi metric M and the
-      // match count are linked exactly (matches = (M + T) / 2), so the
-      // threshold doubles as the per-lane early-abort floor and replaces
-      // the re-encode pass entirely.
+      // Acceptance: the decision, re-encoded, agrees with >= 85% of the
+      // region bits. The final Viterbi metric M and the match count are
+      // linked exactly (matches = (M + T) / 2), so the threshold doubles
+      // as the per-lane early-abort floor and no re-encode pass is needed.
       const std::int32_t thr =
           2 * min_passing_matches(0.85, region_bits) -
           static_cast<std::int32_t>(region_bits);
 
-      std::array<phy::BatchDecodeJob, phy::kMaxDecodeLanes> jobs;
-      std::array<std::size_t, phy::kMaxDecodeLanes> lane_cand{};
+      std::array<phy::BatchDecodeJob, kBlockLanes> jobs;
+      std::array<std::size_t, kBlockLanes> lane_cand{};
       int n_lanes = 0;
       for (std::size_t m = 0; m < n_miss; ++m) {
         if (done[m]) continue;
         jobs[static_cast<std::size_t>(n_lanes)] = {
-            &spans[miss[m]], prefixes.data() + m * pre_stride, thr};
+            &spans_[miss[m]], prefixes.data() + m * pre_stride, thr};
         lane_cand[static_cast<std::size_t>(n_lanes)] = m;
         ++n_lanes;
       }
       if (n_lanes == 0) break;
 
-      std::array<phy::BatchDecodeResult, phy::kMaxDecodeLanes> res;
-      if (sf.coding == phy::PdcchCoding::kPolar) {
-        nr::polar_decode_batch(jobs.data(), n_lanes,
-                               static_cast<std::size_t>(msg_bits), res.data());
-      } else {
-        phy::conv_decode_batch(jobs.data(), n_lanes,
-                               static_cast<std::size_t>(msg_bits), res.data());
-      }
+      std::array<phy::BatchDecodeResult, kBlockLanes> res;
+      phy::conv_decode_batch(jobs.data(), n_lanes,
+                             static_cast<std::size_t>(msg_bits), res.data());
       ++batches;
 
       for (int k = 0; k < n_lanes; ++k) {
@@ -293,7 +194,7 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
           ++r.early_aborts;
           continue;
         }
-        if (d.metric < thr) {  // == region_agrees() false, without re-encode
+        if (d.metric < thr) {
           ++r.failures;
           continue;
         }
@@ -343,14 +244,13 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
     }
   }
 
-  // Memo store, exactly as the scalar path would have recorded each
-  // candidate (memo_hit stays false inside the stored result).
+  // Memo store (memo_hit stays false inside the stored result).
   for (std::size_t m = 0; m < n_miss; ++m) {
     const std::size_t i = miss[m];
     MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
     entry.valid = true;
     entry.coding = sf.coding;
-    entry.span = spans[i];
+    entry.span = spans_[i];
     entry.result = out[i];
   }
   return batches;
@@ -413,56 +313,44 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
+    // Extract every span and probe the memo up front (cheap, serial), then
+    // pack only the misses into blocks: steady-state subframes answer most
+    // candidates from the memo, and interleaving hits with misses would run
+    // mostly-empty batches.
     std::vector<CandidateResult> results(starts.size());
-    const auto lanes = static_cast<std::size_t>(decode_lanes());
-    if (lanes > 1) {
-      // Lockstep path. Extract every span and probe the memo up front
-      // (cheap, serial), then pack only the misses into lane-sized blocks:
-      // steady-state subframes answer most candidates from the memo, and
-      // interleaving hits with misses would run mostly-empty batches. The
-      // block partition is a pure function of the miss list, so results
-      // and counters are independent of the thread count the blocks then
-      // fan out on.
-      const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-      thread_local std::vector<util::BitVec> spans;
-      if (spans.size() < starts.size()) spans.resize(starts.size());
-      std::vector<std::size_t> misses;
-      misses.reserve(starts.size());
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        util::BitVec& span = spans[i];
-        span.clear();
-        span.reserve(region_bits);
-        const auto base =
-            static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce;
-        for (std::size_t b = 0; b < region_bits; ++b) {
-          span.push_bit(sf.bits.bit(base + b));
-        }
-        MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
-        if (entry.valid && entry.coding == sf.coding && entry.span == span) {
-          results[i] = entry.result;
-          results[i].memo_hit = true;
-        } else {
-          misses.push_back(i);
-        }
+    const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
+    if (spans_.size() < starts.size()) spans_.resize(starts.size());
+    std::vector<std::size_t> misses;
+    misses.reserve(starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      util::BitVec& span = spans_[i];
+      span.clear();
+      span.reserve(region_bits);
+      const auto base = static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce;
+      for (std::size_t b = 0; b < region_bits; ++b) {
+        span.push_bit(sf.bits.bit(base + b));
       }
-      if (!misses.empty()) {
-        const std::size_t n_blocks = (misses.size() + lanes - 1) / lanes;
-        std::vector<std::uint64_t> block_batches(n_blocks, 0);
-        par::parallel_for(n_blocks, [&](std::size_t b) {
-          const std::size_t lo = b * lanes;
-          const std::size_t n = std::min(lanes, misses.size() - lo);
-          block_batches[b] = decode_block(sf, al, starts.data(), spans.data(),
-                                          misses.data() + lo, n,
-                                          results.data());
-        });
-        for (const std::uint64_t n : block_batches) {
-          run.delta.lane_batches += n;
-        }
+      MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
+      if (entry.valid && entry.coding == sf.coding && entry.span == span) {
+        results[i] = entry.result;
+        results[i].memo_hit = true;
+      } else {
+        misses.push_back(i);
       }
-    } else {
-      par::parallel_for(starts.size(), [&](std::size_t i) {
-        results[i] = try_candidate(sf, al, starts[i]);
+    }
+    if (!misses.empty()) {
+      const std::size_t n_blocks =
+          (misses.size() + kBlockLanes - 1) / kBlockLanes;
+      std::vector<std::uint64_t> block_batches(n_blocks, 0);
+      par::parallel_for(n_blocks, [&](std::size_t b) {
+        const std::size_t lo = b * kBlockLanes;
+        const std::size_t n = std::min(kBlockLanes, misses.size() - lo);
+        block_batches[b] = decode_block(sf, al, starts.data(),
+                                        misses.data() + lo, n, results.data());
       });
+      for (const std::uint64_t n : block_batches) {
+        run.delta.lane_batches += n;
+      }
     }
 
     for (std::size_t i = 0; i < starts.size(); ++i) {

@@ -4,11 +4,12 @@
 // the control channel by searching every possible message position inside
 // the control channel of one subframe and trying all possible formats at
 // each location until finding the correct message." We do exactly that
-// over the synthetic PDCCH: for every aggregation level (8/4/2/1), every
-// aligned candidate position, and every DCI format, majority-vote the
-// repetition-coded bits and validate the RNTI-masked CRC plus structural
-// field checks. Decoding runs on the *noisy* control region, so weak
-// channels genuinely lose messages.
+// over the synthetic PDCCH: for every aggregation level (8/4/2/1, plus 16
+// on NR), every candidate position, and every DCI format, recover the bits
+// (majority vote for repetition coding, lockstep Viterbi for the
+// convolutional code and its polar stand-in) and validate the RNTI-masked
+// CRC plus structural field checks. Decoding runs on the *noisy* control
+// region, so weak channels genuinely lose messages.
 //
 // The search is split into a side-effect-free compute phase and an ordered
 // apply phase so candidate positions (and, one level up, whole cells) can
@@ -38,16 +39,6 @@ constexpr int al_index(int al) {
 inline constexpr int kAggregationLevels[5] = {1, 2, 4, 8, 16};
 inline constexpr int kNumAlLanes = 5;
 
-// Candidates decoded in lockstep per batch (DESIGN.md §14): 1 selects the
-// scalar per-candidate path (the pre-batching hot path, kept both as the
-// fallback and as the honest A/B baseline for bench_replay --corpus);
-// 2..phy::kMaxDecodeLanes selects the SIMD-friendly lane-major batch path.
-// Results are byte-identical for every setting — the knob trades nothing
-// but speed. Set once before a run (like par::set_default_threads); reads
-// on the hot path are relaxed atomics.
-void set_decode_lanes(int lanes);
-int decode_lanes();
-
 struct DecodeStats {
   std::uint64_t candidates_tried = 0;
   std::uint64_t crc_failures = 0;
@@ -56,11 +47,10 @@ struct DecodeStats {
   // Candidates answered from the span memo instead of a fresh decode
   // (the span's soft bits were unchanged since the previous subframe).
   std::uint64_t memo_hits = 0;
-  // Batch-path diagnostics (all zero on the scalar lanes==1 path; none of
-  // them feed the determinism digests): lockstep Viterbi batches run,
-  // candidate-format attempts retired early because no surviving path
-  // could reach the acceptance metric, and attempts rejected by the
-  // CRC-first screen before any field parse.
+  // Decode-path diagnostics (none of them feed the determinism digests):
+  // lockstep Viterbi batches run, candidate-format attempts retired early
+  // because no surviving path could reach the acceptance metric, and
+  // attempts rejected by the CRC-first screen before any field parse.
   std::uint64_t lane_batches = 0;
   std::uint64_t early_aborts = 0;
   std::uint64_t screen_rejects = 0;
@@ -125,35 +115,25 @@ class BlindDecoder {
     std::optional<phy::Dci> dci;
   };
 
-  // Run all DCI formats at CCEs [start, start+al). Consults / refreshes
-  // the span memo; distinct positions touch distinct entries, so parallel
-  // calls for different candidates never race.
-  CandidateResult try_candidate(const phy::PdcchSubframe& sf, int al,
-                                int start);
-  CandidateResult run_formats(const phy::PdcchSubframe& sf, int al, int start,
-                              const util::BitVec& span) const;
-
-  // Lockstep path (decode_lanes() > 1): decode one lane-sized block of
-  // memo-miss candidates — per-DCI-format waves through
-  // phy::conv_decode_batch (convolutional cells) or the CRC-screened
-  // majority vote (repetition cells), then memo store. `miss[0..n_miss)`
-  // index into the AL's full `starts`/`spans`/`out` arrays (the caller
-  // already extracted spans and resolved memo hits); distinct blocks touch
-  // disjoint indices, so blocks run on pool threads without racing.
-  // Returns the number of Viterbi batches launched. Byte-identical
-  // outcomes to try_candidate() on each candidate.
+  // Decode one block of at most 8 memo-miss candidates — per-DCI-format
+  // waves through phy::conv_decode_batch (convolutional and polar cells)
+  // or the CRC-screened majority vote (repetition cells), then memo store.
+  // `miss[0..n_miss)` index into the AL's full `starts`/`spans_`/`out`
+  // arrays (the caller already extracted spans and resolved memo hits);
+  // distinct blocks touch disjoint indices, so blocks run on pool threads
+  // without racing. Returns the number of Viterbi batches launched.
   std::uint64_t decode_block(const phy::PdcchSubframe& sf, int al,
-                             const int* starts, const util::BitVec* spans,
-                             const std::size_t* miss, std::size_t n_miss,
-                             CandidateResult* out);
+                             const int* starts, const std::size_t* miss,
+                             std::size_t n_miss, CandidateResult* out);
 
   // Majority-vote the repetitions of a msg_bits-long message stored in
   // `n_cces` CCEs starting at `first_cce`.
   util::BitVec majority_decode(const phy::PdcchSubframe& sf, int first_cce,
                                int n_cces, int msg_bits) const;
 
-  // Re-encoding agreement check (path-metric stand-in): true when the
-  // candidate message is consistent with >=97% of the raw region bits.
+  // Repetition-coding agreement check (path-metric stand-in): true when
+  // the majority-voted message matches >=93% of the repetitions and the
+  // filler after them reads >=90% zeros.
   bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
                      const util::BitVec& msg) const;
 
@@ -172,6 +152,12 @@ class BlindDecoder {
     CandidateResult result;
   };
   std::array<std::vector<MemoEntry>, kNumAlLanes> memo_;
+
+  // Candidate spans of the aggregation level being decoded, indexed like
+  // its start list. Filled serially by decode_compute and only read by the
+  // blocks it fans out, so pool workers share it; kept as a member so the
+  // bit buffers are reused across subframes instead of reallocated.
+  std::vector<util::BitVec> spans_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

@@ -64,8 +64,9 @@ class Monitor {
   // order. Runs in three phases so the expensive blind decode can fan out
   // on the pbecc::par pool: (1) serial fault/noise preparation in the given
   // order (every rng_ draw happens here, so the noise stream is identical
-  // for any thread count), (2) side-effect-free decode_compute per cell,
-  // potentially in parallel, (3) serial apply + fusion in the given order.
+  // for any thread count), (2) side-effect-free decode_compute, cells in
+  // parallel and each cell's slots in order, (3) serial apply + fusion in
+  // the given order.
   // Byte-identical to calling on_pdcch per subframe in the same order.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
 
@@ -90,9 +91,9 @@ class Monitor {
   std::uint64_t decode_failures() const { return failures_; }
   // Blind-decode candidates tried across all cell decoders (bench JSON).
   std::uint64_t total_candidates_tried() const;
-  // Lockstep-path diagnostics summed across all cell decoders: Viterbi lane
-  // batches launched and candidate attempts retired by the exact-safe early
-  // abort. Both zero when decode_lanes() == 1.
+  // Lockstep-decode diagnostics summed across all cell decoders: Viterbi
+  // lane batches launched and candidate attempts retired by the exact-safe
+  // early abort. Both zero on repetition-coded cells.
   std::uint64_t total_lane_batches() const;
   std::uint64_t total_early_aborts() const;
 

@@ -46,8 +46,10 @@ enum class Rat : std::uint8_t { kLte = 0, kNr = 1 };
 // default here because it is an order of magnitude cheaper to blind-decode
 // in large simulations while giving the same aggregation-level-dependent
 // robustness (see bench_ablation / phy tests for the comparison). kPolar
-// is the NR PDCCH's 38.212 code, currently a convolutional stand-in
-// behind the nr::polar_* seam (src/nr/polar.h).
+// marks the NR PDCCH, whose 38.212 code is polar; real polar (CA-SCL)
+// decoding is out of scope, so kPolar cells are encoded and blind-decoded
+// with the convolutional code as a stand-in — bit-for-bit the same as
+// kConvolutional. The tag stays so traces record the RAT's coding.
 enum class PdcchCoding : std::uint8_t { kRepetition, kConvolutional, kPolar };
 
 struct CellConfig {

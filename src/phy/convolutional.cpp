@@ -47,19 +47,14 @@ constexpr std::array<std::uint8_t, 2 * kNumStates> make_branch_out() {
 }
 constexpr auto kBranchOut = make_branch_out();
 
-// Reusable per-thread decoder workspace. Blind decoding runs thousands of
-// candidate decodes per subframe (and, with pbecc::par, on several pool
-// threads at once); per-call vector allocation dominated the original
-// profile. The rate-match layout cache also lives here: a monitor sees
-// only a handful of (coded_bits, target_bits) shapes, one per
-// (payload size, aggregation level) pair.
-struct ViterbiScratch {
-  std::vector<std::int32_t> metric;
-  std::vector<std::int32_t> next_metric;
-  std::vector<std::uint8_t> survivor;    // flat [step * kNumStates + state]
-  std::vector<std::uint8_t> prev_state;  // flat, same layout
-  std::vector<std::int32_t> llr;
-  std::vector<std::int32_t> suffix_gain;
+// Workspace for the lockstep batch decoder: one arena per decode thread
+// (pool workers included) plus a rate-match layout cache — a monitor sees
+// only a handful of (coded_bits, target_bits) shapes, one per (payload
+// size, aggregation level) pair. Every per-batch array lives in the arena
+// and is recycled wholesale, so after warm-up a batch performs zero heap
+// allocations.
+struct BatchScratch {
+  util::Arena arena;
 
   struct CountsEntry {
     std::size_t coded = 0;
@@ -68,28 +63,6 @@ struct ViterbiScratch {
   };
   std::vector<CountsEntry> counts_cache;
 
-  const std::vector<int>& counts_for(std::size_t coded, std::size_t target) {
-    for (const auto& e : counts_cache) {
-      if (e.coded == coded && e.target == target) return e.counts;
-    }
-    counts_cache.push_back({coded, target, rate_match_counts(coded, target)});
-    return counts_cache.back().counts;
-  }
-};
-
-ViterbiScratch& scratch() {
-  thread_local ViterbiScratch ws;
-  return ws;
-}
-
-// Workspace for the lockstep batch decoder: one arena per decode thread
-// (pool workers included) plus the same rate-match layout cache the scalar
-// path keeps. Every per-batch array lives in the arena and is recycled
-// wholesale, so after warm-up a batch performs zero heap allocations.
-struct BatchScratch {
-  util::Arena arena;
-
-  std::vector<ViterbiScratch::CountsEntry> counts_cache;
   const std::vector<int>& counts_for(std::size_t coded, std::size_t target) {
     for (const auto& e : counts_cache) {
       if (e.coded == coded && e.target == target) return e.counts;
@@ -142,102 +115,6 @@ util::BitVec rate_match(const util::BitVec& coded, std::size_t target_bits) {
     for (int c = 0; c < counts[i]; ++c) out.push_bit(coded.bit(i));
   }
   return out;
-}
-
-util::BitVec conv_decode(const util::BitVec& received,
-                         std::size_t payload_bits) {
-  PBECC_PROF_SCOPE("viterbi");
-  const std::size_t steps = payload_bits + kConvTailBits;
-  const std::size_t coded_bits = kConvRateInv * steps;
-
-  auto& ws = scratch();
-
-  // Per-mother-bit log-likelihood from the (possibly repeated/punctured)
-  // received block: +count votes for 1, -count for 0, 0 = erasure.
-  ws.llr.assign(coded_bits, 0);
-  {
-    const auto& counts = ws.counts_for(coded_bits, received.size());
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < coded_bits; ++i) {
-      for (int c = 0; c < counts[i]; ++c) {
-        ws.llr[i] += received.bit(j++) ? 1 : -1;
-      }
-    }
-  }
-
-  // suffix_gain[t] = the largest total branch gain any path can still
-  // collect from step t onward (each step contributes at most
-  // |v0|+|v1|+|v2|), and -suffix_gain[t] the smallest. Basis for the
-  // exact-safe pruning bound below.
-  ws.suffix_gain.assign(steps + 1, 0);
-  for (std::size_t t = steps; t-- > 0;) {
-    ws.suffix_gain[t] = ws.suffix_gain[t + 1] +
-                        std::abs(ws.llr[kConvRateInv * t]) +
-                        std::abs(ws.llr[kConvRateInv * t + 1]) +
-                        std::abs(ws.llr[kConvRateInv * t + 2]);
-  }
-
-  // Viterbi: maximize correlation between the path's coded bits and llr.
-  constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
-  ws.metric.assign(kNumStates, kNegInf);
-  ws.metric[0] = 0;  // encoder starts zeroed
-  ws.next_metric.assign(kNumStates, kNegInf);
-  ws.survivor.resize(steps * kNumStates);
-  ws.prev_state.resize(steps * kNumStates);
-
-  std::int32_t best = 0;  // max over ws.metric (only state 0 is live)
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(ws.next_metric.begin(), ws.next_metric.end(), kNegInf);
-    const std::int32_t v0 = ws.llr[kConvRateInv * t];
-    const std::int32_t v1 = ws.llr[kConvRateInv * t + 1];
-    const std::int32_t v2 = ws.llr[kConvRateInv * t + 2];
-    // gains[p] = branch gain when the branch outputs bit pattern p.
-    std::int32_t gains[8];
-    for (int p = 0; p < 8; ++p) {
-      gains[p] = ((p & 1) != 0 ? v0 : -v0) + ((p & 2) != 0 ? v1 : -v1) +
-                 ((p & 4) != 0 ? v2 : -v2);
-    }
-    // Exact-safe pruning: any continuation of state s gains at most
-    // suffix_gain[t]; the leader's zero-tail continuation to state 0 (which
-    // always exists) gains at least -suffix_gain[t]. A state strictly below
-    // best - 2*suffix_gain[t] therefore cannot reach state 0 with the
-    // winning metric — dropping it cannot change the traceback. (Ties are
-    // kept, so tie-breaking matches the reference decoder bit-for-bit.)
-    const std::int32_t prune_below = best - 2 * ws.suffix_gain[t];
-    const int max_input = t < payload_bits ? 1 : 0;  // tail forces zeros
-    std::uint8_t* surv = ws.survivor.data() + t * kNumStates;
-    std::uint8_t* prev = ws.prev_state.data() + t * kNumStates;
-    std::int32_t next_best = kNegInf;
-    for (int s = 0; s < kNumStates; ++s) {
-      const std::int32_t m = ws.metric[static_cast<std::size_t>(s)];
-      if (m == kNegInf || m < prune_below) continue;
-      for (int u = 0; u <= max_input; ++u) {
-        const std::uint32_t reg = make_reg(u, static_cast<std::uint32_t>(s));
-        const auto ns = static_cast<std::size_t>(reg >> 1);
-        const std::int32_t cand = m + gains[kBranchOut[reg]];
-        if (cand > ws.next_metric[ns]) {
-          ws.next_metric[ns] = cand;
-          surv[ns] = static_cast<std::uint8_t>(u);
-          prev[ns] = static_cast<std::uint8_t>(s);
-          if (cand > next_best) next_best = cand;
-        }
-      }
-    }
-    ws.metric.swap(ws.next_metric);
-    best = next_best;
-  }
-
-  // The zero tail drives the encoder back to state 0: trace from there.
-  util::BitVec decoded(payload_bits);
-  std::size_t state = 0;
-  for (std::size_t t = steps; t-- > 0;) {
-    const std::size_t row = t * kNumStates;
-    if (t < payload_bits) {
-      decoded.set_bit(t, ws.survivor[row + state] != 0);
-    }
-    state = ws.prev_state[row + state];
-  }
-  return decoded;
 }
 
 util::BitVec conv_decode_reference(const util::BitVec& received,
@@ -341,9 +218,9 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
     }
   }
 
-  // suffix_gain[t][l]: the most any path can still gain from step t on —
-  // the same exact bound the scalar decoder prunes with, here driving the
-  // per-lane early abort.
+  // suffix_gain[t][l]: the most any path can still gain from step t on
+  // (each step contributes at most |v0|+|v1|+|v2|) — the exact bound
+  // behind the per-lane early abort.
   std::int32_t* suffix = ws.arena.alloc<std::int32_t>((steps + 1) * L);
   std::fill_n(suffix + steps * L, L, 0);
   for (std::size_t t = steps; t-- > 0;) {

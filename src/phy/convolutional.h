@@ -36,25 +36,23 @@ util::BitVec rate_match(const util::BitVec& coded, std::size_t target_bits);
 std::vector<int> rate_match_counts(std::size_t coded_bits,
                                    std::size_t target_bits);
 
-// Viterbi-decode `received` (a rate-matched block of `target_bits` bits)
-// back to `payload_bits` information bits. Punctured positions contribute
-// no branch metric; repeated positions vote. Always returns a best-effort
-// decision — callers validate with the CRC.
-//
-// This is the optimized hot path (flattened branch-metric tables, per-step
-// gain lookup, exact-safe path pruning, thread-local scratch reuse); it is
-// bit-exact with conv_decode_reference on every input.
-util::BitVec conv_decode(const util::BitVec& received,
-                         std::size_t payload_bits);
+// Smallest control region, in bits, that can carry a `msg_bits`-bit
+// message: the rate-matched block must keep real redundancy (effective
+// rate at most 1/2) or the decoder cannot recover the punctured positions.
+// PdcchBuilder refuses and BlindDecoder skips any placement below it.
+constexpr std::size_t conv_min_region_bits(std::size_t msg_bits) {
+  return 2 * (msg_bits + kConvTailBits);
+}
 
-// Straightforward textbook implementation kept as the oracle for the
-// equivalence tests in tests/convolutional_test.cpp. Not for hot paths:
-// it allocates its trellis per call.
+// Textbook hard-decision Viterbi decode of `received` (a rate-matched
+// block) back to `payload_bits` information bits: punctured positions
+// contribute no branch metric, repeated positions vote. The oracle the
+// tests hold conv_decode_batch to; it allocates its trellis per call.
 util::BitVec conv_decode_reference(const util::BitVec& received,
                                    std::size_t payload_bits);
 
 // ---------------------------------------------------------------------------
-// Batched lockstep decode (DESIGN.md §14).
+// Batched lockstep decode (DESIGN.md §14): the only production Viterbi.
 //
 // The blind decoder tries the same (payload length, block length) shape at
 // every candidate position of an aggregation level; conv_decode_batch

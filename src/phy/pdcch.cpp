@@ -53,12 +53,9 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
       return false;
     }
   } else {
-    // Convolutional (and its kPolar stand-in, see nr/polar.h): the
-    // rate-matched block must leave actual redundancy (effective rate well
-    // below 1) or the decoder cannot recover the punctured positions. Long
-    // formats therefore need AL >= 2.
-    const std::size_t steps = msg.size() + kConvTailBits;
-    if (region_bits < 2 * steps) return false;
+    // Convolutional, or kPolar's convolutional stand-in: long formats
+    // need AL >= 2 to keep real redundancy after rate matching.
+    if (region_bits < conv_min_region_bits(msg.size())) return false;
     block = rate_match(conv_encode(msg), region_bits);
   }
 

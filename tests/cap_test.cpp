@@ -413,7 +413,9 @@ TEST(CapFailClosed, EmptyAndGarbageFiles) {
 // layout, chunking or CRC must bump kFormatVersion — this test failing
 // without a version bump means old traces silently changed meaning.
 std::uint64_t golden_stream_digest(std::uint16_t version) {
-  const auto path = tmp_path("golden.pbt");
+  // One file per version: ctest runs the v1 and v2 tests as concurrent
+  // processes, and a shared path let one remove the other's stream.
+  const auto path = tmp_path("golden_v" + std::to_string(version) + ".pbt");
   util::Rng rng(1234);
   cap::TraceWriter writer(path, 16, version);
   writer.begin(sample_header(true));

@@ -15,11 +15,11 @@
 #include "cap/taps.h"
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
-#include "decoder/blind_decoder.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "sim/location.h"
+#include "util/digest.h"
 
 namespace pbecc {
 namespace {
@@ -196,42 +196,42 @@ TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
   EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
 }
 
-// Lockstep-lane determinism (DESIGN.md §14): the scalar per-candidate
-// path (lanes=1) and the SIMD batch path must produce byte-identical
-// FlowStats and trace digests at every lane width and thread count — on
-// the Viterbi pipeline AND the repetition-coded one (whose batch path
-// adds the CRC-first screen).
-TEST(DeterminismLanes, ScalarAndLockstepAreByteIdentical) {
-  struct LaneGuard {
-    ~LaneGuard() {
-      decoder::set_decode_lanes(8);
-      par::set_default_threads(1);
-    }
-  } guard;
+// Golden values (DESIGN.md §14): the lockstep batch decoder must
+// reproduce, bit for bit, what the scalar per-candidate decoder it
+// replaced produced — goodput, p95 delay, candidate count and every delay
+// sample — on the Viterbi pipeline and on the repetition-coded one (whose
+// decode path adds the CRC-first screen). Equality across thread counts
+// is DeterminismConvolutional's and DeterminismTest's job. The trace
+// digest is pinned only when obs instrumentation is compiled in.
+struct Golden {
+  double tput = 0;
+  double p95_d = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t delay_digest = 0;
+  std::uint64_t trace_digest = 0;
+};
 
-  decoder::set_decode_lanes(1);
-  const auto conv_scalar = run_conv_once(1);
-  const auto rep_scalar = run_once("none", 21, 1);
-  EXPECT_GT(conv_scalar.attempts, 0u);
-  EXPECT_GT(rep_scalar.attempts, 0u);
-
-  for (const int lanes : {8, 16}) {
-    for (const int threads : {1, 8}) {
-      decoder::set_decode_lanes(lanes);
-      const auto conv = run_conv_once(threads);
-      EXPECT_TRUE(conv_scalar == conv)
-          << "conv pipeline diverged at lanes=" << lanes
-          << " threads=" << threads;
-      EXPECT_EQ(conv_scalar.trace_digest, conv.trace_digest)
-          << "lanes=" << lanes << " threads=" << threads;
-      const auto rep = run_once("none", 21, threads);
-      EXPECT_TRUE(rep_scalar == rep)
-          << "repetition pipeline diverged at lanes=" << lanes
-          << " threads=" << threads;
-      EXPECT_EQ(rep_scalar.trace_digest, rep.trace_digest)
-          << "lanes=" << lanes << " threads=" << threads;
-    }
+void expect_golden(const RunDigest& d, const Golden& g, const char* lane) {
+  EXPECT_EQ(d.tput, g.tput) << lane;
+  EXPECT_EQ(d.p95_d, g.p95_d) << lane;
+  EXPECT_EQ(d.attempts, g.attempts) << lane;
+  EXPECT_EQ(util::fnv1a64(d.delays.data(), d.delays.size() * sizeof(double)),
+            g.delay_digest)
+      << lane;
+  if (obs::kCompiled) {
+    EXPECT_EQ(d.trace_digest, g.trace_digest) << lane;
   }
+}
+
+TEST(DeterminismGolden, BatchDecodeReproducesScalarResults) {
+  expect_golden(run_conv_once(1),
+                {45.339719466301744, 42.154800000000002, 27996,
+                 0x9d51114c9cdaa8a1ull, 0x36dcef7405076f3cull},
+                "convolutional");
+  expect_golden(run_once("none", 21, 1),
+                {47.159999999999997, 70.797999999999973, 39317,
+                 0xed4da36b7674d987ull, 0xb1345341b5ed4275ull},
+                "repetition");
 }
 
 // --- shard lanes (DESIGN.md §15) -----------------------------------------

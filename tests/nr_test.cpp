@@ -1,8 +1,8 @@
 // Unit tests for src/nr and the NR-aware paths threaded through the
 // pipeline: scalable numerology, CORESET/search-space candidate
-// enumeration (per SCS, encode and decode side), the polar coding seam,
-// heterogeneous-clock message fusion, the mixed LTE+NR scenario axis, and
-// the .pbt v1/v2 compatibility contract.
+// enumeration (per SCS, encode and decode side), polar-coded (stand-in)
+// blind decoding, heterogeneous-clock message fusion, the mixed LTE+NR
+// scenario axis, and the .pbt v1/v2 compatibility contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include "decoder/message_fusion.h"
 #include "nr/coreset.h"
 #include "nr/numerology.h"
-#include "nr/polar.h"
 #include "phy/convolutional.h"
 #include "phy/pdcch.h"
 #include "sim/location.h"
@@ -127,36 +126,6 @@ TEST(Coreset, DefaultSearchSpaceCandidateCount) {
   EXPECT_EQ(total, 13);
 }
 
-// -------------------------------------------------------- polar seam pin
-
-// The polar_* functions are a documented stand-in delegating to the
-// 36.212 convolutional codec; PdcchBuilder's kPolar encode side uses
-// conv_encode directly. Pin both sides to identical bits so the seam
-// cannot silently split (swapping in a real polar codec must replace
-// both at once).
-TEST(PolarSeam, EncodeMatchesConvolutionalStandIn) {
-  util::Rng rng{42};
-  for (const int bits : {30, 37, 45, 51}) {
-    util::BitVec payload;
-    for (int i = 0; i < bits; ++i) payload.push_bit(rng.uniform() < 0.5);
-    const auto mother = nr::polar_encode(payload);
-    EXPECT_EQ(mother, phy::conv_encode(payload));
-    const std::size_t target = 2 * mother.size();
-    EXPECT_EQ(nr::polar_rate_match(mother, target),
-              phy::rate_match(mother, target));
-    const auto decoded = nr::polar_decode(
-        nr::polar_rate_match(mother, target), payload.size());
-    EXPECT_EQ(decoded, payload);
-  }
-}
-
-TEST(PolarSeam, MinRegionBitsMatchesConvRule) {
-  for (const std::size_t bits : {30u, 45u, 53u}) {
-    EXPECT_EQ(nr::polar_min_region_bits(bits),
-              2 * (bits + phy::kConvTailBits));
-  }
-}
-
 // -------------------------------------- NR PDCCH builder->decoder, per SCS
 
 phy::Dci nr_dci(phy::Rnti rnti, int n_prbs,
@@ -183,13 +152,14 @@ phy::CellConfig nr_cell_for(nr::Scs scs) {
   return c;
 }
 
-// Polar-coded feasibility rule: a format fits an AL-`al` candidate iff the
-// region keeps real redundancy after rate matching.
+// Polar-coded feasibility rule (the convolutional stand-in's): a format
+// fits an AL-`al` candidate iff the region keeps real redundancy after
+// rate matching.
 bool polar_fits(phy::DciFormat fmt, int al) {
   const std::size_t msg_bits =
       static_cast<std::size_t>(phy::dci_payload_bits(fmt)) + 16;
   return static_cast<std::size_t>(al * phy::kBitsPerCce) >=
-         nr::polar_min_region_bits(msg_bits);
+         phy::conv_min_region_bits(msg_bits);
 }
 
 TEST(NrPdcch, BuilderDecoderRoundTripPerScs) {
