@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   bench::WallTimer wt;
-  const auto results = par::parallel_map(
+  const auto results = rep.pool().parallel_map(
       jobs.size(), [&](std::size_t j) { return jobs[j](); });
   std::uint64_t sim_sfs = 0;
   for (const auto& r : results) sim_sfs += r.sfs;

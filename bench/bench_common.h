@@ -13,18 +13,21 @@
 #include <vector>
 
 #include "par/thread_pool.h"
+#include "util/cli.h"
 #include "util/stats.h"
 #include "util/time.h"
 
 namespace pbecc::bench {
 
-// Flow length for end-to-end benches: `--seconds N` overrides the default
-// (the paper uses 20 s flows; shorter runs keep the full suite quick).
+// Flow length for end-to-end benches: `--seconds N` (1..86400) overrides
+// the default (the paper uses 20 s flows; shorter runs keep the full suite
+// quick).
 inline util::Duration flow_seconds(int argc, char** argv,
                                    int default_seconds) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0) {
-      return std::atoi(argv[i + 1]) * util::kSecond;
+      return util::whole_number_arg("--seconds", argv[i + 1], 1, 86400) *
+             util::kSecond;
     }
   }
   return default_seconds * util::kSecond;
@@ -69,7 +72,9 @@ class WallTimer {
 // Machine-readable bench reporter. Every bench constructs one from argv:
 //
 //   --json <path>   write a JSON array of records on exit
-//   --threads N     size the pbecc::par default pool (0 = hardware)
+//   --threads N     size the bench grid's pool (0..256, 0 = every core;
+//                   default 1). Benches fan their independent scenario
+//                   runs out on pool(); a single run stays on one thread.
 //
 // Each record is {"schema_version", "bench", "config", "wall_ms",
 // "subframes_per_sec", "decode_attempts", "threads"}, keys always in that
@@ -80,13 +85,9 @@ class WallTimer {
 class Reporter {
  public:
   Reporter(std::string bench_name, int argc, char** argv)
-      : bench_(std::move(bench_name)) {
+      : bench_(std::move(bench_name)), pool_(threads_arg(argc, argv)) {
     for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0) {
-        json_path_ = argv[i + 1];
-      } else if (std::strcmp(argv[i], "--threads") == 0) {
-        par::set_default_threads(std::atoi(argv[i + 1]));
-      }
+      if (std::strcmp(argv[i], "--json") == 0) json_path_ = argv[i + 1];
     }
   }
   ~Reporter() { write(); }
@@ -94,6 +95,9 @@ class Reporter {
   Reporter& operator=(const Reporter&) = delete;
 
   bool json_enabled() const { return !json_path_.empty(); }
+
+  // The bench grid's pool, sized by --threads.
+  par::ThreadPool& pool() { return pool_; }
 
   void add(const std::string& config, double wall_ms,
            double subframes_per_sec, std::uint64_t decode_attempts) {
@@ -124,7 +128,7 @@ class Reporter {
                    bench_.c_str(), escape(r.config).c_str(), r.wall_ms,
                    r.subframes_per_sec,
                    static_cast<unsigned long long>(r.decode_attempts),
-                   par::default_threads(),
+                   pool_.threads(),
                    i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
@@ -139,6 +143,17 @@ class Reporter {
     std::uint64_t decode_attempts = 0;
   };
 
+  static int threads_arg(int argc, char** argv) {
+    int threads = 1;
+    for (int i = 1; i + 1 < argc; ++i) {
+      if (std::strcmp(argv[i], "--threads") == 0) {
+        threads = static_cast<int>(
+            util::whole_number_arg("--threads", argv[i + 1], 0, 256));
+      }
+    }
+    return threads;
+  }
+
   static std::string escape(const std::string& s) {
     std::string out;
     for (char c : s) {
@@ -152,6 +167,7 @@ class Reporter {
   std::string json_path_;
   std::vector<Record> records_;
   bool written_ = false;
+  par::ThreadPool pool_;
 };
 
 }  // namespace pbecc::bench

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     for (const double duty : duties) jobs.push_back({algo, duty});
   }
   bench::WallTimer wt;
-  const auto results = par::parallel_map(jobs.size(), [&](std::size_t j) {
+  const auto results = rep.pool().parallel_map(jobs.size(), [&](std::size_t j) {
     return run_faulty(jobs[j].algo, jobs[j].duty, flow_len);
   });
   std::map<double, std::map<std::string, sim::LocationRunResult>> grid;
@@ -198,7 +198,8 @@ int main(int argc, char** argv) {
     }
     bench::WallTimer cwt;
     std::uint64_t chaos_sfs = 0, chaos_attempts = 0;
-    const auto cell_results = par::parallel_map(cells.size(), [&](std::size_t j) {
+    const auto cell_results = rep.pool().parallel_map(
+        cells.size(), [&](std::size_t j) {
       const auto profile = fault::profile_by_name(cells[j].profile);
       return sim::run_location(sim::location(kLocation), cells[j].algo,
                                flow_len,

@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   std::vector<int> hours;
   for (int hour = 0; hour < 24; hour += quick ? 4 : 1) hours.push_back(hour);
   bench::WallTimer wt;
-  const auto day = par::parallel_map(2 * hours.size(), [&](std::size_t j) {
+  const auto day = rep.pool().parallel_map(
+      2 * hours.size(), [&](std::size_t j) {
     const int hour = hours[j % hours.size()];
     return j < hours.size() ? simulate_hour(20.0, hour, false)
                             : simulate_hour(10.0, hour, hour < 3);  // off 0-3am

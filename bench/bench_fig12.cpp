@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     for (const auto& algo : algos) jobs.push_back({i, algo});
   }
   bench::WallTimer wt;
-  const auto results = par::parallel_map(jobs.size(), [&](std::size_t j) {
+  const auto results = rep.pool().parallel_map(jobs.size(), [&](std::size_t j) {
     return sim::run_location(sim::location(jobs[j].loc), jobs[j].algo, len);
   });
 

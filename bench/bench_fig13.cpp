@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   // 4 panels x 8 algorithms of independent runs: one flat pool fan-out.
   bench::WallTimer wt;
   const auto results =
-      par::parallel_map(panels.size() * algos.size(), [&](std::size_t j) {
+      rep.pool().parallel_map(panels.size() * algos.size(), [&](std::size_t j) {
         return sim::run_location(panels[j / algos.size()].second,
                                  algos[j % algos.size()], len);
       });

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   // 2 panels x 8 algorithms, each an independent run: pool fan-out.
   bench::WallTimer wt;
   const auto results =
-      par::parallel_map(2 * algos.size(), [&](std::size_t j) {
+      rep.pool().parallel_map(2 * algos.size(), [&](std::size_t j) {
         return sim::run_location(pick(panels[j / algos.size()]),
                                  algos[j % algos.size()], len);
       });

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const int ca_capable = static_cast<int>(ca_locs.size());
 
   bench::WallTimer wt;
-  const auto results =
-      par::parallel_map(ca_locs.size() * algos.size(), [&](std::size_t j) {
+  const auto results = rep.pool().parallel_map(
+      ca_locs.size() * algos.size(), [&](std::size_t j) {
         return sim::run_location(
             sim::location(ca_locs[j / algos.size()]),
             algos[j % algos.size()], len);

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   };
   const auto algos = sim::all_algorithms();
   bench::WallTimer wt;
-  const auto rows = par::parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 131;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};

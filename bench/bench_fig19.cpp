@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   bench::Reporter rep("bench_fig19", argc, argv);
   bench::header("Figure 19: PBE-CC vs BBR through competitor on/off transitions");
   bench::WallTimer wt;
-  const auto series = par::parallel_map(
+  const auto series = rep.pool().parallel_map(
       2, [&](std::size_t j) { return run(j == 0 ? "pbe" : "bbr"); });
   auto pbe = series[0];
   auto bbr = series[1];

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
        {rtt_similar[0], rtt_similar[1], rtt_similar[2]}},
   };
   bench::WallTimer wt;
-  auto data = par::parallel_map(panels.size(), [&](std::size_t j) {
+  auto data = rep.pool().parallel_map(panels.size(), [&](std::size_t j) {
     return run_panel(panels[j].algos, panels[j].delays);
   });
   // 4 panels x 60 s x one cell, 1 ms subframes.

@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   const std::vector<double> loads = {5.0,  10.0, 15.0, 20.0,
                                      25.0, 30.0, 35.0, 40.0};
   bench::WallTimer wt;
-  const auto grid = par::parallel_map(2 * loads.size(), [&](std::size_t j) {
+  const auto grid = rep.pool().parallel_map(
+      2 * loads.size(), [&](std::size_t j) {
     return measure_overhead(j < loads.size() ? -98.0 : -113.0,
                             loads[j % loads.size()]);
   });

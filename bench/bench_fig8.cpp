@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> loads = {6.0, 24.0, 36.0};
   bench::WallTimer wt;
-  const auto results = par::parallel_map(
+  const auto results = rep.pool().parallel_map(
       loads.size(), [&](std::size_t j) { return run_load(loads[j]); });
   // 3 runs x 15 s x one cell, 1 ms subframes.
   rep.add("3load_sweep", wt.ms(), 45000.0 / (wt.ms() / 1000.0), 0);

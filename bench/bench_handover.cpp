@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   };
   const std::vector<std::string> algos = {"pbe", "abc", "bbr"};
   bench::WallTimer wt;
-  const auto rows = par::parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 77;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   if (rep.json_enabled()) {
     constexpr std::size_t kReps = 8;
     bench::WallTimer wt;
-    const auto results = par::parallel_map(kReps, [&](std::size_t j) {
+    const auto results = rep.pool().parallel_map(kReps, [&](std::size_t j) {
       return sim::run_location(sim::location(static_cast<int>(j % 4)), "pbe",
                                4 * util::kSecond);
     });

@@ -5,7 +5,7 @@
 // which also pays for scheduling, queues and packet events — and the run
 // double-checks record→replay digest equality while it is at it.
 //
-//   bench_replay [--seconds N] [--threads N] [--json out.json]
+//   bench_replay [--seconds N] [--json out.json]
 //
 // Corpus mode (DESIGN.md §14, the decode throughput gate):
 //
@@ -15,7 +15,7 @@
 //     `digest:` line and exit. The corpus is fully deterministic: same
 //     build => byte-identical file.
 //
-//   bench_replay --corpus FILE.pbt [--threads N] [--json out]
+//   bench_replay --corpus FILE.pbt [--json out]
 //     Replay FILE.pbt once through a fresh pipeline, print the replay's
 //     `digest:` line in the recorder's format (CI diffs the two) and
 //     report decode throughput as the corpus_simd record. The corpus's

@@ -26,9 +26,9 @@ constexpr int kClusters = kCells / kCellsPerCluster;
 
 // Wall-clock ms to simulate `len` of the 64-cell city at `shards` workers.
 double run_city(int shards, util::Duration len) {
-  sim::set_default_shards(shards);
   sim::ScenarioConfig cfg;
   cfg.seed = 9;
+  cfg.shards = shards;
   cfg.cells.clear();
   for (int c = 0; c < kCells; ++c) {
     sim::CellSpec cell;
@@ -55,9 +55,7 @@ double run_city(int shards, util::Duration len) {
   }
   bench::WallTimer t;
   s.run_until(len);
-  const double ms = t.ms();
-  sim::set_default_shards(1);
-  return ms;
+  return t.ms();
 }
 
 }  // namespace

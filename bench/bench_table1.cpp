@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> all = {"pbe"};
   all.insert(all.end(), others.begin(), others.end());
   bench::WallTimer wt;
-  const auto results = par::parallel_map(
+  const auto results = rep.pool().parallel_map(
       static_cast<std::size_t>(sim::kNumLocations) * all.size(),
       [&](std::size_t j) {
         return sim::run_location(

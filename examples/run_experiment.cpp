@@ -6,12 +6,8 @@
 //   run_experiment [options]
 //     --algo NAME        pbe|abc|bbr|cubic|copa|verus|sprout|pcc|vivace|
 //                        gcc|hybrid|all  (--cc is an alias)
-//     --blend-* KNOB     hybrid tuning: --blend-zero-trust,
-//                        --blend-full-trust, --blend-deadband,
-//                        --blend-hold-ms, --blend-divergence-ratio,
-//                        --blend-penalty (see DESIGN.md §13)
 //     --location IDX     location profile 0..39 (default 2)
-//     --seconds N        flow length (default 12)
+//     --seconds N        flow length, 1..86400 (default 12)
 //     --seed N           override the location's seed
 //     --csv FILE         append one summary row per run to FILE
 //     --timeseries FILE  write 100 ms window throughput series to FILE
@@ -22,17 +18,12 @@
 //                          JSON; also enables the wall-clock profiler so
 //                          prof.* histograms (blind decode, Viterbi, ...)
 //                          are populated
-//     --trace-sample N     keep 1 in N high-frequency events (default 1)
+//     --trace-sample N     keep 1 in N high-frequency events
+//                          (1..1000000, default 1)
 //     --fault-profile P    chaos schedule: none|blackout|flap|feedback-loss|
 //                          handover-storm (default none)
 //     --fault-seed N       fault schedule seed (default 1); same seed =>
 //                          byte-identical fault schedule
-//     --threads N          worker threads for the parallel decode path
-//                          (default 1; results are identical for any N)
-//     --shards N           worker threads stepping shard domains between
-//                          subframe barriers in multi-cluster scenarios
-//                          (default 1; results are identical for any N;
-//                          see DESIGN.md §15)
 //     --conv-pdcch         encode every cell's control channel with the
 //                          36.212 convolutional code instead of repetition
 //                          coding (exercises the Viterbi hot path; used to
@@ -52,7 +43,8 @@
 //                          decode health; see telemetry_tool). Works for
 //                          live --algo pbe runs and for --replay (replay
 //                          emits the same est.*/decode.* series)
-//     --telemetry-interval MS  sampling cadence in sim-clock ms (default 10)
+//     --telemetry-interval MS  sampling cadence in sim-clock ms
+//                              (1..60000, default 10)
 //     --strict-checks      exit nonzero if any pbecc::check invariant
 //                          violations were recorded
 //     --help               print this option summary
@@ -60,11 +52,16 @@
 //   ./build/examples/run_experiment --algo all --location 31 --csv out.csv
 //   ./build/examples/run_experiment --trace out.jsonl --metrics metrics.json
 //   ./build/examples/run_experiment --algo pbe --record run.pbt
-//   ./build/examples/run_experiment --replay run.pbt --threads 8
+//   ./build/examples/run_experiment --replay run.pbt
+//
+// Numeric values must be whole numbers in range; a malformed or
+// out-of-range number, or an unknown option, exits 2. The whole run,
+// blind decode included, executes on the calling thread.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,11 +74,11 @@
 #include "fault/fault.h"
 #include "nr/numerology.h"
 #include "obs/obs.h"
-#include "par/thread_pool.h"
 #include "sim/algorithms.h"
 #include "sim/location.h"
 #include "tel/file.h"
 #include "tel/sampler.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
@@ -107,7 +104,6 @@ struct Options {
   bool conv_pdcch = false;
   int nr_scs_khz = 0;  // 0 = all-LTE; 15/30/120 = NR secondaries
   bool strict_checks = false;
-  sim::HybridBlendOverrides blend{};  // --blend-* knobs (hybrid only)
 };
 
 void usage(std::FILE* out) {
@@ -115,17 +111,8 @@ void usage(std::FILE* out) {
                "usage: run_experiment [options]\n"
                "  --algo NAME        pbe|abc|bbr|cubic|copa|verus|sprout|pcc|"
                "vivace|gcc|hybrid|all (default pbe; --cc is an alias)\n"
-               "  --blend-zero-trust X / --blend-full-trust X\n"
-               "                     hybrid: confidence endpoints of the\n"
-               "                     PHY-weight ramp (defaults 0.35 / 0.80)\n"
-               "  --blend-deadband X / --blend-hold-ms MS\n"
-               "                     hybrid: committed-weight hysteresis\n"
-               "                     (defaults 0.10 / 200)\n"
-               "  --blend-divergence-ratio X / --blend-penalty X\n"
-               "                     hybrid: cross-check trip ratio and\n"
-               "                     confidence penalty (defaults 1.6 / 0.45)\n"
                "  --location IDX     location profile 0..%d (default 2)\n"
-               "  --seconds N        flow length (default 12)\n"
+               "  --seconds N        flow length, 1..86400 (default 12)\n"
                "  --seed N           override the location's seed\n"
                "  --csv FILE         append one summary row per run\n"
                "  --timeseries FILE  100 ms window throughput series\n"
@@ -133,12 +120,10 @@ void usage(std::FILE* out) {
                "  --chrome-trace FILE  same timeline, Chrome trace_event\n"
                "  --metrics FILE     counter/gauge/histogram registry JSON\n"
                "  --trace-sample N   keep 1 in N high-frequency events\n"
+               "                     (1..1000000, default 1)\n"
                "  --fault-profile P  none|blackout|flap|feedback-loss|"
                "handover-storm\n"
                "  --fault-seed N     fault schedule seed (default 1)\n"
-               "  --threads N        decode worker threads (default 1)\n"
-               "  --shards N         shard worker threads for multi-cluster\n"
-               "                     scenarios (default 1; identical results)\n"
                "  --conv-pdcch       convolutional control coding on every\n"
                "                     cell (records a Viterbi decode corpus)\n"
                "  --nr SCS_KHZ       5G NR secondary carriers at 15|30|120\n"
@@ -150,12 +135,17 @@ void usage(std::FILE* out) {
                "  --telemetry FILE   sample the run into a .tsv.pbt telemetry\n"
                "                     recording (live pbe runs and --replay)\n"
                "  --telemetry-interval MS  sampling cadence, sim-clock ms\n"
-               "                     (default 10)\n"
+               "                     (1..60000, default 10)\n"
                "  --strict-checks    exit nonzero on any pbecc::check\n"
                "                     invariant violation\n"
-               "  --help             this summary\n",
+               "  --help             this summary\n"
+               "A malformed or out-of-range number, or an unknown option,\n"
+               "exits 2.\n",
                sim::kNumLocations - 1);
 }
+
+// Seeds are 64-bit; a command-line seed stays in the signed range.
+constexpr long long kMaxSeed = std::numeric_limits<long long>::max();
 
 Options parse(int argc, char** argv) {
   Options o;
@@ -167,28 +157,20 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, long long lo, long long hi) {
+      return util::whole_number_arg(flag, need(flag), lo, hi);
+    };
     if (!std::strcmp(argv[i], "--algo")) {
       o.algo = need("--algo");
     } else if (!std::strcmp(argv[i], "--cc")) {
       o.algo = need("--cc");  // alias: congestion-control vocabulary
-    } else if (!std::strcmp(argv[i], "--blend-zero-trust")) {
-      o.blend.zero_trust_below = std::atof(need("--blend-zero-trust"));
-    } else if (!std::strcmp(argv[i], "--blend-full-trust")) {
-      o.blend.full_trust_above = std::atof(need("--blend-full-trust"));
-    } else if (!std::strcmp(argv[i], "--blend-deadband")) {
-      o.blend.deadband = std::atof(need("--blend-deadband"));
-    } else if (!std::strcmp(argv[i], "--blend-hold-ms")) {
-      o.blend.hold_ms = std::atof(need("--blend-hold-ms"));
-    } else if (!std::strcmp(argv[i], "--blend-divergence-ratio")) {
-      o.blend.divergence_ratio = std::atof(need("--blend-divergence-ratio"));
-    } else if (!std::strcmp(argv[i], "--blend-penalty")) {
-      o.blend.divergence_penalty = std::atof(need("--blend-penalty"));
     } else if (!std::strcmp(argv[i], "--location")) {
-      o.location = std::atoi(need("--location"));
+      o.location =
+          static_cast<int>(number("--location", 0, sim::kNumLocations - 1));
     } else if (!std::strcmp(argv[i], "--seconds")) {
-      o.seconds = std::atoi(need("--seconds"));
+      o.seconds = static_cast<int>(number("--seconds", 1, 86400));
     } else if (!std::strcmp(argv[i], "--seed")) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need("--seed")));
+      o.seed = static_cast<std::uint64_t>(number("--seed", 0, kMaxSeed));
     } else if (!std::strcmp(argv[i], "--csv")) {
       o.csv = need("--csv");
     } else if (!std::strcmp(argv[i], "--timeseries")) {
@@ -200,19 +182,17 @@ Options parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--metrics")) {
       o.metrics_json = need("--metrics");
     } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      o.trace_sample = static_cast<std::uint32_t>(std::atoi(need("--trace-sample")));
+      o.trace_sample =
+          static_cast<std::uint32_t>(number("--trace-sample", 1, 1000000));
     } else if (!std::strcmp(argv[i], "--fault-profile")) {
       o.fault_profile = need("--fault-profile");
     } else if (!std::strcmp(argv[i], "--fault-seed")) {
-      o.fault_seed = static_cast<std::uint64_t>(std::atoll(need("--fault-seed")));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      par::set_default_threads(std::atoi(need("--threads")));
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      sim::set_default_shards(std::atoi(need("--shards")));
+      o.fault_seed =
+          static_cast<std::uint64_t>(number("--fault-seed", 0, kMaxSeed));
     } else if (!std::strcmp(argv[i], "--conv-pdcch")) {
       o.conv_pdcch = true;
     } else if (!std::strcmp(argv[i], "--nr")) {
-      o.nr_scs_khz = std::atoi(need("--nr"));
+      o.nr_scs_khz = static_cast<int>(number("--nr", 15, 120));
     } else if (!std::strcmp(argv[i], "--record")) {
       o.record = need("--record");
     } else if (!std::strcmp(argv[i], "--replay")) {
@@ -220,7 +200,8 @@ Options parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--telemetry")) {
       o.telemetry = need("--telemetry");
     } else if (!std::strcmp(argv[i], "--telemetry-interval")) {
-      o.telemetry_interval_ms = std::atoi(need("--telemetry-interval"));
+      o.telemetry_interval_ms =
+          static_cast<int>(number("--telemetry-interval", 1, 60000));
     } else if (!std::strcmp(argv[i], "--strict-checks")) {
       o.strict_checks = true;
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
@@ -252,14 +233,6 @@ Options parse(int argc, char** argv) {
                  o.algo.c_str());
     std::exit(2);
   }
-  if (o.telemetry_interval_ms < 1) {
-    std::fprintf(stderr, "--telemetry-interval must be >= 1 ms\n");
-    std::exit(2);
-  }
-  if (o.location < 0 || o.location >= sim::kNumLocations) {
-    std::fprintf(stderr, "location must be 0..%d\n", sim::kNumLocations - 1);
-    std::exit(2);
-  }
   if (!fault::profile_by_name(o.fault_profile)) {
     std::fprintf(stderr, "unknown fault profile '%s'; known:",
                  o.fault_profile.c_str());
@@ -271,7 +244,7 @@ Options parse(int argc, char** argv) {
   }
   // Every enum-valued flag is validated here, before any work starts, so a
   // misspelled value fails with the list of accepted ones instead of a
-  // late throw (or a silent atoi-zero) deep inside the run.
+  // late throw deep inside the run.
   if (o.algo != "all") {
     bool known = false;
     for (const auto& a : sim::all_algorithms()) known |= (a == o.algo);
@@ -477,7 +450,6 @@ int finish_checks(const Options& o) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  sim::set_hybrid_blend_overrides(o.blend);
   if (!o.replay.empty()) {
     const int rc = run_replay(o);
     const int checks = finish_checks(o);
@@ -492,7 +464,7 @@ int main(int argc, char** argv) {
   }
   if (tracing) {
     obs::TraceConfig tc;
-    tc.sample_every = std::max<std::uint32_t>(o.trace_sample, 1);
+    tc.sample_every = o.trace_sample;
     obs::Trace::instance().start(tc);
   }
   // The profiler feeds prof.* histograms in the metrics report.

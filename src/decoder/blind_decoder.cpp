@@ -5,16 +5,14 @@
 
 #include "nr/coreset.h"
 #include "obs/obs.h"
-#include "par/thread_pool.h"
 #include "phy/convolutional.h"
 
 namespace pbecc::decoder {
 
 namespace {
 
-// Memo-miss candidates per lockstep Viterbi batch (DESIGN.md §14). A block
-// is the unit of pool fan-out, and the block partition is a pure function
-// of the miss list, so results never depend on the thread count.
+// Memo-miss candidates per lockstep Viterbi batch (DESIGN.md §14). Blocks
+// are cut from the miss list in order and decoded one after another.
 constexpr std::size_t kBlockLanes = 8;
 static_assert(kBlockLanes <= phy::kMaxDecodeLanes);
 
@@ -134,16 +132,14 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
     //
     // Every wave rate-matches the same span, so scan each span exactly
     // once into vote prefix sums: each format's log-likelihoods then cost
-    // one subtraction per mother bit. Thread-local storage — blocks on
-    // different pool threads get their own.
+    // one subtraction per mother bit.
     const std::size_t pre_stride = region_bits + 1;
-    thread_local std::vector<std::int32_t> prefixes;
-    if (prefixes.size() < n_miss * pre_stride) {
-      prefixes.resize(n_miss * pre_stride);
+    if (prefixes_.size() < n_miss * pre_stride) {
+      prefixes_.resize(n_miss * pre_stride);
     }
     for (std::size_t m = 0; m < n_miss; ++m) {
       const util::BitVec& span = spans_[miss[m]];
-      std::int32_t* pre = prefixes.data() + m * pre_stride;
+      std::int32_t* pre = prefixes_.data() + m * pre_stride;
       pre[0] = 0;
       for (std::size_t b = 0; b < region_bits; ++b) {
         pre[b + 1] = pre[b] + (span.bit(b) ? 1 : -1);
@@ -172,7 +168,7 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
       for (std::size_t m = 0; m < n_miss; ++m) {
         if (done[m]) continue;
         jobs[static_cast<std::size_t>(n_lanes)] = {
-            &spans_[miss[m]], prefixes.data() + m * pre_stride, thr};
+            &spans_[miss[m]], prefixes_.data() + m * pre_stride, thr};
         lane_cand[static_cast<std::size_t>(n_lanes)] = m;
         ++n_lanes;
       }
@@ -268,8 +264,8 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   // pass the CRC at the AL2/AL1 candidates nested inside it (its
   // repetitions are self-similar), so once a candidate validates we claim
   // its CCEs and skip anything overlapping them. Positions within one AL
-  // are disjoint, so they decode independently (in parallel) and the
-  // position-ascending merge below reproduces the serial claim order.
+  // are disjoint, so they decode independently of each other, and the
+  // position-ascending merge below applies the claims.
   //
   // Candidate enumeration per RAT mirrors the encoder exactly: every
   // AL-aligned start for LTE, the cell's 38.213 search-space candidate
@@ -338,19 +334,10 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
         misses.push_back(i);
       }
     }
-    if (!misses.empty()) {
-      const std::size_t n_blocks =
-          (misses.size() + kBlockLanes - 1) / kBlockLanes;
-      std::vector<std::uint64_t> block_batches(n_blocks, 0);
-      par::parallel_for(n_blocks, [&](std::size_t b) {
-        const std::size_t lo = b * kBlockLanes;
-        const std::size_t n = std::min(kBlockLanes, misses.size() - lo);
-        block_batches[b] = decode_block(sf, al, starts.data(),
-                                        misses.data() + lo, n, results.data());
-      });
-      for (const std::uint64_t n : block_batches) {
-        run.delta.lane_batches += n;
-      }
+    for (std::size_t lo = 0; lo < misses.size(); lo += kBlockLanes) {
+      const std::size_t n = std::min(kBlockLanes, misses.size() - lo);
+      run.delta.lane_batches += decode_block(
+          sf, al, starts.data(), misses.data() + lo, n, results.data());
     }
 
     for (std::size_t i = 0; i < starts.size(); ++i) {

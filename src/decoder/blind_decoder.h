@@ -11,12 +11,12 @@
 // CRC plus structural field checks. Decoding runs on the *noisy* control
 // region, so weak channels genuinely lose messages.
 //
-// The search is split into a side-effect-free compute phase and an ordered
-// apply phase so candidate positions (and, one level up, whole cells) can
-// be decoded on pbecc::par pool threads while stats, registry counters and
-// trace events stay byte-identical to a serial run: decode_compute() only
-// reads the subframe (plus the per-position memo cache it owns), and
-// decode_apply() folds the resulting deltas in deterministic order.
+// The search is split into a side-effect-free compute phase and an apply
+// phase: decode_compute() only reads the subframe (plus the per-position
+// memo cache and scratch it owns), and decode_apply() folds the resulting
+// deltas into stats, registry counters and trace events. Monitor runs all
+// of a tick's computes before its applies; both run on the thread that
+// steps the cell.
 #pragma once
 
 #include <array>
@@ -84,12 +84,11 @@ class BlindDecoder {
   std::vector<phy::Dci> decode(const phy::PdcchSubframe& sf);
 
   // Phase 1: search the control region. Touches no stats, counters or
-  // trace state — safe to run on a pool thread (one thread per decoder
-  // instance; candidate positions inside fan out on the pool themselves).
+  // trace state; only this decoder's memo and scratch change.
   DecodeRun decode_compute(const phy::PdcchSubframe& sf);
 
   // Phase 2: fold the run's deltas into stats_/registry and emit trace
-  // events. Call in deterministic order (e.g. cell order) on one thread.
+  // events. Call in deterministic order (e.g. cell order).
   std::vector<phy::Dci> decode_apply(const DecodeRun& run);
 
   // Carrier reconfiguration: adopt the cell's new parameters (PRB count /
@@ -119,9 +118,8 @@ class BlindDecoder {
   // waves through phy::conv_decode_batch (convolutional and polar cells)
   // or the CRC-screened majority vote (repetition cells), then memo store.
   // `miss[0..n_miss)` index into the AL's full `starts`/`spans_`/`out`
-  // arrays (the caller already extracted spans and resolved memo hits);
-  // distinct blocks touch disjoint indices, so blocks run on pool threads
-  // without racing. Returns the number of Viterbi batches launched.
+  // arrays (the caller already extracted spans and resolved memo hits).
+  // Returns the number of Viterbi batches launched.
   std::uint64_t decode_block(const phy::PdcchSubframe& sf, int al,
                              const int* starts, const std::size_t* miss,
                              std::size_t n_miss, CandidateResult* out);
@@ -154,10 +152,11 @@ class BlindDecoder {
   std::array<std::vector<MemoEntry>, kNumAlLanes> memo_;
 
   // Candidate spans of the aggregation level being decoded, indexed like
-  // its start list. Filled serially by decode_compute and only read by the
-  // blocks it fans out, so pool workers share it; kept as a member so the
-  // bit buffers are reused across subframes instead of reallocated.
+  // its start list, and the per-span vote prefix sums of the block being
+  // decoded. Members so the buffers are reused across subframes instead of
+  // reallocated.
   std::vector<util::BitVec> spans_;
+  std::vector<std::int32_t> prefixes_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "par/thread_pool.h"
 
 namespace pbecc::decoder {
 
@@ -162,22 +161,11 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
     pending.push_back(std::move(p));
   }
 
-  // Phase 2 — blind decode, the expensive part. decode_compute touches
-  // nothing shared across decoders, so distinct cells fan out on the pool.
-  // An NR cell contributes one entry per slot of the tick, and a decoder
-  // (its span memo and scratch) serves one subframe at a time: each task
-  // decodes one cell's entries in input order, as a serial run would.
-  std::vector<BlindDecoder*> decoders;
-  for (const Pending& p : pending) {
-    if (std::find(decoders.begin(), decoders.end(), p.dec) == decoders.end()) {
-      decoders.push_back(p.dec);
-    }
-  }
-  par::parallel_for(decoders.size(), [&](std::size_t d) {
-    for (Pending& p : pending) {
-      if (p.dec == decoders[d]) p.run = p.dec->decode_compute(p.noisy);
-    }
-  });
+  // Phase 2 — blind decode, the expensive part, on this thread in input
+  // order. decode_compute touches nothing shared across decoders, and each
+  // decoder (its span memo and scratch) sees its cell's entries — one per
+  // slot of the tick for an NR cell — in order.
+  for (Pending& p : pending) p.run = p.dec->decode_compute(p.noisy);
 
   // Phase 3 — apply + fusion, serial, back in input order: stats,
   // counters, trace events, false-DCI injection and downstream fusion

@@ -61,12 +61,10 @@ class Monitor {
   void on_pdcch(const phy::PdcchSubframe& sf);
 
   // Batched form: all cells' control regions for one tick at once, in cell
-  // order. Runs in three phases so the expensive blind decode can fan out
-  // on the pbecc::par pool: (1) serial fault/noise preparation in the given
-  // order (every rng_ draw happens here, so the noise stream is identical
-  // for any thread count), (2) side-effect-free decode_compute, cells in
-  // parallel and each cell's slots in order, (3) serial apply + fusion in
-  // the given order.
+  // order. Runs on the calling thread in three phases, each in the given
+  // order: (1) fault/noise preparation (every rng_ draw happens here),
+  // (2) side-effect-free decode_compute, (3) decode_apply + fusion (stats,
+  // counters, trace events, downstream callbacks).
   // Byte-identical to calling on_pdcch per subframe in the same order.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
 

@@ -20,7 +20,7 @@ BaseStation::BaseStation(net::EventLoop& loop,
     ControlTrafficConfig ctrl_cfg = cfg_.control_traffic;
     ctrl_cfg.seed = rng_.next_u64();
     cells_.push_back(CellState{c, make_scheduler(cfg_.scheduler),
-                               ControlTrafficGenerator{ctrl_cfg}});
+                               ControlTrafficGenerator{ctrl_cfg}, 0, nullptr});
   }
 }
 
@@ -53,6 +53,7 @@ void BaseStation::add_ue(const UeConfig& cfg, DeliveryHandler deliver) {
       .ca = CaManager{cfg.aggregated_cells, cfg.ca},
       .newest_secondary_prbs_this_sf = 0,
       .total_prbs_this_sf = 0,
+      .prbs_this_sf_by_cell = {},
       .last_served = {},
       .explicit_rate_bps = 0,
   };
@@ -706,6 +707,7 @@ void BaseStation::admit_ue(UeMigration m, const std::vector<phy::CellId>& new_ce
       .ca = CaManager{new_cells, m.cfg.ca},
       .newest_secondary_prbs_this_sf = 0,
       .total_prbs_this_sf = 0,
+      .prbs_this_sf_by_cell = {},
       .last_served = {},
       .explicit_rate_bps = m.explicit_rate_bps,
   };

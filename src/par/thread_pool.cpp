@@ -1,17 +1,8 @@
 #include "par/thread_pool.h"
 
-#include <chrono>
-#include <memory>
-#include <utility>
+#include <algorithm>
 
 namespace pbecc::par {
-
-namespace {
-// Which worker slot (0-based) the current thread occupies in its pool;
-// SIZE_MAX for threads outside any pool (including the pool's caller).
-thread_local std::size_t t_worker_slot = SIZE_MAX;
-thread_local ThreadPool* t_worker_pool = nullptr;
-}  // namespace
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
@@ -19,86 +10,27 @@ ThreadPool::ThreadPool(int threads) {
     threads = hw == 0 ? 1 : static_cast<int>(hw);
   }
   threads_ = threads;
-  const auto workers = static_cast<std::size_t>(threads_ - 1);
-  deques_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+  for (int i = 1; i < threads_; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();  // drain submitted work; pending tasks run, not leak
-  stop_.store(true);
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    stop_ = true;
+  }
   wake_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    // No workers: run inline (the pool *is* the calling thread).
-    task();
-    return;
+ThreadPool::ForLoop* ThreadPool::open_loop() const {
+  // Help the newest loop first so nested loops finish before their
+  // parents starve.
+  for (auto it = active_loops_.rbegin(); it != active_loops_.rend(); ++it) {
+    if ((*it)->next.load() < (*it)->n) return *it;
   }
-  tasks_submitted_.fetch_add(1);
-  Deque* dq = &inject_;
-  if (t_worker_pool == this && t_worker_slot < deques_.size()) {
-    dq = deques_[t_worker_slot].get();
-  }
-  {
-    std::lock_guard<std::mutex> lk(dq->m);
-    dq->q.push_back(std::move(task));
-  }
-  queued_tasks_.fetch_add(1);
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::steal_task(std::size_t thief, std::function<void()>& out) {
-  // Own deque first (LIFO), then the injection queue, then round-robin
-  // FIFO steals from the other workers.
-  if (thief < deques_.size()) {
-    auto& own = *deques_[thief];
-    std::lock_guard<std::mutex> lk(own.m);
-    if (!own.q.empty()) {
-      out = std::move(own.q.back());
-      own.q.pop_back();
-      return true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(inject_.m);
-    if (!inject_.q.empty()) {
-      out = std::move(inject_.q.front());
-      inject_.q.pop_front();
-      return true;
-    }
-  }
-  for (std::size_t k = 0; k < deques_.size(); ++k) {
-    const std::size_t victim = (thief + 1 + k) % deques_.size();
-    if (victim == thief) continue;
-    auto& dq = *deques_[victim];
-    std::lock_guard<std::mutex> lk(dq.m);
-    if (!dq.q.empty()) {
-      out = std::move(dq.q.front());
-      dq.q.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::try_run_one_task(std::size_t self) {
-  std::function<void()> task;
-  if (!steal_task(self, task)) return false;
-  queued_tasks_.fetch_sub(1);
-  task();
-  tasks_done_.fetch_add(1);
-  if (tasks_done_.load() == tasks_submitted_.load()) {
-    idle_cv_.notify_all();
-  }
-  return true;
+  return nullptr;
 }
 
 void ThreadPool::drain_loop(ForLoop& loop) {
@@ -113,43 +45,32 @@ void ThreadPool::drain_loop(ForLoop& loop) {
         loop.error = std::current_exception();
       }
     }
-    if (loop.finished.fetch_add(1) + 1 == loop.n) {
-      std::lock_guard<std::mutex> lk(loop.m);
-      loop.done_cv.notify_all();
-    }
   }
 }
 
-void ThreadPool::worker_main(std::size_t self) {
-  t_worker_slot = self;
-  t_worker_pool = this;
-  while (!stop_.load()) {
-    // Help the newest active loop, then submitted tasks, then sleep.
+void ThreadPool::worker_main() {
+  std::unique_lock<std::mutex> lk(m_);
+  while (true) {
+    // Pick the loop inside the predicate: `next` advances without m_, so
+    // a second open_loop() call could already find the loop drained. That
+    // is also the only change the predicate sees outside m_, and it can
+    // only turn the predicate false, so no wake-up is ever lost.
     ForLoop* loop = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(loops_m_);
-      if (!active_loops_.empty()) {
-        loop = active_loops_.back();
-        loop->helpers.fetch_add(1);  // keeps the loop object alive
-      }
-    }
-    if (loop != nullptr) {
-      drain_loop(*loop);
-      {
-        std::lock_guard<std::mutex> lk(loop->m);
-        loop->helpers.fetch_sub(1);
-        loop->done_cv.notify_all();
-      }
-      continue;
-    }
-    if (try_run_one_task(self)) continue;
-
-    std::unique_lock<std::mutex> lk(sleep_m_);
-    wake_cv_.wait_for(lk, std::chrono::milliseconds(5), [this] {
-      if (stop_.load() || queued_tasks_.load() > 0) return true;
-      std::lock_guard<std::mutex> g(loops_m_);
-      return !active_loops_.empty();
+    wake_cv_.wait(lk, [&] {
+      return stop_ || (loop = open_loop()) != nullptr;
     });
+    if (stop_) return;
+    loop->helpers.fetch_add(1);
+    lk.unlock();
+    drain_loop(*loop);
+    {
+      // Notify under the loop's mutex: once it is released the owner may
+      // return and destroy the loop.
+      std::lock_guard<std::mutex> g(loop->m);
+      loop->helpers.fetch_sub(1);
+      loop->done_cv.notify_all();
+    }
+    lk.lock();
   }
 }
 
@@ -157,7 +78,7 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    // Serial path: identical code path, strict index order.
+    // Serial path: strict index order on the calling thread.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -166,87 +87,26 @@ void ThreadPool::parallel_for(std::size_t n,
   loop.n = n;
   loop.fn = &fn;
   {
-    std::lock_guard<std::mutex> lk(loops_m_);
+    std::lock_guard<std::mutex> lk(m_);
     active_loops_.push_back(&loop);
   }
   wake_cv_.notify_all();
 
   // The caller claims iterations too, so progress never depends on a
   // worker being free (and a busy pool degrades to inline execution).
+  // When drain_loop returns every iteration is claimed; the ones still
+  // running belong to registered helpers.
   drain_loop(loop);
-
   {
-    std::unique_lock<std::mutex> lk(loop.m);
-    loop.done_cv.wait(lk, [&] { return loop.finished.load() >= loop.n; });
-  }
-  {
-    // Delist first (no new helpers), then wait out registered helpers.
-    std::lock_guard<std::mutex> lk(loops_m_);
-    for (auto it = active_loops_.begin(); it != active_loops_.end(); ++it) {
-      if (*it == &loop) {
-        active_loops_.erase(it);
-        break;
-      }
-    }
+    std::lock_guard<std::mutex> lk(m_);
+    active_loops_.erase(
+        std::find(active_loops_.begin(), active_loops_.end(), &loop));
   }
   {
     std::unique_lock<std::mutex> lk(loop.m);
     loop.done_cv.wait(lk, [&] { return loop.helpers.load() == 0; });
   }
   if (loop.error) std::rethrow_exception(loop.error);
-}
-
-void ThreadPool::wait_idle() {
-  if (workers_.empty()) return;
-  // Participate: an external caller helping to drain cannot deadlock.
-  while (true) {
-    std::function<void()> task;
-    if (steal_task(SIZE_MAX, task)) {
-      queued_tasks_.fetch_sub(1);
-      task();
-      tasks_done_.fetch_add(1);
-      if (tasks_done_.load() == tasks_submitted_.load()) {
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    break;
-  }
-  std::unique_lock<std::mutex> lk(sleep_m_);
-  idle_cv_.wait(lk, [this] {
-    return tasks_done_.load() == tasks_submitted_.load();
-  });
-}
-
-// --- default pool ----------------------------------------------------------
-
-namespace {
-std::mutex g_default_m;
-std::unique_ptr<ThreadPool> g_default_pool;
-int g_default_threads = 1;
-}  // namespace
-
-ThreadPool& default_pool() {
-  std::lock_guard<std::mutex> lk(g_default_m);
-  if (!g_default_pool) {
-    g_default_pool = std::make_unique<ThreadPool>(g_default_threads);
-  }
-  return *g_default_pool;
-}
-
-void set_default_threads(int threads) {
-  std::lock_guard<std::mutex> lk(g_default_m);
-  g_default_pool.reset();  // drains before rebuild
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  g_default_threads = threads;
-}
-
-int default_threads() {
-  std::lock_guard<std::mutex> lk(g_default_m);
-  return g_default_pool ? g_default_pool->threads() : g_default_threads;
 }
 
 }  // namespace pbecc::par

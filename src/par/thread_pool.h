@@ -1,30 +1,28 @@
-// pbecc::par — the parallel scenario/decode engine.
+// pbecc::par — a fork-join pool for independent runs.
 //
-// A work-stealing thread pool sized once per process (benches and
-// run_experiment set it from --threads). Two usage patterns:
+// Blind decode runs on the thread that steps its cell; nothing in a single
+// run uses a pool. Pools have owners instead (DESIGN.md §9):
 //
-//   * parallel_for(n, fn): run fn(0..n-1) across the pool. The calling
-//     thread participates (so a 1-thread pool executes inline, in index
-//     order — the serial path is literally the same code), workers steal
-//     iterations through a shared claim index, and the first exception
-//     (by lowest index) is rethrown after the loop completes. Nested
-//     parallel_for from inside a worker is safe: the nested caller drains
-//     its own loop, so no thread ever blocks while work remains.
+//   * bench::Reporter builds one from a bench's --threads flag and fans the
+//     bench grid's independent scenario runs out on it;
+//   * sim::Scenario builds one per multi-cluster scenario, sized by
+//     ScenarioConfig::shards, to step its shard domains between barriers.
 //
-//   * submit(task): fire-and-forget onto the per-worker deques (LIFO for
-//     the owner, FIFO steal for everyone else). The destructor drains all
-//     pending submitted work before joining.
+// parallel_for(n, fn) runs fn(0..n-1). The calling thread claims iterations
+// too, so a 1-thread pool executes inline, in index order. The first
+// exception (by lowest index) is rethrown after the loop completes. Nested
+// parallel_for from inside an iteration is safe: the nested caller drains
+// its own loop, so no thread ever blocks while work remains.
 //
-// Determinism contract: parallel_for schedules *independent* iterations
-// only; callers collect per-iteration results by index and merge serially
-// (see DESIGN.md §9). Under that contract results are byte-identical for
-// any thread count, including 1.
+// Determinism contract: iterations are independent; callers collect
+// per-iteration results by index and merge serially, so results are
+// byte-identical for any thread count, including 1.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -49,24 +47,24 @@ class ThreadPool {
   // finished; rethrows the lowest-index exception if any iteration threw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Queue a task on this thread's deque (or the pool's injection queue
-  // when called from outside the pool). Tasks run on worker threads;
-  // exceptions from submitted tasks terminate (fire-and-forget contract —
-  // use parallel_for when errors must propagate).
-  void submit(std::function<void()> task);
-
-  // Block until every submitted task has been executed. (parallel_for
-  // waits for its own iterations automatically; this is for submit().)
-  void wait_idle();
+  // Map i -> fn(i) into a vector, merged by index (deterministic regardless
+  // of execution order). Fn must be invocable with std::size_t.
+  template <typename Fn>
+  auto parallel_map(std::size_t n, Fn&& fn)
+      -> std::vector<decltype(fn(std::size_t{0}))> {
+    std::vector<decltype(fn(std::size_t{0}))> out(n);
+    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
+    return out;
+  }
 
  private:
   struct ForLoop {
     std::size_t n = 0;
     const std::function<void(std::size_t)>* fn = nullptr;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> finished{0};
-    // Workers registered on this loop; the owner waits for 0 after
-    // delisting so the stack-allocated loop never dangles.
+    // Workers inside drain_loop; registered under the pool mutex, so once
+    // the owner has delisted the loop the count only falls, and the owner
+    // waits for 0 before the stack-allocated loop goes out of scope.
     std::atomic<int> helpers{0};
     std::mutex m;
     std::condition_variable done_cv;
@@ -74,61 +72,17 @@ class ThreadPool {
     std::exception_ptr error;            // guarded by m
   };
 
-  void worker_main(std::size_t self);
-  void drain_loop(ForLoop& loop);
-  bool try_run_one_task(std::size_t self);
-  bool steal_task(std::size_t thief, std::function<void()>& out);
+  void worker_main();
+  static void drain_loop(ForLoop& loop);
+  // Newest active loop with unclaimed iterations, or null. Needs m_.
+  ForLoop* open_loop() const;
 
   int threads_ = 1;
-  std::atomic<bool> stop_{false};
-
-  // Per-worker deques (index 0..workers-1) plus an injection queue for
-  // external submitters; all guarded by one mutex apiece.
-  struct Deque {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
-  std::vector<std::unique_ptr<Deque>> deques_;
-  Deque inject_;
-  std::atomic<std::size_t> queued_tasks_{0};
-
-  // Loops currently accepting helpers (newest last; workers help the
-  // newest first so nested loops finish before their parents starve).
-  std::mutex loops_m_;
-  std::vector<ForLoop*> active_loops_;
-
-  std::mutex sleep_m_;
+  std::mutex m_;
   std::condition_variable wake_cv_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::size_t> tasks_done_{0};
-  std::atomic<std::size_t> tasks_submitted_{0};
-
+  bool stop_ = false;                   // guarded by m_
+  std::vector<ForLoop*> active_loops_;  // guarded by m_; newest last
   std::vector<std::thread> workers_;
 };
-
-// --- Process-default pool --------------------------------------------------
-// Sized by set_default_threads() before first use (benches / --threads N);
-// reconfiguring later replaces the pool (callers must be quiesced).
-
-ThreadPool& default_pool();
-void set_default_threads(int threads);
-int default_threads();
-
-// parallel_for on the default pool.
-inline void parallel_for(std::size_t n,
-                         const std::function<void(std::size_t)>& fn) {
-  default_pool().parallel_for(n, fn);
-}
-
-// Map i -> fn(i) into a vector, merged by index (deterministic regardless
-// of execution order). Fn must be invocable with std::size_t.
-template <typename Fn>
-auto parallel_map(std::size_t n, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using R = decltype(fn(std::size_t{0}));
-  std::vector<R> out(n);
-  default_pool().parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 }  // namespace pbecc::par

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include <cmath>
-
 #include "baselines/bbr.h"
 #include "baselines/copa.h"
 #include "baselines/cubic.h"
@@ -14,28 +12,6 @@
 #include "pbe/pbe_sender.h"
 
 namespace pbecc::sim {
-
-namespace {
-HybridBlendOverrides g_blend_overrides;
-
-void apply_blend_overrides(pbe::BlendConfig& b) {
-  const HybridBlendOverrides& o = g_blend_overrides;
-  if (!std::isnan(o.zero_trust_below)) b.zero_trust_below = o.zero_trust_below;
-  if (!std::isnan(o.full_trust_above)) b.full_trust_above = o.full_trust_above;
-  if (!std::isnan(o.deadband)) b.deadband = o.deadband;
-  if (o.hold_ms >= 0) {
-    b.hold = static_cast<util::Duration>(o.hold_ms * util::kMillisecond);
-  }
-  if (!std::isnan(o.divergence_ratio)) b.divergence_ratio = o.divergence_ratio;
-  if (!std::isnan(o.divergence_penalty)) {
-    b.divergence_penalty = o.divergence_penalty;
-  }
-}
-}  // namespace
-
-void set_hybrid_blend_overrides(const HybridBlendOverrides& overrides) {
-  g_blend_overrides = overrides;
-}
 
 const std::vector<std::string>& all_algorithms() {
   static const std::vector<std::string> kAll = {
@@ -98,7 +74,6 @@ std::unique_ptr<net::CongestionController> make_controller(
     pbe::PbeSenderConfig cfg;
     cfg.name = "hybrid";
     cfg.hybrid = true;
-    apply_blend_overrides(cfg.degradation.blend);
     cfg.seed = seed;
     return std::make_unique<pbe::PbeSender>(cfg);
   }

@@ -2,7 +2,6 @@
 // PBE-CC vs Sprout, Verus, BBR, CUBIC, Copa, PCC and PCC-Vivace).
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,21 +23,6 @@ const std::vector<std::string>& extra_algorithms();
 // True for the algorithms that consume physical-layer feedback ("pbe",
 // "hybrid") — the scenario must attach a PbeClient to the receiver.
 bool needs_pbe_client(const std::string& name);
-
-// Process-wide tuning overrides for the "hybrid" blend, applied by
-// make_controller. NaN / negative fields mean "keep the default". Set once
-// at startup (run_experiment --blend-*); not thread-safe against
-// concurrent make_controller calls by design — the drivers construct all
-// controllers up front.
-struct HybridBlendOverrides {
-  double zero_trust_below = std::numeric_limits<double>::quiet_NaN();
-  double full_trust_above = std::numeric_limits<double>::quiet_NaN();
-  double deadband = std::numeric_limits<double>::quiet_NaN();
-  double hold_ms = -1.0;
-  double divergence_ratio = std::numeric_limits<double>::quiet_NaN();
-  double divergence_penalty = std::numeric_limits<double>::quiet_NaN();
-};
-void set_hybrid_blend_overrides(const HybridBlendOverrides& overrides);
 
 // Construct a controller by name ("pbe", "bbr", "cubic", "copa", "verus",
 // "sprout", "pcc", "vivace", "gcc", "hybrid"). Throws

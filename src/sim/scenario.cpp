@@ -1,7 +1,6 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -20,12 +19,7 @@ namespace {
 // granularity at which the MAC layer acts, and the cadence the paper's
 // own feedback loop runs at.
 constexpr util::Duration kShardBarrier = util::kMillisecond;
-
-std::atomic<int> g_default_shards{1};
 }  // namespace
-
-void set_default_shards(int n) { g_default_shards.store(std::max(1, n)); }
-int default_shards() { return g_default_shards.load(); }
 
 Scenario::Scenario(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   if (cfg_.cells.empty()) {
@@ -682,9 +676,8 @@ void Scenario::apply_msg(ShardMsg msg) {
 
 par::ThreadPool& Scenario::shard_pool() {
   if (!pool_) {
-    int want = cfg_.shards > 0 ? cfg_.shards : default_shards();
-    want = std::clamp(want, 1, static_cast<int>(domains_.size()));
-    pool_ = std::make_unique<par::ThreadPool>(want);
+    pool_ = std::make_unique<par::ThreadPool>(
+        std::clamp(cfg_.shards, 1, static_cast<int>(domains_.size())));
   }
   return *pool_;
 }

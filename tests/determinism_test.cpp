@@ -1,11 +1,18 @@
-// Determinism suite (DESIGN.md §9): the parallel scenario engine and the
-// per-subframe parallel blind-decode path must produce byte-identical
-// results for any thread count. Three seeds x {clean, blackout,
-// handover-storm} x threads {1, 8}, compared field-for-field: FlowStats
-// (every throughput window and delay sample), blind-decode attempt
-// counters, and the obs event-trace digest.
+// Determinism suite (DESIGN.md §9). A run decodes on the thread that
+// steps its cells, so nothing inside one single-cluster run is parallel.
+// What does run side by side are whole scenarios — the bench grids fan
+// independent runs out on a par::ThreadPool — and those share process-wide
+// state: the metrics registry, static counters, thread-local scratch. So
+// every case below runs alone, and again concurrently with all the other
+// cases on a 4-thread pool; the two results must agree field for field:
+// FlowStats (every throughput window and delay sample) and blind-decode
+// attempt counters. The trace sink is process-wide too, so these runs are
+// untraced; DeterminismGolden pins the trace digest of serial runs. The
+// shard lanes further down step one scenario's cell clusters on
+// ScenarioConfig::shards worker threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -29,16 +36,26 @@ struct RunDigest {
   bool ca = false;
   std::vector<double> wins, delays;
   std::uint64_t attempts = 0;
-  std::uint64_t trace_digest = 0;
+  std::uint64_t trace_digest = 0;  // 0 unless the run was traced
 
   bool operator==(const RunDigest&) const = default;
 };
 
-RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
-                   int threads, const std::string& algo = "pbe") {
-  par::set_default_threads(threads);
-  obs::Trace::instance().start(obs::TraceConfig{});
+// Starts the process-wide trace when `traced`; finish_trace() collects it.
+void start_trace(bool traced) {
+  if (traced) obs::Trace::instance().start(obs::TraceConfig{});
+}
 
+void finish_trace(bool traced, RunDigest& d) {
+  if (!traced) return;
+  obs::Trace::instance().stop();
+  d.trace_digest = obs::Trace::instance().digest();
+  obs::Trace::instance().clear();
+}
+
+RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
+                   const std::string& algo = "pbe", bool traced = false) {
+  start_trace(traced);
   auto loc = sim::location(3);  // 2-cell busy indoor
   loc.seed = seed;
   const auto profile = *fault::profile_by_name(profile_name);
@@ -46,7 +63,6 @@ RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
       sim::run_location(loc, algo, 3 * util::kSecond,
                         profile.active() ? &profile : nullptr, /*fault_seed=*/3);
 
-  obs::Trace::instance().stop();
   RunDigest d;
   d.tput = r.avg_tput_mbps;
   d.avg_d = r.avg_delay_ms;
@@ -57,99 +73,14 @@ RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
                 r.window_tputs.samples().end());
   d.delays.assign(r.delays_ms.samples().begin(), r.delays_ms.samples().end());
   d.attempts = r.decode_candidates;
-  d.trace_digest = obs::Trace::instance().digest();
-  obs::Trace::instance().clear();
+  finish_trace(traced, d);
   return d;
 }
 
-class DeterminismTest
-    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
- protected:
-  void TearDown() override { par::set_default_threads(1); }
-};
-
-TEST_P(DeterminismTest, SerialAndParallelAreByteIdentical) {
-  const auto& [profile, seed] = GetParam();
-  const auto serial = run_once(profile, seed, 1);
-  const auto parallel = run_once(profile, seed, 8);
-
-  // Field-by-field first so a failure names the divergent quantity...
-  EXPECT_EQ(serial.tput, parallel.tput);
-  EXPECT_EQ(serial.avg_d, parallel.avg_d);
-  EXPECT_EQ(serial.p95_d, parallel.p95_d);
-  EXPECT_EQ(serial.p50_d, parallel.p50_d);
-  EXPECT_EQ(serial.ca, parallel.ca);
-  EXPECT_EQ(serial.attempts, parallel.attempts);
-  ASSERT_EQ(serial.wins.size(), parallel.wins.size());
-  for (std::size_t i = 0; i < serial.wins.size(); ++i) {
-    ASSERT_EQ(serial.wins[i], parallel.wins[i]) << "window " << i;
-  }
-  ASSERT_EQ(serial.delays.size(), parallel.delays.size());
-  for (std::size_t i = 0; i < serial.delays.size(); ++i) {
-    ASSERT_EQ(serial.delays[i], parallel.delays[i]) << "delay sample " << i;
-  }
-  EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
-  // ...then the blanket check (also covers future RunDigest fields).
-  EXPECT_TRUE(serial == parallel);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByProfile, DeterminismTest,
-    ::testing::Combine(::testing::Values("none", "blackout", "handover-storm"),
-                       ::testing::Values(std::uint64_t{11}, std::uint64_t{12},
-                                         std::uint64_t{13})),
-    [](const auto& info) {
-      return std::get<0>(info.param) == "handover-storm"
-                 ? "handover_storm_" + std::to_string(std::get<1>(info.param))
-                 : std::get<0>(info.param) + "_" +
-                       std::to_string(std::get<1>(info.param));
-    });
-
-// Hybrid lane: the blended sender adds the delay-gradient sidecar, the
-// divergence detector, and the claim re-seed to the ACK path — all of
-// which must stay pure functions of the ACK stream (DESIGN.md §13). Same
-// byte-identity contract, across the profile that exercises the blend
-// hardest (blackout drives the full weight swing) and the clean one.
-class HybridDeterminismTest
-    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
- protected:
-  void TearDown() override { par::set_default_threads(1); }
-};
-
-TEST_P(HybridDeterminismTest, SerialAndParallelAreByteIdentical) {
-  const auto& [profile, seed] = GetParam();
-  const auto serial = run_once(profile, seed, 1, "hybrid");
-  const auto parallel = run_once(profile, seed, 8, "hybrid");
-
-  EXPECT_EQ(serial.tput, parallel.tput);
-  EXPECT_EQ(serial.attempts, parallel.attempts);
-  ASSERT_EQ(serial.wins.size(), parallel.wins.size());
-  for (std::size_t i = 0; i < serial.wins.size(); ++i) {
-    ASSERT_EQ(serial.wins[i], parallel.wins[i]) << "window " << i;
-  }
-  ASSERT_EQ(serial.delays.size(), parallel.delays.size());
-  for (std::size_t i = 0; i < serial.delays.size(); ++i) {
-    ASSERT_EQ(serial.delays[i], parallel.delays[i]) << "delay sample " << i;
-  }
-  EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
-  EXPECT_TRUE(serial == parallel);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByProfile, HybridDeterminismTest,
-    ::testing::Combine(::testing::Values("none", "blackout"),
-                       ::testing::Values(std::uint64_t{11}, std::uint64_t{12})),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-// The convolutional-PDCCH decode path (Viterbi + span memoization) has its
-// own parallel lane; check it separately since no location profile enables
-// it.
-RunDigest run_conv_once(int threads) {
-  par::set_default_threads(threads);
-  obs::Trace::instance().start(obs::TraceConfig{});
+// The convolutional-PDCCH decode path (Viterbi + span memoization) gets its
+// own lane, since no location profile enables it.
+RunDigest run_conv_once(bool traced = false) {
+  start_trace(traced);
   sim::ScenarioConfig cfg;
   cfg.seed = 77;
   cfg.cells = {{10.0, 0.3}};
@@ -169,7 +100,6 @@ RunDigest run_conv_once(int threads) {
   s.run_until(fs.stop);
   s.stats(f).finish(fs.stop);
 
-  obs::Trace::instance().stop();
   RunDigest d;
   d.tput = s.stats(f).avg_tput_mbps();
   d.avg_d = s.stats(f).avg_delay_ms();
@@ -180,29 +110,137 @@ RunDigest run_conv_once(int threads) {
   const auto& dl = s.stats(f).delays_ms().samples();
   d.delays.assign(dl.begin(), dl.end());
   d.attempts = s.pbe_client(f)->monitor().total_candidates_tried();
-  d.trace_digest = obs::Trace::instance().digest();
-  obs::Trace::instance().clear();
+  finish_trace(traced, d);
   return d;
 }
 
-TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
-  const auto serial = run_conv_once(1);
-  const auto parallel = run_conv_once(8);
-  par::set_default_threads(1);
+// Every case of the three concurrent-runs suites below.
+struct Case {
+  std::string profile;
+  std::uint64_t seed = 0;
+  std::string algo;  // "conv" = run_conv_once's scenario
+
+  bool operator==(const Case&) const = default;
+};
+
+const std::vector<Case>& all_cases() {
+  static const std::vector<Case> cases = [] {
+    std::vector<Case> c;
+    for (const char* profile : {"none", "blackout", "handover-storm"}) {
+      for (const std::uint64_t seed : {11, 12, 13}) {
+        c.push_back({profile, seed, "pbe"});
+      }
+    }
+    for (const char* profile : {"none", "blackout"}) {
+      for (const std::uint64_t seed : {11, 12}) {
+        c.push_back({profile, seed, "hybrid"});
+      }
+    }
+    c.push_back({"none", 0, "conv"});
+    return c;
+  }();
+  return cases;
+}
+
+RunDigest run_case(const Case& c) {
+  return c.algo == "conv" ? run_conv_once()
+                          : run_once(c.profile, c.seed, c.algo);
+}
+
+// `c`'s result from one run of every case side by side on a 4-thread pool
+// (the bench-grid pattern); the batch runs once per process.
+const RunDigest& concurrent_result(const Case& c) {
+  static const std::vector<RunDigest> results = [] {
+    par::ThreadPool pool{4};
+    return pool.parallel_map(all_cases().size(), [](std::size_t i) {
+      return run_case(all_cases()[i]);
+    });
+  }();
+  const auto& cases = all_cases();
+  const auto it = std::find(cases.begin(), cases.end(), c);
+  EXPECT_NE(it, cases.end());
+  return results.at(static_cast<std::size_t>(it - cases.begin()));
+}
+
+void expect_concurrent_matches_serial(const Case& c) {
+  const RunDigest serial = run_case(c);
+  const RunDigest& concurrent = concurrent_result(c);
   EXPECT_GT(serial.attempts, 0u);
-  EXPECT_TRUE(serial == parallel);
-  EXPECT_EQ(serial.tput, parallel.tput);
-  EXPECT_EQ(serial.attempts, parallel.attempts);
-  EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
+
+  // Field-by-field first so a failure names the divergent quantity...
+  EXPECT_EQ(serial.tput, concurrent.tput);
+  EXPECT_EQ(serial.avg_d, concurrent.avg_d);
+  EXPECT_EQ(serial.p95_d, concurrent.p95_d);
+  EXPECT_EQ(serial.p50_d, concurrent.p50_d);
+  EXPECT_EQ(serial.ca, concurrent.ca);
+  EXPECT_EQ(serial.attempts, concurrent.attempts);
+  ASSERT_EQ(serial.wins.size(), concurrent.wins.size());
+  for (std::size_t i = 0; i < serial.wins.size(); ++i) {
+    ASSERT_EQ(serial.wins[i], concurrent.wins[i]) << "window " << i;
+  }
+  ASSERT_EQ(serial.delays.size(), concurrent.delays.size());
+  for (std::size_t i = 0; i < serial.delays.size(); ++i) {
+    ASSERT_EQ(serial.delays[i], concurrent.delays[i]) << "delay sample " << i;
+  }
+  // ...then the blanket check (also covers future RunDigest fields).
+  EXPECT_TRUE(serial == concurrent);
+}
+
+class DeterminismTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
+};
+
+TEST_P(DeterminismTest, SerialAndParallelAreByteIdentical) {
+  const auto& [profile, seed] = GetParam();
+  expect_concurrent_matches_serial({profile, seed, "pbe"});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByProfile, DeterminismTest,
+    ::testing::Combine(::testing::Values("none", "blackout", "handover-storm"),
+                       ::testing::Values(std::uint64_t{11}, std::uint64_t{12},
+                                         std::uint64_t{13})),
+    [](const auto& info) {
+      return std::get<0>(info.param) == "handover-storm"
+                 ? "handover_storm_" + std::to_string(std::get<1>(info.param))
+                 : std::get<0>(info.param) + "_" +
+                       std::to_string(std::get<1>(info.param));
+    });
+
+// Hybrid lane: the blended sender adds the delay-gradient sidecar, the
+// divergence detector, and the claim re-seed to the ACK path — all of
+// which must stay pure functions of the ACK stream (DESIGN.md §13). Same
+// contract, across the profile that exercises the blend hardest (blackout
+// drives the full weight swing) and the clean one.
+class HybridDeterminismTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
+};
+
+TEST_P(HybridDeterminismTest, SerialAndParallelAreByteIdentical) {
+  const auto& [profile, seed] = GetParam();
+  expect_concurrent_matches_serial({profile, seed, "hybrid"});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByProfile, HybridDeterminismTest,
+    ::testing::Combine(::testing::Values("none", "blackout"),
+                       ::testing::Values(std::uint64_t{11}, std::uint64_t{12})),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
+  expect_concurrent_matches_serial({"none", 0, "conv"});
 }
 
 // Golden values (DESIGN.md §14): the lockstep batch decoder must
 // reproduce, bit for bit, what the scalar per-candidate decoder it
 // replaced produced — goodput, p95 delay, candidate count and every delay
 // sample — on the Viterbi pipeline and on the repetition-coded one (whose
-// decode path adds the CRC-first screen). Equality across thread counts
-// is DeterminismConvolutional's and DeterminismTest's job. The trace
-// digest is pinned only when obs instrumentation is compiled in.
+// decode path adds the CRC-first screen). Equality between serial and
+// concurrent runs is DeterminismConvolutional's and DeterminismTest's job.
+// The trace digest is pinned only when obs instrumentation is compiled in.
 struct Golden {
   double tput = 0;
   double p95_d = 0;
@@ -224,11 +262,11 @@ void expect_golden(const RunDigest& d, const Golden& g, const char* lane) {
 }
 
 TEST(DeterminismGolden, BatchDecodeReproducesScalarResults) {
-  expect_golden(run_conv_once(1),
+  expect_golden(run_conv_once(/*traced=*/true),
                 {45.339719466301744, 42.154800000000002, 27996,
                  0x9d51114c9cdaa8a1ull, 0x36dcef7405076f3cull},
                 "convolutional");
-  expect_golden(run_once("none", 21, 1),
+  expect_golden(run_once("none", 21, "pbe", /*traced=*/true),
                 {47.159999999999997, 70.797999999999973, 39317,
                  0xed4da36b7674d987ull, 0xb1345341b5ed4275ull},
                 "repetition");
@@ -237,13 +275,31 @@ TEST(DeterminismGolden, BatchDecodeReproducesScalarResults) {
 // --- shard lanes (DESIGN.md §15) -----------------------------------------
 //
 // The sharded engine's contract: ScenarioConfig::shards is purely a
-// parallelism knob. Cross-cluster effects (migrations, deliveries to
-// migrated UEs) always go through the barrier mailbox, so FlowStats and
-// the trace digest must be byte-identical for any shard count x thread
-// count — clean and under a handover storm that drives UEs across
-// cluster (= shard) boundaries every storm tick.
+// parallelism knob (the number of worker threads stepping cell clusters).
+// Cross-cluster effects (migrations, deliveries to migrated UEs) always go
+// through the barrier mailbox, so FlowStats and the trace digest must be
+// byte-identical for any shard count — clean and under a handover storm
+// that drives UEs across cluster (= shard) boundaries every storm tick.
 
 constexpr util::Time kShardStop = 3 * util::kSecond;
+
+// `r` (stepped on `shards` workers) must equal the 1-shard `base` exactly.
+void expect_same_run(const RunDigest& base, const RunDigest& r, int shards) {
+  EXPECT_EQ(base.tput, r.tput) << "shards=" << shards;
+  EXPECT_EQ(base.attempts, r.attempts) << "shards=" << shards;
+  EXPECT_EQ(base.trace_digest, r.trace_digest) << "shards=" << shards;
+  ASSERT_EQ(base.wins.size(), r.wins.size());
+  for (std::size_t i = 0; i < base.wins.size(); ++i) {
+    ASSERT_EQ(base.wins[i], r.wins[i])
+        << "window " << i << " shards=" << shards;
+  }
+  ASSERT_EQ(base.delays.size(), r.delays.size());
+  for (std::size_t i = 0; i < base.delays.size(); ++i) {
+    ASSERT_EQ(base.delays[i], r.delays[i])
+        << "delay sample " << i << " shards=" << shards;
+  }
+  EXPECT_TRUE(base == r) << "shards=" << shards;
+}
 
 sim::ScenarioConfig sharded_config(const std::string& profile,
                                    std::uint64_t seed) {
@@ -304,12 +360,11 @@ std::vector<int> populate_sharded(sim::Scenario& s) {
 }
 
 RunDigest run_sharded_once(const std::string& profile, std::uint64_t seed,
-                           int shards, int threads) {
-  sim::set_default_shards(shards);
-  par::set_default_threads(threads);
+                           int shards) {
   obs::Trace::instance().start(obs::TraceConfig{});
 
   auto cfg = sharded_config(profile, seed);
+  cfg.shards = shards;
   sim::Scenario s{cfg};
   const auto flows = populate_sharded(s);
   s.run_until(kShardStop);
@@ -332,24 +387,16 @@ RunDigest run_sharded_once(const std::string& profile, std::uint64_t seed,
   obs::Trace::instance().stop();
   d.trace_digest = obs::Trace::instance().digest();
   obs::Trace::instance().clear();
-  sim::set_default_shards(1);
-  par::set_default_threads(1);
   return d;
 }
 
-class ShardDeterminismTest : public ::testing::TestWithParam<std::string> {
- protected:
-  void TearDown() override {
-    par::set_default_threads(1);
-    sim::set_default_shards(1);
-  }
-};
+class ShardDeterminismTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
   const auto& profile = GetParam();
   const std::uint64_t storms_before =
       obs::counter("fault.storm_handovers").value();
-  const auto base = run_sharded_once(profile, 11, 1, 1);
+  const auto base = run_sharded_once(profile, 11, 1);
   ASSERT_GT(base.wins.size(), 0u);
   ASSERT_GT(base.attempts, 0u);
   if (profile == "handover-storm") {
@@ -358,29 +405,7 @@ TEST_P(ShardDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
     EXPECT_GT(obs::counter("fault.storm_handovers").value(), storms_before);
   }
   for (const int shards : {2, 8}) {
-    for (const int threads : {1, 8}) {
-      const auto r = run_sharded_once(profile, 11, shards, threads);
-      EXPECT_EQ(base.tput, r.tput) << "shards=" << shards
-                                   << " threads=" << threads;
-      EXPECT_EQ(base.attempts, r.attempts)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(base.trace_digest, r.trace_digest)
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(base.wins.size(), r.wins.size());
-      for (std::size_t i = 0; i < base.wins.size(); ++i) {
-        ASSERT_EQ(base.wins[i], r.wins[i])
-            << "window " << i << " shards=" << shards
-            << " threads=" << threads;
-      }
-      ASSERT_EQ(base.delays.size(), r.delays.size());
-      for (std::size_t i = 0; i < base.delays.size(); ++i) {
-        ASSERT_EQ(base.delays[i], r.delays[i])
-            << "delay sample " << i << " shards=" << shards
-            << " threads=" << threads;
-      }
-      EXPECT_TRUE(base == r) << "shards=" << shards
-                             << " threads=" << threads;
-    }
+    expect_same_run(base, run_sharded_once(profile, 11, shards), shards);
   }
 }
 
@@ -399,9 +424,9 @@ INSTANTIATE_TEST_SUITE_P(Profiles, ShardDeterminismTest,
 // Heterogeneous slot clocks add slot-major cell stepping, time-keyed
 // fusion and per-cell tick arithmetic to everything the sharded engine
 // already parallelizes. The contract is unchanged: FlowStats and the
-// trace digest are byte-identical for any shard count x thread count,
-// clean and under a handover storm whose serving sets cross the RAT
-// boundary (LTE<->NR handovers).
+// trace digest are byte-identical for any shard count, clean and under a
+// handover storm whose serving sets cross the RAT boundary (LTE<->NR
+// handovers).
 
 sim::ScenarioConfig mixed_nr_config(const std::string& profile,
                                     std::uint64_t seed) {
@@ -467,12 +492,11 @@ std::vector<int> populate_mixed_nr(sim::Scenario& s) {
 }
 
 RunDigest run_mixed_nr_once(const std::string& profile, std::uint64_t seed,
-                            int shards, int threads) {
-  sim::set_default_shards(shards);
-  par::set_default_threads(threads);
+                            int shards) {
   obs::Trace::instance().start(obs::TraceConfig{});
 
   auto cfg = mixed_nr_config(profile, seed);
+  cfg.shards = shards;
   sim::Scenario s{cfg};
   const auto flows = populate_mixed_nr(s);
   s.run_until(kShardStop);
@@ -494,50 +518,18 @@ RunDigest run_mixed_nr_once(const std::string& profile, std::uint64_t seed,
   obs::Trace::instance().stop();
   d.trace_digest = obs::Trace::instance().digest();
   obs::Trace::instance().clear();
-  sim::set_default_shards(1);
-  par::set_default_threads(1);
   return d;
 }
 
 class MixedNrDeterminismTest : public ::testing::TestWithParam<std::string> {
- protected:
-  void TearDown() override {
-    par::set_default_threads(1);
-    sim::set_default_shards(1);
-  }
 };
 
 TEST_P(MixedNrDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
   const auto& profile = GetParam();
-  const auto base = run_mixed_nr_once(profile, 11, 1, 1);
+  const auto base = run_mixed_nr_once(profile, 11, 1);
   ASSERT_GT(base.wins.size(), 0u);
   ASSERT_GT(base.attempts, 0u);
-  for (const int shards : {1, 4}) {
-    for (const int threads : {1, 8}) {
-      if (shards == 1 && threads == 1) continue;  // the base itself
-      const auto r = run_mixed_nr_once(profile, 11, shards, threads);
-      EXPECT_EQ(base.tput, r.tput)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(base.attempts, r.attempts)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(base.trace_digest, r.trace_digest)
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(base.wins.size(), r.wins.size());
-      for (std::size_t i = 0; i < base.wins.size(); ++i) {
-        ASSERT_EQ(base.wins[i], r.wins[i])
-            << "window " << i << " shards=" << shards
-            << " threads=" << threads;
-      }
-      ASSERT_EQ(base.delays.size(), r.delays.size());
-      for (std::size_t i = 0; i < base.delays.size(); ++i) {
-        ASSERT_EQ(base.delays[i], r.delays[i])
-            << "delay sample " << i << " shards=" << shards
-            << " threads=" << threads;
-      }
-      EXPECT_TRUE(base == r) << "shards=" << shards
-                             << " threads=" << threads;
-    }
-  }
+  expect_same_run(base, run_mixed_nr_once(profile, 11, 4), 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, MixedNrDeterminismTest,
@@ -550,19 +542,18 @@ INSTANTIATE_TEST_SUITE_P(Profiles, MixedNrDeterminismTest,
                            return n;
                          });
 
-// A capture recorded from a fully sharded, fully threaded run must carry
-// the same pipeline digest as a serial unsharded run, and replay to it
-// byte-identically (pbecc::cap's tentpole guarantee, now from shards).
+// A capture recorded from a fully sharded run must carry the same pipeline
+// digest as a serial unsharded run, and replay to it byte-identically
+// (pbecc::cap's tentpole guarantee, now from shards).
 TEST(ShardDeterminism, ShardedRecordingReplaysByteIdentical) {
   const std::string path =
       ::testing::TempDir() + "determinism_shard_cap.pbt";
 
-  sim::set_default_shards(8);
-  par::set_default_threads(8);
   cap::TraceWriter writer(path);
   cap::PipelineDigest live;
   {
     auto cfg = sharded_config("handover-storm", 11);
+    cfg.shards = 8;
     cfg.capture = &writer;
     cfg.digest = &live;
     sim::Scenario s{cfg};
@@ -573,10 +564,8 @@ TEST(ShardDeterminism, ShardedRecordingReplaysByteIdentical) {
   EXPECT_GT(live.observations(), 0u);
   EXPECT_GT(live.probes(), 0u);
 
-  // Same scenario, no shards, one thread: the tap stream itself must not
-  // depend on the execution geometry.
-  sim::set_default_shards(1);
-  par::set_default_threads(1);
+  // Same scenario stepped serially: the tap stream itself must not depend
+  // on the execution geometry.
   cap::PipelineDigest unsharded;
   {
     auto cfg = sharded_config("handover-storm", 11);

@@ -62,7 +62,9 @@ TEST_F(ObsTest, ResetZeroesButKeepsRegistrations) {
   ASSERT_EQ(Registry::instance().counters().size(), 1u);
   EXPECT_EQ(Registry::instance().counters()[0].first, "test.reset");
   c.inc();
-  if constexpr (kCompiled) EXPECT_EQ(c.value(), 1u);
+  if constexpr (kCompiled) {
+    EXPECT_EQ(c.value(), 1u);
+  }
 }
 
 TEST_F(ObsTest, ExpHistogramBucketsAndStats) {
@@ -295,7 +297,7 @@ TEST_F(ObsTest, ProfilerRecordsOnlyWhenEnabled) {
   const auto burn = [] {
     PBECC_PROF_SCOPE("obs_test_site");
     volatile int sink = 0;
-    for (int i = 0; i < 100; ++i) sink += i;
+    for (int i = 0; i < 100; ++i) sink = sink + i;
   };
   set_profiling(false);
   burn();

@@ -1,8 +1,8 @@
-// Tests for pbecc::par — the work-stealing pool behind the parallel
-// scenario engine and the blind-decode fan-out. The determinism contract
-// (DESIGN.md §9) rests on parallel_for/parallel_map merging results by
-// index, the serial path being literally inline execution, and errors
-// propagating by lowest index.
+// Tests for pbecc::par — the fork-join pool behind the bench grids and the
+// shard stepping loop. The determinism contract (DESIGN.md §9) rests on
+// parallel_for/parallel_map merging results by index, the serial path
+// being literally inline execution, and errors propagating by lowest
+// index.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,6 +43,12 @@ TEST(ThreadPool, ResultsMergeByIndexDeterministically) {
     });
     for (std::size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(out[i], i * 2654435761ull);
+    }
+    const auto mapped = pool->parallel_map(
+        64, [](std::size_t i) { return static_cast<int>(i) * 3; });
+    ASSERT_EQ(mapped.size(), 64u);
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+      ASSERT_EQ(mapped[i], static_cast<int>(i) * 3);
     }
   }
 }
@@ -108,30 +114,6 @@ TEST(ThreadPool, NestedParallelForCompletes) {
   }
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool{4};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingSubmittedWork) {
-  // The destructor must run every queued task before joining — dropping
-  // fire-and-forget work on shutdown would make bench teardown racy.
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool{3};
-    for (int i = 0; i < 500; ++i) {
-      pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // No wait_idle(): ~ThreadPool drains.
-  }
-  EXPECT_EQ(done.load(), 500);
-}
-
 TEST(ThreadPool, ManyMoreIterationsThanThreads) {
   ThreadPool pool{2};
   std::atomic<std::uint64_t> sum{0};
@@ -140,23 +122,6 @@ TEST(ThreadPool, ManyMoreIterationsThanThreads) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(kN) * (kN - 1) / 2);
-}
-
-TEST(DefaultPool, SetThreadsReconfigures) {
-  set_default_threads(1);
-  EXPECT_EQ(default_threads(), 1);
-  std::vector<std::size_t> order;
-  parallel_for(8, [&](std::size_t i) { order.push_back(i); });
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-
-  set_default_threads(4);
-  EXPECT_EQ(default_threads(), 4);
-  const auto out = parallel_map(
-      64, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i) * 3);
-  }
-  set_default_threads(1);  // leave the process default serial for others
 }
 
 }  // namespace

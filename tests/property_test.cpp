@@ -117,7 +117,9 @@ TEST_P(SchedulerProp, ConservationAndDemandLimits) {
       total += a.n_prbs;
       // No allocation beyond demand.
       for (const auto& r : reqs) {
-        if (r.ue == a.ue) EXPECT_LE(a.n_prbs, mac::demand_prbs(r));
+        if (r.ue == a.ue) {
+          EXPECT_LE(a.n_prbs, mac::demand_prbs(r));
+        }
       }
     }
     EXPECT_LE(total, prbs);

@@ -15,7 +15,6 @@
 #include "cap/replay.h"
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
-#include "par/thread_pool.h"
 #include "pbe/capacity_estimator.h"
 #include "sim/location.h"
 #include "tel/analyze.h"
@@ -401,24 +400,6 @@ TEST(TelEndToEnd, ReplayExportsByteIdenticalPipelineSeries) {
   EXPECT_EQ(pipeline_series_digest(replayed.recorder()), live_digest);
   EXPECT_NE(live_digest, 0u);
   std::remove(trace.c_str());
-}
-
-TEST(TelEndToEnd, TelemetryIsByteIdenticalAcrossThreadCounts) {
-  if (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
-  std::uint64_t digests[2] = {0, 0};
-  const int thread_counts[2] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
-    par::set_default_threads(thread_counts[i]);
-    tel::Sampler telemetry;
-    sim::CaptureOptions capture;
-    capture.telemetry = &telemetry;
-    sim::run_location(sim::location(2), "pbe", 3 * util::kSecond, nullptr, 1,
-                      capture);
-    digests[i] = telemetry.recorder().digest();
-  }
-  par::set_default_threads(1);
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_NE(digests[0], 0u);
 }
 
 }  // namespace
