@@ -1,6 +1,7 @@
 #include "decoder/blind_decoder.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "nr/coreset.h"
@@ -60,25 +61,48 @@ void BlindDecoder::reconfigure(const phy::CellConfig& cell) {
   for (auto& lane : memo_) lane.clear();
 }
 
-util::BitVec BlindDecoder::majority_decode(const phy::PdcchSubframe& sf,
-                                           int first_cce, int n_cces,
-                                           int msg_bits) const {
+void majority_decode(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                     int msg_bits, util::BitVec& out) {
+  const auto len = static_cast<std::size_t>(msg_bits);
   const int reps = phy::repetitions_that_fit(msg_bits, n_cces);
-  util::BitVec out(static_cast<std::size_t>(msg_bits));
   const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
-  for (int b = 0; b < msg_bits; ++b) {
-    int votes = 0;
+  // votes > 0  <=>  2 * ones > reps  <=>  ones > reps / 2.
+  const auto half = static_cast<unsigned>(reps / 2);
+  const int n_planes = std::bit_width(static_cast<unsigned>(reps));
+  out.clear();
+  for (std::size_t off = 0; off < len; off += util::BitVec::kWordBits) {
+    const std::size_t n = std::min(util::BitVec::kWordBits, len - off);
+    // Bit-sliced counters: plane[k] holds bit k of every position's count
+    // of ones, so one ripple-carry add counts a whole repetition word.
+    std::uint64_t plane[32];
+    std::fill_n(plane, n_planes, 0);
     for (int r = 0; r < reps; ++r) {
-      const auto idx = base + static_cast<std::size_t>(r) * msg_bits + b;
-      votes += sf.bits.bit(idx) ? 1 : -1;
+      std::uint64_t carry =
+          sf.bits.read_uint(base + static_cast<std::size_t>(r) * len + off, n);
+      for (std::size_t k = 0; carry != 0; ++k) {
+        const std::uint64_t next = plane[k] & carry;
+        plane[k] ^= carry;
+        carry = next;
+      }
     }
-    out.set_bit(static_cast<std::size_t>(b), votes > 0);
+    // ones > half, decided plane by plane from the most significant.
+    std::uint64_t greater = 0;
+    std::uint64_t equal = ~0ULL;
+    for (int k = n_planes; k-- > 0;) {
+      const std::uint64_t p = plane[k];
+      if (((half >> k) & 1u) != 0) {
+        equal &= p;
+      } else {
+        greater |= equal & p;
+        equal &= ~p;
+      }
+    }
+    out.push_uint(greater, n);
   }
-  return out;
 }
 
-bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
-                                 int n_cces, const util::BitVec& msg) const {
+bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                   const util::BitVec& msg) {
   // Path-metric stand-in: the decoded message, re-modulated, must agree
   // with the raw region across every repetition. A true message differs
   // only by channel noise; a phantom formed from a majority over unrelated
@@ -86,14 +110,13 @@ bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
   const int reps =
       phy::repetitions_that_fit(static_cast<int>(msg.size()), n_cces);
   const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
-  std::size_t matches = 0;
   const auto rep_bits = static_cast<std::size_t>(reps) * msg.size();
+  std::size_t mismatches = 0;
   for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < msg.size(); ++i) {
-      const auto idx = base + static_cast<std::size_t>(r) * msg.size() + i;
-      matches += sf.bits.bit(idx) == msg.bit(i) ? 1 : 0;
-    }
+    mismatches +=
+        sf.bits.hamming(base + static_cast<std::size_t>(r) * msg.size(), msg);
   }
+  const std::size_t matches = rep_bits - mismatches;
   // 0.93: passes the worst channel we decode through (~4-5% control BER)
   // while rejecting majorities formed over two unrelated messages (~75%).
   if (static_cast<double>(matches) < 0.93 * static_cast<double>(rep_bits)) {
@@ -105,11 +128,9 @@ bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
   // the filler is the only redundancy separating a real message from noise
   // that happened to satisfy the CRC-residue plausibility checks.
   const auto region_bits = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
-  std::size_t filler_zeros = 0;
-  for (std::size_t i = rep_bits; i < region_bits; ++i) {
-    filler_zeros += sf.bits.bit(base + i) ? 0 : 1;
-  }
   const auto filler_total = region_bits - rep_bits;
+  const std::size_t filler_zeros =
+      filler_total - sf.bits.popcount(base + rep_bits, filler_total);
   return filler_total == 0 ||
          static_cast<double>(filler_zeros) >=
              0.9 * static_cast<double>(filler_total);
@@ -138,12 +159,7 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
       prefixes_.resize(n_miss * pre_stride);
     }
     for (std::size_t m = 0; m < n_miss; ++m) {
-      const util::BitVec& span = spans_[miss[m]];
-      std::int32_t* pre = prefixes_.data() + m * pre_stride;
-      pre[0] = 0;
-      for (std::size_t b = 0; b < region_bits; ++b) {
-        pre[b + 1] = pre[b] + (span.bit(b) ? 1 : -1);
-      }
+      phy::vote_prefix(spans_[miss[m]], prefixes_.data() + m * pre_stride);
     }
     std::array<bool, kBlockLanes> done{};
     for (int f = 0; f < n_formats; ++f) {
@@ -219,18 +235,18 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
         const int msg_bits = phy::dci_payload_bits(format) + 16;
         if (phy::repetitions_that_fit(msg_bits, al) == 0) continue;
         ++r.attempts;
-        const util::BitVec bits = majority_decode(sf, starts[i], al, msg_bits);
-        if (!phy::dci_crc_screen(bits, format)) {
+        majority_decode(sf, starts[i], al, msg_bits, vote_);
+        if (!phy::dci_crc_screen(vote_, format)) {
           ++r.failures;
           ++r.screen_rejects;
           continue;
         }
-        auto dci = phy::decode_dci(bits, format, cell_.n_prbs());
+        auto dci = phy::decode_dci(vote_, format, cell_.n_prbs());
         if (!dci.has_value()) {
           ++r.failures;
           continue;
         }
-        if (!region_agrees(sf, starts[i], al, bits)) {
+        if (!region_agrees(sf, starts[i], al, vote_)) {
           ++r.failures;
           continue;
         }
@@ -320,12 +336,9 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
     misses.reserve(starts.size());
     for (std::size_t i = 0; i < starts.size(); ++i) {
       util::BitVec& span = spans_[i];
-      span.clear();
-      span.reserve(region_bits);
-      const auto base = static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce;
-      for (std::size_t b = 0; b < region_bits; ++b) {
-        span.push_bit(sf.bits.bit(base + b));
-      }
+      sf.bits.copy_range(
+          static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce, region_bits,
+          span);
       MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
       if (entry.valid && entry.coding == sf.coding && entry.span == span) {
         results[i] = entry.result;

@@ -75,6 +75,19 @@ struct DecodeRun {
   util::Duration tick = util::kSubframe;
 };
 
+// Repetition-coded candidates: majority-vote the repetitions of a
+// msg_bits-long message stored in `n_cces` CCEs starting at `first_cce`
+// into `out`. Bit b is set when more than half of the repetitions carry a
+// one there (2 * ones > reps); votes are counted a word at a time.
+void majority_decode(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                     int msg_bits, util::BitVec& out);
+
+// Repetition-coding agreement check (path-metric stand-in): true when the
+// majority-voted `msg` matches >=93% of the repetition bits and the filler
+// after them reads >=90% zeros.
+bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                   const util::BitVec& msg);
+
 class BlindDecoder {
  public:
   explicit BlindDecoder(phy::CellConfig cell);
@@ -124,17 +137,6 @@ class BlindDecoder {
                              const int* starts, const std::size_t* miss,
                              std::size_t n_miss, CandidateResult* out);
 
-  // Majority-vote the repetitions of a msg_bits-long message stored in
-  // `n_cces` CCEs starting at `first_cce`.
-  util::BitVec majority_decode(const phy::PdcchSubframe& sf, int first_cce,
-                               int n_cces, int msg_bits) const;
-
-  // Repetition-coding agreement check (path-metric stand-in): true when
-  // the majority-voted message matches >=93% of the repetitions and the
-  // filler after them reads >=90% zeros.
-  bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
-                     const util::BitVec& msg) const;
-
   phy::CellConfig cell_;
   DecodeStats stats_;
 
@@ -157,6 +159,8 @@ class BlindDecoder {
   // reallocated.
   std::vector<util::BitVec> spans_;
   std::vector<std::int32_t> prefixes_;
+  // The repetition path's majority-voted message, reused per attempt.
+  util::BitVec vote_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

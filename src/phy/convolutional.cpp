@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/profile.h"
 #include "util/arena.h"
@@ -173,6 +174,21 @@ util::BitVec conv_decode_reference(const util::BitVec& received,
   return decoded;
 }
 
+void vote_prefix(const util::BitVec& bits, std::int32_t* pre) {
+  const std::size_t n = bits.size();
+  std::int32_t acc = 0;
+  pre[0] = 0;
+  for (std::size_t off = 0; off < n; off += util::BitVec::kWordBits) {
+    std::uint64_t v = bits.window(off);
+    const std::size_t len = std::min(util::BitVec::kWordBits, n - off);
+    for (std::size_t j = 0; j < len; ++j) {
+      acc += (v >> 63) != 0 ? 1 : -1;
+      v <<= 1;
+      pre[off + j + 1] = acc;
+    }
+  }
+}
+
 void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
                        std::size_t payload_bits, BatchDecodeResult* results) {
   PBECC_PROF_SCOPE("viterbi_batch");
@@ -194,26 +210,26 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
   // Per-mother-bit log-likelihoods, one column per lane. All lanes share
   // one rate-match layout — that is what makes the batch a batch.
   std::int32_t* llr = ws.arena.alloc<std::int32_t>(coded_bits * L);
-  std::fill_n(llr, coded_bits * L, 0);
   {
     const auto& counts = ws.counts_for(coded_bits, target);
+    std::int32_t* own_prefix = nullptr;
     for (std::size_t l = 0; l < L; ++l) {
-      if (jobs[l].prefix != nullptr) {
-        const std::int32_t* pre = jobs[l].prefix;
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < coded_bits; ++i) {
-          const auto c = static_cast<std::size_t>(counts[i]);
-          llr[i * L + l] = pre[j + c] - pre[j];
-          j += c;
+      if (jobs[l].received->size() != target) {
+        throw std::invalid_argument("conv_decode_batch: lanes differ in size");
+      }
+      const std::int32_t* pre = jobs[l].prefix;
+      if (pre == nullptr) {
+        if (own_prefix == nullptr) {
+          own_prefix = ws.arena.alloc<std::int32_t>(target + 1);
         }
-      } else {
-        const util::BitVec& rx = *jobs[l].received;
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < coded_bits; ++i) {
-          for (int c = 0; c < counts[i]; ++c) {
-            llr[i * L + l] += rx.bit(j++) ? 1 : -1;
-          }
-        }
+        vote_prefix(*jobs[l].received, own_prefix);
+        pre = own_prefix;
+      }
+      std::size_t j = 0;
+      for (std::size_t i = 0; i < coded_bits; ++i) {
+        const auto c = static_cast<std::size_t>(counts[i]);
+        llr[i * L + l] = pre[j + c] - pre[j];
+        j += c;
       }
     }
   }

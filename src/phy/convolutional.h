@@ -64,15 +64,17 @@ util::BitVec conv_decode_reference(const util::BitVec& received,
 
 inline constexpr int kMaxDecodeLanes = 16;
 
+// Vote prefix sums over `bits`: pre[0] = 0 and pre[j + 1] = pre[j] + (bit j
+// ? +1 : -1), so `pre` holds bits.size() + 1 entries. The span is read a
+// word at a time.
+void vote_prefix(const util::BitVec& bits, std::int32_t* pre);
+
 struct BatchDecodeJob {
   const util::BitVec* received = nullptr;  // same size() for every lane
-  // Optional vote prefix sums over `received`: prefix[j] = sum over bits
-  // [0, j) of (bit ? +1 : -1), length received->size() + 1. The blind
-  // decoder tries ~5 DCI formats against the same span; the prefix lets
-  // every format's rate-matched log-likelihoods come from one shared span
-  // scan (a subtraction per mother bit) instead of re-reading the span
-  // bit-by-bit per format. nullptr falls back to the direct bit loop —
-  // both produce identical integers.
+  // Optional vote prefix sums over `received` (vote_prefix). The blind
+  // decoder tries ~5 DCI formats against the same span; sharing one
+  // prefix lets every format's rate-matched log-likelihoods cost a
+  // subtraction per mother bit. nullptr: the batch computes it itself.
   const std::int32_t* prefix = nullptr;
   // Exact-safe early abort: the decode gives up on this lane as soon as no
   // completion of any surviving path can reach a final state-0 correlation

@@ -61,6 +61,7 @@ int dci_payload_bits(DciFormat f) {
 
 util::BitVec encode_dci(const Dci& d) {
   util::BitVec bits;
+  bits.reserve(static_cast<std::size_t>(dci_payload_bits(d.format)) + 16);
   bits.push_uint(static_cast<std::uint64_t>(d.format), kFormatTagBits);
   bits.push_uint(d.prb_start, prb_field_bits(d.format));
   bits.push_uint(d.n_prbs, prb_field_bits(d.format));
@@ -94,42 +95,41 @@ std::optional<Dci> decode_dci(const util::BitVec& bits, DciFormat format,
   const auto payload_len = static_cast<std::size_t>(dci_payload_bits(format));
   if (bits.size() != payload_len + 16) return std::nullopt;
 
-  util::BitVec payload;
-  for (std::size_t i = 0; i < payload_len; ++i) payload.push_bit(bits.bit(i));
   const auto rx_crc = static_cast<std::uint16_t>(bits.read_uint(payload_len, 16));
-  const auto rnti = static_cast<Rnti>(util::crc16(payload) ^ rx_crc);
+  const auto rnti =
+      static_cast<Rnti>(util::crc16_range(bits, 0, payload_len) ^ rx_crc);
   if (rnti < kMinCRnti || rnti > kMaxCRnti) return std::nullopt;
 
   Dci d;
   d.rnti = rnti;
   d.format = format;
   std::size_t pos = 0;
-  if (payload.read_uint(pos, kFormatTagBits) !=
+  if (bits.read_uint(pos, kFormatTagBits) !=
       static_cast<std::uint64_t>(format)) {
     return std::nullopt;  // self-identification mismatch: not this format
   }
   pos += kFormatTagBits;
   const std::size_t prb_bits = prb_field_bits(format);
   const std::size_t harq_bits = harq_field_bits(format);
-  d.prb_start = static_cast<std::uint16_t>(payload.read_uint(pos, prb_bits));
+  d.prb_start = static_cast<std::uint16_t>(bits.read_uint(pos, prb_bits));
   pos += prb_bits;
-  d.n_prbs = static_cast<std::uint16_t>(payload.read_uint(pos, prb_bits));
+  d.n_prbs = static_cast<std::uint16_t>(bits.read_uint(pos, prb_bits));
   pos += prb_bits;
-  d.mcs.cqi = static_cast<int>(payload.read_uint(pos, kMcsBits));
+  d.mcs.cqi = static_cast<int>(bits.read_uint(pos, kMcsBits));
   pos += kMcsBits;
-  d.harq_id = static_cast<std::uint8_t>(payload.read_uint(pos, harq_bits));
+  d.harq_id = static_cast<std::uint8_t>(bits.read_uint(pos, harq_bits));
   pos += harq_bits;
-  d.new_data = payload.read_uint(pos, kNdiBits) != 0;
+  d.new_data = bits.read_uint(pos, kNdiBits) != 0;
   pos += kNdiBits;
   d.mcs.n_streams = 1;
   if (format_is_mimo(format)) {
-    d.mcs.n_streams = payload.read_uint(pos, 1) != 0 ? 2 : 1;
+    d.mcs.n_streams = bits.read_uint(pos, 1) != 0 ? 2 : 1;
     pos += 1;
   }
   // Padding must be all-zero; a corrupted message that still passed the
   // CRC-RNTI plausibility test usually fails here.
   const auto padding = static_cast<std::size_t>(format_padding(format));
-  if (payload.read_uint(pos, padding) != 0) return std::nullopt;
+  if (bits.read_uint(pos, padding) != 0) return std::nullopt;
 
   // Structural validation against the cell geometry.
   if (d.mcs.cqi < 1 || d.mcs.cqi > 15) return std::nullopt;

@@ -1,5 +1,6 @@
 #include "phy/pdcch.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pbecc::phy {
@@ -86,15 +87,11 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
       // bits keep their (zero) filler value.
       const int reps = repetitions_that_fit(static_cast<int>(msg.size()), al);
       for (int r = 0; r < reps; ++r) {
-        for (std::size_t i = 0; i < msg.size(); ++i) {
-          sf_.bits.set_bit(base + static_cast<std::size_t>(r) * msg.size() + i,
-                           msg.bit(i));
-        }
+        sf_.bits.write_range(base + static_cast<std::size_t>(r) * msg.size(),
+                             msg);
       }
     } else {
-      for (std::size_t i = 0; i < region_bits; ++i) {
-        sf_.bits.set_bit(base + i, block.bit(i));
-      }
+      sf_.bits.write_range(base, block);
     }
     for (int c = start; c < start + al; ++c) {
       sf_.cce_used[static_cast<std::size_t>(c)] = true;
@@ -116,8 +113,18 @@ PdcchSubframe PdcchBuilder::build() && { return std::move(sf_); }
 
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;
-  for (std::size_t i = 0; i < sf.bits.size(); ++i) {
-    if (rng.bernoulli(ber)) sf.bits.flip_bit(i);
+  // One Bernoulli draw per bit in bit order, gathered into one flip mask
+  // per word: the RNG stream is the per-bit loop's exactly.
+  const std::uint64_t cutoff = util::Rng::bernoulli_cutoff(ber);
+  const std::size_t n = sf.bits.size();
+  for (std::size_t w = 0; w < sf.bits.num_words(); ++w) {
+    const std::size_t len =
+        std::min(util::BitVec::kWordBits, n - w * util::BitVec::kWordBits);
+    std::uint64_t mask = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      mask = (mask << 1) | ((rng.next_u64() >> 11) < cutoff ? 1 : 0);
+    }
+    sf.bits.xor_word(w, mask << (util::BitVec::kWordBits - len));
   }
 }
 

@@ -79,6 +79,8 @@ class PdcchBuilder {
 
 // Flip each bit independently with probability `ber` — the monitor-side
 // reception noise. (The scheduled user itself sees the same channel.)
+// Takes exactly one rng.bernoulli(ber) draw per bit, in bit order; every
+// pinned digest depends on that stream (phy_test pins it).
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);
 
 // Number of repetitions of a (payload+CRC) message of `msg_bits` bits that

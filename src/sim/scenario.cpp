@@ -567,6 +567,12 @@ void Scenario::schedule_telemetry_sampling() {
   tick(tick);
 }
 
+std::uint64_t Scenario::storm_handovers() const {
+  std::uint64_t n = 0;
+  for (const auto& dom : domains_) n += dom->storm_handovers;
+  return n;
+}
+
 void Scenario::storm_tick(std::size_t d) {
   Domain* dom = domains_[d].get();
   for (auto& [id, rec] : ue_records_) {
@@ -607,6 +613,7 @@ void Scenario::storm_tick(std::size_t d) {
       mailbox_.post(static_cast<std::uint32_t>(d), dom->loop.now(),
                     std::move(m));
     }
+    ++dom->storm_handovers;
     if constexpr (obs::kCompiled) {
       static obs::Counter& storms = obs::counter("fault.storm_handovers");
       storms.inc();

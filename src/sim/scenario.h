@@ -206,6 +206,9 @@ class Scenario {
   std::size_t num_flows() const { return flows_.size(); }
   // Null when the scenario's fault profile is inactive.
   const fault::FaultInjector* faults() const { return faults_.get(); }
+  // Handovers the handover-storm fault has forced so far (summed over
+  // domains; the `fault.storm_handovers` obs counter mirrors it).
+  std::uint64_t storm_handovers() const;
 
  private:
   // One shard domain: a cell-cluster's loop, base station and the
@@ -217,6 +220,7 @@ class Scenario {
     std::vector<phy::CellConfig> cells;
     std::unique_ptr<mac::BaseStation> bs;
     std::vector<obs::Event> trace_buf;
+    std::uint64_t storm_handovers = 0;  // written by this domain's step only
   };
 
   // Cross-domain message payload. Ordering (and thus determinism) comes

@@ -20,6 +20,7 @@ std::uint16_t crc16(const BitVec& bits);
 // Same CRC over the `len` bits starting at `pos` — lets the decoder's
 // CRC-first screen checksum a message's payload prefix in place instead of
 // copying it out first. Bit-identical to crc16() on the copied range.
+// Table-driven a byte at a time; throws std::out_of_range past the end.
 std::uint16_t crc16_range(const BitVec& bits, std::size_t pos,
                           std::size_t len);
 

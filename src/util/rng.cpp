@@ -4,10 +4,6 @@ namespace pbecc::util {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64: seeds the xoshiro state from a single 64-bit value.
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -25,21 +21,13 @@ void Rng::reseed(std::uint64_t seed) {
   have_spare_normal_ = false;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+std::uint64_t Rng::bernoulli_cutoff(double p) {
+  // uniform() is exactly k * 2^-53 for the integer k = next_u64() >> 11,
+  // so uniform() < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53).
+  const double t = p * 0x1.0p53;
+  if (!(t > 0.0)) return 0;              // p <= 0 (or NaN): never
+  if (t >= 0x1.0p53) return 1ULL << 53;  // p >= 1: always
+  return static_cast<std::uint64_t>(std::ceil(t));
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

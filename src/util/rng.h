@@ -17,11 +17,22 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  // Uniform on the full 64-bit range.
-  std::uint64_t next_u64();
+  // Uniform on the full 64-bit range. Inline: the PDCCH noise model draws
+  // once per control-region bit.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double uniform();
+  // Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -30,6 +41,11 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   bool bernoulli(double p) { return uniform() < p; }
+
+  // bernoulli(p) as an integer test for hot loops that hoist it: for the
+  // same draw, (next_u64() >> 11) < bernoulli_cutoff(p) holds exactly when
+  // uniform() < p does.
+  static std::uint64_t bernoulli_cutoff(double p);
 
   // Exponential with given mean (mean > 0).
   double exponential(double mean) {
@@ -51,6 +67,10 @@ class Rng {
   Rng fork();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;

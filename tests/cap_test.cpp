@@ -55,7 +55,10 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!b.empty()) {
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  }
   std::fclose(f);
 }
 

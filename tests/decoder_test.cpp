@@ -152,6 +152,109 @@ TEST(BlindDecoder, WrongFormatNeverWins) {
   }
 }
 
+// The per-bit repetition vote and agreement check that majority_decode and
+// region_agrees replaced, kept as oracles.
+util::BitVec majority_reference(const phy::PdcchSubframe& sf, int first_cce,
+                                int n_cces, int msg_bits) {
+  const int reps = phy::repetitions_that_fit(msg_bits, n_cces);
+  util::BitVec out(static_cast<std::size_t>(msg_bits));
+  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+  for (int b = 0; b < msg_bits; ++b) {
+    int votes = 0;
+    for (int r = 0; r < reps; ++r) {
+      const auto idx = base + static_cast<std::size_t>(r) * msg_bits + b;
+      votes += sf.bits.bit(idx) ? 1 : -1;
+    }
+    out.set_bit(static_cast<std::size_t>(b), votes > 0);
+  }
+  return out;
+}
+
+bool region_agrees_reference(const phy::PdcchSubframe& sf, int first_cce,
+                             int n_cces, const util::BitVec& msg) {
+  const int reps =
+      phy::repetitions_that_fit(static_cast<int>(msg.size()), n_cces);
+  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+  std::size_t matches = 0;
+  const auto rep_bits = static_cast<std::size_t>(reps) * msg.size();
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < msg.size(); ++i) {
+      const auto idx = base + static_cast<std::size_t>(r) * msg.size() + i;
+      matches += sf.bits.bit(idx) == msg.bit(i) ? 1 : 0;
+    }
+  }
+  if (static_cast<double>(matches) < 0.93 * static_cast<double>(rep_bits)) {
+    return false;
+  }
+  const auto region_bits = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
+  std::size_t filler_zeros = 0;
+  for (std::size_t i = rep_bits; i < region_bits; ++i) {
+    filler_zeros += sf.bits.bit(base + i) ? 0 : 1;
+  }
+  const auto filler_total = region_bits - rep_bits;
+  return filler_total == 0 ||
+         static_cast<double>(filler_zeros) >=
+             0.9 * static_cast<double>(filler_total);
+}
+
+TEST(RepetitionVote, MatchesPerBitLoopsForEveryFormatAndLevel) {
+  struct Case {
+    phy::DciFormat format;
+    int al;
+  };
+  std::vector<Case> cases;
+  for (const auto f : phy::kLteDciFormats) {
+    for (int al : {1, 2, 4, 8}) cases.push_back({f, al});
+  }
+  for (const auto f : phy::kNrDciFormats) {
+    for (int al : {1, 2, 4, 8, 16}) cases.push_back({f, al});
+  }
+  util::Rng rng{33};
+  util::BitVec vote;
+  int agreeing = 0;
+  for (const Case& c : cases) {
+    const int msg_bits = phy::dci_payload_bits(c.format) + 16;
+    const int reps = phy::repetitions_that_fit(msg_bits, c.al);
+    for (double ber : {0.0, 0.04, 0.5}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        // Two candidates' worth of region, the message repeated into the
+        // second one (so candidate offsets cross word boundaries), then
+        // channel noise; BER 0.5 is a random region.
+        phy::PdcchSubframe sf;
+        sf.n_cces = 2 * c.al;
+        sf.bits = util::BitVec(static_cast<std::size_t>(sf.n_cces) *
+                               phy::kBitsPerCce);
+        util::BitVec msg;
+        for (int i = 0; i < msg_bits; ++i) msg.push_bit(rng.bernoulli(0.5));
+        const auto base = static_cast<std::size_t>(c.al) * phy::kBitsPerCce;
+        for (int r = 0; r < reps; ++r) {
+          for (int i = 0; i < msg_bits; ++i) {
+            sf.bits.set_bit(base + static_cast<std::size_t>(r * msg_bits + i),
+                            msg.bit(static_cast<std::size_t>(i)));
+          }
+        }
+        phy::apply_bit_noise(sf, ber, rng);
+        for (int first : {0, c.al}) {
+          const auto want = majority_reference(sf, first, c.al, msg_bits);
+          majority_decode(sf, first, c.al, msg_bits, vote);
+          ASSERT_EQ(vote, want) << "format " << static_cast<int>(c.format)
+                                << " AL " << c.al << " BER " << ber;
+          const bool agrees = region_agrees(sf, first, c.al, vote);
+          ASSERT_EQ(agrees, region_agrees_reference(sf, first, c.al, vote))
+              << "format " << static_cast<int>(c.format) << " AL " << c.al
+              << " BER " << ber;
+          ASSERT_EQ(region_agrees(sf, first, c.al, msg),
+                    region_agrees_reference(sf, first, c.al, msg));
+          agreeing += agrees ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Both outcomes of the agreement check are exercised.
+  EXPECT_GT(agreeing, 0);
+  EXPECT_LT(agreeing, static_cast<int>(cases.size()) * 3 * 12 * 2);
+}
+
 // ---------------------------------------------------------------- fusion
 
 TEST(MessageFusion, AlignsBySubframe) {

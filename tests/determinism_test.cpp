@@ -37,6 +37,7 @@ struct RunDigest {
   std::vector<double> wins, delays;
   std::uint64_t attempts = 0;
   std::uint64_t trace_digest = 0;  // 0 unless the run was traced
+  std::uint64_t storm_handovers = 0;  // set by the shard lanes only
 
   bool operator==(const RunDigest&) const = default;
 };
@@ -383,6 +384,7 @@ RunDigest run_sharded_once(const std::string& profile, std::uint64_t seed,
   // Final shard residence of the churned UEs is part of the contract too.
   d.p50_d = s.ue_domain(2);
   d.p95_d = s.ue_domain(3);
+  d.storm_handovers = s.storm_handovers();
 
   obs::Trace::instance().stop();
   d.trace_digest = obs::Trace::instance().digest();
@@ -394,15 +396,13 @@ class ShardDeterminismTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
   const auto& profile = GetParam();
-  const std::uint64_t storms_before =
-      obs::counter("fault.storm_handovers").value();
   const auto base = run_sharded_once(profile, 11, 1);
   ASSERT_GT(base.wins.size(), 0u);
   ASSERT_GT(base.attempts, 0u);
   if (profile == "handover-storm") {
     // The lane must actually exercise cross-shard churn, not vacuously
     // pass on a quiet scenario.
-    EXPECT_GT(obs::counter("fault.storm_handovers").value(), storms_before);
+    EXPECT_GT(base.storm_handovers, 0u);
   }
   for (const int shards : {2, 8}) {
     expect_same_run(base, run_sharded_once(profile, 11, shards), shards);
@@ -514,6 +514,7 @@ RunDigest run_mixed_nr_once(const std::string& profile, std::uint64_t seed,
   d.attempts = s.pbe_client(flows[0])->monitor().total_candidates_tried();
   d.p50_d = s.ue_domain(2);
   d.p95_d = s.ue_domain(3);
+  d.storm_handovers = s.storm_handovers();
 
   obs::Trace::instance().stop();
   d.trace_digest = obs::Trace::instance().digest();

@@ -12,6 +12,7 @@
 #include "phy/pdcch.h"
 #include "phy/transport_block.h"
 #include "util/crc.h"
+#include "util/digest.h"
 
 namespace pbecc::phy {
 namespace {
@@ -357,6 +358,54 @@ TEST(Pdcch, NoiseFlipsBitsDeterministically) {
   int flips = 0;
   for (std::size_t i = 0; i < sf1.bits.size(); ++i) flips += sf1.bits.bit(i);
   EXPECT_NEAR(flips / static_cast<double>(sf1.bits.size()), 0.1, 0.02);
+}
+
+// The monitor-side noise stream: exactly one bernoulli draw per bit, in bit
+// order. Pinned to the values the per-bit flip loop produced; a noise
+// model that changes the stream (e.g. geometric-gap sampling) moves every
+// determinism digest and must re-pin this table on purpose.
+TEST(Pdcch, NoiseStreamIsPinned) {
+  CellConfig lte{1, 20.0};
+  PdcchBuilder b(lte, 0);
+  for (int i = 0; i < 4; ++i) {
+    Dci d;
+    d.rnti = static_cast<Rnti>(0x200 + i);
+    d.format = DciFormat::kFormat1A;
+    d.prb_start = static_cast<std::uint16_t>(10 * i);
+    d.n_prbs = 8;
+    d.mcs = {7 + i, 1};
+    ASSERT_TRUE(b.add(d, 1 << i));
+  }
+  const PdcchSubframe lte_sf = std::move(b).build();
+  ASSERT_EQ(lte_sf.bits.size(), 6048u);
+  PdcchSubframe nr_sf;  // one NR AL16 candidate's worth of bits
+  nr_sf.n_cces = 16;
+  nr_sf.bits = util::BitVec(16 * kBitsPerCce);
+
+  struct Pin {
+    const PdcchSubframe* region;
+    double ber;
+    std::uint64_t seed;
+    std::uint64_t digest;  // FNV-1a of the noisy region's bytes
+    std::uint64_t next;    // the rng's next draw after the call
+  };
+  const Pin pins[] = {
+      {&lte_sf, 1e-3, 101, 0xbd52016f25739719ULL, 0xedb2a16b811b8d47ULL},
+      {&lte_sf, 0.04, 102, 0x80478978afdae092ULL, 0x99f387d0732b0317ULL},
+      {&lte_sf, 0.5, 103, 0x2596e2ea6b9c4871ULL, 0x5dd776321f3feec0ULL},
+      {&nr_sf, 1e-3, 104, 0xec32669a74fcae65ULL, 0x72503e72f1a3b393ULL},
+      {&nr_sf, 0.04, 105, 0x67a187cc99200317ULL, 0x0cb79002cafa29c3ULL},
+      {&nr_sf, 0.5, 106, 0x02cea5696f7ad596ULL, 0x1b7e2f33b9a26c25ULL},
+  };
+  for (const Pin& pin : pins) {
+    PdcchSubframe sf = *pin.region;
+    util::Rng rng{pin.seed};
+    apply_bit_noise(sf, pin.ber, rng);
+    const auto bytes = sf.bits.to_bytes();
+    EXPECT_EQ(util::fnv1a64(bytes.data(), bytes.size()), pin.digest)
+        << "seed " << pin.seed;
+    EXPECT_EQ(rng.next_u64(), pin.next) << "seed " << pin.seed;
+  }
 }
 
 // --------------------------------------------------------------- channel

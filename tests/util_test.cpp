@@ -6,6 +6,7 @@
 #include <cmath>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "util/arena.h"
 #include "util/bitvec.h"
@@ -131,6 +132,36 @@ TEST(Rng, BernoulliProbability) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += r.bernoulli(0.3);
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
+}
+
+TEST(Rng, BernoulliCutoffMatchesUniformCompare) {
+  Rng src{99};
+  std::vector<double> ps = {0.0,  -0.5,       1.0,        1.5,  1e-300,
+                            1e-3, 0x1.0p-53,  0x1.0p-54,  0.01, 0.04,
+                            0.5,  0.99999999, std::nan("")};
+  // Probabilities on, just below and just above a draw's exact value.
+  for (int i = 0; i < 200; ++i) {
+    const double u = static_cast<double>(src.next_u64() >> 11) * 0x1.0p-53;
+    ps.push_back(u);
+    ps.push_back(std::nextafter(u, 0.0));
+    ps.push_back(std::nextafter(u, 1.0));
+  }
+  const auto uniform_of = [](std::uint64_t k) {
+    return static_cast<double>(k) * 0x1.0p-53;
+  };
+  for (const double p : ps) {
+    const std::uint64_t cut = Rng::bernoulli_cutoff(p);
+    // Every draw value k = next_u64() >> 11 next to the cutoff, and the ends.
+    for (std::uint64_t k : {std::uint64_t{0}, std::uint64_t{1}, cut - 1, cut,
+                            cut + 1, (std::uint64_t{1} << 53) - 1}) {
+      if (k >= (std::uint64_t{1} << 53)) continue;
+      ASSERT_EQ(k < cut, uniform_of(k) < p) << "p " << p << " k " << k;
+    }
+    Rng a{7}, b{7};
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(a.bernoulli(p), (b.next_u64() >> 11) < cut) << "p " << p;
+    }
+  }
 }
 
 TEST(Rng, ForkIndependent) {
@@ -418,6 +449,225 @@ TEST(BitVecTest, Append) {
   EXPECT_EQ(a.read_uint(0, 5), 0b10111u);
 }
 
+// The per-bit model the packed BitVec is held to: the std::vector<bool>
+// storage it replaced, with its one-bit-at-a-time loops.
+struct BitModel {
+  std::vector<bool> bits;
+
+  void push_uint(std::uint64_t v, std::size_t n) {
+    for (std::size_t i = n; i-- > 0;) bits.push_back(((v >> i) & 1ULL) != 0);
+  }
+  std::uint64_t read_uint(std::size_t pos, std::size_t n) const {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 1) | (bits[pos + i] ? 1 : 0);
+    return v;
+  }
+  BitVec to_bitvec() const {
+    BitVec b;
+    for (bool x : bits) b.push_bit(x);
+    return b;
+  }
+};
+
+void expect_matches(const BitVec& b, const BitModel& m, int step) {
+  ASSERT_EQ(b.size(), m.bits.size()) << "step " << step;
+  for (std::size_t i = 0; i < m.bits.size(); ++i) {
+    ASSERT_EQ(b.bit(i), m.bits[i]) << "bit " << i << " step " << step;
+  }
+  std::vector<std::uint8_t> bytes((m.bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < m.bits.size(); ++i) {
+    if (m.bits[i]) bytes[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+  }
+  ASSERT_EQ(b.to_bytes(), bytes) << "step " << step;
+  ASSERT_EQ(b, m.to_bitvec()) << "step " << step;
+}
+
+BitVec random_bits(Rng& rng, std::size_t n, BitModel* model = nullptr) {
+  BitVec b;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool x = rng.bernoulli(0.5);
+    b.push_bit(x);
+    if (model != nullptr) model->bits.push_back(x);
+  }
+  return b;
+}
+
+TEST(BitVecTest, PackedPlaneMatchesPerBitModel) {
+  // Long enough to cross many word boundaries: an NR AL16 candidate is
+  // 1152 bits, plus one word of slack.
+  constexpr std::size_t kLimit = 1152 + 64;
+  Rng rng{2024};
+  // Uniform in [0, hi].
+  const auto upto = [&rng](std::size_t hi) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hi)));
+  };
+  const auto slice = [](const BitModel& m, std::size_t pos, std::size_t len) {
+    BitModel s;
+    s.bits.assign(m.bits.begin() + static_cast<std::ptrdiff_t>(pos),
+                  m.bits.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    return s;
+  };
+  BitVec b;
+  BitModel m;
+  for (int step = 0; step < 6000; ++step) {
+    const auto n = m.bits.size();
+    const auto pos = upto(n);
+    switch (upto(10)) {
+      case 0: {
+        const bool x = rng.bernoulli(0.5);
+        b.push_bit(x);
+        m.bits.push_back(x);
+        break;
+      }
+      case 1: {
+        const auto k = upto(64);
+        const std::uint64_t v = rng.next_u64();
+        b.push_uint(v, k);
+        m.push_uint(v, k);
+        break;
+      }
+      case 2:
+      case 3: {
+        if (n == 0) break;
+        const auto i = upto(n - 1);
+        if (rng.bernoulli(0.5)) {
+          const bool x = rng.bernoulli(0.5);
+          b.set_bit(i, x);
+          m.bits[i] = x;
+        } else {
+          b.flip_bit(i);
+          m.bits[i] = !m.bits[i];
+        }
+        break;
+      }
+      case 4: {
+        BitModel src_model;
+        const BitVec src = random_bits(rng, upto(n - pos), &src_model);
+        b.write_range(pos, src);
+        std::copy(src_model.bits.begin(), src_model.bits.end(),
+                  m.bits.begin() + static_cast<std::ptrdiff_t>(pos));
+        break;
+      }
+      case 5: {
+        const auto len = upto(n - pos);
+        BitVec out = random_bits(rng, 300);  // reused capacity, stale bits
+        b.copy_range(pos, len, out);
+        expect_matches(out, slice(m, pos, len), step);
+        break;
+      }
+      case 6: {
+        const auto k = upto(std::min<std::size_t>(64, n - pos));
+        ASSERT_EQ(b.read_uint(pos, k), m.read_uint(pos, k)) << "step " << step;
+        std::uint64_t window = 0;
+        for (std::size_t i = 0; i < 64; ++i) {
+          const bool x = pos + i < n && m.bits[pos + i];
+          window |= static_cast<std::uint64_t>(x) << (63 - i);
+        }
+        ASSERT_EQ(b.window(pos), window) << "step " << step;
+        break;
+      }
+      case 7: {
+        const auto s = slice(m, pos, upto(n - pos));
+        const auto ones = static_cast<std::size_t>(
+            std::count(s.bits.begin(), s.bits.end(), true));
+        ASSERT_EQ(b.popcount(pos, s.bits.size()), ones) << "step " << step;
+        break;
+      }
+      case 8: {
+        BitModel other_model;
+        const BitVec other = random_bits(rng, upto(n - pos), &other_model);
+        std::size_t diff = 0;
+        for (std::size_t i = 0; i < other.size(); ++i) {
+          diff += m.bits[pos + i] != other_model.bits[i] ? 1 : 0;
+        }
+        ASSERT_EQ(b.hamming(pos, other), diff) << "step " << step;
+        break;
+      }
+      case 9: {
+        BitModel other_model;
+        b.append(random_bits(rng, upto(130), &other_model));
+        m.bits.insert(m.bits.end(), other_model.bits.begin(),
+                      other_model.bits.end());
+        break;
+      }
+      default: {
+        if (n == 0) break;
+        const auto w = upto(b.num_words() - 1);
+        const std::size_t valid = std::min<std::size_t>(64, n - 64 * w);
+        std::uint64_t mask = rng.next_u64();
+        if (valid < 64) mask &= ~0ULL << (64 - valid);
+        b.xor_word(w, mask);
+        for (std::size_t i = 0; i < valid; ++i) {
+          if (((mask >> (63 - i)) & 1) != 0) {
+            m.bits[64 * w + i] = !m.bits[64 * w + i];
+          }
+        }
+        break;
+      }
+    }
+    expect_matches(b, m, step);
+    if (m.bits.size() > kLimit) {
+      // Reuse after clear(): no stale bits may survive in the storage.
+      b.clear();
+      m.bits.clear();
+      EXPECT_EQ(b, BitVec{});
+      EXPECT_TRUE(b.empty());
+    }
+  }
+}
+
+TEST(BitVecTest, RangeOperationsCheckTheirRange) {
+  BitVec b(130);
+  BitVec out;
+  EXPECT_THROW(b.copy_range(100, 31, out), std::out_of_range);
+  EXPECT_THROW(b.copy_range(131, 0, out), std::out_of_range);
+  EXPECT_THROW(b.write_range(120, BitVec(11)), std::out_of_range);
+  EXPECT_THROW(b.popcount(1, 130), std::out_of_range);
+  EXPECT_THROW(b.hamming(2, BitVec(129)), std::out_of_range);
+  EXPECT_THROW(b.window(131), std::out_of_range);
+  EXPECT_THROW(b.read_uint(0, 65), std::out_of_range);
+  EXPECT_THROW(b.push_uint(0, 65), std::out_of_range);
+  // Word 2 holds bits 128..129; a mask reaching past them is refused.
+  EXPECT_THROW(b.xor_word(2, 1ULL << 61), std::out_of_range);
+  EXPECT_THROW(b.xor_word(3, 0), std::out_of_range);
+  EXPECT_NO_THROW(b.xor_word(2, 3ULL << 62));
+  EXPECT_EQ(b.popcount(128, 2), 2u);
+  // The exact end is a valid, empty range.
+  EXPECT_NO_THROW(b.copy_range(130, 0, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(b.window(130), 0u);
+}
+
+TEST(BitVecTest, FromBytesClearsPaddingBits) {
+  Rng rng{7};
+  for (std::size_t nbits = 0; nbits <= 200; ++nbits) {
+    std::vector<std::uint8_t> bytes((nbits + 7) / 8);
+    for (auto& x : bytes) x = static_cast<std::uint8_t>(rng.next_u64());
+    const std::size_t used = nbits % 8;  // bits of the last byte in use
+    if (used != 0) bytes.back() |= static_cast<std::uint8_t>(0xFF >> used);
+    const BitVec b = BitVec::from_bytes(bytes.data(), nbits);
+    BitVec want;
+    for (std::size_t i = 0; i < nbits; ++i) {
+      want.push_bit((bytes[i / 8] & (0x80u >> (i % 8))) != 0);
+    }
+    ASSERT_EQ(b, want) << nbits;
+    auto padded = bytes;
+    if (used != 0) padded.back() &= static_cast<std::uint8_t>(0xFF << (8 - used));
+    ASSERT_EQ(b.to_bytes(), padded) << nbits;
+  }
+}
+
+TEST(BitVecTest, ConstructedOnesKeepZeroTail) {
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 127u, 200u}) {
+    BitVec ones(n, true);
+    BitVec want;
+    for (std::size_t i = 0; i < n; ++i) want.push_bit(true);
+    EXPECT_EQ(ones, want) << n;
+    EXPECT_EQ(ones.popcount(0, n), n);
+  }
+}
+
 // ------------------------------------------------------------------ crc
 
 TEST(CrcTest, SensitiveToEveryBit) {
@@ -458,6 +708,30 @@ TEST(CrcTest, RangeMatchesPrefixCopy) {
   BitVec mid;
   for (std::size_t i = 8; i < 24; ++i) mid.push_bit(b.bit(i));
   EXPECT_EQ(crc16_range(b, 8, 16), crc16(mid));
+}
+
+// The bit-at-a-time CRC the table-driven crc16_range replaced.
+std::uint16_t crc16_bitwise(const BitVec& bits, std::size_t pos,
+                            std::size_t len) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = pos; i < pos + len; ++i) {
+    const bool msb = (crc & 0x8000) != 0;
+    crc = static_cast<std::uint16_t>(crc << 1);
+    if (msb != bits.bit(i)) crc ^= 0x1021;
+  }
+  return crc;
+}
+
+TEST(CrcTest, TableDrivenMatchesBitwiseAtEveryOffset) {
+  Rng rng{16};
+  const BitVec b = random_bits(rng, 64 + 200);
+  for (std::size_t pos = 0; pos < 64; ++pos) {
+    for (std::size_t len = 0; len <= 200; ++len) {
+      ASSERT_EQ(crc16_range(b, pos, len), crc16_bitwise(b, pos, len))
+          << "pos " << pos << " len " << len;
+    }
+  }
+  EXPECT_THROW(crc16_range(b, 64, 201), std::out_of_range);
 }
 
 // ---------------------------------------------------------------- arena
