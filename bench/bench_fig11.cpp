@@ -67,37 +67,31 @@ HourResult simulate_hour(double cell_mhz, int hour, bool cell_off) {
 
 int main(int argc, char** argv) {
   bench::Reporter rep("bench_fig11", argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
   bench::header("Figure 11: cell status over a day (synthetic diurnal load)");
 
   // Each (cell, hour) slice is an independent 20 s simulation: fan the
   // whole day out on the pool.
-  std::vector<int> hours;
-  for (int hour = 0; hour < 24; hour += quick ? 4 : 1) hours.push_back(hour);
+  constexpr std::size_t kHours = 24;
   bench::WallTimer wt;
-  const auto day = rep.pool().parallel_map(
-      2 * hours.size(), [&](std::size_t j) {
-    const int hour = hours[j % hours.size()];
-    return j < hours.size() ? simulate_hour(20.0, hour, false)
-                            : simulate_hour(10.0, hour, hour < 3);  // off 0-3am
+  const auto day = rep.pool().parallel_map(2 * kHours, [&](std::size_t j) {
+    const int hour = static_cast<int>(j % kHours);
+    return j < kHours ? simulate_hour(20.0, hour, false)
+                      : simulate_hour(10.0, hour, hour < 3);  // off 0-3am
   });
-  // 2 cells x |hours| slices x 20 s, 1 ms subframes (10 MHz off 0-3 am).
-  rep.add(quick ? "diurnal_quick" : "diurnal_24h", wt.ms(),
-          static_cast<double>(2 * hours.size()) * 20000.0 / (wt.ms() / 1000.0),
-          0);
+  // 2 cells x 24 slices x 20 s, 1 ms subframes (10 MHz off 0-3 am).
+  rep.add("diurnal_24h", wt.ms(),
+          2 * kHours * 20000.0 / (wt.ms() / 1000.0), 0);
 
   util::SampleSet rates20, rates10;
   std::printf("\n  hour   users(20MHz)  users(10MHz)\n");
-  for (std::size_t i = 0; i < hours.size(); ++i) {
+  for (std::size_t i = 0; i < kHours; ++i) {
+    const int hour = static_cast<int>(i);
     const auto& r20 = day[i];
-    const auto& r10 = day[hours.size() + i];
+    const auto& r10 = day[kHours + i];
     for (double r : r20.rates_mbps_per_prb) rates20.add(r);
     for (double r : r10.rates_mbps_per_prb) rates10.add(r);
-    std::printf("  %4d   %12d  %12d%s\n", hours[i], r20.users_scaled,
-                r10.users_scaled, hours[i] < 3 ? "   (10 MHz cell off)" : "");
+    std::printf("  %4d   %12d  %12d%s\n", hour, r20.users_scaled,
+                r10.users_scaled, hour < 3 ? "   (10 MHz cell off)" : "");
   }
 
   std::printf("\n  (b) physical data rate of detected users, Mbit/s/PRB "

@@ -2,10 +2,12 @@
 // scenarios from src/sim/soak.h, prints their reports, and exits non-zero
 // if either run recorded an invariant violation or a harness check failed.
 //
-//   --subframes N       pipeline soak length (default 2,000,000)
-//   --mac-subframes N   MAC soak length (default 200,000)
+//   --subframes N       pipeline soak length, 1..1e9 (default 2,000,000)
+//   --mac-subframes N   MAC soak length, 1..1e9 (default 200,000)
 //   --metrics <path>    write the merged soak report JSON (CI artifact)
 //   --json <path>       standard bench records (bench_gate.py schema)
+//   --threads N         accepted like every bench's (the soaks run on the
+//                       calling thread)
 //   --abort             abort at the first invariant violation (debugging)
 //   --telemetry <path>  sample the pipeline soak into a .tsv.pbt telemetry
 //                       recording (est.*/decode.*/check.* series)
@@ -13,10 +15,12 @@
 //                       the harness checks passed (redundant today — kept
 //                       symmetric with run_experiment)
 //
+// A malformed or out-of-range count, a missing value or an unknown option
+// exits 2 before either soak starts.
+//
 // The CI soak-smoke job runs this at 100k / 20k subframes with
 // -DPBECC_CHECK=ON and ASan; the acceptance run is the full default length.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -26,10 +30,13 @@
 #include "sim/soak.h"
 #include "tel/file.h"
 #include "tel/sampler.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
 namespace {
+
+constexpr long long kMaxSubframes = 1'000'000'000;
 
 void print_report(const char* name, const sim::SoakReport& r, double wall_ms) {
   std::printf("\n--- %s: %s ---\n", name, r.ok() ? "PASS" : "FAIL");
@@ -58,35 +65,39 @@ void print_report(const char* name, const sim::SoakReport& r, double wall_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter reporter("bench_soak", argc, argv);
-
   sim::PipelineSoakConfig pcfg;
   sim::MacSoakConfig mcfg;
   std::string metrics_path;
   std::string telemetry_path;
   bool strict_checks = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--subframes") == 0 && i + 1 < argc) {
-      pcfg.subframes = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--mac-subframes") == 0 && i + 1 < argc) {
-      mcfg.subframes = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--telemetry") == 0 && i + 1 < argc) {
-      telemetry_path = argv[++i];
+    const auto value = [&] { return util::option_value(argc, argv, i); };
+    if (std::strcmp(argv[i], "--subframes") == 0) {
+      pcfg.subframes =
+          util::whole_number_arg("--subframes", value(), 1, kMaxSubframes);
+    } else if (std::strcmp(argv[i], "--mac-subframes") == 0) {
+      mcfg.subframes =
+          util::whole_number_arg("--mac-subframes", value(), 1, kMaxSubframes);
+    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+      metrics_path = value();
+    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
+      telemetry_path = value();
+    } else if (std::strcmp(argv[i], "--json") == 0 ||
+               std::strcmp(argv[i], "--threads") == 0) {
+      value();  // read by the Reporter below
     } else if (std::strcmp(argv[i], "--strict-checks") == 0) {
       strict_checks = true;
     } else if (std::strcmp(argv[i], "--abort") == 0) {
       check::set_abort_on_violation(true);
+    } else {
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      return 2;
     }
   }
+  bench::Reporter reporter("bench_soak", argc, argv);
 
   std::unique_ptr<tel::Sampler> telemetry;
   if (!telemetry_path.empty()) {
-    if (!tel::kCompiled) {
-      std::fprintf(stderr, "warning: built with -DPBECC_TEL=OFF; "
-                           "--telemetry output will be empty\n");
-    }
     telemetry = std::make_unique<tel::Sampler>();
     pcfg.telemetry = telemetry.get();
   }

@@ -1,16 +1,24 @@
 // Compare all eight congestion-control algorithms on one location profile
 // (paper §6.3.1). Usage: compare_algorithms [location-index] [seconds]
+// The location is a whole number in 0..39 and seconds in 1..86400;
+// anything else exits 2.
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/algorithms.h"
 #include "sim/location.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const int loc_idx = argc > 1 ? std::atoi(argv[1]) : 2;
-  const int seconds = argc > 2 ? std::atoi(argv[2]) : 12;
+  const int loc_idx =
+      argc > 1 ? static_cast<int>(util::whole_number_arg(
+                     "location-index", argv[1], 0, sim::kNumLocations - 1))
+               : 2;
+  const int seconds =
+      argc > 2 ? static_cast<int>(
+                     util::whole_number_arg("seconds", argv[2], 1, 86400))
+               : 12;
   const auto loc = sim::location(loc_idx);
   std::printf("%s\n", loc.describe().c_str());
   std::printf("%-8s %10s %10s %10s %10s  %s\n", "algo", "tput(Mb)", "avg-d(ms)",

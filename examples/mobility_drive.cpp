@@ -3,19 +3,28 @@
 //
 //   ./build/examples/mobility_drive [algo] [start_dbm] [end_dbm] [seconds]
 //   e.g. ./build/examples/mobility_drive pbe -85 -107 20
+//
+// Signal strengths are decimals in -140..-30 dBm and seconds a whole
+// number in 1..86400; anything else exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/scenario.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
 int main(int argc, char** argv) {
   const std::string algo = argc > 1 ? argv[1] : "pbe";
-  const double start_dbm = argc > 2 ? std::atof(argv[2]) : -85.0;
-  const double end_dbm = argc > 3 ? std::atof(argv[3]) : -105.0;
-  const int seconds = argc > 4 ? std::atoi(argv[4]) : 20;
+  const double start_dbm =
+      argc > 2 ? util::decimal_arg("start_dbm", argv[2], -140.0, -30.0)
+               : -85.0;
+  const double end_dbm =
+      argc > 3 ? util::decimal_arg("end_dbm", argv[3], -140.0, -30.0) : -105.0;
+  const int seconds =
+      argc > 4 ? static_cast<int>(
+                     util::whole_number_arg("seconds", argv[4], 1, 86400))
+               : 20;
 
   sim::ScenarioConfig cfg;
   cfg.seed = 7;

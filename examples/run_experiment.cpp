@@ -289,10 +289,6 @@ void run_one(const Options& o, const std::string& algo) {
   }
   std::unique_ptr<tel::Sampler> telemetry;
   if (!o.telemetry.empty()) {
-    if (!tel::kCompiled) {
-      std::fprintf(stderr, "warning: built with -DPBECC_TEL=OFF; "
-                           "--telemetry output will be empty\n");
-    }
     tel::SamplerConfig tcfg;
     tcfg.interval = o.telemetry_interval_ms * util::kMillisecond;
     telemetry = std::make_unique<tel::Sampler>(tcfg);
@@ -386,10 +382,6 @@ int run_replay(const Options& o) {
   cap::ReplayDriver driver(reader.header(), &digest);
   std::unique_ptr<tel::Sampler> telemetry;
   if (!o.telemetry.empty()) {
-    if (!tel::kCompiled) {
-      std::fprintf(stderr, "warning: built with -DPBECC_TEL=OFF; "
-                           "--telemetry output will be empty\n");
-    }
     tel::SamplerConfig tcfg;
     tcfg.interval = o.telemetry_interval_ms * util::kMillisecond;
     telemetry = std::make_unique<tel::Sampler>(tcfg);
@@ -457,11 +449,6 @@ int main(int argc, char** argv) {
   }
 
   const bool tracing = !o.trace_jsonl.empty() || !o.trace_chrome.empty();
-  const bool want_obs = tracing || !o.metrics_json.empty();
-  if (want_obs && !obs::kCompiled) {
-    std::fprintf(stderr, "warning: built with -DPBECC_TRACE=OFF; "
-                         "--trace/--metrics output will be empty\n");
-  }
   if (tracing) {
     obs::TraceConfig tc;
     tc.sample_every = o.trace_sample;

@@ -2,8 +2,10 @@
 //
 //   telemetry_tool summary FILE            accuracy/dwell/anomaly summary
 //   telemetry_tool diff A B [options]      compare two runs series-by-series
-//     --mean-rel F       flag |mean delta| > F * |mean(a)| (default 0.01)
-//     --warmup-ms N      analysis warmup for summary (default 1000)
+//     --mean-rel F       flag |mean delta| > F * |mean(a)|, 0..1000
+//                        (default 0.01)
+//     --warmup-ms N      analysis warmup for summary, 0..86400000
+//                        (default 1000)
 //   telemetry_tool report FILE OUT.html [--title T]
 //                                          self-contained HTML dashboard
 //   telemetry_tool export FILE OUT.{json,csv}
@@ -11,10 +13,10 @@
 //
 // Exit codes: 0 ok; diff exits 1 on a flagged regression (schema mismatch,
 // series appearing/vanishing, mean or count drift past threshold); 2 on
-// unreadable input or bad usage — so CI can tell "runs differ" from
+// unreadable input or bad usage (a malformed or out-of-range number, a
+// missing value, an unknown option) — so CI can tell "runs differ" from
 // "tool failed".
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -22,6 +24,7 @@
 #include "tel/file.h"
 #include "tel/report.h"
 #include "tel/series.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
@@ -31,8 +34,10 @@ void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: telemetry_tool <command> ...\n"
                "  summary FILE [--warmup-ms N]   accuracy + health summary\n"
+               "                                 (N in 0..86400000 ms)\n"
                "  diff A B [--mean-rel F]        compare two recordings;\n"
                "                                 exit 1 on regression\n"
+               "                                 (F in 0..1000)\n"
                "  report FILE OUT.html [--title T]  HTML dashboard\n"
                "  export FILE OUT.json|OUT.csv   convert the recording\n");
 }
@@ -72,8 +77,11 @@ int cmd_summary(int argc, char** argv) {
   }
   tel::AnalyzeConfig cfg;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--warmup-ms") && i + 1 < argc) {
-      cfg.warmup = std::atoi(argv[++i]) * util::kMillisecond;
+    if (!std::strcmp(argv[i], "--warmup-ms")) {
+      cfg.warmup = util::whole_number_arg("--warmup-ms",
+                                          util::option_value(argc, argv, i), 0,
+                                          86'400'000) *
+                   util::kMillisecond;
     } else {
       std::fprintf(stderr, "summary: unknown option %s\n", argv[i]);
       return 2;
@@ -93,8 +101,9 @@ int cmd_diff(int argc, char** argv) {
   }
   tel::DiffThresholds th;
   for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--mean-rel") && i + 1 < argc) {
-      th.mean_rel = std::atof(argv[++i]);
+    if (!std::strcmp(argv[i], "--mean-rel")) {
+      th.mean_rel = util::decimal_arg(
+          "--mean-rel", util::option_value(argc, argv, i), 0.0, 1000.0);
     } else {
       std::fprintf(stderr, "diff: unknown option %s\n", argv[i]);
       return 2;
@@ -114,8 +123,8 @@ int cmd_report(int argc, char** argv) {
   }
   std::string title = argv[0];
   for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--title") && i + 1 < argc) {
-      title = argv[++i];
+    if (!std::strcmp(argv[i], "--title")) {
+      title = util::option_value(argc, argv, i);
     } else {
       std::fprintf(stderr, "report: unknown option %s\n", argv[i]);
       return 2;

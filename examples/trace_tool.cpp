@@ -8,15 +8,16 @@
 //
 // info/stats tolerate a damaged tail (they report the valid prefix and the
 // damage); verify fails closed on any CRC mismatch, truncation or ordering
-// violation.
+// violation. FROM and TO are whole subframe indices; anything else exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cap/tools.h"
 #include "fault/fault.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
@@ -125,8 +126,11 @@ int cmd_stats(const std::string& path) {
 
 int cmd_cut(const std::string& in, const std::string& out, const char* from,
             const char* to) {
+  constexpr long long kMaxSf = std::numeric_limits<long long>::max();
+  const long long sf_from = util::whole_number_arg("FROM_SF", from, 0, kMaxSf);
+  const long long sf_to = util::whole_number_arg("TO_SF", to, 0, kMaxSf);
   std::string err;
-  if (!cap::cut(in, out, std::atoll(from), std::atoll(to), err)) {
+  if (!cap::cut(in, out, sf_from, sf_to, err)) {
     std::fprintf(stderr, "cut: %s\n", err.c_str());
     return 1;
   }

@@ -103,8 +103,7 @@ void fail(const char* name, const char* file, int line) {
     std::fprintf(stderr, "pbecc invariant violated: %s at %s:%d\n", name, file,
                  line);
   }
-  // Mirror into the metrics registry so soak reports carry the counts
-  // (no-op value-wise when PBECC_TRACE is compiled out).
+  // Mirror into the metrics registry so soak reports carry the counts.
   obs::counter("check.violations").inc();
   obs::counter(std::string("check.violation.") + name).inc();
 }

@@ -21,8 +21,7 @@
 // abort_on_violation(true) to die loudly at the first failure with the
 // invariant's name and location. Counts are mirrored into the pbecc::obs
 // registry ("check.violations", "check.violation.<name>") so metrics JSON
-// reports carry them; the layer's own bookkeeping works even when
-// PBECC_TRACE is compiled out.
+// reports carry them.
 //
 // Expensive *preparation* for a deep check (building the exact value to
 // compare against) should be gated at the call site:

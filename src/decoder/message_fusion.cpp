@@ -64,7 +64,7 @@ void MessageFusion::flush_through(util::Time t) {
       cm.sf_index = fused.time / e.tick;
       if (auto found = it->second.find(e.cell); found != it->second.end()) {
         cm.messages = std::move(found->second);
-      } else if constexpr (obs::kCompiled) {
+      } else {
         // A decoder skipped this tick on cell `e.cell`; fusion papers over
         // the gap with an empty message list (the correction the paper's
         // Fig 10a pipeline applies). Surface it — gap rate is the health

@@ -34,15 +34,13 @@ Monitor::Monitor(phy::Rnti own_rnti, std::vector<phy::CellConfig> cells,
       o.cell_prbs = cell_prbs_.at(cm.cell);
       o.summary = trackers_.at(cm.cell)->on_subframe(cm.sf_index,
                                                      cm.messages, own_rnti_);
-      if constexpr (obs::kCompiled) {
-        const auto& g = gauges_.at(cm.cell);
-        g.data_users->set(o.summary.data_users);
-        g.raw_users->set(o.summary.raw_active_users);
-        obs::emit(obs::EventKind::kSubframeObserved, fused.time,
-                  static_cast<std::uint16_t>(cm.cell), 0,
-                  o.summary.data_users, o.summary.own_prbs,
-                  o.summary.idle_prbs);
-      }
+      const auto& g = gauges_.at(cm.cell);
+      g.data_users->set(o.summary.data_users);
+      g.raw_users->set(o.summary.raw_active_users);
+      obs::emit(obs::EventKind::kSubframeObserved, fused.time,
+                static_cast<std::uint16_t>(cm.cell), 0,
+                o.summary.data_users, o.summary.own_prbs,
+                o.summary.idle_prbs);
       obs.push_back(o);
     }
     out_(obs);
@@ -67,13 +65,11 @@ void Monitor::note_fault_edge(bool& state, bool now_active,
                               fault::FaultType type, phy::CellId cell,
                               util::Time t, std::int64_t detail) {
   if (now_active && !state) {
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& injections = obs::counter("fault.monitor_injections");
-      injections.inc();
-      obs::emit(obs::EventKind::kFaultInjected, t,
-                static_cast<std::uint16_t>(cell),
-                static_cast<std::uint32_t>(type), detail);
-    }
+    static obs::Counter& injections = obs::counter("fault.monitor_injections");
+    injections.inc();
+    obs::emit(obs::EventKind::kFaultInjected, t,
+              static_cast<std::uint16_t>(cell),
+              static_cast<std::uint32_t>(type), detail);
   }
   state = now_active;
 }
@@ -179,15 +175,12 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
             p.sf_index, p.cell, cell_prbs_.at(p.cell), k));
       }
       if (n_false > 0) {
-        if constexpr (obs::kCompiled) {
-          static obs::Counter& false_dcis =
-              obs::counter("fault.false_dcis");
-          false_dcis.inc(static_cast<std::uint64_t>(n_false));
-          obs::emit(obs::EventKind::kFaultInjected, p.now,
-                    static_cast<std::uint16_t>(p.cell),
-                    static_cast<std::uint32_t>(fault::FaultType::kFalseDci),
-                    n_false);
-        }
+        static obs::Counter& false_dcis = obs::counter("fault.false_dcis");
+        false_dcis.inc(static_cast<std::uint64_t>(n_false));
+        obs::emit(obs::EventKind::kFaultInjected, p.now,
+                  static_cast<std::uint16_t>(p.cell),
+                  static_cast<std::uint32_t>(fault::FaultType::kFalseDci),
+                  n_false);
       }
     }
     success_times_.push_back(p.now);

@@ -75,12 +75,10 @@ void BaseStation::add_ue(const UeConfig& cfg, DeliveryHandler deliver) {
 void BaseStation::enqueue(UeId ue, net::Packet pkt) {
   auto& st = ues_.at(ue);
   if (st.queue_bytes + pkt.bytes > st.cfg.queue_capacity_bytes) {
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& drops = obs::counter("mac.queue_drops");
-      drops.inc();
-      obs::emit(obs::EventKind::kQueueDrop, loop_.now(), 0,
-                static_cast<std::uint32_t>(ue), pkt.bytes);
-    }
+    static obs::Counter& drops = obs::counter("mac.queue_drops");
+    drops.inc();
+    obs::emit(obs::EventKind::kQueueDrop, loop_.now(), 0,
+              static_cast<std::uint32_t>(ue), pkt.bytes);
     if (drop_handler_) drop_handler_(ue, pkt);
     return;  // per-user buffer overflow: droptail
   }
@@ -151,16 +149,14 @@ void BaseStation::tick() {
     ue.ca.on_subframe(loop_.now(), ue.queue_bytes,
                       ue.newest_secondary_prbs_this_sf, ue.total_prbs_this_sf,
                       serving_capacity);
-    if constexpr (obs::kCompiled) {
-      const std::size_t active_after = ue.ca.active_cells().size();
-      if (active_after != active_before) {
-        static obs::Counter& changes = obs::counter("mac.ca_changes");
-        changes.inc();
-        obs::emit(obs::EventKind::kCaChange, loop_.now(), 0,
-                  static_cast<std::uint32_t>(id),
-                  static_cast<std::int64_t>(active_after),
-                  static_cast<double>(active_before));
-      }
+    const std::size_t active_after = ue.ca.active_cells().size();
+    if (active_after != active_before) {
+      static obs::Counter& changes = obs::counter("mac.ca_changes");
+      changes.inc();
+      obs::emit(obs::EventKind::kCaChange, loop_.now(), 0,
+                static_cast<std::uint32_t>(id),
+                static_cast<std::int64_t>(active_after),
+                static_cast<double>(active_before));
     }
   }
 
@@ -207,13 +203,11 @@ void BaseStation::run_cell(CellState& cell, std::int64_t tick_index) {
       record.retx_prbs += tb.n_prbs;
       ue.total_prbs_this_sf += tb.n_prbs;
       ue.prbs_this_sf_by_cell[cell.cfg.id] += tb.n_prbs;
-      if constexpr (obs::kCompiled) {
-        static obs::Counter& retx = obs::counter("mac.harq_retx");
-        retx.inc();
-        obs::emit(obs::EventKind::kHarqRetx, loop_.now(),
-                  static_cast<std::uint16_t>(cell.cfg.id),
-                  static_cast<std::uint32_t>(ue.cfg.id), proc, tb.n_prbs);
-      }
+      static obs::Counter& retx = obs::counter("mac.harq_retx");
+      retx.inc();
+      obs::emit(obs::EventKind::kHarqRetx, loop_.now(),
+                static_cast<std::uint16_t>(cell.cfg.id),
+                static_cast<std::uint32_t>(ue.cfg.id), proc, tb.n_prbs);
       transmissions.push_back({&ue, proc, true, {}});
     }
   }
@@ -351,7 +345,7 @@ void BaseStation::run_cell(CellState& cell, std::int64_t tick_index) {
                     "bs_prb_ledger_balanced");
   }
 
-  if constexpr (obs::kCompiled) {
+  {
     // Per-subframe PRB ledger: total = data + control + retx + idle.
     static obs::Counter& total = obs::counter("mac.prbs_total");
     static obs::Counter& idle = obs::counter("mac.prbs_idle");
@@ -418,10 +412,8 @@ void BaseStation::transmit_tb(CellState& cell, UeState& ue, std::uint8_t proc,
 
   const TransportBlock& active_tb = harq.block(proc);
   ++total_tbs_sent_;
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& sent = obs::counter("mac.tbs_sent");
-    sent.inc();
-  }
+  static obs::Counter& sent = obs::counter("mac.tbs_sent");
+  sent.inc();
 
   const double p = ue.ch_now.at(cell.cfg.id).data_ber;
   const double tber = phy::tb_error_rate(p, active_tb.bits);
@@ -442,22 +434,18 @@ void BaseStation::transmit_tb(CellState& cell, UeState& ue, std::uint8_t proc,
   }
 
   ++total_tb_errors_;
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& errors = obs::counter("mac.tb_errors");
-    errors.inc();
-  }
+  static obs::Counter& errors = obs::counter("mac.tb_errors");
+  errors.inc();
   if (!harq.fail(proc, tick_index)) {
     // Retransmissions exhausted: abandon; packets inside are lost.
     ++total_tbs_abandoned_;
     TransportBlock dead = harq.take_abandoned(proc);
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
-      abandoned.inc();
-      obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
-                static_cast<std::uint16_t>(cell.cfg.id),
-                static_cast<std::uint32_t>(ue.cfg.id),
-                static_cast<std::int64_t>(dead.tb_seq));
-    }
+    static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
+    abandoned.inc();
+    obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
+              static_cast<std::uint16_t>(cell.cfg.id),
+              static_cast<std::uint32_t>(ue.cfg.id),
+              static_cast<std::int64_t>(dead.tb_seq));
     loop_.schedule_at(decode_time, [this, ue_id = ue.cfg.id, seq = dead.tb_seq] {
       const auto it = ues_.find(ue_id);
       if (it != ues_.end()) it->second.reorder->on_tb_abandoned(loop_.now(), seq);
@@ -579,14 +567,12 @@ void BaseStation::handover(UeId ue_id, const std::vector<phy::CellId>& new_cells
     if (!known) throw std::invalid_argument("handover to unknown cell");
   }
   auto& ue = ues_.at(ue_id);
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& handovers = obs::counter("mac.handovers");
-    handovers.inc();
-    obs::emit(obs::EventKind::kHandover, loop_.now(),
-              static_cast<std::uint16_t>(new_cells.front()),
-              static_cast<std::uint32_t>(ue_id),
-              static_cast<std::int64_t>(new_cells.size()));
-  }
+  static obs::Counter& handovers = obs::counter("mac.handovers");
+  handovers.inc();
+  obs::emit(obs::EventKind::kHandover, loop_.now(),
+            static_cast<std::uint16_t>(new_cells.front()),
+            static_cast<std::uint32_t>(ue_id),
+            static_cast<std::int64_t>(new_cells.size()));
 
   // Abandon in-flight HARQ blocks on the old serving cells (no forwarding).
   for (auto& [cell, harq] : ue.harq) {
@@ -597,14 +583,12 @@ void BaseStation::handover(UeId ue_id, const std::vector<phy::CellId>& new_cells
         if (it != ues_.end()) it->second.reorder->on_tb_abandoned(loop_.now(), seq);
       });
       ++total_tbs_abandoned_;
-      if constexpr (obs::kCompiled) {
-        static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
-        abandoned.inc();
-        obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
-                  static_cast<std::uint16_t>(cell),
-                  static_cast<std::uint32_t>(ue_id),
-                  static_cast<std::int64_t>(seq));
-      }
+      static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
+      abandoned.inc();
+      obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
+                static_cast<std::uint16_t>(cell),
+                static_cast<std::uint32_t>(ue_id),
+                static_cast<std::int64_t>(seq));
     }
   }
 
@@ -657,14 +641,12 @@ UeMigration BaseStation::extract_ue(UeId ue_id) {
     for (TransportBlock& dead : harq.abandon_all()) {
       ue.reorder->on_tb_abandoned(loop_.now(), dead.tb_seq);
       ++total_tbs_abandoned_;
-      if constexpr (obs::kCompiled) {
-        static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
-        abandoned.inc();
-        obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
-                  static_cast<std::uint16_t>(cell),
-                  static_cast<std::uint32_t>(ue_id),
-                  static_cast<std::int64_t>(dead.tb_seq));
-      }
+      static obs::Counter& abandoned = obs::counter("mac.tbs_abandoned");
+      abandoned.inc();
+      obs::emit(obs::EventKind::kTbAbandoned, loop_.now(),
+                static_cast<std::uint16_t>(cell),
+                static_cast<std::uint32_t>(ue_id),
+                static_cast<std::int64_t>(dead.tb_seq));
     }
   }
 

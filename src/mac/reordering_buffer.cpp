@@ -49,10 +49,8 @@ void ReorderingBuffer::expire(util::Time now) {
          now - buffer_.begin()->second.since >= cfg_.timeout) {
     next_expected_ = buffer_.begin()->first;
     ++expired_skips_;
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& skips = obs::counter("mac.reorder_expired_skips");
-      skips.inc();
-    }
+    static obs::Counter& skips = obs::counter("mac.reorder_expired_skips");
+    skips.inc();
     drain();
   }
   check_order();

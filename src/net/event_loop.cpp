@@ -20,10 +20,8 @@ bool EventLoop::run_one() {
   Event ev = std::move(heap_.back());
   heap_.pop_back();
   now_ = ev.time;
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& dispatched = obs::counter("net.events_dispatched");
-    dispatched.inc();
-  }
+  static obs::Counter& dispatched = obs::counter("net.events_dispatched");
+  dispatched.inc();
   {
     PBECC_PROF_SCOPE("event_dispatch");
     ev.cb();

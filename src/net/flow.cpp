@@ -63,10 +63,8 @@ void FlowSender::send_packet() {
   total_sent_bytes_ += static_cast<std::uint64_t>(pkt.bytes);
 
   cc_->on_packet_sent(loop_.now(), pkt, bytes_in_flight_);
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& sent = obs::counter("net.packets_sent");
-    sent.inc();
-  }
+  static obs::Counter& sent = obs::counter("net.packets_sent");
+  sent.inc();
   egress_(std::move(pkt));
 }
 
@@ -109,10 +107,8 @@ void FlowSender::on_ack(const Ack& ack) {
     srtt_ = (7 * srtt_ + s.rtt) / 8;
   }
 
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& acks = obs::counter("net.acks_received");
-    acks.inc();
-  }
+  static obs::Counter& acks = obs::counter("net.acks_received");
+  acks.inc();
   cc_->on_ack(s);
   detect_threshold_losses(ack.seq);
   try_send();
@@ -126,13 +122,11 @@ void FlowSender::detect_threshold_losses(std::uint64_t acked_seq) {
     in_flight_.erase(in_flight_.begin());
     bytes_in_flight_ -= static_cast<std::uint64_t>(meta.bytes);
     ++lost_packets_;
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& losses = obs::counter("net.packets_lost");
-      losses.inc();
-      obs::emit(obs::EventKind::kPacketLoss, loop_.now(), 0,
-                static_cast<std::uint32_t>(cfg_.id),
-                static_cast<std::int64_t>(seq), meta.bytes);
-    }
+    static obs::Counter& losses = obs::counter("net.packets_lost");
+    losses.inc();
+    obs::emit(obs::EventKind::kPacketLoss, loop_.now(), 0,
+              static_cast<std::uint32_t>(cfg_.id),
+              static_cast<std::int64_t>(seq), meta.bytes);
     LossSample ls;
     ls.now = loop_.now();
     ls.seq = seq;
@@ -162,13 +156,11 @@ void FlowSender::arm_watchdog() {
       const std::uint64_t first_seq = in_flight_.begin()->first;
       in_flight_.clear();
       bytes_in_flight_ = 0;
-      if constexpr (obs::kCompiled) {
-        static obs::Counter& rtos = obs::counter("net.rtos_fired");
-        rtos.inc();
-        obs::emit(obs::EventKind::kRtoFired, now, 0,
-                  static_cast<std::uint32_t>(cfg_.id), 0,
-                  static_cast<double>(lost));
-      }
+      static obs::Counter& rtos = obs::counter("net.rtos_fired");
+      rtos.inc();
+      obs::emit(obs::EventKind::kRtoFired, now, 0,
+                static_cast<std::uint32_t>(cfg_.id), 0,
+                static_cast<double>(lost));
       LossSample ls;
       ls.now = now;
       ls.seq = first_seq;

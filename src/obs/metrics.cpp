@@ -34,10 +34,6 @@ void append_json_escaped(std::string& out, const std::string& s) {
 }  // namespace
 
 void ExpHistogram::record(std::uint64_t v) {
-  if constexpr (!kCompiled) {
-    (void)v;
-    return;
-  }
   count_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
   while (v < cur &&

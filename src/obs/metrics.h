@@ -16,9 +16,6 @@
 // deterministic under concurrency (increments commute); only histogram
 // min/max interleavings and trace ordering across *concurrent scenarios*
 // are timing-dependent.
-//
-// With the PBECC_TRACE compile flag off (see flags.h) every mutator is an
-// empty inline function: registration still works, values stay zero.
 #pragma once
 
 #include <array>
@@ -30,15 +27,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/flags.h"
-
 namespace pbecc::obs {
 
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
-    if constexpr (kCompiled) value_.fetch_add(n, std::memory_order_relaxed);
-    (void)n;
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -49,10 +43,7 @@ class Counter {
 
 class Gauge {
  public:
-  void set(double v) {
-    if constexpr (kCompiled) value_.store(v, std::memory_order_relaxed);
-    (void)v;
-  }
+  void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 

@@ -9,12 +9,10 @@
 //   profile.h  PBECC_PROF_SCOPE wall-clock profiler feeding `prof.*`
 //              histograms in the registry
 //
-// Everything compiles away under -DPBECC_TRACE=OFF (see flags.h); with the
-// flag on, tracing and profiling are still opt-in at runtime and idle call
-// sites cost one predictable branch.
+// Tracing and profiling are opt-in at runtime; idle call sites cost one
+// predictable branch. Counters and gauges always count.
 #pragma once
 
-#include "obs/flags.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"

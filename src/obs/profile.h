@@ -12,31 +12,23 @@
 // CPU cost of simulated work (is blind decoding faster than the 1 ms
 // subframe budget?), so the sim clock is useless here.
 //
-// Off by default: enable with set_profiling(true[, sample_every]). When
-// disabled the scope costs a single branch; when compiled out (flags.h) it
-// costs nothing. sample_every > 1 times only every Nth entry per site,
-// bounding clock-read overhead in very hot scopes.
+// Off by default: enable with set_profiling(true). When disabled the scope
+// costs a single branch.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 
-#include "obs/flags.h"
 #include "obs/metrics.h"
 
 namespace pbecc::obs {
 
 namespace detail {
 inline bool g_prof_on = false;
-inline std::uint32_t g_prof_sample_every = 1;
 }  // namespace detail
 
-inline void set_profiling(bool on, std::uint32_t sample_every = 1) {
-  detail::g_prof_on = on;
-  detail::g_prof_sample_every = sample_every == 0 ? 1 : sample_every;
-}
+inline void set_profiling(bool on) { detail::g_prof_on = on; }
 inline bool profiling_enabled() { return detail::g_prof_on; }
 
 class ProfSite {
@@ -44,23 +36,16 @@ class ProfSite {
   explicit ProfSite(const char* name)
       : hist_(&histogram(std::string("prof.") + name)) {}
 
-  bool take_sample() {
-    // Relaxed: sites are shared across pool threads; sampling cadence only
-    // needs to be approximate, not strictly every-Nth.
-    return (calls_.fetch_add(1, std::memory_order_relaxed) %
-            detail::g_prof_sample_every) == 0;
-  }
   void record_ns(std::uint64_t ns) { hist_->record(ns); }
 
  private:
   ExpHistogram* hist_;
-  std::atomic<std::uint32_t> calls_{0};
 };
 
 class ProfScope {
  public:
   explicit ProfScope(ProfSite& site) {
-    if (detail::g_prof_on && site.take_sample()) {
+    if (detail::g_prof_on) {
       site_ = &site;
       t0_ = std::chrono::steady_clock::now();
     }
@@ -86,13 +71,9 @@ class ProfScope {
 #define PBECC_OBS_CONCAT_INNER(a, b) a##b
 #define PBECC_OBS_CONCAT(a, b) PBECC_OBS_CONCAT_INNER(a, b)
 
-#if defined(PBECC_TRACE_ENABLED)
 #define PBECC_PROF_SCOPE(name_literal)                                   \
   static ::pbecc::obs::ProfSite PBECC_OBS_CONCAT(pbecc_prof_site_,       \
                                                  __LINE__){name_literal}; \
   ::pbecc::obs::ProfScope PBECC_OBS_CONCAT(pbecc_prof_scope_, __LINE__) { \
     PBECC_OBS_CONCAT(pbecc_prof_site_, __LINE__)                          \
   }
-#else
-#define PBECC_PROF_SCOPE(name_literal) static_cast<void>(0)
-#endif

@@ -9,9 +9,9 @@
 // Timestamps are util::Time (simulation microseconds), never wall clock, so
 // decoder, estimator, MAC and transport events line up on one timebase.
 //
-// Cost model: emit() is one branch when no trace is active, nothing at all
-// when compiled out (flags.h). High-frequency kinds (per-DCI, per-feedback)
-// can additionally be sampled 1-in-N at runtime via TraceConfig.
+// Cost model: emit() is one branch when no trace is active. High-frequency
+// kinds (per-DCI, per-feedback) can additionally be sampled 1-in-N at
+// runtime via TraceConfig.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/flags.h"
 #include "util/time.h"
 
 namespace pbecc::obs {
@@ -176,16 +175,13 @@ inline bool tracing_active() { return detail::g_trace != nullptr; }
 inline void emit(EventKind kind, util::Time t, std::uint16_t id,
                  std::uint32_t id2, std::int64_t a = 0, double x = 0,
                  double y = 0) {
-  if constexpr (kCompiled) {
-    if (detail::g_trace != nullptr) {
-      if (detail::g_sink != nullptr) {
-        detail::g_sink->push_back(Event{t, kind, id, id2, a, x, y});
-      } else {
-        detail::g_trace->record(Event{t, kind, id, id2, a, x, y});
-      }
+  if (detail::g_trace != nullptr) {
+    if (detail::g_sink != nullptr) {
+      detail::g_sink->push_back(Event{t, kind, id, id2, a, x, y});
+    } else {
+      detail::g_trace->record(Event{t, kind, id, id2, a, x, y});
     }
   }
-  (void)kind; (void)t; (void)id; (void)id2; (void)a; (void)x; (void)y;
 }
 
 }  // namespace pbecc::obs

@@ -108,20 +108,18 @@ void CapacityEstimator::on_observations(
     }
   }
   obs_.updates->inc();
-  if constexpr (obs::kCompiled) {
-    // The readouts cost a loop over the cells, so only pay for them when
-    // someone is actually collecting (a live trace, or a metrics run —
-    // which enables profiling — where the gauges end up in the report).
-    if (obs::tracing_active() || obs::profiling_enabled()) {
-      const double cp = available_capacity(now);
-      const double cf = fair_share_capacity(now);
-      const int cells = active_cell_count(now);
-      obs_.cp_bits_sf->set(cp);
-      obs_.cf_bits_sf->set(cf);
-      obs_.active_cells->set(cells);
-      obs_.max_users->set(max_users());
-      obs::emit(obs::EventKind::kCapacityUpdate, now, 0, 0, cells, cp, cf);
-    }
+  // The readouts cost a loop over the cells, so only pay for them when
+  // someone is actually collecting (a live trace, or a metrics run —
+  // which enables profiling — where the gauges end up in the report).
+  if (obs::tracing_active() || obs::profiling_enabled()) {
+    const double cp = available_capacity(now);
+    const double cf = fair_share_capacity(now);
+    const int cells = active_cell_count(now);
+    obs_.cp_bits_sf->set(cp);
+    obs_.cf_bits_sf->set(cf);
+    obs_.active_cells->set(cells);
+    obs_.max_users->set(max_users());
+    obs::emit(obs::EventKind::kCapacityUpdate, now, 0, 0, cells, cp, cf);
   }
 }
 

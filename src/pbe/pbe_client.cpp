@@ -238,10 +238,8 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
   const double conf = confidence(now);
   ack.pbe_confidence =
       static_cast<std::uint8_t>(std::lround(conf * 255.0));
-  if constexpr (obs::kCompiled) {
-    static obs::Gauge& conf_gauge = obs::gauge("pbe.client.confidence");
-    conf_gauge.set(conf);
-  }
+  static obs::Gauge& conf_gauge = obs::gauge("pbe.client.confidence");
+  conf_gauge.set(conf);
 
   // --- Encode: interval in microseconds between two MSS-size packets.
   if (rate_bps > 1000.0) {
@@ -254,18 +252,16 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
   }
   ack.pbe_internet_bottleneck = state_ == State::kInternet;
 
-  if constexpr (obs::kCompiled) {
-    if (state_ != prev_state) {
-      static obs::Counter& switches = obs::counter("pbe.client.state_switches");
-      switches.inc();
-      obs::emit(obs::EventKind::kClientStateSwitch, now, 0,
-                static_cast<std::uint32_t>(prev_state),
-                static_cast<std::int64_t>(state_));
-    }
-    obs::emit(obs::EventKind::kFeedbackSent, now, 0, 0,
-              static_cast<std::int64_t>(state_), rate_bps,
-              util::to_seconds(owd) * 1e3);
+  if (state_ != prev_state) {
+    static obs::Counter& switches = obs::counter("pbe.client.state_switches");
+    switches.inc();
+    obs::emit(obs::EventKind::kClientStateSwitch, now, 0,
+              static_cast<std::uint32_t>(prev_state),
+              static_cast<std::int64_t>(state_));
   }
+  obs::emit(obs::EventKind::kFeedbackSent, now, 0, 0,
+            static_cast<std::int64_t>(state_), rate_bps,
+            util::to_seconds(owd) * 1e3);
 }
 
 double PbeClient::confidence(util::Time now) const {

@@ -36,15 +36,11 @@ PbeSender::PbeSender(PbeSenderConfig cfg)
       });
   degradation_.set_cross_check_hook(
       [](util::Time now, double phy_bps, double delay_bps, bool diverged) {
-        if constexpr (obs::kCompiled) {
-          static obs::Counter& flips =
-              obs::counter("pbe.sender.cross_check_flips");
-          flips.inc();
-          obs::emit(obs::EventKind::kEstimatorCrossCheck, now, 0,
-                    diverged ? 1u : 0u, 0, phy_bps, delay_bps);
-        } else {
-          (void)now; (void)phy_bps; (void)delay_bps; (void)diverged;
-        }
+        static obs::Counter& flips =
+            obs::counter("pbe.sender.cross_check_flips");
+        flips.inc();
+        obs::emit(obs::EventKind::kEstimatorCrossCheck, now, 0,
+                  diverged ? 1u : 0u, 0, phy_bps, delay_bps);
       });
 }
 
@@ -60,11 +56,9 @@ void PbeSender::decode_feedback(const net::AckSample& s) {
   const bool plausible = rate >= kMinPlausibleBps && rate <= kMaxPlausibleBps;
   misreport_.on_feedback_word(plausible);
   if (!plausible) {
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& rejected =
-          obs::counter("pbe.sender.implausible_feedback");
-      rejected.inc();
-    }
+    static obs::Counter& rejected =
+        obs::counter("pbe.sender.implausible_feedback");
+    rejected.inc();
     return;
   }
   feedback_rate_ = rate;
@@ -142,24 +136,22 @@ void PbeSender::on_ack(const net::AckSample& s) {
     bbr_->on_ack(s);
   }
 
-  if constexpr (obs::kCompiled) {
-    static obs::Gauge& pacing = obs::gauge("pbe.sender.pacing_bps");
-    static obs::Gauge& cwnd = obs::gauge("pbe.sender.cwnd_bytes");
-    static obs::Gauge& feedback = obs::gauge("pbe.sender.feedback_bps");
-    static obs::Gauge& bwe_target = obs::gauge("bwe.target_bps");
-    static obs::Gauge& bwe_acked = obs::gauge("bwe.acked_bps");
-    static obs::Gauge& bwe_slope = obs::gauge("bwe.trendline_slope");
-    static obs::Gauge& bwe_state = obs::gauge("bwe.overuse_state");
-    static obs::Gauge& blend = obs::gauge("pbe.sender.blend_weight");
-    pacing.set(pacing_rate(s.now));
-    cwnd.set(cwnd_bytes(s.now));
-    feedback.set(feedback_rate_);
-    bwe_target.set(delay_bwe_.target_bps());
-    bwe_acked.set(delay_bwe_.acked_bps());
-    bwe_slope.set(delay_bwe_.trendline().slope());
-    bwe_state.set(static_cast<double>(delay_bwe_.usage()));
-    blend.set(degradation_.phy_weight());
-  }
+  static obs::Gauge& pacing = obs::gauge("pbe.sender.pacing_bps");
+  static obs::Gauge& cwnd = obs::gauge("pbe.sender.cwnd_bytes");
+  static obs::Gauge& feedback = obs::gauge("pbe.sender.feedback_bps");
+  static obs::Gauge& bwe_target = obs::gauge("bwe.target_bps");
+  static obs::Gauge& bwe_acked = obs::gauge("bwe.acked_bps");
+  static obs::Gauge& bwe_slope = obs::gauge("bwe.trendline_slope");
+  static obs::Gauge& bwe_state = obs::gauge("bwe.overuse_state");
+  static obs::Gauge& blend = obs::gauge("pbe.sender.blend_weight");
+  pacing.set(pacing_rate(s.now));
+  cwnd.set(cwnd_bytes(s.now));
+  feedback.set(feedback_rate_);
+  bwe_target.set(delay_bwe_.target_bps());
+  bwe_acked.set(delay_bwe_.acked_bps());
+  bwe_slope.set(delay_bwe_.trendline().slope());
+  bwe_state.set(static_cast<double>(delay_bwe_.usage()));
+  blend.set(degradation_.phy_weight());
 }
 
 void PbeSender::on_packet_sent(util::Time now, const net::Packet& pkt,
@@ -220,15 +212,13 @@ void PbeSender::on_degradation_switch(util::Time now, DegradationState from,
   }
   if (from == DegradationState::kFallback) fallback_bbr_.reset();
 
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& switches =
-        obs::counter("pbe.sender.degradation_switches");
-    static obs::Gauge& state_gauge = obs::gauge("pbe.sender.degradation_state");
-    switches.inc();
-    state_gauge.set(static_cast<double>(to));
-    obs::emit(obs::EventKind::kDegradationSwitch, now, 0,
-              static_cast<std::uint32_t>(from), static_cast<std::int64_t>(to));
-  }
+  static obs::Counter& switches =
+      obs::counter("pbe.sender.degradation_switches");
+  static obs::Gauge& state_gauge = obs::gauge("pbe.sender.degradation_state");
+  switches.inc();
+  state_gauge.set(static_cast<double>(to));
+  obs::emit(obs::EventKind::kDegradationSwitch, now, 0,
+            static_cast<std::uint32_t>(from), static_cast<std::int64_t>(to));
 }
 
 void PbeSender::enter_internet_mode(util::Time now) {
@@ -257,14 +247,9 @@ void PbeSender::leave_internet_mode(util::Time now) {
 }
 
 void PbeSender::note_mode_switch(util::Time now, bool internet) {
-  if constexpr (obs::kCompiled) {
-    static obs::Counter& switches = obs::counter("pbe.sender.mode_switches");
-    switches.inc();
-    obs::emit(obs::EventKind::kSenderModeSwitch, now, 0, 0, internet ? 1 : 0);
-  } else {
-    (void)now;
-    (void)internet;
-  }
+  static obs::Counter& switches = obs::counter("pbe.sender.mode_switches");
+  switches.inc();
+  obs::emit(obs::EventKind::kSenderModeSwitch, now, 0, 0, internet ? 1 : 0);
 }
 
 util::RateBps PbeSender::phy_rate(util::Time now) const {

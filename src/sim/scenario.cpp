@@ -270,43 +270,37 @@ int Scenario::add_flow(const FlowSpec& spec) {
           const fault::FeedbackFault ff = faults_->feedback_fault(
               lp->now(), static_cast<std::uint32_t>(flow_id), ack.seq);
           if (ff.drop) {
-            if constexpr (obs::kCompiled) {
-              static obs::Counter& drops = obs::counter("fault.feedback_drops");
-              drops.inc();
-              obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
-                        static_cast<std::uint32_t>(
-                            fault::FaultType::kFeedbackDrop),
-                        static_cast<std::int64_t>(flow_id));
-            }
+            static obs::Counter& drops = obs::counter("fault.feedback_drops");
+            drops.inc();
+            obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
+                      static_cast<std::uint32_t>(
+                          fault::FaultType::kFeedbackDrop),
+                      static_cast<std::int64_t>(flow_id));
             return;  // the ACK never reaches the sender
           }
           if (ff.corrupt && ack.pbe_rate_interval_us != 0) {
             ack.pbe_rate_interval_us = faults_->corrupt_word(
                 ack.pbe_rate_interval_us, static_cast<std::uint32_t>(flow_id),
                 ack.seq);
-            if constexpr (obs::kCompiled) {
-              static obs::Counter& corruptions =
-                  obs::counter("fault.feedback_corruptions");
-              corruptions.inc();
-              obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
-                        static_cast<std::uint32_t>(
-                            fault::FaultType::kFeedbackCorrupt),
-                        static_cast<std::int64_t>(flow_id));
-            }
+            static obs::Counter& corruptions =
+                obs::counter("fault.feedback_corruptions");
+            corruptions.inc();
+            obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
+                      static_cast<std::uint32_t>(
+                          fault::FaultType::kFeedbackCorrupt),
+                      static_cast<std::int64_t>(flow_id));
           }
           if (ff.extra_delay > 0) {
             delay += ff.extra_delay;
             if (!ctxp->in_delay_spike) {
               ctxp->in_delay_spike = true;
-              if constexpr (obs::kCompiled) {
-                static obs::Counter& spikes =
-                    obs::counter("fault.feedback_delay_spikes");
-                spikes.inc();
-                obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
-                          static_cast<std::uint32_t>(
-                              fault::FaultType::kFeedbackDelay),
-                          static_cast<std::int64_t>(flow_id));
-              }
+              static obs::Counter& spikes =
+                  obs::counter("fault.feedback_delay_spikes");
+              spikes.inc();
+              obs::emit(obs::EventKind::kFaultInjected, lp->now(), 0,
+                        static_cast<std::uint32_t>(
+                            fault::FaultType::kFeedbackDelay),
+                        static_cast<std::int64_t>(flow_id));
             }
           } else {
             ctxp->in_delay_spike = false;
@@ -365,24 +359,22 @@ int Scenario::add_flow(const FlowSpec& spec) {
       taps = cap::make_client_taps(cfg_.capture, cfg_.digest);
       want_taps = true;
     }
-    if constexpr (tel::kCompiled) {
-      if (cfg_.telemetry != nullptr && telemetry_flow_ < 0) {
-        telemetry_flow_ = static_cast<int>(flows_.size());
-        auto& trec = cfg_.telemetry->recorder();
-        trec.set_meta("algo", spec.algo);
-        trec.set_meta("seed", std::to_string(cfg_.seed));
-        trec.set_meta("interval_us", std::to_string(cfg_.telemetry->interval()));
-        trec.set_meta("fault_active", cfg_.fault.active() ? "1" : "0");
-        if (cfg_.fault.active()) {
-          trec.set_meta("fault_seed", std::to_string(cfg_.fault_seed));
-        }
-        auto& pipeline = cfg_.telemetry->pipeline();
-        pipeline.attach(&ctx->client->monitor(), &ctx->client->estimator());
-        taps.on_batch_end = [p = &pipeline](std::int64_t sf) {
-          p->on_batch_end(sf);
-        };
-        want_taps = true;
+    if (cfg_.telemetry != nullptr && telemetry_flow_ < 0) {
+      telemetry_flow_ = static_cast<int>(flows_.size());
+      auto& trec = cfg_.telemetry->recorder();
+      trec.set_meta("algo", spec.algo);
+      trec.set_meta("seed", std::to_string(cfg_.seed));
+      trec.set_meta("interval_us", std::to_string(cfg_.telemetry->interval()));
+      trec.set_meta("fault_active", cfg_.fault.active() ? "1" : "0");
+      if (cfg_.fault.active()) {
+        trec.set_meta("fault_seed", std::to_string(cfg_.fault_seed));
       }
+      auto& pipeline = cfg_.telemetry->pipeline();
+      pipeline.attach(&ctx->client->monitor(), &ctx->client->estimator());
+      taps.on_batch_end = [p = &pipeline](std::int64_t sf) {
+        p->on_batch_end(sf);
+      };
+      want_taps = true;
     }
     if (want_taps) ctx->client->set_taps(std::move(taps));
     // Batched: the client's monitor decodes all of one tick's cells at
@@ -480,9 +472,7 @@ void Scenario::schedule_bg_sessions(BgGroup* g) {
 }
 
 void Scenario::schedule_telemetry_sampling() {
-  if (!tel::kCompiled || cfg_.telemetry == nullptr || telemetry_flow_ < 0) {
-    return;
-  }
+  if (cfg_.telemetry == nullptr || telemetry_flow_ < 0) return;
   auto* ctx = flows_.at(static_cast<std::size_t>(telemetry_flow_)).get();
   const mac::UeId ue = ctx->spec.ue;
   const int home = ctx->domain;
@@ -614,14 +604,12 @@ void Scenario::storm_tick(std::size_t d) {
                     std::move(m));
     }
     ++dom->storm_handovers;
-    if constexpr (obs::kCompiled) {
-      static obs::Counter& storms = obs::counter("fault.storm_handovers");
-      storms.inc();
-      obs::emit(obs::EventKind::kFaultInjected, dom->loop.now(),
-                static_cast<std::uint16_t>(cell_cfgs_.at(idxs.front()).id),
-                static_cast<std::uint32_t>(fault::FaultType::kHandoverStorm),
-                static_cast<std::int64_t>(id));
-    }
+    static obs::Counter& storms = obs::counter("fault.storm_handovers");
+    storms.inc();
+    obs::emit(obs::EventKind::kFaultInjected, dom->loop.now(),
+              static_cast<std::uint16_t>(cell_cfgs_.at(idxs.front()).id),
+              static_cast<std::uint32_t>(fault::FaultType::kHandoverStorm),
+              static_cast<std::int64_t>(id));
   }
 }
 
@@ -737,12 +725,10 @@ void Scenario::run_until(util::Time t) {
     // worker-independent), then apply cross-domain messages in merged
     // (time, source, seq) order with every clock aligned at `step`.
     in_barrier_ = true;
-    if constexpr (obs::kCompiled) {
-      for (auto& dom : domains_) {
-        if (!dom->trace_buf.empty()) {
-          obs::Trace::instance().record_batch(dom->trace_buf);
-          dom->trace_buf.clear();
-        }
+    for (auto& dom : domains_) {
+      if (!dom->trace_buf.empty()) {
+        obs::Trace::instance().record_batch(dom->trace_buf);
+        dom->trace_buf.clear();
       }
     }
     for (auto& msg : mailbox_.drain()) {

@@ -163,7 +163,7 @@ struct ScenarioConfig {
   // Run telemetry (pbecc::tel, unowned, may be null): the first PBE flow's
   // measurement pipeline drives the sampler's est.*/decode.* series, and a
   // sim-clock event loop samples ground truth, flow, degradation, queue and
-  // invariant series on the same cadence. No-op when PBECC_TEL is OFF.
+  // invariant series on the same cadence.
   tel::Sampler* telemetry = nullptr;
 };
 

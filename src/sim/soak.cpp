@@ -116,7 +116,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
       },
       [](phy::CellId) { return 0.002; },  // light monitor reception noise
       decoder::UserTrackerConfig{}, cfg.seed + 1);
-  if (tel::kCompiled && cfg.telemetry != nullptr) {
+  if (cfg.telemetry != nullptr) {
     auto& rec = cfg.telemetry->recorder();
     rec.set_meta("source", "pipeline_soak");
     rec.set_meta("seed", std::to_string(cfg.seed));
@@ -243,7 +243,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
       batch.push_back(std::move(builder).build());
     }
     monitor.on_pdcch_batch(batch);
-    if (tel::kCompiled && cfg.telemetry != nullptr) {
+    if (cfg.telemetry != nullptr) {
       cfg.telemetry->pipeline().on_batch_end(sf);
       // check.violations rides the same cadence the pipeline half uses.
       if (sf % std::max<std::int64_t>(

@@ -55,7 +55,7 @@ struct PipelineSoakConfig {
   std::int64_t check_period_sf = 1'000;       // bound + drift checks
   // Optional run telemetry (unowned, may be null): the soak's monitor +
   // estimator drive the sampler's pipeline half, plus a check.violations
-  // series on the same cadence. No-op when PBECC_TEL is OFF.
+  // series on the same cadence.
   tel::Sampler* telemetry = nullptr;
 };
 

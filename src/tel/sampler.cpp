@@ -23,7 +23,6 @@ void PipelineSampler::on_batch_end(std::int64_t sf_index) {
 }
 
 void PipelineSampler::sample(util::Time now) {
-  if constexpr (!kCompiled) return;
   if (estimator_ != nullptr) {
     // The aggregate queries mirror the client's ACK-time probes; they only
     // expire window state monotonically, so sampling never perturbs the

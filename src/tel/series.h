@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "tel/flags.h"
 #include "util/time.h"
 
 namespace pbecc::tel {
@@ -63,8 +62,7 @@ class Recorder {
 
   // Append one sample. The (name, unit, kind) triple is fixed by the first
   // append; later appends with a conflicting kind are ignored (and
-  // counted) rather than corrupting the column. No-ops when the telemetry
-  // layer is compiled out.
+  // counted) rather than corrupting the column.
   void append_f64(std::string_view name, std::string_view unit, util::Time t,
                   double v);
   void append_i64(std::string_view name, std::string_view unit, util::Time t,

@@ -78,14 +78,10 @@ TEST_F(CheckTest, MirroredIntoObsRegistry) {
   const std::uint64_t named_before =
       obs::counter("check.violation.check_test_mirror").value();
   PBECC_INVARIANT(false, "check_test_mirror");
-  if constexpr (obs::kCompiled) {
-    EXPECT_EQ(obs::counter("check.violations").value(), before + 1);
-    EXPECT_EQ(obs::counter("check.violation.check_test_mirror").value(),
-              named_before + 1);
-  } else {
-    // Metrics compiled out: the check layer's own bookkeeping still works.
-    EXPECT_EQ(check::violations("check_test_mirror"), 1u);
-  }
+  EXPECT_EQ(obs::counter("check.violations").value(), before + 1);
+  EXPECT_EQ(obs::counter("check.violation.check_test_mirror").value(),
+            named_before + 1);
+  EXPECT_EQ(check::violations("check_test_mirror"), 1u);
 }
 
 TEST_F(CheckTest, AbortModeToggle) {

@@ -257,9 +257,7 @@ void expect_golden(const RunDigest& d, const Golden& g, const char* lane) {
   EXPECT_EQ(util::fnv1a64(d.delays.data(), d.delays.size() * sizeof(double)),
             g.delay_digest)
       << lane;
-  if (obs::kCompiled) {
-    EXPECT_EQ(d.trace_digest, g.trace_digest) << lane;
-  }
+  EXPECT_EQ(d.trace_digest, g.trace_digest) << lane;
 }
 
 TEST(DeterminismGolden, BatchDecodeReproducesScalarResults) {

@@ -617,7 +617,6 @@ std::vector<obs::Event> run_traced_scenario(std::uint64_t fault_seed) {
 }
 
 TEST(FaultScenario, SameFaultSeedSameEventSchedule) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with PBECC_TRACE=OFF";
   const auto a = run_traced_scenario(7);
   const auto b = run_traced_scenario(7);
   const auto c = run_traced_scenario(8);

@@ -32,7 +32,6 @@ std::string tmp_path(const std::string& name) {
 // --- Recorder ------------------------------------------------------------
 
 TEST(TelRecorder, TypedAppendAndLookup) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   rec.append_f64("a.rate", "bps", 1000, 5.5);
   rec.append_f64("a.rate", "bps", 2000, 6.5);
@@ -56,7 +55,6 @@ TEST(TelRecorder, TypedAppendAndLookup) {
 }
 
 TEST(TelRecorder, KindConflictIgnoredAndCounted) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   rec.append_f64("x", "bps", 1000, 1.0);
   rec.append_i64("x", "bps", 2000, 2);  // conflicting kind: dropped
@@ -68,7 +66,6 @@ TEST(TelRecorder, KindConflictIgnoredAndCounted) {
 }
 
 TEST(TelRecorder, RingBoundDropsOldestHalf) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec(8);
   for (int i = 0; i < 9; ++i) {
     rec.append_i64("s", "count", i * 10, i);
@@ -84,7 +81,6 @@ TEST(TelRecorder, RingBoundDropsOldestHalf) {
 }
 
 TEST(TelRecorder, DigestIsOrderAndValueSensitive) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder a, b, c;
   a.set_meta("seed", "1");
   b.set_meta("seed", "1");
@@ -99,7 +95,6 @@ TEST(TelRecorder, DigestIsOrderAndValueSensitive) {
 }
 
 TEST(TelRecorder, ExportsAreDeterministicAndShaped) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   rec.set_meta("algo", "pbe");
   rec.append_f64("z.rate", "bps", 1000, 1.5);
@@ -135,7 +130,6 @@ tel::Recorder sample_recording() {
 }
 
 TEST(TelFile, RoundTripPreservesEverything) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   const tel::Recorder rec = sample_recording();
   const auto bytes = tel::encode(rec);
 
@@ -211,7 +205,6 @@ TEST(TelFile, BadMagicAndVersionRejected) {
 // --- sampler cadence -----------------------------------------------------
 
 TEST(TelSampler, SamplesOnIntervalBoundaries) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   tel::PipelineSampler sampler(&rec, 10 * util::kMillisecond);
   pbe::CapacityEstimator est;
@@ -231,7 +224,6 @@ TEST(TelSampler, SamplesOnIntervalBoundaries) {
 }
 
 TEST(TelSampler, SparseBatchesSampleAtFirstBoundaryAfterGap) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   tel::PipelineSampler sampler(&rec, 10 * util::kMillisecond);
   pbe::CapacityEstimator est;
@@ -252,7 +244,6 @@ TEST(TelSampler, SparseBatchesSampleAtFirstBoundaryAfterGap) {
 // --- analysis ------------------------------------------------------------
 
 TEST(TelAnalyze, ErrorStatsJoinOnEqualTimestamps) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   // 2 s of 10 ms samples; estimate = truth * 1.10 after warmup.
   for (int i = 1; i <= 200; ++i) {
@@ -273,7 +264,6 @@ TEST(TelAnalyze, ErrorStatsJoinOnEqualTimestamps) {
 }
 
 TEST(TelAnalyze, DwellTimesAndTransitions) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder rec;
   for (int i = 0; i < 300; ++i) {
     const util::Time t = (i + 1) * 10 * util::kMillisecond;
@@ -289,7 +279,6 @@ TEST(TelAnalyze, DwellTimesAndTransitions) {
 }
 
 TEST(TelAnalyze, DiffFlagsMeanShiftAndCountMismatch) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder a, b;
   a.set_meta("interval_us", "10000");
   b.set_meta("interval_us", "10000");
@@ -332,7 +321,6 @@ TEST(TelAnalyze, IdenticalRunsDiffClean) {
 }
 
 TEST(TelAnalyze, IntervalMetaMismatchIsSchemaMismatch) {
-  if constexpr (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   tel::Recorder a, b;
   a.set_meta("interval_us", "10000");
   b.set_meta("interval_us", "20000");
@@ -363,7 +351,6 @@ std::uint64_t pipeline_series_digest(const tel::Recorder& rec) {
 }
 
 TEST(TelEndToEnd, ReplayExportsByteIdenticalPipelineSeries) {
-  if (!tel::kCompiled) GTEST_SKIP() << "built with PBECC_TEL=OFF";
   const std::string trace = tmp_path("e2e.pbt");
 
   // Live run: record the pipeline and sample telemetry simultaneously.
