@@ -90,48 +90,47 @@ void BM_ApplyBitNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyBitNoise);
 
-// A full lockstep block of Viterbi decodes: eight AL4 blocks (the
-// srsLTE-equivalent path), each a format-1 DCI for a different RNTI, the
-// way the blind decoder batches one format wave.
-struct ViterbiBlock {
-  static constexpr int kLanes = 8;
+// One blind-decode candidate's Viterbi run (the srsLTE-equivalent path):
+// a format-1 DCI rate-matched to an aggregation level's region, decoded
+// with the blind decoder's 85% abort floor. At AL1 the block is punctured
+// past rate 1/2, where the blind decoder would skip the format, but the
+// trellis walk costs the same.
+struct ViterbiCandidate {
   std::size_t msg_bits = 0;
-  std::vector<util::BitVec> blocks;
-  std::vector<phy::BatchDecodeJob> jobs;
-  std::vector<phy::BatchDecodeResult> results;
+  util::BitVec block;
+  std::int32_t floor = 0;
+  util::BitVec decoded;
 
-  ViterbiBlock() : blocks(kLanes), jobs(kLanes), results(kLanes) {
-    for (int l = 0; l < kLanes; ++l) {
-      phy::Dci d;
-      d.rnti = static_cast<phy::Rnti>(0x222 + l);
-      d.format = phy::DciFormat::kFormat1;
-      d.n_prbs = 30;
-      d.mcs = {10, 1};
-      const auto msg = phy::encode_dci(d);
-      msg_bits = msg.size();
-      blocks[static_cast<std::size_t>(l)] =
-          phy::rate_match(phy::conv_encode(msg), 4 * 72);
-      jobs[static_cast<std::size_t>(l)].received =
-          &blocks[static_cast<std::size_t>(l)];
-    }
+  explicit ViterbiCandidate(std::size_t al) {
+    phy::Dci d;
+    d.rnti = 0x222;
+    d.format = phy::DciFormat::kFormat1;
+    d.n_prbs = 30;
+    d.mcs = {10, 1};
+    const auto msg = phy::encode_dci(d);
+    msg_bits = msg.size();
+    block = phy::rate_match(phy::conv_encode(msg), al * phy::kBitsPerCce);
+    floor = static_cast<std::int32_t>(2 * ((85 * block.size() + 99) / 100) -
+                                      block.size());
   }
 
-  void decode() {
-    phy::conv_decode_batch(jobs.data(), kLanes, msg_bits, results.data());
+  phy::ConvDecodeResult decode() {
+    return phy::conv_decode(block, msg_bits, decoded, nullptr, floor);
   }
 };
 
 void BM_ConvolutionalDecode(benchmark::State& state) {
-  ViterbiBlock vb;
+  ViterbiCandidate vc(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    vb.decode();
-    benchmark::DoNotOptimize(vb.results.data());
+    const auto r = vc.decode();
+    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(vc.decoded);
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * ViterbiBlock::kLanes);
-  state.SetLabel("items = AL4 Viterbi decodes, 8 per lockstep block");
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("items = Viterbi decodes, one candidate each");
 }
-BENCHMARK(BM_ConvolutionalDecode);
+BENCHMARK(BM_ConvolutionalDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_DciEncode(benchmark::State& state) {
   phy::Dci d;
@@ -239,14 +238,15 @@ int main(int argc, char** argv) {
     rep.add("scenario_8rep", wt.ms(),
             static_cast<double>(sfs) / (wt.ms() / 1000.0), attempts);
 
-    // Viterbi decodes of AL4 blocks, 8 per lockstep block;
-    // subframes_per_sec = decodes/sec here.
-    ViterbiBlock vb;
+    // Viterbi decodes of an AL4 candidate; subframes_per_sec =
+    // decodes/sec here.
+    ViterbiCandidate vc(4);
     constexpr std::uint64_t kDecodes = 2000;
     bench::WallTimer vt;
-    for (std::uint64_t i = 0; i < kDecodes; i += ViterbiBlock::kLanes) {
-      vb.decode();
-      benchmark::DoNotOptimize(vb.results.data());
+    for (std::uint64_t i = 0; i < kDecodes; ++i) {
+      const auto r = vc.decode();
+      benchmark::DoNotOptimize(r);
+      benchmark::DoNotOptimize(vc.decoded);
       benchmark::ClobberMemory();
     }
     rep.add("viterbi_al4", vt.ms(),

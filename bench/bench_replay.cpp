@@ -85,7 +85,7 @@ int run_corpus(const char* path, bench::Reporter& reporter) {
   }
   const std::uint64_t candidates = driver.monitor().total_candidates_tried();
   std::printf("corpus_simd %9.0f candidates/s  (%llu candidates, %.1f ms "
-              "wall, %llu batches, %llu early-aborted)\n",
+              "wall, %llu Viterbi runs, %llu early-aborted)\n",
               static_cast<double>(candidates) / (wall_ms / 1000.0),
               static_cast<unsigned long long>(candidates), wall_ms,
               static_cast<unsigned long long>(driver.monitor().total_lane_batches()),

@@ -12,11 +12,6 @@ namespace pbecc::decoder {
 
 namespace {
 
-// Memo-miss candidates per lockstep Viterbi batch (DESIGN.md §14). Blocks
-// are cut from the miss list in order and decoded one after another.
-constexpr std::size_t kBlockLanes = 8;
-static_assert(kBlockLanes <= phy::kMaxDecodeLanes);
-
 // Blind-search format list per RAT: an LTE cell carries exactly the five
 // 36.212 formats (byte-identical with the pre-NR decoder), an NR cell
 // exactly the three 38.212 ones.
@@ -136,136 +131,74 @@ bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
              0.9 * static_cast<double>(filler_total);
 }
 
-std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
-                                         const int* starts,
-                                         const std::size_t* miss,
-                                         std::size_t n_miss,
-                                         CandidateResult* out) {
+BlindDecoder::CandidateResult BlindDecoder::decode_candidate(
+    const phy::PdcchSubframe& sf, int al, int start,
+    std::uint64_t& viterbi_runs) {
   const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-  const auto ai = static_cast<std::size_t>(al_index(al));
+  const bool viterbi = sf.coding != phy::PdcchCoding::kRepetition;
+  // Acceptance for Viterbi-coded candidates: the decision, re-encoded,
+  // agrees with >= 85% of the region bits. The final Viterbi metric M and
+  // the match count are linked exactly (matches = (M + T) / 2), so the
+  // threshold doubles as the early-abort floor and no re-encode pass is
+  // needed.
+  std::int32_t thr = 0;
+  if (viterbi) {
+    thr = 2 * min_passing_matches(0.85, region_bits) -
+          static_cast<std::int32_t>(region_bits);
+    // Every format rate-matches the same span: scan it once into vote
+    // prefix sums, so each format's log-likelihoods cost one subtraction
+    // per mother bit.
+    prefix_.resize(region_bits + 1);
+    phy::vote_prefix(span_, prefix_.data());
+  }
+
+  CandidateResult r;
   int n_formats = 0;
   const phy::DciFormat* formats = format_list(cell_, &n_formats);
-  std::uint64_t batches = 0;
-  if (sf.coding != phy::PdcchCoding::kRepetition) {
-    // Per-format waves: every still-undecided missing candidate decodes
-    // format f's shape in one lockstep Viterbi batch. A candidate that
-    // validates drops out of the remaining waves: it is consumed.
-    //
-    // Every wave rate-matches the same span, so scan each span exactly
-    // once into vote prefix sums: each format's log-likelihoods then cost
-    // one subtraction per mother bit.
-    const std::size_t pre_stride = region_bits + 1;
-    if (prefixes_.size() < n_miss * pre_stride) {
-      prefixes_.resize(n_miss * pre_stride);
+  for (int f = 0; f < n_formats; ++f) {
+    const auto format = formats[f];
+    const int msg_bits = phy::dci_payload_bits(format) + 16;
+    if (viterbi ? region_bits < phy::conv_min_region_bits(
+                                    static_cast<std::size_t>(msg_bits))
+                : phy::repetitions_that_fit(msg_bits, al) == 0) {
+      continue;  // infeasible rate, no attempt
     }
-    for (std::size_t m = 0; m < n_miss; ++m) {
-      phy::vote_prefix(spans_[miss[m]], prefixes_.data() + m * pre_stride);
+    ++r.attempts;
+    if (viterbi) {
+      ++viterbi_runs;
+      const auto d =
+          phy::conv_decode(span_, static_cast<std::size_t>(msg_bits), bits_,
+                           prefix_.data(), thr);
+      if (d.aborted) {
+        ++r.failures;
+        ++r.early_aborts;
+        continue;
+      }
+      if (d.metric < thr) {
+        ++r.failures;
+        continue;
+      }
+    } else {
+      majority_decode(sf, start, al, msg_bits, bits_);
     }
-    std::array<bool, kBlockLanes> done{};
-    for (int f = 0; f < n_formats; ++f) {
-      const auto format = formats[f];
-      const int msg_bits = phy::dci_payload_bits(format) + 16;
-      if (region_bits < phy::conv_min_region_bits(
-                            static_cast<std::size_t>(msg_bits))) {
-        continue;  // infeasible rate, no attempt
-      }
-
-      // Acceptance: the decision, re-encoded, agrees with >= 85% of the
-      // region bits. The final Viterbi metric M and the match count are
-      // linked exactly (matches = (M + T) / 2), so the threshold doubles
-      // as the per-lane early-abort floor and no re-encode pass is needed.
-      const std::int32_t thr =
-          2 * min_passing_matches(0.85, region_bits) -
-          static_cast<std::int32_t>(region_bits);
-
-      std::array<phy::BatchDecodeJob, kBlockLanes> jobs;
-      std::array<std::size_t, kBlockLanes> lane_cand{};
-      int n_lanes = 0;
-      for (std::size_t m = 0; m < n_miss; ++m) {
-        if (done[m]) continue;
-        jobs[static_cast<std::size_t>(n_lanes)] = {
-            &spans_[miss[m]], prefixes_.data() + m * pre_stride, thr};
-        lane_cand[static_cast<std::size_t>(n_lanes)] = m;
-        ++n_lanes;
-      }
-      if (n_lanes == 0) break;
-
-      std::array<phy::BatchDecodeResult, kBlockLanes> res;
-      phy::conv_decode_batch(jobs.data(), n_lanes,
-                             static_cast<std::size_t>(msg_bits), res.data());
-      ++batches;
-
-      for (int k = 0; k < n_lanes; ++k) {
-        const std::size_t m = lane_cand[static_cast<std::size_t>(k)];
-        const std::size_t i = miss[m];
-        CandidateResult& r = out[i];
-        ++r.attempts;
-        const phy::BatchDecodeResult& d = res[static_cast<std::size_t>(k)];
-        if (d.aborted) {
-          ++r.failures;
-          ++r.early_aborts;
-          continue;
-        }
-        if (d.metric < thr) {
-          ++r.failures;
-          continue;
-        }
-        if (!phy::dci_crc_screen(d.decoded, format)) {
-          ++r.failures;
-          ++r.screen_rejects;
-          continue;
-        }
-        auto dci = phy::decode_dci(d.decoded, format, cell_.n_prbs());
-        if (!dci.has_value()) {
-          ++r.failures;
-          continue;
-        }
-        r.dci = *dci;
-        done[m] = true;
-      }
+    if (!phy::dci_crc_screen(bits_, format)) {
+      ++r.failures;
+      ++r.screen_rejects;
+      continue;
     }
-  } else {
-    // Repetition cells: per-candidate majority vote with the CRC-first
-    // screen ahead of the field parse.
-    for (std::size_t m = 0; m < n_miss; ++m) {
-      const std::size_t i = miss[m];
-      CandidateResult& r = out[i];
-      for (int f = 0; f < n_formats; ++f) {
-        const auto format = formats[f];
-        const int msg_bits = phy::dci_payload_bits(format) + 16;
-        if (phy::repetitions_that_fit(msg_bits, al) == 0) continue;
-        ++r.attempts;
-        majority_decode(sf, starts[i], al, msg_bits, vote_);
-        if (!phy::dci_crc_screen(vote_, format)) {
-          ++r.failures;
-          ++r.screen_rejects;
-          continue;
-        }
-        auto dci = phy::decode_dci(vote_, format, cell_.n_prbs());
-        if (!dci.has_value()) {
-          ++r.failures;
-          continue;
-        }
-        if (!region_agrees(sf, starts[i], al, vote_)) {
-          ++r.failures;
-          continue;
-        }
-        r.dci = *dci;
-        break;
-      }
+    auto dci = phy::decode_dci(bits_, format, cell_.n_prbs());
+    if (!dci.has_value()) {
+      ++r.failures;
+      continue;
     }
+    if (!viterbi && !region_agrees(sf, start, al, bits_)) {
+      ++r.failures;
+      continue;
+    }
+    r.dci = *dci;
+    break;
   }
-
-  // Memo store (memo_hit stays false inside the stored result).
-  for (std::size_t m = 0; m < n_miss; ++m) {
-    const std::size_t i = miss[m];
-    MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
-    entry.valid = true;
-    entry.coding = sf.coding;
-    entry.span = spans_[i];
-    entry.result = out[i];
-  }
-  return batches;
+  return r;
 }
 
 DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
@@ -280,8 +213,8 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   // pass the CRC at the AL2/AL1 candidates nested inside it (its
   // repetitions are self-similar), so once a candidate validates we claim
   // its CCEs and skip anything overlapping them. Positions within one AL
-  // are disjoint, so they decode independently of each other, and the
-  // position-ascending merge below applies the claims.
+  // are disjoint, so a claim never touches another candidate of the same
+  // level: each is decoded, or answered from the memo, in position order.
   //
   // Candidate enumeration per RAT mirrors the encoder exactly: every
   // AL-aligned start for LTE, the cell's 38.213 search-space candidate
@@ -325,36 +258,23 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
-    // Extract every span and probe the memo up front (cheap, serial), then
-    // pack only the misses into blocks: steady-state subframes answer most
-    // candidates from the memo, and interleaving hits with misses would run
-    // mostly-empty batches.
-    std::vector<CandidateResult> results(starts.size());
     const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-    if (spans_.size() < starts.size()) spans_.resize(starts.size());
-    std::vector<std::size_t> misses;
-    misses.reserve(starts.size());
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      util::BitVec& span = spans_[i];
-      sf.bits.copy_range(
-          static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce, region_bits,
-          span);
-      MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
-      if (entry.valid && entry.coding == sf.coding && entry.span == span) {
-        results[i] = entry.result;
-        results[i].memo_hit = true;
+    for (const int start : starts) {
+      sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
+                         region_bits, span_);
+      MemoEntry& entry = memo_[ai][static_cast<std::size_t>(start / al)];
+      CandidateResult r;
+      if (entry.valid && entry.coding == sf.coding && entry.span == span_) {
+        r = entry.result;
+        r.memo_hit = true;
       } else {
-        misses.push_back(i);
+        r = decode_candidate(sf, al, start, run.delta.lane_batches);
+        entry.valid = true;
+        entry.coding = sf.coding;
+        entry.span = span_;
+        entry.result = r;  // memo_hit stays false inside the stored result
       }
-    }
-    for (std::size_t lo = 0; lo < misses.size(); lo += kBlockLanes) {
-      const std::size_t n = std::min(kBlockLanes, misses.size() - lo);
-      run.delta.lane_batches += decode_block(
-          sf, al, starts.data(), misses.data() + lo, n, results.data());
-    }
 
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const CandidateResult& r = results[i];
       run.delta.candidates_tried += static_cast<std::uint64_t>(r.attempts);
       run.delta.candidates_by_al[ai] += static_cast<std::uint64_t>(r.attempts);
       run.delta.crc_failures += static_cast<std::uint64_t>(r.failures);
@@ -366,7 +286,7 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
         ++run.delta.messages_decoded;
         ++run.delta.decoded_by_al[ai];
         run.found.push_back({*r.dci, al});
-        for (int c = starts[i]; c < starts[i] + al; ++c) {
+        for (int c = start; c < start + al; ++c) {
           claimed[static_cast<std::size_t>(c)] = true;
         }
       }

@@ -6,8 +6,8 @@
 // each location until finding the correct message." We do exactly that
 // over the synthetic PDCCH: for every aggregation level (8/4/2/1, plus 16
 // on NR), every candidate position, and every DCI format, recover the bits
-// (majority vote for repetition coding, lockstep Viterbi for the
-// convolutional code and its polar stand-in) and validate the RNTI-masked
+// (majority vote for repetition coding, Viterbi for the convolutional
+// code and its polar stand-in) and validate the RNTI-masked
 // CRC plus structural field checks. Decoding runs on the *noisy* control
 // region, so weak channels genuinely lose messages.
 //
@@ -48,9 +48,11 @@ struct DecodeStats {
   // (the span's soft bits were unchanged since the previous subframe).
   std::uint64_t memo_hits = 0;
   // Decode-path diagnostics (none of them feed the determinism digests):
-  // lockstep Viterbi batches run, candidate-format attempts retired early
-  // because no surviving path could reach the acceptance metric, and
-  // attempts rejected by the CRC-first screen before any field parse.
+  // Viterbi runs (one per candidate-format attempt of a memo miss on a
+  // convolutional or polar cell; perfbench reads the field under this
+  // name), candidate-format attempts retired early because no surviving
+  // path could reach the acceptance metric, and attempts rejected by the
+  // CRC-first screen before any field parse.
   std::uint64_t lane_batches = 0;
   std::uint64_t early_aborts = 0;
   std::uint64_t screen_rejects = 0;
@@ -127,15 +129,13 @@ class BlindDecoder {
     std::optional<phy::Dci> dci;
   };
 
-  // Decode one block of at most 8 memo-miss candidates — per-DCI-format
-  // waves through phy::conv_decode_batch (convolutional and polar cells)
-  // or the CRC-screened majority vote (repetition cells), then memo store.
-  // `miss[0..n_miss)` index into the AL's full `starts`/`spans_`/`out`
-  // arrays (the caller already extracted spans and resolved memo hits).
-  // Returns the number of Viterbi batches launched.
-  std::uint64_t decode_block(const phy::PdcchSubframe& sf, int al,
-                             const int* starts, const std::size_t* miss,
-                             std::size_t n_miss, CandidateResult* out);
+  // Run the format loop on the candidate at `start` whose bits are in
+  // span_: recover each feasible format's message (Viterbi for
+  // convolutional and polar cells, majority vote for repetition cells),
+  // screen and validate it, and stop at the first format that validates.
+  // Adds the Viterbi runs it made to `viterbi_runs`.
+  CandidateResult decode_candidate(const phy::PdcchSubframe& sf, int al,
+                                   int start, std::uint64_t& viterbi_runs);
 
   phy::CellConfig cell_;
   DecodeStats stats_;
@@ -153,14 +153,13 @@ class BlindDecoder {
   };
   std::array<std::vector<MemoEntry>, kNumAlLanes> memo_;
 
-  // Candidate spans of the aggregation level being decoded, indexed like
-  // its start list, and the per-span vote prefix sums of the block being
-  // decoded. Members so the buffers are reused across subframes instead of
-  // reallocated.
-  std::vector<util::BitVec> spans_;
-  std::vector<std::int32_t> prefixes_;
-  // The repetition path's majority-voted message, reused per attempt.
-  util::BitVec vote_;
+  // The candidate being decoded: its span, the span's vote prefix sums
+  // (Viterbi cells only) and the message recovered by the current format
+  // attempt. Members so the buffers are reused across candidates instead
+  // of reallocated.
+  util::BitVec span_;
+  std::vector<std::int32_t> prefix_;
+  util::BitVec bits_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

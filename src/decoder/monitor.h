@@ -89,9 +89,9 @@ class Monitor {
   std::uint64_t decode_failures() const { return failures_; }
   // Blind-decode candidates tried across all cell decoders (bench JSON).
   std::uint64_t total_candidates_tried() const;
-  // Lockstep-decode diagnostics summed across all cell decoders: Viterbi
-  // lane batches launched and candidate attempts retired by the exact-safe
-  // early abort. Both zero on repetition-coded cells.
+  // Viterbi diagnostics summed across all cell decoders: Viterbi runs
+  // (DecodeStats::lane_batches) and candidate attempts retired by the
+  // exact-safe early abort. Both zero on repetition-coded cells.
   std::uint64_t total_lane_batches() const;
   std::uint64_t total_early_aborts() const;
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/profile.h"
-#include "util/arena.h"
 
 namespace pbecc::phy {
 
@@ -48,21 +47,63 @@ constexpr std::array<std::uint8_t, 2 * kNumStates> make_branch_out() {
 }
 constexpr auto kBranchOut = make_branch_out();
 
-// Workspace for the lockstep batch decoder: one arena per decode thread
-// (pool workers included) plus a rate-match layout cache — a monitor sees
-// only a handful of (coded_bits, target_bits) shapes, one per (payload
-// size, aggregation level) pair. Every per-batch array lives in the arena
-// and is recycled wholesale, so after warm-up a batch performs zero heap
-// allocations.
-struct BatchScratch {
-  util::Arena arena;
+// All three generators have their first and last taps set (bit 6, the
+// input, and bit 0, the oldest state bit), so flipping either flips all
+// three coded bits: predecessor 2i+1 gains the negative of what 2i gains,
+// and the input-1 branch out of a state gains the negative of its input-0
+// branch. One gain per butterfly therefore serves all four of its
+// branches.
+constexpr bool taps_complement() {
+  for (std::uint32_t reg = 0; reg < 2 * kNumStates; ++reg) {
+    const auto flipped = static_cast<std::uint8_t>(kBranchOut[reg] ^ 7u);
+    if (kBranchOut[reg ^ 1u] != flipped || kBranchOut[reg ^ 64u] != flipped) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(taps_complement());
 
+constexpr int kButterflies = kNumStates / 2;  // 32
+constexpr std::size_t kMaxSteps = kConvMaxPayloadBits + kConvTailBits;
+
+// kGainSign[k][i]: +1 when coded bit k of butterfly i's reference branch
+// (predecessor 2i, input 0) is set, -1 when it is clear.
+constexpr auto kGainSign = [] {
+  std::array<std::array<std::int16_t, kButterflies>, kConvRateInv> t{};
+  for (int k = 0; k < kConvRateInv; ++k) {
+    for (int i = 0; i < kButterflies; ++i) {
+      t[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)] =
+          ((kBranchOut[static_cast<std::size_t>(2 * i)] >> k) & 1) != 0 ? 1
+                                                                         : -1;
+    }
+  }
+  return t;
+}();
+
+// Path metric of an unreachable state. A reachable metric lies in [-T, T]
+// for a T-bit block, and an unreachable one is this sentinel plus a sum of
+// branch gains, which stays within [kUnreachable - T, kUnreachable + T]:
+// below every reachable metric, so no reachable path ties it, and inside
+// int16.
+constexpr std::int16_t kUnreachable =
+    static_cast<std::int16_t>(-2 * static_cast<int>(kConvMaxBlockBits + 1));
+static_assert(kUnreachable - static_cast<int>(kConvMaxBlockBits) >=
+              std::numeric_limits<std::int16_t>::min());
+static_assert(kUnreachable + static_cast<int>(kConvMaxBlockBits) <
+              -static_cast<int>(kConvMaxBlockBits));
+
+// Per-thread decode scratch: a rate-match layout cache (a monitor sees only
+// a handful of (coded_bits, target_bits) shapes, one per (payload size,
+// aggregation level) pair) and prefix sums for callers that pass none.
+struct DecodeScratch {
   struct CountsEntry {
     std::size_t coded = 0;
     std::size_t target = 0;
     std::vector<int> counts;
   };
   std::vector<CountsEntry> counts_cache;
+  std::vector<std::int32_t> prefix;
 
   const std::vector<int>& counts_for(std::size_t coded, std::size_t target) {
     for (const auto& e : counts_cache) {
@@ -73,8 +114,8 @@ struct BatchScratch {
   }
 };
 
-BatchScratch& batch_scratch() {
-  thread_local BatchScratch ws;
+DecodeScratch& decode_scratch() {
+  thread_local DecodeScratch ws;
   return ws;
 }
 
@@ -110,10 +151,31 @@ std::vector<int> rate_match_counts(std::size_t coded_bits,
 }
 
 util::BitVec rate_match(const util::BitVec& coded, std::size_t target_bits) {
-  const auto counts = rate_match_counts(coded.size(), target_bits);
+  // Output bit j repeats mother bit floor(((j + 1) * N - 1) / T), the bit
+  // whose rate_match_counts range holds j. The quotient is stepped by N/T
+  // per output bit, so no division runs per bit.
+  const std::size_t n = coded.size();
+  const std::size_t t = target_bits;
   util::BitVec out;
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    for (int c = 0; c < counts[i]; ++c) out.push_bit(coded.bit(i));
+  if (n == 0 || t == 0) return out;
+  out.reserve(t);
+  const std::size_t dq = n / t;
+  const std::size_t dr = n % t;
+  std::size_t q = (n - 1) / t;
+  std::size_t r = (n - 1) % t;
+  for (std::size_t off = 0; off < t; off += util::BitVec::kWordBits) {
+    const std::size_t len = std::min(util::BitVec::kWordBits, t - off);
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      word = (word << 1) | (coded.bit(q) ? 1u : 0u);
+      q += dq;
+      r += dr;
+      if (r >= t) {
+        r -= t;
+        ++q;
+      }
+    }
+    out.push_uint(word, len);
   }
   return out;
 }
@@ -189,176 +251,128 @@ void vote_prefix(const util::BitVec& bits, std::int32_t* pre) {
   }
 }
 
-void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
-                       std::size_t payload_bits, BatchDecodeResult* results) {
-  PBECC_PROF_SCOPE("viterbi_batch");
-  if (n_jobs <= 0) return;
-  const auto L = static_cast<std::size_t>(
-      n_jobs <= kMaxDecodeLanes ? n_jobs : kMaxDecodeLanes);
+ConvDecodeResult conv_decode(const util::BitVec& received,
+                             std::size_t payload_bits, util::BitVec& decoded,
+                             const std::int32_t* prefix,
+                             std::int32_t abort_below) {
+  PBECC_PROF_SCOPE("viterbi");
+  const std::size_t target = received.size();
+  if (target > kConvMaxBlockBits) {
+    throw std::invalid_argument("conv_decode: block exceeds kConvMaxBlockBits");
+  }
+  if (payload_bits > kConvMaxPayloadBits) {
+    throw std::invalid_argument(
+        "conv_decode: payload exceeds kConvMaxPayloadBits");
+  }
   const std::size_t steps = payload_bits + kConvTailBits;
   const std::size_t coded_bits = kConvRateInv * steps;
-  const std::size_t target = jobs[0].received->size();
-  constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
 
-  auto& ws = batch_scratch();
-  ws.arena.reset();
+  auto& ws = decode_scratch();
+  if (prefix == nullptr) {
+    ws.prefix.resize(target + 1);
+    vote_prefix(received, ws.prefix.data());
+    prefix = ws.prefix.data();
+  }
 
-  // Lane-major (structure-of-arrays) layout throughout: element i of lane
-  // l lives at [i * L + l], so the innermost loops below run over
-  // contiguous lanes and vectorize.
-
-  // Per-mother-bit log-likelihoods, one column per lane. All lanes share
-  // one rate-match layout — that is what makes the batch a batch.
-  std::int32_t* llr = ws.arena.alloc<std::int32_t>(coded_bits * L);
+  // Per-mother-bit log-likelihoods: the vote over the bit's rate-matched
+  // copies, |llr| <= copies <= T.
+  std::int16_t llr[kConvRateInv * kMaxSteps];
   {
     const auto& counts = ws.counts_for(coded_bits, target);
-    std::int32_t* own_prefix = nullptr;
-    for (std::size_t l = 0; l < L; ++l) {
-      if (jobs[l].received->size() != target) {
-        throw std::invalid_argument("conv_decode_batch: lanes differ in size");
-      }
-      const std::int32_t* pre = jobs[l].prefix;
-      if (pre == nullptr) {
-        if (own_prefix == nullptr) {
-          own_prefix = ws.arena.alloc<std::int32_t>(target + 1);
-        }
-        vote_prefix(*jobs[l].received, own_prefix);
-        pre = own_prefix;
-      }
-      std::size_t j = 0;
-      for (std::size_t i = 0; i < coded_bits; ++i) {
-        const auto c = static_cast<std::size_t>(counts[i]);
-        llr[i * L + l] = pre[j + c] - pre[j];
-        j += c;
-      }
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < coded_bits; ++i) {
+      const auto c = static_cast<std::size_t>(counts[i]);
+      llr[i] = static_cast<std::int16_t>(prefix[j + c] - prefix[j]);
+      j += c;
     }
   }
 
-  // suffix_gain[t][l]: the most any path can still gain from step t on
-  // (each step contributes at most |v0|+|v1|+|v2|) — the exact bound
-  // behind the per-lane early abort.
-  std::int32_t* suffix = ws.arena.alloc<std::int32_t>((steps + 1) * L);
-  std::fill_n(suffix + steps * L, L, 0);
+  // suffix[t]: the most any path can still gain from step t on (each step
+  // contributes at most |v0|+|v1|+|v2|), the exact bound behind the early
+  // abort.
+  std::int32_t suffix[kMaxSteps + 1];
+  suffix[steps] = 0;
   for (std::size_t t = steps; t-- > 0;) {
-    const std::int32_t* v = llr + kConvRateInv * t * L;
-    for (std::size_t l = 0; l < L; ++l) {
-      suffix[t * L + l] = suffix[(t + 1) * L + l] + std::abs(v[l]) +
-                          std::abs(v[L + l]) + std::abs(v[2 * L + l]);
-    }
+    const std::int16_t* v = llr + kConvRateInv * t;
+    suffix[t] = suffix[t + 1] + std::abs(v[0]) + std::abs(v[1]) +
+                std::abs(v[2]);
   }
 
-  std::int32_t* metric = ws.arena.alloc<std::int32_t>(kNumStates * L);
-  std::int32_t* next = ws.arena.alloc<std::int32_t>(kNumStates * L);
-  std::fill_n(metric, kNumStates * L, kNegInf);
-  for (std::size_t l = 0; l < L; ++l) metric[l] = 0;  // state 0 live
+  std::int16_t metric[kNumStates];
+  std::int16_t next[kNumStates];
+  std::fill_n(metric, kNumStates, kUnreachable);
+  metric[0] = 0;
 
-  // One traceback bit per (step, state, lane): the destination state alone
+  // One traceback decision per (step, state): the destination state alone
   // determines the input bit (u = ns >> 5) and all but the lowest bit of
-  // the predecessor, so the ACS only needs to remember which of the two
-  // predecessors won.
-  std::uint8_t* take = ws.arena.alloc<std::uint8_t>(steps * kNumStates * L);
-
-  bool aborted[kMaxDecodeLanes] = {};
-  bool any_abort_enabled = false;
-  for (std::size_t l = 0; l < L; ++l) {
-    if (jobs[l].abort_below != INT32_MIN) any_abort_enabled = true;
-  }
-  std::size_t n_live = L;
+  // the predecessor, so the ACS only records which of the two won.
+  std::uint8_t take[kMaxSteps][kNumStates];
 
   for (std::size_t t = 0; t < steps; ++t) {
-    // Branch gain per 3-bit output pattern, per lane.
-    std::int32_t gains[8 * kMaxDecodeLanes];
-    const std::int32_t* v = llr + kConvRateInv * t * L;
-    for (int p = 0; p < 8; ++p) {
-      std::int32_t* g = gains + static_cast<std::size_t>(p) * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        g[l] = ((p & 1) != 0 ? v[l] : -v[l]) +
-               ((p & 2) != 0 ? v[L + l] : -v[L + l]) +
-               ((p & 4) != 0 ? v[2 * L + l] : -v[2 * L + l]);
-      }
+    const std::int16_t* v = llr + kConvRateInv * t;
+    std::int16_t gain[kButterflies];
+    for (int i = 0; i < kButterflies; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      gain[i] = static_cast<std::int16_t>(kGainSign[0][k] * v[0] +
+                                          kGainSign[1][k] * v[1] +
+                                          kGainSign[2][k] * v[2]);
     }
 
-    // Destination-major ACS: dest ns has exactly two predecessors,
-    // p0 = (ns << 1) & 63 and p1 = p0 | 1, both reached with input
-    // u = ns >> 5. Tie-break keeps p0 (strict >), matching the reference
-    // decoder's source-ascending scan bit-for-bit. During the zero tail
-    // only u = 0 destinations exist.
-    const int ns_end = t < payload_bits ? kNumStates : kNumStates / 2;
-    std::uint8_t* tk = take + t * kNumStates * L;
-    for (int ns = 0; ns < ns_end; ++ns) {
-      const int u = ns >> 5;
-      const int p0 = (ns << 1) & 63;
-      const std::uint8_t g0 = kBranchOut[static_cast<std::size_t>((u << 6) | p0)];
-      const std::uint8_t g1 =
-          kBranchOut[static_cast<std::size_t>((u << 6) | (p0 | 1))];
-      const std::int32_t* m0 = metric + static_cast<std::size_t>(p0) * L;
-      const std::int32_t* m1 = m0 + L;
-      const std::int32_t* ga = gains + static_cast<std::size_t>(g0) * L;
-      const std::int32_t* gb = gains + static_cast<std::size_t>(g1) * L;
-      std::int32_t* nx = next + static_cast<std::size_t>(ns) * L;
-      std::uint8_t* tt = tk + static_cast<std::size_t>(ns) * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        const std::int32_t c0 = m0[l] + ga[l];
-        const std::int32_t c1 = m1[l] + gb[l];
-        const bool sel = c1 > c0;
-        nx[l] = sel ? c1 : c0;
-        tt[l] = sel ? 1 : 0;
-      }
+    // Butterfly i: predecessors p0 = 2i and p1 = 2i + 1 reach destination
+    // i with input 0 and i + 32 with input 1. The tie-break keeps p0
+    // (strict >), matching the reference decoder's source-ascending scan
+    // bit for bit.
+    std::uint8_t* tk = take[t];
+    for (int i = 0; i < kButterflies; ++i) {
+      const std::int16_t a = metric[2 * i];
+      const std::int16_t b = metric[2 * i + 1];
+      const std::int16_t g = gain[i];
+      const auto c0 = static_cast<std::int16_t>(a + g);
+      const auto c1 = static_cast<std::int16_t>(b - g);
+      const auto d0 = static_cast<std::int16_t>(a - g);
+      const auto d1 = static_cast<std::int16_t>(b + g);
+      next[i] = c1 > c0 ? c1 : c0;
+      tk[i] = c1 > c0 ? 1 : 0;
+      next[i + kButterflies] = d1 > d0 ? d1 : d0;
+      tk[i + kButterflies] = d1 > d0 ? 1 : 0;
     }
-    if (ns_end < kNumStates) {
-      std::fill(next + static_cast<std::size_t>(ns_end) * L,
-                next + static_cast<std::size_t>(kNumStates) * L, kNegInf);
+    // The zero tail has no input-1 branches.
+    if (t >= payload_bits) {
+      std::fill_n(next + kButterflies, kButterflies, kUnreachable);
     }
-    std::swap(metric, next);
+    std::copy_n(next, kNumStates, metric);
 
-    // Early abort: a lane whose best surviving metric plus the largest
-    // possible remaining gain is still below its caller-supplied floor can
-    // never produce an accepted codeword — stop charging it work the
-    // moment that is provable. (The floor maps 1:1 to the acceptance test
-    // the caller runs afterwards, so this never changes an outcome.) The
-    // 64xL max-reduction costs about as much as one ACS step, so it runs
-    // every 8th step: a doomed lane survives at most 7 extra steps, which
-    // is far cheaper than paying the reduction at every one.
-    if (any_abort_enabled && (t & 7) == 7) {
-      std::int32_t best[kMaxDecodeLanes];
-      std::fill_n(best, L, kNegInf);
-      for (int s = 0; s < kNumStates; ++s) {
-        const std::int32_t* m = metric + static_cast<std::size_t>(s) * L;
-        for (std::size_t l = 0; l < L; ++l) {
-          if (m[l] > best[l]) best[l] = m[l];
-        }
+    // Early abort: when the best surviving metric plus the largest possible
+    // remaining gain is still below the caller's floor, no codeword this
+    // decode could return would be accepted. (The floor maps 1:1 to the
+    // acceptance test the caller runs afterwards, so this never changes an
+    // outcome.) The max-reduction runs every 8th step, so a doomed decode
+    // survives at most 7 extra steps.
+    if (abort_below != INT32_MIN && (t & 7) == 7) {
+      std::int16_t best = kUnreachable;
+      for (const std::int16_t m : metric) best = std::max(best, m);
+      if (best + suffix[t + 1] < abort_below) {
+        decoded.clear();
+        return {true, 0};
       }
-      const std::int32_t* suf = suffix + (t + 1) * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        if (aborted[l] || jobs[l].abort_below == INT32_MIN) continue;
-        if (best[l] + suf[l] < jobs[l].abort_below) {
-          aborted[l] = true;
-          --n_live;
-        }
-      }
-      if (n_live == 0) break;
     }
   }
 
-  for (std::size_t l = 0; l < L; ++l) {
-    BatchDecodeResult& r = results[l];
-    if (aborted[l]) {
-      r.decoded = util::BitVec{};
-      r.aborted = true;
-      r.metric = 0;
-      continue;
+  // Trace back from state 0, where the zero tail always lands.
+  std::uint64_t words[(kMaxSteps + 63) / 64] = {};
+  std::size_t state = 0;
+  for (std::size_t t = steps; t-- > 0;) {
+    if (t < payload_bits && (state >> 5) != 0) {
+      words[t / 64] |= 1ULL << (63 - t % 64);
     }
-    r.aborted = false;
-    r.metric = metric[l];  // state 0, where the zero tail always lands
-    util::BitVec out(payload_bits);
-    std::size_t state = 0;
-    for (std::size_t t = steps; t-- > 0;) {
-      if (t < payload_bits) out.set_bit(t, (state >> 5) != 0);
-      state = ((state << 1) & 63) |
-              take[(t * kNumStates + state) * L + l];
-    }
-    r.decoded = std::move(out);
+    state = ((state << 1) & 63) | take[t][state];
   }
+  decoded.clear();
+  for (std::size_t off = 0; off < payload_bits; off += 64) {
+    const std::size_t n = std::min<std::size_t>(64, payload_bits - off);
+    decoded.push_uint(words[off / 64] >> (64 - n), n);
+  }
+  return {false, metric[0]};
 }
 
 }  // namespace pbecc::phy

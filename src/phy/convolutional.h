@@ -47,57 +47,59 @@ constexpr std::size_t conv_min_region_bits(std::size_t msg_bits) {
 // Textbook hard-decision Viterbi decode of `received` (a rate-matched
 // block) back to `payload_bits` information bits: punctured positions
 // contribute no branch metric, repeated positions vote. The oracle the
-// tests hold conv_decode_batch to; it allocates its trellis per call.
+// tests hold conv_decode to; it allocates its trellis per call.
 util::BitVec conv_decode_reference(const util::BitVec& received,
                                    std::size_t payload_bits);
 
 // ---------------------------------------------------------------------------
-// Batched lockstep decode (DESIGN.md §14): the only production Viterbi.
+// State-parallel Viterbi (DESIGN.md §14): the only production decoder.
 //
-// The blind decoder tries the same (payload length, block length) shape at
-// every candidate position of an aggregation level; conv_decode_batch
-// decodes up to kMaxDecodeLanes such same-shape blocks through one trellis
-// walk with lane-major (structure-of-arrays) path metrics, so the
-// add-compare-select inner loops vectorize across candidates. Non-aborted
-// lanes are byte-exact with conv_decode_reference — the decoder's
-// determinism contract does not bend for speed.
+// conv_decode decodes one candidate block; its add-compare-select covers
+// all 32 butterflies of the 64-state trellis per step with int16 path
+// metrics, so the default optimized build vectorizes it across states.
+// Its output is byte-exact with conv_decode_reference, early abort aside.
 
-inline constexpr int kMaxDecodeLanes = 16;
+// Largest block conv_decode accepts: a path metric is bounded by the block
+// length, and int16 metrics stay exact up to here (the unreachable-state
+// sentinel sits below -2 * kConvMaxBlockBits).
+inline constexpr std::size_t kConvMaxBlockBits = 8191;
+// Largest payload conv_decode accepts: its traceback scratch holds
+// kConvMaxPayloadBits + kConvTailBits trellis steps. Every DCI message
+// with its CRC is well under it.
+inline constexpr std::size_t kConvMaxPayloadBits = 250;
 
 // Vote prefix sums over `bits`: pre[0] = 0 and pre[j + 1] = pre[j] + (bit j
 // ? +1 : -1), so `pre` holds bits.size() + 1 entries. The span is read a
 // word at a time.
 void vote_prefix(const util::BitVec& bits, std::int32_t* pre);
 
-struct BatchDecodeJob {
-  const util::BitVec* received = nullptr;  // same size() for every lane
-  // Optional vote prefix sums over `received` (vote_prefix). The blind
-  // decoder tries ~5 DCI formats against the same span; sharing one
-  // prefix lets every format's rate-matched log-likelihoods cost a
-  // subtraction per mother bit. nullptr: the batch computes it itself.
-  const std::int32_t* prefix = nullptr;
-  // Exact-safe early abort: the decode gives up on this lane as soon as no
-  // completion of any surviving path can reach a final state-0 correlation
-  // metric >= abort_below (metric = matches - mismatches against the
-  // received block, so the caller derives it from its acceptance
-  // threshold). INT32_MIN disables the abort. An aborted lane is one the
-  // caller would provably have rejected, never a maybe.
-  std::int32_t abort_below = INT32_MIN;
-};
-
-struct BatchDecodeResult {
-  util::BitVec decoded;   // empty when aborted
+struct ConvDecodeResult {
   bool aborted = false;
   // Final state-0 path metric (valid when !aborted): the correlation of
   // the decoded codeword with the received block.
   std::int32_t metric = 0;
 };
 
-// Decode `n_jobs` (1..kMaxDecodeLanes) equally-shaped blocks in lockstep.
-// Every jobs[i].received must have the same size, every lane decodes to
-// `payload_bits` information bits. Scratch comes from a per-thread arena:
-// steady state performs no heap allocation.
-void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
-                       std::size_t payload_bits, BatchDecodeResult* results);
+// Decode `received` to `payload_bits` information bits into `decoded`
+// (left empty when aborted).
+//
+// `prefix`: optional vote prefix sums over `received` (vote_prefix). The
+// blind decoder tries several DCI formats against the same span; sharing
+// one prefix makes each format's rate-matched log-likelihoods cost a
+// subtraction per mother bit. nullptr: conv_decode computes it itself.
+//
+// `abort_below`: exact-safe early abort. The decode gives up as soon as no
+// completion of any surviving path can reach a final state-0 metric >=
+// abort_below (metric = matches - mismatches against the received block,
+// so the caller derives it from its acceptance threshold). INT32_MIN
+// disables the abort. An aborted decode is one the caller would provably
+// have rejected, never a maybe.
+//
+// Throws std::invalid_argument when the block exceeds kConvMaxBlockBits or
+// the payload exceeds kConvMaxPayloadBits.
+ConvDecodeResult conv_decode(const util::BitVec& received,
+                             std::size_t payload_bits, util::BitVec& decoded,
+                             const std::int32_t* prefix = nullptr,
+                             std::int32_t abort_below = INT32_MIN);
 
 }  // namespace pbecc::phy

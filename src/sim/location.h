@@ -23,7 +23,7 @@ struct LocationProfile {
   // of repetition coding (run_experiment --conv-pdcch). Off in the paper's
   // 40-location study; the Viterbi replay corpus (README "Decode
   // throughput") records with it on so bench_replay exercises the
-  // lockstep batch decoder.
+  // Viterbi decoder.
   bool convolutional_pdcch = false;
   // 5G NR secondary carriers (run_experiment --nr): numerology mu for the
   // secondary cells, or -1 for an all-LTE location (the paper's study).

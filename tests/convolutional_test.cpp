@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
@@ -19,13 +21,11 @@ util::BitVec random_payload(util::Rng& rng, std::size_t n) {
   return b;
 }
 
-// One block through the lockstep kernel, no abort floor.
-util::BitVec batch_decode(const util::BitVec& block, std::size_t payload_bits) {
-  BatchDecodeJob job;
-  job.received = &block;
-  BatchDecodeResult res;
-  conv_decode_batch(&job, 1, payload_bits, &res);
-  return res.decoded;
+// One block through the production kernel, no abort floor.
+util::BitVec decode(const util::BitVec& block, std::size_t payload_bits) {
+  util::BitVec decoded;
+  conv_decode(block, payload_bits, decoded);
+  return decoded;
 }
 
 TEST(Convolutional, EncodeLength) {
@@ -39,7 +39,7 @@ TEST(Convolutional, CleanRoundtrip) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto payload = random_payload(rng, 20 + trial % 60);
     const auto coded = conv_encode(payload);
-    EXPECT_EQ(batch_decode(coded, payload.size()), payload) << trial;
+    EXPECT_EQ(decode(coded, payload.size()), payload) << trial;
   }
 }
 
@@ -50,7 +50,7 @@ TEST(Convolutional, RateMatchRepetitionRoundtrip) {
   // Expand to 2x: every mother bit appears twice.
   const auto block = rate_match(coded, 2 * coded.size());
   EXPECT_EQ(block.size(), 2 * coded.size());
-  EXPECT_EQ(batch_decode(block, payload.size()), payload);
+  EXPECT_EQ(decode(block, payload.size()), payload);
 }
 
 TEST(Convolutional, PuncturedRoundtrip) {
@@ -59,7 +59,26 @@ TEST(Convolutional, PuncturedRoundtrip) {
   const auto coded = conv_encode(payload);
   // Keep only ~57%: still decodes cleanly (effective rate ~0.58).
   const auto block = rate_match(coded, 144);
-  EXPECT_EQ(batch_decode(block, payload.size()), payload);
+  EXPECT_EQ(decode(block, payload.size()), payload);
+}
+
+// rate_match's closed-form position map writes exactly the counts-based
+// expansion (mother bit i repeated counts[i] times) for every payload of
+// 20-80 bits at every target from AL1 to NR's AL16.
+TEST(Convolutional, RateMatchEqualsCountsExpansion) {
+  util::Rng rng{41};
+  for (std::size_t payload_bits = 20; payload_bits <= 80; ++payload_bits) {
+    const auto coded = conv_encode(random_payload(rng, payload_bits));
+    for (std::size_t target = 72; target <= 1152; ++target) {
+      const auto counts = rate_match_counts(coded.size(), target);
+      util::BitVec want;
+      for (std::size_t i = 0; i < coded.size(); ++i) {
+        for (int c = 0; c < counts[i]; ++c) want.push_bit(coded.bit(i));
+      }
+      ASSERT_EQ(rate_match(coded, target), want)
+          << "payload " << payload_bits << " target " << target;
+    }
+  }
 }
 
 TEST(Convolutional, RateMatchCountsConserve) {
@@ -86,7 +105,7 @@ TEST(Convolutional, CorrectsBitErrors) {
     for (std::size_t i = 0; i < noisy.size(); ++i) {
       if (rng.bernoulli(0.04)) noisy.flip_bit(i);
     }
-    corrected += batch_decode(noisy, payload.size()) == payload ? 1 : 0;
+    corrected += decode(noisy, payload.size()) == payload ? 1 : 0;
   }
   // 4% BER over 288 bits = ~11 flipped; the code recovers almost always.
   EXPECT_GT(corrected, trials * 8 / 10);
@@ -124,63 +143,46 @@ TEST(Convolutional, BeatsRepetitionAtSameRedundancy) {
   EXPECT_GT(conv_ok, trials * 3 / 4);
 }
 
-// Lockstep batch equivalence sweep (DESIGN.md §14): 10k codewords in
-// all, every lane byte-identical to the reference decoder, at clean /
-// light / heavy bit-error rates and every rate-match shape from AL1 to
-// NR's AL16 (72..1152 bits). Payloads span 20-80 bits, covering every
-// real DCI message with its CRC (LTE 46-69 bits, NR 53-67). 2503
-// codewords per lane count leaves a partial tail batch at L in {4, 8, 16}
-// (2503 = 4*625+3 = 8*312+7 = 16*156+7), so short final blocks are
-// exercised, not just full ones.
+// Equivalence sweep (DESIGN.md §14): 10k codewords, every one decoded
+// byte-identically to the reference decoder, at clean / light / heavy
+// bit-error rates and every rate-match shape from AL1 to NR's AL16
+// (72..1152 bits). Payloads span 20-80 bits, covering every real DCI
+// message with its CRC (LTE 46-69 bits, NR 53-67). Every other codeword
+// passes its own vote prefix sums, as the blind decoder does.
 TEST(Convolutional, BatchMatchesReference10k) {
   util::Rng rng{29};
   const double bers[] = {0.0, 1e-3, 1e-2};
   const std::size_t targets[] = {72, 144, 288, 576, 1152};
-  for (const int lanes : {1, 4, 8, 16}) {
-    const int codewords = 2503;
-    int done = 0, shape = 0;
-    while (done < codewords) {
-      const int n = std::min(lanes, codewords - done);
-      const double ber = bers[shape % 3];
-      const std::size_t payload_bits = 20 + static_cast<std::size_t>(shape) % 61;
-      const std::size_t target = targets[shape % 5];
-      ++shape;
-
-      std::vector<util::BitVec> payloads(static_cast<std::size_t>(n));
-      std::vector<util::BitVec> blocks(static_cast<std::size_t>(n));
-      std::vector<BatchDecodeJob> jobs(static_cast<std::size_t>(n));
-      for (int k = 0; k < n; ++k) {
-        payloads[static_cast<std::size_t>(k)] = random_payload(rng, payload_bits);
-        auto block =
-            rate_match(conv_encode(payloads[static_cast<std::size_t>(k)]), target);
-        for (std::size_t i = 0; ber > 0 && i < block.size(); ++i) {
-          if (rng.bernoulli(ber)) block.flip_bit(i);
-        }
-        blocks[static_cast<std::size_t>(k)] = std::move(block);
-        jobs[static_cast<std::size_t>(k)].received =
-            &blocks[static_cast<std::size_t>(k)];
-      }
-      std::vector<BatchDecodeResult> res(static_cast<std::size_t>(n));
-      conv_decode_batch(jobs.data(), n, payload_bits, res.data());
-      for (int k = 0; k < n; ++k) {
-        const auto& r = res[static_cast<std::size_t>(k)];
-        ASSERT_FALSE(r.aborted);  // no abort floor was set
-        ASSERT_EQ(r.decoded,
-                  conv_decode_reference(blocks[static_cast<std::size_t>(k)],
-                                        payload_bits))
-            << "lanes " << lanes << " batch lane " << k << " ber " << ber
-            << " target " << target;
-      }
-      done += n;
+  util::BitVec decoded;
+  std::vector<std::int32_t> prefix;
+  for (int shape = 0; shape < 10000; ++shape) {
+    const double ber = bers[shape % 3];
+    const std::size_t payload_bits = 20 + static_cast<std::size_t>(shape) % 61;
+    const std::size_t target = targets[shape % 5];
+    auto block = rate_match(conv_encode(random_payload(rng, payload_bits)),
+                            target);
+    for (std::size_t i = 0; ber > 0 && i < block.size(); ++i) {
+      if (rng.bernoulli(ber)) block.flip_bit(i);
     }
+    const std::int32_t* pre = nullptr;
+    if (shape % 2 == 1) {
+      prefix.resize(block.size() + 1);
+      vote_prefix(block, prefix.data());
+      pre = prefix.data();
+    }
+    const auto r = conv_decode(block, payload_bits, decoded, pre);
+    ASSERT_FALSE(r.aborted);  // no abort floor was set
+    ASSERT_EQ(decoded, conv_decode_reference(block, payload_bits))
+        << "codeword " << shape << " ber " << ber << " target " << target;
   }
 }
 
-// The reported batch metric must equal the re-encoded codeword's
-// correlation with the received block — the identity the blind decoder
-// relies on to replace its region-agreement re-encode pass.
+// The reported metric must equal the re-encoded codeword's correlation
+// with the received block — the identity the blind decoder relies on to
+// replace its region-agreement re-encode pass.
 TEST(Convolutional, BatchMetricEqualsReencodedCorrelation) {
   util::Rng rng{31};
+  util::BitVec decoded;
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t payload_bits = 24 + static_cast<std::size_t>(trial) % 40;
     const std::size_t target = trial % 2 == 0 ? 288 : 576;
@@ -189,12 +191,9 @@ TEST(Convolutional, BatchMetricEqualsReencodedCorrelation) {
     for (std::size_t i = 0; i < block.size(); ++i) {
       if (rng.bernoulli(0.02)) block.flip_bit(i);
     }
-    BatchDecodeJob job;
-    job.received = &block;
-    BatchDecodeResult res;
-    conv_decode_batch(&job, 1, payload_bits, &res);
+    const auto res = conv_decode(block, payload_bits, decoded);
     ASSERT_FALSE(res.aborted);
-    const auto re = rate_match(conv_encode(res.decoded), target);
+    const auto re = rate_match(conv_encode(decoded), target);
     std::int32_t corr = 0;
     for (std::size_t i = 0; i < re.size(); ++i) {
       corr += re.bit(i) == block.bit(i) ? 1 : -1;
@@ -203,13 +202,14 @@ TEST(Convolutional, BatchMetricEqualsReencodedCorrelation) {
   }
 }
 
-// Exact-safety of the early abort: an aborted lane must be one whose
+// Exact-safety of the early abort: an aborted decode must be one whose
 // unaborted decode provably fails the caller's metric floor, and setting
-// a floor must never change a surviving lane's output.
+// a floor must never change a surviving decode's output.
 TEST(Convolutional, BatchEarlyAbortIsExactSafe) {
   util::Rng rng{37};
   const std::size_t payload_bits = 46;
   const std::size_t target = 288;
+  util::BitVec da, dn;
   int aborted = 0;
   for (int trial = 0; trial < 300; ++trial) {
     // Junk block: uniform random bits, nowhere near any codeword.
@@ -218,28 +218,53 @@ TEST(Convolutional, BatchEarlyAbortIsExactSafe) {
     // The blind decoder's floor: matches >= 85% of the block.
     const auto thr = static_cast<std::int32_t>(
         2 * ((85 * target + 99) / 100) - target);
-    BatchDecodeJob with_abort;
-    with_abort.received = &block;
-    with_abort.abort_below = thr;
-    BatchDecodeJob without;
-    without.received = &block;
-    BatchDecodeResult ra, rn;
-    conv_decode_batch(&with_abort, 1, payload_bits, &ra);
-    conv_decode_batch(&without, 1, payload_bits, &rn);
+    const auto ra = conv_decode(block, payload_bits, da, nullptr, thr);
+    const auto rn = conv_decode(block, payload_bits, dn);
     if (ra.aborted) {
       ++aborted;
       // The abort claimed no completion reaches the floor; the full
       // decode's best metric must indeed sit below it.
       ASSERT_LT(rn.metric, thr) << trial;
+      ASSERT_TRUE(da.empty()) << trial;
     } else {
-      ASSERT_EQ(ra.decoded, rn.decoded) << trial;
+      ASSERT_EQ(da, dn) << trial;
       ASSERT_EQ(ra.metric, rn.metric) << trial;
     }
-    ASSERT_EQ(rn.decoded, conv_decode_reference(block, payload_bits)) << trial;
+    ASSERT_EQ(dn, conv_decode_reference(block, payload_bits)) << trial;
   }
   // Random noise correlates ~50% with any codeword: essentially every
   // junk block must have tripped the abort.
   EXPECT_GT(aborted, 290);
+}
+
+// The kernel's stated bounds: int16 path metrics are exact for blocks of
+// up to kConvMaxBlockBits bits, and the traceback scratch holds payloads
+// of up to kConvMaxPayloadBits bits. Extreme blocks inside the bounds
+// decode exactly; anything past them is refused, not overflowed.
+TEST(Convolutional, DecodeBoundsAreEnforced) {
+  util::BitVec decoded;
+  for (const std::size_t bits : {std::size_t{1152}, kConvMaxBlockBits}) {
+    for (const bool ones : {false, true}) {
+      const util::BitVec block(bits, ones);
+      const auto r = conv_decode(block, 80, decoded);
+      EXPECT_EQ(decoded, conv_decode_reference(block, 80))
+          << bits << " bits of " << ones;
+      // The all-zero codeword matches an all-zero block everywhere: the
+      // largest metric any block of this size can produce.
+      if (!ones) {
+        EXPECT_EQ(r.metric, static_cast<std::int32_t>(bits));
+      }
+    }
+  }
+  const util::BitVec longest(2 * (kConvMaxPayloadBits + kConvTailBits), true);
+  conv_decode(longest, kConvMaxPayloadBits, decoded);
+  EXPECT_EQ(decoded, conv_decode_reference(longest, kConvMaxPayloadBits));
+
+  EXPECT_THROW(conv_decode(util::BitVec(kConvMaxBlockBits + 1), 80, decoded),
+               std::invalid_argument);
+  EXPECT_THROW(
+      conv_decode(util::BitVec(1152), kConvMaxPayloadBits + 1, decoded),
+      std::invalid_argument);
 }
 
 TEST(ConvolutionalPdcch, BlindDecodeAllFormats) {

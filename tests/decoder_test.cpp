@@ -2,6 +2,10 @@
 // tracking, and the assembled monitor pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
@@ -150,6 +154,100 @@ TEST(BlindDecoder, WrongFormatNeverWins) {
       EXPECT_EQ(msgs[0].rnti, 0x123);
     }
   }
+}
+
+// 200 ticks of a Viterbi-coded cell at 1% BER with every CCE energized, so
+// every unclaimed candidate of every level is tried: a persistent grant
+// repeated each tick (memo hits whenever the noise spares its span), a
+// grant to the SI-RNTI every 4th tick (outside the C-RNTI range, so the
+// CRC screen rejects it), then up to three random grants of random
+// formats and levels. Returns the decoder's accumulated stats.
+DecodeStats noisy_viterbi_run(const phy::CellConfig& cell) {
+  const bool nr = cell.rat == phy::Rat::kNr;
+  const phy::DciFormat* formats = nr ? phy::kNrDciFormats : phy::kLteDciFormats;
+  const auto n_formats = static_cast<std::int64_t>(
+      nr ? std::size(phy::kNrDciFormats) : std::size(phy::kLteDciFormats));
+  util::Rng rng{61};
+  BlindDecoder dec{cell};
+  for (int t = 0; t < 200; ++t) {
+    phy::PdcchBuilder b(cell, t);
+    b.add_escalating(make_dci(0x3A0, 10, 0, formats[1]), 4);
+    if (t % 4 == 0) b.add_escalating(make_dci(0xFFFF, 8, 0, formats[1]), 2);
+    const auto n = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const auto fmt = formats[rng.uniform_int(0, n_formats - 1)];
+      const int al = 1 << rng.uniform_int(0, 3);
+      b.add_escalating(
+          make_dci(static_cast<phy::Rnti>(0x400 + rng.uniform_int(0, 255)),
+                   static_cast<int>(rng.uniform_int(1, 20)),
+                   static_cast<int>(rng.uniform_int(0, 20)), fmt),
+          al);
+    }
+    auto sf = std::move(b).build();
+    std::fill(sf.cce_used.begin(), sf.cce_used.end(), true);
+    phy::apply_bit_noise(sf, 0.01, rng);
+    dec.decode(sf);
+  }
+  return dec.stats();
+}
+
+struct AccountingPin {
+  std::array<std::uint64_t, kNumAlLanes> candidates;
+  std::array<std::uint64_t, kNumAlLanes> crc_failures;
+  std::array<std::uint64_t, kNumAlLanes> decoded;
+  std::uint64_t early_aborts;
+  std::uint64_t screen_rejects;
+  std::uint64_t memo_hits;
+};
+
+void expect_accounting(const DecodeStats& st, const AccountingPin& pin) {
+  EXPECT_EQ(st.candidates_by_al, pin.candidates);
+  EXPECT_EQ(st.crc_failures_by_al, pin.crc_failures);
+  EXPECT_EQ(st.decoded_by_al, pin.decoded);
+  std::uint64_t candidates = 0, failures = 0, decoded = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(kNumAlLanes); ++i) {
+    candidates += pin.candidates[i];
+    failures += pin.crc_failures[i];
+    decoded += pin.decoded[i];
+  }
+  EXPECT_EQ(st.candidates_tried, candidates);
+  EXPECT_EQ(st.crc_failures, failures);
+  EXPECT_EQ(st.messages_decoded, decoded);
+  EXPECT_EQ(st.early_aborts, pin.early_aborts);
+  EXPECT_EQ(st.screen_rejects, pin.screen_rejects);
+  EXPECT_EQ(st.memo_hits, pin.memo_hits);
+  EXPECT_EQ(st.subframes, 200u);
+}
+
+// Per-candidate accounting, pinned: every DecodeStats count but
+// lane_batches (the Viterbi runs) for a convolutional 20 MHz LTE cell and
+// a polar-coded 120 kHz NR cell. Each candidate runs the format loop until
+// the first format validates; a loop that went on past it would raise the
+// per-AL candidate and failure counts.
+TEST(BlindDecoder, ViterbiAccountingIsPinned) {
+  phy::CellConfig lte{1, 20.0};
+  lte.pdcch_coding = phy::PdcchCoding::kConvolutional;
+  expect_accounting(noisy_viterbi_run(lte),
+                    {{0, 29695, 19423, 9851, 0},
+                     {0, 29591, 19099, 9778, 0},
+                     {0, 104, 324, 73, 0},
+                     2039,
+                     47,
+                     3651});
+
+  phy::CellConfig nr{2, 50.0};
+  nr.rat = phy::Rat::kNr;
+  nr.scs = nr::Scs::k120kHz;
+  nr.coreset.rbs = 30;
+  nr.coreset.symbols = 2;
+  nr.pdcch_coding = phy::PdcchCoding::kPolar;
+  expect_accounting(noisy_viterbi_run(nr),
+                    {{0, 514, 957, 600, 0},
+                     {0, 451, 693, 600, 0},
+                     {0, 63, 264, 0, 0},
+                     1015,
+                     50,
+                     38});
 }
 
 // The per-bit repetition vote and agreement check that majority_decode and

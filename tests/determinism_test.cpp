@@ -235,9 +235,9 @@ TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
   expect_concurrent_matches_serial({"none", 0, "conv"});
 }
 
-// Golden values (DESIGN.md §14): the lockstep batch decoder must
-// reproduce, bit for bit, what the scalar per-candidate decoder it
-// replaced produced — goodput, p95 delay, candidate count and every delay
+// Golden values (DESIGN.md §14): the state-parallel Viterbi decoder must
+// reproduce, bit for bit, what the scalar per-candidate decoder
+// produced — goodput, p95 delay, candidate count and every delay
 // sample — on the Viterbi pipeline and on the repetition-coded one (whose
 // decode path adds the CRC-first screen). Equality between serial and
 // concurrent runs is DeterminismConvolutional's and DeterminismTest's job.

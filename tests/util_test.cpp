@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/bitvec.h"
 #include "util/crc.h"
 #include "util/rate.h"
@@ -732,51 +731,6 @@ TEST(CrcTest, TableDrivenMatchesBitwiseAtEveryOffset) {
     }
   }
   EXPECT_THROW(crc16_range(b, 64, 201), std::out_of_range);
-}
-
-// ---------------------------------------------------------------- arena
-
-TEST(ArenaTest, ReusesStorageAfterReset) {
-  Arena a{64};
-  int* p1 = a.alloc<int>(8);
-  std::fill_n(p1, 8, 42);
-  a.reset();
-  int* p2 = a.alloc<int>(8);
-  // Single-block steady state: reset hands back the same storage.
-  EXPECT_EQ(p1, p2);
-  EXPECT_EQ(a.blocks(), 1u);
-}
-
-TEST(ArenaTest, GrowthKeepsEarlierPointersValid) {
-  Arena a{32};
-  std::uint8_t* small = a.alloc<std::uint8_t>(16);
-  std::fill_n(small, 16, 7);
-  // Far larger than the current block: forces a fresh one.
-  std::uint8_t* big = a.alloc<std::uint8_t>(4096);
-  std::fill_n(big, 4096, 9);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(small[i], 7);
-  EXPECT_GE(a.blocks(), 2u);
-  // Reset coalesces: the next cycle runs out of one right-sized block.
-  a.reset();
-  EXPECT_EQ(a.blocks(), 1u);
-  a.alloc<std::uint8_t>(16);
-  a.alloc<std::uint8_t>(4096);
-  EXPECT_EQ(a.blocks(), 1u);
-}
-
-TEST(ArenaTest, AlignsForType) {
-  Arena a{256};
-  a.alloc<std::uint8_t>(3);  // misalign the bump offset
-  const auto addr = reinterpret_cast<std::uintptr_t>(a.alloc<std::int64_t>(2));
-  EXPECT_EQ(addr % alignof(std::int64_t), 0u);
-}
-
-TEST(ArenaTest, HighWaterTracksPeakCycle) {
-  Arena a{64};
-  a.alloc<std::int32_t>(100);  // 400 bytes
-  a.reset();
-  a.alloc<std::int32_t>(10);
-  EXPECT_GE(a.high_water(), 400u);
 }
 
 }  // namespace
