@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
               msgs_per_sf.percentile(99));
   int max_bits = 0;
   for (int fidx = 0; fidx < phy::kNumDciFormats; ++fidx) {
-    max_bits = std::max(max_bits,
-                        phy::dci_payload_bits(static_cast<phy::DciFormat>(fidx)) + 16);
+    max_bits = std::max(
+        max_bits, phy::dci_message_bits(static_cast<phy::DciFormat>(fidx)));
   }
   std::printf("    largest control message: %d bits (paper: <70 bits)\n",
               max_bits);

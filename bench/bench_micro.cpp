@@ -53,8 +53,10 @@ void BM_BlindDecodeSubframe(benchmark::State& state) {
 BENCHMARK(BM_BlindDecodeSubframe)->Arg(1)->Arg(4)->Arg(16);
 
 // PDCCH synthesis: fill a 20 MHz control region with DCIs at one
-// aggregation level (a fresh builder per region).
-void BM_PdcchBuilderAdd(benchmark::State& state) {
+// aggregation level (a fresh builder per region). With `build` the
+// region is encoded too, as on a monitored cell; without it the builder
+// is dropped after placement, as on a cell nobody observes.
+void fill_pdcch(benchmark::State& state, bool build) {
   const phy::CellConfig cell{1, 20.0};
   const int al = static_cast<int>(state.range(0));
   phy::Dci d;
@@ -68,12 +70,23 @@ void BM_PdcchBuilderAdd(benchmark::State& state) {
       d.rnti = static_cast<phy::Rnti>(0x100 + i);
       placed += b.add(d, al) ? 1 : 0;
     }
-    benchmark::DoNotOptimize(std::move(b).build());
+    if (build) {
+      benchmark::DoNotOptimize(std::move(b).build());
+    } else {
+      benchmark::DoNotOptimize(b);
+    }
   }
   state.SetItemsProcessed(placed);
   state.SetLabel("items = DCIs placed");
 }
+
+// Placement plus encoding.
+void BM_PdcchBuilderAdd(benchmark::State& state) { fill_pdcch(state, true); }
 BENCHMARK(BM_PdcchBuilderAdd)->Arg(1)->Arg(8);
+
+// Placement alone.
+void BM_PdcchPlace(benchmark::State& state) { fill_pdcch(state, false); }
+BENCHMARK(BM_PdcchPlace)->Arg(1)->Arg(8);
 
 // Monitor-side noise over a 20 MHz control region at 1% BER: one RNG draw
 // per bit.

@@ -157,12 +157,10 @@ BlindDecoder::CandidateResult BlindDecoder::decode_candidate(
   const phy::DciFormat* formats = format_list(cell_, &n_formats);
   for (int f = 0; f < n_formats; ++f) {
     const auto format = formats[f];
-    const int msg_bits = phy::dci_payload_bits(format) + 16;
-    if (viterbi ? region_bits < phy::conv_min_region_bits(
-                                    static_cast<std::size_t>(msg_bits))
-                : phy::repetitions_that_fit(msg_bits, al) == 0) {
+    if (!phy::format_fits(sf.coding, format, al)) {
       continue;  // infeasible rate, no attempt
     }
+    const int msg_bits = phy::dci_message_bits(format);
     ++r.attempts;
     if (viterbi) {
       ++viterbi_runs;

@@ -19,9 +19,14 @@ void DelayLink::send(Packet pkt) {
   // FIFO: never deliver before a previously sent packet.
   deliver_at = std::max(deliver_at, last_delivery_);
   last_delivery_ = deliver_at;
-  loop_.schedule_at(deliver_at, [this, pkt = std::move(pkt)]() mutable {
-    sink_(std::move(pkt));
-  });
+  loop_.schedule_at(deliver_at, [this] { deliver_head(); });
+  in_flight_.push_back(std::move(pkt));
+}
+
+void DelayLink::deliver_head() {
+  Packet pkt = std::move(in_flight_.front());
+  in_flight_.pop_front();
+  sink_(std::move(pkt));
 }
 
 BottleneckLink::BottleneckLink(EventLoop& loop, Config cfg, PacketHandler sink)

@@ -17,25 +17,35 @@ namespace pbecc::net {
 // Receives packets at the far end of a link stage.
 using PacketHandler = std::function<void(Packet)>;
 
-// Fixed propagation delay with optional uniform jitter in [0, max_jitter].
-// Jitter never reorders packets (delivery time is clamped to be monotonic),
+// Fixed propagation delay with optional uniform jitter in [0, max_jitter)
+// µs (a uniform draw scaled by max_jitter, truncated to whole µs). Jitter
+// never reorders packets (delivery time is clamped to be monotonic),
 // matching FIFO queue behaviour.
 class DelayLink {
  public:
   DelayLink(EventLoop& loop, util::Duration delay, PacketHandler sink,
             util::Duration max_jitter = 0, std::uint64_t seed = 1);
+  // Pending delivery events hold `this`.
+  DelayLink(const DelayLink&) = delete;
+  DelayLink& operator=(const DelayLink&) = delete;
 
   void send(Packet pkt);
 
   util::Duration delay() const { return delay_; }
 
  private:
+  void deliver_head();
+
   EventLoop& loop_;
   util::Duration delay_;
   util::Duration max_jitter_;
   PacketHandler sink_;
   util::Rng rng_;
   util::Time last_delivery_ = 0;
+  // Packets in flight, in send order. Delivery times are monotonic and the
+  // loop breaks time ties by scheduling order, so this link's delivery
+  // events fire in send order too and each one delivers the head.
+  std::deque<Packet> in_flight_;
 };
 
 // Rate-limited droptail queue: models the Internet bottleneck the paper's

@@ -39,7 +39,7 @@ std::vector<int> rate_match_counts(std::size_t coded_bits,
 // Smallest control region, in bits, that can carry a `msg_bits`-bit
 // message: the rate-matched block must keep real redundancy (effective
 // rate at most 1/2) or the decoder cannot recover the punctured positions.
-// PdcchBuilder refuses and BlindDecoder skips any placement below it.
+// phy::format_fits applies it for PdcchBuilder and BlindDecoder alike.
 constexpr std::size_t conv_min_region_bits(std::size_t msg_bits) {
   return 2 * (msg_bits + kConvTailBits);
 }

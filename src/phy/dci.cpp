@@ -59,9 +59,18 @@ int dci_payload_bits(DciFormat f) {
   return base + (format_is_mimo(f) ? 1 : 0) + format_padding(f);
 }
 
+int dci_message_bits(DciFormat f) { return dci_payload_bits(f) + kDciCrcBits; }
+
+void validate_dci(const Dci& d) {
+  if (!format_is_mimo(d.format) && d.mcs.n_streams != 1) {
+    throw std::invalid_argument("2-stream DCI requires format 2/2A/1_1");
+  }
+}
+
 util::BitVec encode_dci(const Dci& d) {
+  validate_dci(d);
   util::BitVec bits;
-  bits.reserve(static_cast<std::size_t>(dci_payload_bits(d.format)) + 16);
+  bits.reserve(static_cast<std::size_t>(dci_message_bits(d.format)));
   bits.push_uint(static_cast<std::uint64_t>(d.format), kFormatTagBits);
   bits.push_uint(d.prb_start, prb_field_bits(d.format));
   bits.push_uint(d.n_prbs, prb_field_bits(d.format));
@@ -70,21 +79,21 @@ util::BitVec encode_dci(const Dci& d) {
   bits.push_uint(d.new_data ? 1 : 0, kNdiBits);
   if (format_is_mimo(d.format)) {
     bits.push_uint(d.mcs.n_streams == 2 ? 1 : 0, 1);
-  } else if (d.mcs.n_streams != 1) {
-    throw std::invalid_argument("2-stream DCI requires format 2/2A/1_1");
   }
   bits.push_uint(0, static_cast<std::size_t>(format_padding(d.format)));
 
   const std::uint16_t crc = util::crc16_rnti(bits, d.rnti);
-  bits.push_uint(crc, 16);
+  bits.push_uint(crc, kDciCrcBits);
   return bits;
 }
 
 bool dci_crc_screen(const util::BitVec& bits, DciFormat format) {
   const auto payload_len = static_cast<std::size_t>(dci_payload_bits(format));
-  if (bits.size() != payload_len + 16) return false;
+  if (bits.size() != static_cast<std::size_t>(dci_message_bits(format))) {
+    return false;
+  }
   const auto rx_crc =
-      static_cast<std::uint16_t>(bits.read_uint(payload_len, 16));
+      static_cast<std::uint16_t>(bits.read_uint(payload_len, kDciCrcBits));
   const auto rnti =
       static_cast<Rnti>(util::crc16_range(bits, 0, payload_len) ^ rx_crc);
   return rnti >= kMinCRnti && rnti <= kMaxCRnti;
@@ -93,9 +102,12 @@ bool dci_crc_screen(const util::BitVec& bits, DciFormat format) {
 std::optional<Dci> decode_dci(const util::BitVec& bits, DciFormat format,
                               int n_cell_prbs) {
   const auto payload_len = static_cast<std::size_t>(dci_payload_bits(format));
-  if (bits.size() != payload_len + 16) return std::nullopt;
+  if (bits.size() != static_cast<std::size_t>(dci_message_bits(format))) {
+    return std::nullopt;
+  }
 
-  const auto rx_crc = static_cast<std::uint16_t>(bits.read_uint(payload_len, 16));
+  const auto rx_crc =
+      static_cast<std::uint16_t>(bits.read_uint(payload_len, kDciCrcBits));
   const auto rnti =
       static_cast<Rnti>(util::crc16_range(bits, 0, payload_len) ^ rx_crc);
   if (rnti < kMinCRnti || rnti > kMaxCRnti) return std::nullopt;

@@ -63,10 +63,18 @@ constexpr bool format_is_mimo(DciFormat f) {
          f == DciFormat::kNrFormat1_1;
 }
 
-// Payload bit length of each format (excluding the 16-bit CRC). Distinct
-// lengths are what force a real blind search. All under the 70-bit bound
-// the paper cites for control messages (§7).
+// Payload bit length of each format (excluding the CRC). Distinct lengths
+// are what force a real blind search. All under the 70-bit bound the paper
+// cites for control messages (§7).
 int dci_payload_bits(DciFormat f);
+
+// Width of the RNTI-masked CRC appended to every payload.
+inline constexpr int kDciCrcBits = 16;
+
+// On-air length of a `format` message, payload plus CRC: what encode_dci()
+// emits, what the control region must carry and what the blind decoder
+// tries at each candidate.
+int dci_message_bits(DciFormat f);
 
 struct Dci {
   Rnti rnti = 0;
@@ -86,8 +94,13 @@ struct Dci {
   bool operator==(const Dci&) const = default;
 };
 
-// Serialize to payload bits (MSB-first fields) + 16-bit RNTI-masked CRC.
-// Total on-air bits = dci_payload_bits(format) + 16.
+// Throws std::invalid_argument if `d` cannot be encoded: a two-stream MCS
+// in a format without a second-stream field. The only check encode_dci()
+// makes; PdcchBuilder::add() applies it before placing a message.
+void validate_dci(const Dci& d);
+
+// Serialize to payload bits (MSB-first fields) + RNTI-masked CRC, in all
+// dci_message_bits(format) bits. Validates `d` first (validate_dci).
 util::BitVec encode_dci(const Dci& d);
 
 // Attempt to parse `bits` as a `format` message. Checks structural

@@ -21,14 +21,22 @@ int repetitions_that_fit(int msg_bits, int agg_level) {
   return (agg_level * kBitsPerCce) / msg_bits;
 }
 
+bool format_fits(PdcchCoding coding, DciFormat format, int al) {
+  const int msg_bits = dci_message_bits(format);
+  if (coding == PdcchCoding::kRepetition) {
+    return repetitions_that_fit(msg_bits, al) > 0;
+  }
+  return static_cast<std::size_t>(al) * kBitsPerCce >=
+         conv_min_region_bits(static_cast<std::size_t>(msg_bits));
+}
+
 PdcchBuilder::PdcchBuilder(const CellConfig& cfg, std::int64_t sf_index)
-    : cfg_(cfg), coding_(cfg.pdcch_coding) {
+    : cfg_(cfg) {
   sf_.cell_id = cfg.id;
   sf_.sf_index = sf_index;
   sf_.n_cces = cfg.n_cces();
-  sf_.coding = coding_;
+  sf_.coding = cfg.pdcch_coding;
   sf_.tick = cfg.tick();
-  sf_.bits = util::BitVec(static_cast<std::size_t>(sf_.n_cces) * kBitsPerCce);
   sf_.cce_used.assign(static_cast<std::size_t>(sf_.n_cces), false);
 }
 
@@ -45,20 +53,8 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
     throw std::invalid_argument(is_nr ? "aggregation level must be 1/2/4/8/16"
                                       : "aggregation level must be 1/2/4/8");
   }
-  const util::BitVec msg = encode_dci(dci);
-  const auto region_bits = static_cast<std::size_t>(al) * kBitsPerCce;
-
-  util::BitVec block;
-  if (coding_ == PdcchCoding::kRepetition) {
-    if (repetitions_that_fit(static_cast<int>(msg.size()), al) == 0) {
-      return false;
-    }
-  } else {
-    // Convolutional, or kPolar's convolutional stand-in: long formats
-    // need AL >= 2 to keep real redundancy after rate matching.
-    if (region_bits < conv_min_region_bits(msg.size())) return false;
-    block = rate_match(conv_encode(msg), region_bits);
-  }
+  validate_dci(dci);
+  if (!format_fits(sf_.coding, dci.format, al)) return false;
 
   // First-fit over the level's candidates: every AL-aligned start for LTE
   // (the 36.213 UE-specific search space, simplified), the cell's
@@ -81,21 +77,10 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
     }
     if (!free) continue;
 
-    const auto base = static_cast<std::size_t>(start) * kBitsPerCce;
-    if (coding_ == PdcchCoding::kRepetition) {
-      // Repetition-code the message across the aggregated CCEs; leftover
-      // bits keep their (zero) filler value.
-      const int reps = repetitions_that_fit(static_cast<int>(msg.size()), al);
-      for (int r = 0; r < reps; ++r) {
-        sf_.bits.write_range(base + static_cast<std::size_t>(r) * msg.size(),
-                             msg);
-      }
-    } else {
-      sf_.bits.write_range(base, block);
-    }
     for (int c = start; c < start + al; ++c) {
       sf_.cce_used[static_cast<std::size_t>(c)] = true;
     }
+    placed_.push_back({dci, start, al});
     return true;
   }
   return false;
@@ -109,7 +94,26 @@ bool PdcchBuilder::add_escalating(const Dci& dci, int aggregation_level) {
   return false;
 }
 
-PdcchSubframe PdcchBuilder::build() && { return std::move(sf_); }
+PdcchSubframe PdcchBuilder::build() && {
+  sf_.bits = util::BitVec(static_cast<std::size_t>(sf_.n_cces) * kBitsPerCce);
+  for (const Placement& p : placed_) {
+    const util::BitVec msg = encode_dci(p.dci);
+    const auto base = static_cast<std::size_t>(p.start_cce) * kBitsPerCce;
+    if (sf_.coding == PdcchCoding::kRepetition) {
+      // Repetition-code the message across the aggregated CCEs; leftover
+      // bits keep their (zero) filler value.
+      const int reps = repetitions_that_fit(static_cast<int>(msg.size()), p.al);
+      for (int r = 0; r < reps; ++r) {
+        sf_.bits.write_range(base + static_cast<std::size_t>(r) * msg.size(),
+                             msg);
+      }
+    } else {
+      const auto region_bits = static_cast<std::size_t>(p.al) * kBitsPerCce;
+      sf_.bits.write_range(base, rate_match(conv_encode(msg), region_bits));
+    }
+  }
+  return std::move(sf_);
+}
 
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;

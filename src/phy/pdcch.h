@@ -1,12 +1,21 @@
 // Synthetic physical downlink control channel (PDCCH).
 //
 // This is the encode side of the SDR substitution: instead of live I/Q
-// samples, each cell emits one PdcchSubframe per millisecond — a control
-// region of CCEs (control channel elements, 72 bits each) into which DCI
-// messages are packed at an aggregation level of 1/2/4/8 CCEs with
-// repetition coding. A channel then flips bits at the monitor's control
-// BER, and the blind decoder (src/decoder) searches candidates exactly the
-// way the paper's srsLTE-based decoder does.
+// samples, each cell emits one PdcchSubframe per scheduling tick (a 1 ms
+// LTE subframe or an NR slot) — a control region of CCEs (control channel
+// elements, 72 bits each) into which DCI messages are packed at an
+// aggregation level of 1/2/4/8 CCEs (up to 16 on NR). The cell's
+// PdcchCoding picks the code: repetition, or the convolutional code with
+// rate matching (which NR's polar tag stands in for). A channel then flips
+// bits at the monitor's control BER, and the blind decoder (src/decoder)
+// searches candidates exactly the way the paper's srsLTE-based decoder
+// does.
+//
+// PdcchBuilder splits placement from encoding. add() makes every decision
+// that shapes the schedule (which DCIs fit and on which CCEs) without
+// touching a bit; build() allocates the bit plane and encodes what was
+// placed. Only monitors read the bits, so a cell nobody observes never
+// calls build() and never pays for the encoding.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +66,11 @@ class PdcchBuilder {
   // Place `dci` at the first free candidate of the level: LTE sweeps every
   // aggregation-aligned start, NR walks exactly the cell's search-space
   // candidate list (nr::candidate_starts) so the blind decoder's
-  // enumeration provably covers every placement. Returns false if no
-  // candidate is free (message dropped, as in a real cell whose PDCCH is
-  // exhausted).
+  // enumeration provably covers every placement. Returns false if the
+  // message cannot be carried at this level or no candidate is free
+  // (message dropped, as in a real cell whose PDCCH is exhausted). Throws
+  // std::invalid_argument for an aggregation level the RAT lacks or a DCI
+  // encode_dci() would refuse. Records the placement; encodes nothing.
   bool add(const Dci& dci, int aggregation_level);
 
   // As add(), but escalates the aggregation level (doubling up to 8 on
@@ -69,12 +80,22 @@ class PdcchBuilder {
   bool add_escalating(const Dci& dci, int aggregation_level);
 
   int cces_free() const;
+
+  // The tick's control region: a zeroed n_cces x kBitsPerCce plane with
+  // every placed DCI encoded at its CCEs. Placements never overlap, so the
+  // order they are encoded in does not matter.
   PdcchSubframe build() &&;
 
  private:
+  struct Placement {
+    Dci dci;
+    int start_cce;
+    int al;
+  };
+
   CellConfig cfg_;
-  PdcchCoding coding_;
-  PdcchSubframe sf_;
+  PdcchSubframe sf_;  // everything but `bits` until build()
+  std::vector<Placement> placed_;
 };
 
 // Flip each bit independently with probability `ber` — the monitor-side
@@ -86,5 +107,12 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);
 // Number of repetitions of a (payload+CRC) message of `msg_bits` bits that
 // fit in `agg_level` CCEs; 0 if it does not fit at all.
 int repetitions_that_fit(int msg_bits, int agg_level);
+
+// Whether an AL-`al` candidate under `coding` can carry a `format`
+// message: one whole repetition, or for the convolutional code (and
+// kPolar's stand-in) a rate-matched block of code rate at most 1/2
+// (conv_min_region_bits). PdcchBuilder places only, and BlindDecoder
+// tries only, the formats this admits.
+bool format_fits(PdcchCoding coding, DciFormat format, int al);
 
 }  // namespace pbecc::phy

@@ -197,6 +197,63 @@ TEST(DelayLink, JitterNeverReorders) {
   for (std::uint64_t i = 0; i < 200; ++i) EXPECT_EQ(seqs[i], i);
 }
 
+// Two jittered links share one loop and their sends interleave, several
+// per instant, so deliveries of both links land on the same instants.
+// The loop must deliver in (delivery time, global send order) and each
+// link in its own send order. The links and the loop are then torn down
+// with packets still in flight.
+TEST(DelayLink, InterleavedLinksKeepSendOrder) {
+  struct Delivery {
+    util::Time at;
+    std::uint64_t send_order;
+    int link;
+  };
+  std::vector<Delivery> got;
+  std::uint64_t sent = 0;
+  {
+    EventLoop loop;
+    DelayLink a(loop, 10 * util::kMillisecond,
+                [&](Packet p) { got.push_back({loop.now(), p.seq, 0}); },
+                4, 21);
+    DelayLink b(loop, 10 * util::kMillisecond,
+                [&](Packet p) { got.push_back({loop.now(), p.seq, 1}); },
+                4, 22);
+    for (util::Time t = 0; t < 400; t += 2) {
+      loop.schedule_at(t, [&, t] {
+        // a, b, then a or b again: the global send order goes in `seq`.
+        for (DelayLink* link : {&a, &b, t % 4 == 0 ? &a : &b}) {
+          Packet p;
+          p.seq = sent++;
+          link->send(p);
+        }
+      });
+    }
+    loop.run_until(10 * util::kMillisecond + 300);
+    ASSERT_LT(got.size(), sent);  // the rest are still in flight
+  }
+  ASSERT_GT(got.size(), 100u);
+  int shared_instants = 0;
+  std::uint64_t last_seq[2] = {0, 0};
+  bool seen[2] = {false, false};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Delivery& d = got[i];
+    if (i > 0) {
+      const Delivery& prev = got[i - 1];
+      EXPECT_TRUE(prev.at < d.at ||
+                  (prev.at == d.at && prev.send_order < d.send_order))
+          << "delivery " << i;
+      if (prev.at == d.at && prev.link != d.link) ++shared_instants;
+    }
+    const auto l = static_cast<std::size_t>(d.link);
+    if (seen[l]) {
+      EXPECT_LT(last_seq[l], d.send_order) << "link " << d.link;
+    }
+    seen[l] = true;
+    last_seq[l] = d.send_order;
+  }
+  EXPECT_GT(shared_instants, 0);
+}
+
 TEST(BottleneckLink, SerializationRate) {
   EventLoop loop;
   std::vector<util::Time> arrivals;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "phy/cell_config.h"
 #include "phy/channel.h"
@@ -344,6 +347,137 @@ TEST(Pdcch, InvalidAggregationThrows) {
   d.n_prbs = 1;
   d.mcs = {5, 1};
   EXPECT_THROW(b.add(d, 3), std::invalid_argument);
+}
+
+// Validation stays in add(): a DCI that encode_dci() would refuse throws
+// at placement whether or not the region is ever built, and a format the
+// convolutional code cannot carry at the requested level is refused there.
+TEST(Pdcch, AddValidatesWithoutBuild) {
+  const CellConfig cell{1, 10.0};
+  Dci two_stream;
+  two_stream.rnti = 0x300;
+  two_stream.format = DciFormat::kFormat1A;  // no second-stream field
+  two_stream.n_prbs = 4;
+  two_stream.mcs = {9, 2};
+  {
+    PdcchBuilder b(cell, 0);
+    EXPECT_THROW(b.add(two_stream, 4), std::invalid_argument);
+    EXPECT_THROW(b.add_escalating(two_stream, 1), std::invalid_argument);
+    EXPECT_EQ(b.cces_free(), cell.n_cces());
+  }  // dropped unbuilt
+
+  CellConfig conv{2, 20.0};
+  conv.pdcch_coding = PdcchCoding::kConvolutional;
+  Dci long_dci;
+  long_dci.rnti = 0x301;
+  long_dci.format = DciFormat::kFormat2;  // 69 bits on air: AL4 at least
+  long_dci.n_prbs = 4;
+  long_dci.mcs = {9, 2};
+  PdcchBuilder b(conv, 0);
+  EXPECT_FALSE(b.add(long_dci, 1));
+  EXPECT_FALSE(b.add(long_dci, 2));
+  EXPECT_EQ(b.cces_free(), conv.n_cces());
+  EXPECT_TRUE(b.add_escalating(long_dci, 1));
+  EXPECT_EQ(b.cces_free(), conv.n_cces() - 4);
+}
+
+// The builder's output on every cell type: seeded random DCI streams of
+// every format the RAT allows, at every aggregation level, fed through
+// add() and add_escalating() until the region is full (eight refusals in
+// a row), for three regions per cell. Pinned to what the builder produced
+// when add() still wrote each message into the plane itself: the
+// accept/reject sequence and FNV-1a digests, chained over the regions, of
+// the built bits and of the CCE occupancy.
+TEST(Pdcch, BuildIsPinned) {
+  auto nr_cell = [](CellId id, nr::Scs scs, double mhz, int coreset_rbs) {
+    CellConfig c{id, mhz};
+    c.rat = Rat::kNr;
+    c.scs = scs;
+    c.coreset.rbs = coreset_rbs;
+    c.pdcch_coding = PdcchCoding::kPolar;
+    return c;
+  };
+  CellConfig conv{4, 20.0};
+  conv.pdcch_coding = PdcchCoding::kConvolutional;
+
+  struct Pin {
+    CellConfig cell;
+    std::uint64_t seed;
+    // '1' placed, '0' refused, one per attempt; '|' ends a region.
+    const char* accepts;
+    std::uint64_t bits_digest;
+    std::uint64_t used_digest;
+  };
+  const Pin pins[] = {
+      {CellConfig{1, 5.0}, 11,
+       "11101100000011|111100000000|111011010100001|",
+       0x03f0a70db96bde7bULL, 0xcdf04bdcbaa31ebbULL},
+      {CellConfig{2, 10.0}, 12,
+       "1111111110100000000|1111111111110001|111111111110111001101|",
+       0xbd6a2f8aa5c8fe4aULL, 0x48a8a5d4a23e44ecULL},
+      {CellConfig{3, 20.0}, 13,
+       "11111111111111111111111011101001|"
+       "111111111111111111111111110001|"
+       "111111111111111111111111111111111001|",
+       0xe7f055482ff01182ULL, 0x9ece13429ae3c3f1ULL},
+      {conv, 14,
+       "111111111001111110111|1010110111011111100111|"
+       "111111110011111111111011|",
+       0xf5a53797d001c27cULL, 0x9ece13429ae3c3f1ULL},
+      {nr_cell(5, nr::Scs::k30kHz, 20.0, 48), 15, "110000100100000000|01|1|",
+       0xfcf790143f3607d4ULL, 0x73daf79536fe1857ULL},
+      {nr_cell(6, nr::Scs::k120kHz, 50.0, 30), 16,
+       "1100000000|0101100000000|00100000000|", 0xf08c98561a70422eULL,
+       0x9cdcbb461ec1cd35ULL},
+  };
+  for (const Pin& pin : pins) {
+    const bool is_nr = pin.cell.rat == Rat::kNr;
+    const DciFormat* formats = is_nr ? kNrDciFormats : kLteDciFormats;
+    const auto n_formats = static_cast<std::int64_t>(
+        is_nr ? std::size(kNrDciFormats) : std::size(kLteDciFormats));
+    const int n_prbs = pin.cell.n_prbs();
+    util::Rng rng{pin.seed};
+    std::string accepts;
+    std::uint64_t bits_digest = util::kFnv1aOffset;
+    std::uint64_t used_digest = util::kFnv1aOffset;
+    for (std::int64_t region = 0; region < 3; ++region) {
+      PdcchBuilder b(pin.cell, region);
+      for (int refusals = 0; refusals < 8 && b.cces_free() > 0;) {
+        Dci d;
+        d.rnti = static_cast<Rnti>(rng.uniform_int(kMinCRnti, kMaxCRnti));
+        d.format = formats[rng.uniform_int(0, n_formats - 1)];
+        d.prb_start =
+            static_cast<std::uint16_t>(rng.uniform_int(0, n_prbs - 1));
+        d.n_prbs = static_cast<std::uint16_t>(
+            rng.uniform_int(1, n_prbs - d.prb_start));
+        d.mcs.cqi = static_cast<int>(rng.uniform_int(1, 15));
+        if (format_is_mimo(d.format)) {
+          d.mcs.n_streams = static_cast<int>(rng.uniform_int(1, 2));
+        }
+        d.harq_id =
+            static_cast<std::uint8_t>(rng.uniform_int(0, is_nr ? 15 : 7));
+        d.new_data = rng.uniform_int(0, 1) == 1;
+        const int al = 1 << rng.uniform_int(0, is_nr ? 4 : 3);
+        const bool placed = rng.uniform_int(0, 1) == 1
+                                ? b.add_escalating(d, al)
+                                : b.add(d, al);
+        accepts += placed ? '1' : '0';
+        refusals = placed ? 0 : refusals + 1;
+      }
+      accepts += '|';
+      const PdcchSubframe sf = std::move(b).build();
+      ASSERT_EQ(sf.bits.size(),
+                static_cast<std::size_t>(pin.cell.n_cces()) * kBitsPerCce);
+      const auto bits = sf.bits.to_bytes();
+      const std::vector<std::uint8_t> used(sf.cce_used.begin(),
+                                           sf.cce_used.end());
+      bits_digest = util::fnv1a64(bits.data(), bits.size(), bits_digest);
+      used_digest = util::fnv1a64(used.data(), used.size(), used_digest);
+    }
+    EXPECT_EQ(accepts, pin.accepts) << "cell " << pin.cell.id;
+    EXPECT_EQ(bits_digest, pin.bits_digest) << "cell " << pin.cell.id;
+    EXPECT_EQ(used_digest, pin.used_digest) << "cell " << pin.cell.id;
+  }
 }
 
 TEST(Pdcch, NoiseFlipsBitsDeterministically) {
