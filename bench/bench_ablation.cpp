@@ -19,12 +19,10 @@ namespace {
 
 struct Result {
   double tput = 0, p50 = 0, p95 = 0;
-  std::uint64_t sfs = 0;
 };
 
 Result run_one(sim::ScenarioConfig cfg, sim::FlowSpec fs, bool busy_bg,
                double weight = 1.0) {
-  const auto n_cells = cfg.cells.size();
   sim::Scenario s{cfg};
   sim::UeSpec ue;
   ue.cell_indices = {0};
@@ -41,8 +39,7 @@ Result run_one(sim::ScenarioConfig cfg, sim::FlowSpec fs, bool busy_bg,
   s.run_until(fs.stop);
   s.stats(f).finish(fs.stop);
   return {s.stats(f).avg_tput_mbps(), s.stats(f).median_delay_ms(),
-          s.stats(f).p95_delay_ms(),
-          static_cast<std::uint64_t>(fs.stop / util::kSubframe) * n_cells};
+          s.stats(f).p95_delay_ms()};
 }
 
 sim::ScenarioConfig busy_cell(std::uint64_t seed = 211) {
@@ -55,7 +52,8 @@ sim::ScenarioConfig busy_cell(std::uint64_t seed = 211) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_ablation", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
 
   // Every ablation point is an independent single-flow scenario. Build the
   // full run list up front (in the order the sections print), fan it out on
@@ -126,13 +124,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(
+  const auto results = pool.parallel_map(
       jobs.size(), [&](std::size_t j) { return jobs[j](); });
-  std::uint64_t sim_sfs = 0;
-  for (const auto& r : results) sim_sfs += r.sfs;
-  rep.add("18_ablation_points", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), 0);
   std::size_t cur = 0;
   const auto next = [&]() -> const Result& { return results[cur++]; };
 

@@ -1,15 +1,16 @@
-// Shared helpers for the reproduction benches: argument handling,
-// table/CDF printing in the shape the paper reports, and the
-// machine-readable JSON reporter behind every bench's `--json <path>`
-// (records consumed by bench/bench_gate.py and the CI bench-smoke job).
+// Shared helpers for the reproduction benches: a strict command line and
+// table/CDF printing in the shape the paper reports.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "par/thread_pool.h"
@@ -19,19 +20,58 @@
 
 namespace pbecc::bench {
 
-// Flow length for end-to-end benches: `--seconds N` (1..86400) overrides
-// the default (the paper uses 20 s flows; shorter runs keep the full suite
-// quick).
-inline util::Duration flow_seconds(int argc, char** argv,
-                                   int default_seconds) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--seconds") == 0) {
-      return util::whole_number_arg("--seconds", argv[i + 1], 1, 86400) *
-             util::kSecond;
+// A bench's command line: `--option value` pairs, each option one of those
+// the bench names. An unknown option exits 2 with "unknown option X", an
+// option without its value exits 2 with "missing value for X", and a
+// number out of its range exits 2 with util::whole_number_arg's message.
+// The two options benches share:
+//
+//   --seconds N   flow length, 1..86400, on benches whose flows have one
+//                 (the paper uses 20 s flows; shorter defaults keep the
+//                 suite quick)
+//   --threads N   size of the par::ThreadPool a bench fans its grid of
+//                 independent runs out on, 0..256 (0 = every core;
+//                 default 1); a single run stays on one thread
+class Args {
+ public:
+  Args(int argc, char** argv, std::initializer_list<std::string_view> options) {
+    for (int i = 1; i < argc; ++i) {
+      const char* option = argv[i];
+      if (std::find(options.begin(), options.end(), option) == options.end()) {
+        std::fprintf(stderr, "unknown option %s\n", option);
+        std::exit(2);
+      }
+      values_[option] = util::option_value(argc, argv, i);
     }
   }
-  return default_seconds * util::kSecond;
-}
+
+  // The value given for `option`, or "" when it was not given.
+  std::string text(const std::string& option) const {
+    const char* v = find(option);
+    return v ? v : "";
+  }
+
+  util::Duration seconds(int default_seconds) const {
+    const char* v = find("--seconds");
+    return (v ? util::whole_number_arg("--seconds", v, 1, 86400)
+              : default_seconds) *
+           util::kSecond;
+  }
+
+  int threads() const {
+    const char* v = find("--threads");
+    return v ? static_cast<int>(util::whole_number_arg("--threads", v, 0, 256))
+             : 1;
+  }
+
+ private:
+  const char* find(const std::string& option) const {
+    const auto it = values_.find(option);
+    return it == values_.end() ? nullptr : it->second;
+  }
+
+  std::map<std::string, const char*> values_;
+};
 
 inline void header(const char* title) {
   std::printf("\n================================================================\n");
@@ -55,7 +95,7 @@ inline void print_cdf(const char* label, const util::SampleSet& s) {
   std::printf("  (deciles 10..100)\n");
 }
 
-// Wall-clock stopwatch for bench records.
+// Wall-clock stopwatch for the benches that print a rate.
 class WallTimer {
  public:
   WallTimer() : t0_(std::chrono::steady_clock::now()) {}
@@ -67,107 +107,6 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point t0_;
-};
-
-// Machine-readable bench reporter. Every bench constructs one from argv:
-//
-//   --json <path>   write a JSON array of records on exit
-//   --threads N     size the bench grid's pool (0..256, 0 = every core;
-//                   default 1). Benches fan their independent scenario
-//                   runs out on pool(); a single run stays on one thread.
-//
-// Each record is {"schema_version", "bench", "config", "wall_ms",
-// "subframes_per_sec", "decode_attempts", "threads"}, keys always in that
-// order — the schema bench/bench_gate.py and the CI bench-smoke job
-// consume. Benches call add() once per measured configuration (pass 0 for
-// fields that do not apply); the file is written by write() or the
-// destructor, whichever comes first.
-class Reporter {
- public:
-  Reporter(std::string bench_name, int argc, char** argv)
-      : bench_(std::move(bench_name)), pool_(threads_arg(argc, argv)) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0) json_path_ = argv[i + 1];
-    }
-  }
-  ~Reporter() { write(); }
-  Reporter(const Reporter&) = delete;
-  Reporter& operator=(const Reporter&) = delete;
-
-  bool json_enabled() const { return !json_path_.empty(); }
-
-  // The bench grid's pool, sized by --threads.
-  par::ThreadPool& pool() { return pool_; }
-
-  void add(const std::string& config, double wall_ms,
-           double subframes_per_sec, std::uint64_t decode_attempts) {
-    Record r;
-    r.config = config;
-    r.wall_ms = wall_ms;
-    r.subframes_per_sec = subframes_per_sec;
-    r.decode_attempts = decode_attempts;
-    records_.push_back(std::move(r));
-  }
-
-  bool write() {
-    if (json_path_.empty() || written_) return true;
-    written_ = true;
-    FILE* f = std::fopen(json_path_.c_str(), "w");
-    if (!f) {
-      std::perror("bench --json open");
-      return false;
-    }
-    std::fprintf(f, "[\n");
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::fprintf(f,
-                   "  {\"schema_version\": 1, \"bench\": \"%s\", "
-                   "\"config\": \"%s\", "
-                   "\"wall_ms\": %.3f, \"subframes_per_sec\": %.1f, "
-                   "\"decode_attempts\": %llu, \"threads\": %d}%s\n",
-                   bench_.c_str(), escape(r.config).c_str(), r.wall_ms,
-                   r.subframes_per_sec,
-                   static_cast<unsigned long long>(r.decode_attempts),
-                   pool_.threads(),
-                   i + 1 < records_.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    return std::fclose(f) == 0;
-  }
-
- private:
-  struct Record {
-    std::string config;
-    double wall_ms = 0;
-    double subframes_per_sec = 0;
-    std::uint64_t decode_attempts = 0;
-  };
-
-  static int threads_arg(int argc, char** argv) {
-    int threads = 1;
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--threads") == 0) {
-        threads = static_cast<int>(
-            util::whole_number_arg("--threads", argv[i + 1], 0, 256));
-      }
-    }
-    return threads;
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
-  std::string bench_;
-  std::string json_path_;
-  std::vector<Record> records_;
-  bool written_ = false;
-  par::ThreadPool pool_;
 };
 
 }  // namespace pbecc::bench

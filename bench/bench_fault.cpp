@@ -21,6 +21,8 @@
 //
 // Exits non-zero if any assertion fails (CI-friendly).
 //
+//   --seconds N          flow length of every run (default 12)
+//   --threads N          pool size for the Part-1 and Part-3 grids
 //   --telemetry <path>   sample the Part-2 recovery run into a .tsv.pbt
 //                        telemetry recording (the degradation-state
 //                        timeline is the interesting series here)
@@ -31,7 +33,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 
@@ -62,16 +63,12 @@ sim::LocationRunResult run_faulty(const std::string& algo, double duty,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fault", argc, argv);
-  const util::Duration flow_len = bench::flow_seconds(argc, argv, 12);
-  std::string telemetry_path;
-  std::string chaos_json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--telemetry") == 0) telemetry_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--chaos-json") == 0) {
-      chaos_json_path = argv[i + 1];
-    }
-  }
+  const bench::Args args(
+      argc, argv, {"--seconds", "--threads", "--telemetry", "--chaos-json"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration flow_len = args.seconds(12);
+  const std::string telemetry_path = args.text("--telemetry");
+  const std::string chaos_json_path = args.text("--chaos-json");
   bench::header("Chaos sweep: throughput/delay vs DCI-blackout intensity");
 
   // ---------------- Part 1: intensity sweep, PBE-CC vs plain BBR.
@@ -86,25 +83,19 @@ int main(int argc, char** argv) {
   for (const auto& algo : algos) {
     for (const double duty : duties) jobs.push_back({algo, duty});
   }
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(jobs.size(), [&](std::size_t j) {
+  const auto results = pool.parallel_map(jobs.size(), [&](std::size_t j) {
     return run_faulty(jobs[j].algo, jobs[j].duty, flow_len);
   });
   std::map<double, std::map<std::string, sim::LocationRunResult>> grid;
-  std::uint64_t sim_sfs = 0, attempts = 0;
   std::printf("\n  %-8s %8s %12s %12s %12s\n", "algo", "duty", "tput(Mb)",
               "p50-d(ms)", "p95-d(ms)");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const auto& r = results[j];
     grid[jobs[j].duty][jobs[j].algo] = r;
-    sim_sfs += r.sim_cell_subframes;
-    attempts += r.decode_candidates;
     std::printf("  %-8s %8.2f %12.2f %12.1f %12.1f\n", jobs[j].algo.c_str(),
                 jobs[j].duty, r.avg_tput_mbps, r.median_delay_ms,
                 r.p95_delay_ms);
   }
-  rep.add("3algo_x_5duty", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   // Under total blackout PBE-CC *is* its fallback BBR (after a short
   // detection transient), so it must land in BBR's neighborhood.
@@ -196,9 +187,7 @@ int main(int argc, char** argv) {
     for (const auto& p : profiles) {
       for (const auto& a : chaos_algos) cells.push_back({p, a});
     }
-    bench::WallTimer cwt;
-    std::uint64_t chaos_sfs = 0, chaos_attempts = 0;
-    const auto cell_results = rep.pool().parallel_map(
+    const auto cell_results = pool.parallel_map(
         cells.size(), [&](std::size_t j) {
       const auto profile = fault::profile_by_name(cells[j].profile);
       return sim::run_location(sim::location(kLocation), cells[j].algo,
@@ -212,15 +201,10 @@ int main(int argc, char** argv) {
     for (std::size_t j = 0; j < cells.size(); ++j) {
       const auto& r = cell_results[j];
       m[cells[j].profile][cells[j].algo] = r;
-      chaos_sfs += r.sim_cell_subframes;
-      chaos_attempts += r.decode_candidates;
       std::printf("  %-16s %-8s %10.2f %10.1f %10.1f\n",
                   cells[j].profile.c_str(), cells[j].algo.c_str(),
                   r.avg_tput_mbps, r.median_delay_ms, r.p95_delay_ms);
     }
-    rep.add("chaos_matrix", cwt.ms(),
-            static_cast<double>(chaos_sfs) / (cwt.ms() / 1000.0),
-            chaos_attempts);
 
     // Win conditions (also re-derived from the JSON by bench_gate.py
     // `chaos`, so the CI artifact is auditable on its own):

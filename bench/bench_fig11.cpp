@@ -66,21 +66,18 @@ HourResult simulate_hour(double cell_mhz, int hour, bool cell_off) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig11", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 11: cell status over a day (synthetic diurnal load)");
 
   // Each (cell, hour) slice is an independent 20 s simulation: fan the
   // whole day out on the pool.
   constexpr std::size_t kHours = 24;
-  bench::WallTimer wt;
-  const auto day = rep.pool().parallel_map(2 * kHours, [&](std::size_t j) {
+  const auto day = pool.parallel_map(2 * kHours, [&](std::size_t j) {
     const int hour = static_cast<int>(j % kHours);
     return j < kHours ? simulate_hour(20.0, hour, false)
                       : simulate_hour(10.0, hour, hour < 3);  // off 0-3am
   });
-  // 2 cells x 24 slices x 20 s, 1 ms subframes (10 MHz off 0-3 am).
-  rep.add("diurnal_24h", wt.ms(),
-          2 * kHours * 20000.0 / (wt.ms() / 1000.0), 0);
 
   util::SampleSet rates20, rates10;
   std::printf("\n  hour   users(20MHz)  users(10MHz)\n");

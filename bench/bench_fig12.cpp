@@ -7,8 +7,9 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig12", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 12);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(12);
   bench::header("Figure 12: CDFs across 40 locations (high-tput algorithms)");
 
   const std::vector<std::string> algos = {"pbe", "bbr", "cubic", "verus"};
@@ -22,21 +23,15 @@ int main(int argc, char** argv) {
   for (int i = 0; i < sim::kNumLocations; ++i) {
     for (const auto& algo : algos) jobs.push_back({i, algo});
   }
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(jobs.size(), [&](std::size_t j) {
+  const auto results = pool.parallel_map(jobs.size(), [&](std::size_t j) {
     return sim::run_location(sim::location(jobs[j].loc), jobs[j].algo, len);
   });
 
   std::map<std::string, util::SampleSet> tput, p95;
-  std::uint64_t sim_sfs = 0, attempts = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     tput[jobs[j].algo].add(results[j].avg_tput_mbps);
     p95[jobs[j].algo].add(results[j].p95_delay_ms);
-    sim_sfs += results[j].sim_cell_subframes;
-    attempts += results[j].decode_candidates;
   }
-  rep.add("40loc_x_4algo", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   std::printf("\n  (a) average throughput across locations, Mbit/s "
               "(CDF deciles 10..100):\n");

@@ -42,8 +42,9 @@ void print_panel(const char* title, const sim::LocationProfile& loc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig13", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 12);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(12);
   bench::header("Figure 13: delay/throughput order statistics, indoor locations");
 
   const auto algos = sim::all_algorithms();
@@ -54,19 +55,11 @@ int main(int argc, char** argv) {
       {"(d) three cells, idle", pick(3, false)},
   };
   // 4 panels x 8 algorithms of independent runs: one flat pool fan-out.
-  bench::WallTimer wt;
   const auto results =
-      rep.pool().parallel_map(panels.size() * algos.size(), [&](std::size_t j) {
+      pool.parallel_map(panels.size() * algos.size(), [&](std::size_t j) {
         return sim::run_location(panels[j / algos.size()].second,
                                  algos[j % algos.size()], len);
       });
-  std::uint64_t sim_sfs = 0, attempts = 0;
-  for (const auto& r : results) {
-    sim_sfs += r.sim_cell_subframes;
-    attempts += r.decode_candidates;
-  }
-  rep.add("4panel_x_8algo", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   for (std::size_t p = 0; p < panels.size(); ++p) {
     print_panel(panels[p].first, panels[p].second, algos,

@@ -20,25 +20,18 @@ sim::LocationProfile pick(bool busy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig14", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 12);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(12);
   bench::header("Figure 14: outdoor two-cell locations, busy and idle");
   const auto algos = sim::all_algorithms();
   const bool panels[] = {true, false};
   // 2 panels x 8 algorithms, each an independent run: pool fan-out.
-  bench::WallTimer wt;
   const auto results =
-      rep.pool().parallel_map(2 * algos.size(), [&](std::size_t j) {
+      pool.parallel_map(2 * algos.size(), [&](std::size_t j) {
         return sim::run_location(pick(panels[j / algos.size()]),
                                  algos[j % algos.size()], len);
       });
-  std::uint64_t sim_sfs = 0, attempts = 0;
-  for (const auto& r : results) {
-    sim_sfs += r.sim_cell_subframes;
-    attempts += r.decode_candidates;
-  }
-  rep.add("2panel_x_8algo", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   for (std::size_t p = 0; p < 2; ++p) {
     const bool busy = panels[p];

@@ -8,8 +8,9 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig15", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 8);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(8);
   bench::header("Figure 15: locations where carrier aggregation triggers");
 
   const auto algos = sim::all_algorithms();
@@ -19,22 +20,16 @@ int main(int argc, char** argv) {
   }
   const int ca_capable = static_cast<int>(ca_locs.size());
 
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(
+  const auto results = pool.parallel_map(
       ca_locs.size() * algos.size(), [&](std::size_t j) {
         return sim::run_location(
             sim::location(ca_locs[j / algos.size()]),
             algos[j % algos.size()], len);
       });
   std::map<std::string, int> triggered;
-  std::uint64_t sim_sfs = 0, attempts = 0;
   for (std::size_t j = 0; j < results.size(); ++j) {
     triggered[algos[j % algos.size()]] += results[j].ca_triggered ? 1 : 0;
-    sim_sfs += results[j].sim_cell_subframes;
-    attempts += results[j].decode_candidates;
   }
-  rep.add("30loc_x_8algo", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   std::printf("\n  algorithm   CA triggered (of %d CA-capable locations)\n",
               ca_capable);

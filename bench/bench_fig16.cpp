@@ -23,15 +23,15 @@ phy::MobilityTrace paper_walk() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig16", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 16: 40 s mobility walk (-85 -> -105 -> -85 dBm), idle cell");
 
   struct Row {
     double tput = 0, p50 = 0, p95 = 0, p90tput = 0;
   };
   const auto algos = sim::all_algorithms();
-  bench::WallTimer wt;
-  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = pool.parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 101;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};
@@ -51,9 +51,6 @@ int main(int argc, char** argv) {
                s.stats(f).p95_delay_ms(),
                s.stats(f).window_tputs_mbps().percentile(90)};
   });
-  // 8 algos x 40 s x two cells, 1 ms subframes.
-  rep.add("mobility_walk_8algo", wt.ms(),
-          static_cast<double>(algos.size()) * 80000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  %-8s %10s %10s %10s %10s\n", "algo", "tput(Mb)",
               "p50-d(ms)", "p95-d(ms)", "p90tput");

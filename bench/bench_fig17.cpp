@@ -64,15 +64,13 @@ Series run(const std::string& algo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig17", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 17: PBE-CC vs BBR time series along the mobility walk");
-  bench::WallTimer wt;
-  const auto series = rep.pool().parallel_map(
+  const auto series = pool.parallel_map(
       2, [&](std::size_t j) { return run(j == 0 ? "pbe" : "bbr"); });
   auto pbe = series[0];
   auto bbr = series[1];
-  // 2 algos x 40 s x two cells, 1 ms subframes.
-  rep.add("mobility_timeseries", wt.ms(), 160000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n            ---- PBE-CC ----      ----- BBR -----\n");
   std::printf("  t(s)      tput(Mb)  delay(ms)   tput(Mb)  delay(ms)\n");

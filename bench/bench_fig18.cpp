@@ -10,15 +10,15 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig18", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 18: on-off 60 Mbit/s competitor every 8 s (4 s bursts)");
 
   struct Row {
     double tput = 0, avg = 0, p95 = 0, p50 = 0;
   };
   const auto algos = sim::all_algorithms();
-  bench::WallTimer wt;
-  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = pool.parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 131;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};
@@ -49,9 +49,6 @@ int main(int argc, char** argv) {
     return Row{s.stats(f).avg_tput_mbps(), s.stats(f).avg_delay_ms(),
                s.stats(f).p95_delay_ms(), s.stats(f).median_delay_ms()};
   });
-  // 8 algos x 40 s x two cells, 1 ms subframes.
-  rep.add("onoff_competitor_8algo", wt.ms(),
-          static_cast<double>(algos.size()) * 80000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  %-8s %10s %10s %10s %10s\n", "algo", "tput(Mb)",
               "avg-d(ms)", "p95-d(ms)", "p50-d(ms)");

@@ -13,9 +13,8 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig2", argc, argv);
+  bench::Args(argc, argv, {});
   bench::header("Figure 2: secondary-cell activation / deactivation");
-  bench::WallTimer wt;
 
   sim::ScenarioConfig cfg;
   cfg.seed = 42;
@@ -67,8 +66,6 @@ int main(int argc, char** argv) {
   }
   s.stats(f40).finish(flow.stop);
   s.stats(f6).finish(low.stop);
-  // 3.7 s simulated over 2 cells, 1 ms subframes.
-  rep.add("ca_activation", wt.ms(), 2 * 3700.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  time(s)  PRB-primary  PRB-secondary  delay-p50(ms)\n");
   // Delay series from both flows merged by windows of their samples.

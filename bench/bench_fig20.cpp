@@ -8,16 +8,16 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig20", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 20);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(20);
   bench::header("Figure 20: two concurrent connections from one device");
 
   struct Row {
     double ta = 0, da = 0, tb = 0, db = 0, jain = 0;
   };
   const auto algos = sim::all_algorithms();
-  bench::WallTimer wt;
-  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = pool.parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 151;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};
@@ -44,10 +44,6 @@ int main(int argc, char** argv) {
     return Row{ta, s.stats(a).median_delay_ms(), tb,
                s.stats(b).median_delay_ms(), util::jain_index(shares)};
   });
-  rep.add("two_flows_8algo", wt.ms(),
-          static_cast<double>(algos.size()) * 2.0 *
-              (util::to_seconds(len) + 0.2) * 1000.0 / (wt.ms() / 1000.0),
-          0);
 
   std::printf("\n  %-8s  flow1: tput(Mb) p50-d(ms)   flow2: tput(Mb) "
               "p50-d(ms)   balance\n", "algo");

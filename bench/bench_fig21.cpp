@@ -84,7 +84,8 @@ void print_panel(const char* title, PanelData& data) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig21", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 21: multi-user, RTT and cross-protocol fairness");
   const util::Duration rtt_similar[] = {26 * util::kMillisecond,
                                         28 * util::kMillisecond,
@@ -112,12 +113,9 @@ int main(int argc, char** argv) {
        {"pbe", "cubic", "pbe"},
        {rtt_similar[0], rtt_similar[1], rtt_similar[2]}},
   };
-  bench::WallTimer wt;
-  auto data = rep.pool().parallel_map(panels.size(), [&](std::size_t j) {
+  auto data = pool.parallel_map(panels.size(), [&](std::size_t j) {
     return run_panel(panels[j].algos, panels[j].delays);
   });
-  // 4 panels x 60 s x one cell, 1 ms subframes.
-  rep.add("4_fairness_panels", wt.ms(), 240000.0 / (wt.ms() / 1000.0), 0);
   for (std::size_t j = 0; j < panels.size(); ++j) {
     print_panel(panels[j].title, data[j]);
   }

@@ -13,9 +13,8 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig3", argc, argv);
+  bench::Args(argc, argv, {});
   bench::header("Figure 3: 8 ms retransmission delay and reordering");
-  bench::WallTimer wt;
 
   sim::ScenarioConfig cfg;
   cfg.seed = 9;
@@ -35,8 +34,6 @@ int main(int argc, char** argv) {
   const int f = s.add_flow(flow);
   s.run_until(flow.stop);
   s.stats(f).finish(flow.stop);
-  // 20 s over one cell, 1 ms subframes.
-  rep.add("harq_staircase", wt.ms(), 20000.0 / (wt.ms() / 1000.0), 0);
 
   const auto& delays = s.stats(f).delays_ms();
   // Copy in delivery order *before* percentile() lazily sorts the set.

@@ -12,9 +12,8 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig5", argc, argv);
+  bench::Args(argc, argv, {});
   bench::header("Figure 5: idle PRBs are detected and re-shared");
-  bench::WallTimer wt;
 
   sim::ScenarioConfig cfg;
   cfg.seed = 3;
@@ -51,8 +50,6 @@ int main(int argc, char** argv) {
     }
   });
   s.run_until(10 * util::kSecond);
-  // 10 s over one cell, 1 ms subframes.
-  rep.add("idle_prb_reshare", wt.ms(), 10000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  time(s)  user1  user2  user3  idle   (PRBs, 100 ms means)\n");
   for (const auto& [win, w] : windows) {

@@ -48,21 +48,19 @@ OverheadResult measure_overhead(double rssi, double offered_mbps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig6", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 6(a): retransmission + protocol overhead vs offered load");
   std::printf("\n  offered(Mbit/s)   retx%% @-98dBm  proto%% @-98dBm   "
               "retx%% @-113dBm  proto%% @-113dBm\n");
   // 8 loads x 2 signal strengths of independent runs: pool fan-out.
   const std::vector<double> loads = {5.0,  10.0, 15.0, 20.0,
                                      25.0, 30.0, 35.0, 40.0};
-  bench::WallTimer wt;
-  const auto grid = rep.pool().parallel_map(
+  const auto grid = pool.parallel_map(
       2 * loads.size(), [&](std::size_t j) {
     return measure_overhead(j < loads.size() ? -98.0 : -113.0,
                             loads[j % loads.size()]);
   });
-  // 16 runs x 10 s x one cell, 1 ms subframes.
-  rep.add("8load_x_2rssi", wt.ms(), 160000.0 / (wt.ms() / 1000.0), 0);
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const auto& strong = grid[i];
     const auto& weak = grid[loads.size() + i];

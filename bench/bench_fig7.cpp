@@ -10,9 +10,8 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig7", argc, argv);
+  bench::Args(argc, argv, {});
   bench::header("Figure 7: active users and the control-traffic filter");
-  bench::WallTimer wt;
 
   sim::ScenarioConfig cfg;
   cfg.seed = 21;
@@ -60,9 +59,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  // 30 s over one cell, 1 ms subframes.
-  rep.add("user_tracker_30s", wt.ms(), 30000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  (a) active users in a 40 ms window (CDF deciles):\n");
   bench::print_cdf("    all detected users", raw_users);

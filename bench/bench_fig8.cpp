@@ -43,15 +43,13 @@ LoadResult run_load(double load) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_fig8", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Figure 8: one-way delay vs offered load (6/24/36 Mbit/s)");
 
   const std::vector<double> loads = {6.0, 24.0, 36.0};
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(
+  const auto results = pool.parallel_map(
       loads.size(), [&](std::size_t j) { return run_load(loads[j]); });
-  // 3 runs x 15 s x one cell, 1 ms subframes.
-  rep.add("3load_sweep", wt.ms(), 45000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  load(Mb)  min(ms)  p50(ms)  p90(ms)  p99(ms)  "
               ">=8ms-over-min(%%)\n");

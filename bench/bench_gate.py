@@ -1,43 +1,18 @@
 #!/usr/bin/env python3
-"""Merge bench --json outputs and gate CI on throughput regressions.
+"""CI gates: the same-runner perfbench A/B and the chaos win conditions.
 
-Every bench binary accepts `--json <path>` (see bench/bench_common.h) and
-writes a JSON array of records:
-
-  {"bench": ..., "config": ..., "wall_ms": ..., "subframes_per_sec": ...,
-   "decode_attempts": ..., "threads": ...}
-
-Subcommands:
-
-  merge OUT IN [IN...]
-      Concatenate the record arrays from the IN files into OUT (the
-      BENCH.json artifact the CI bench-smoke job uploads). Inputs that do
-      not exist are skipped with a warning — a bench that did not run in
-      this smoke must not crash the merge.
-
-  compare BENCH BASELINE [--threshold 0.25] [--strict]
-      Fail (exit 1) if any (bench, config) record present in both files
-      regressed by more than THRESHOLD in subframes_per_sec. Records the
-      baseline lacks are reported as new; baseline records absent from the
-      run are a warning by default (the bench may simply not have run) —
-      with --strict they fail the gate, for jobs that are supposed to have
-      produced every baselined record (a bench binary that silently
-      crashed or was dropped from the merge must not pass); records with a
-      zero baseline throughput are skipped (wall-clock-only records).
-
-  speedup BENCH --bench NAME --base CONFIG --test CONFIG [--min-ratio 2.0]
-      Gate a required improvement rather than the absence of a regression:
-      find the NAME/CONFIG base and test records in BENCH and fail unless
-      the test record's subframes_per_sec is at least MIN_RATIO x the base
-      record's. The two configs must simulate the identical scenario (for
-      bench_shard the determinism suite pins that); the CI bench-smoke job
-      holds bench_shard's 4-shard config to >= 2.5x the 1-shard config
-      this way.
-
-  write-baseline BENCH BASELINE
-      Rewrite BASELINE from BENCH, dropping fields that should not be
-      pinned (wall_ms varies with the machine; subframes_per_sec is the
-      gated signal).
+  ab PARENT CHANGE
+      PARENT and CHANGE are checkout roots. Each builds perfbench into its
+      own ROOT/.bench_build. For pair k = 1..PAIRS the gate runs
+      `python3 perfbench/run.py --workload all --seed k --seconds
+      RUN_SECONDS` in both roots, and the side that runs first alternates
+      from pair to pair, so a drift in host speed falls on both sides.
+      Any CHANGE run that reports "correct": false or "failed" > 0 fails
+      the gate. Then, for every end-to-end metric in PARENT's
+      BENCHMARK.json and every workload, it compares the two sides'
+      medians in the metric's `better` direction and fails when CHANGE is
+      worse by more than the metric's `bound`. It prints one row per
+      (workload, metric) and exits 0 or 1.
 
   chaos CHAOS_JSON [--tput-factor 0.95] [--delay-factor 1.10]
            [--clean-factor 0.98]
@@ -53,7 +28,17 @@ Subcommands:
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import time
+
+# Five alternating pairs of 5 s runs: two runs of the parent against an
+# identical copy of it pass, and a change that slows endpoint's noise or
+# every stepped tick fails (see README "Benchmarking").
+PAIRS = 5
+RUN_SECONDS = 5
 
 
 def load_records(path):
@@ -64,104 +49,80 @@ def load_records(path):
     return records
 
 
-def cmd_merge(args):
-    merged = []
-    for path in args.inputs:
-        try:
-            merged.extend(load_records(path))
-        except FileNotFoundError:
-            print(f"warning: {path} not found, skipping (bench not run?)",
-                  file=sys.stderr)
-    with open(args.out, "w") as f:
-        json.dump(merged, f, indent=2)
-        f.write("\n")
-    print(f"merged {len(merged)} records from {len(args.inputs)} files "
-          f"into {args.out}")
-    return 0
+def perfbench_run(root, seed):
+    """One `run.py --workload all` in ROOT; returns (result, wall s)."""
+    # An inherited CARGO_TARGET_DIR would build both sides into one tree.
+    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(root, ".bench_build"))
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
+           "--workload", "all", "--seed", str(seed),
+           "--seconds", str(RUN_SECONDS)]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                          text=True)
+    wall = time.monotonic() - t0
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited with code "
+                         f"{proc.returncode}")
+    return json.loads(proc.stdout.rstrip("\n").split("\n")[-1]), wall
 
 
-def key(rec):
-    return (rec["bench"], rec["config"])
+def cmd_ab(args):
+    roots = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    with open(os.path.join(roots["parent"], "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {"parent": [], "change": []}
+    incorrect = 0
+    start = time.monotonic()
+    for k in range(1, PAIRS + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        walls = {}
+        for side in order:
+            result, walls[side] = perfbench_run(roots[side], k)
+            runs[side].append(result)
+            if side == "change" and (result["correct"] is not True
+                                     or result["failed"] > 0):
+                print(f"  INCORRECT change, seed {k}: correct="
+                      f"{result['correct']} failed={result['failed']}")
+                incorrect += 1
+        print(f"pair {k}/{PAIRS} (seed {k}, {order[0]} first): parent "
+              f"{walls['parent']:.0f} s, change {walls['change']:.0f} s",
+              flush=True)
 
-
-def cmd_compare(args):
-    new = {key(r): r for r in load_records(args.bench)}
-    base = {key(r): r for r in load_records(args.baseline)}
-    failures = []
-    missing = []
-    for k, b in sorted(base.items()):
-        base_sps = b.get("subframes_per_sec", 0.0)
-        if base_sps <= 0:
-            continue  # wall-clock-only record: nothing to gate
-        n = new.get(k)
-        if n is None:
-            print(f"  MISSING  {k[0]}/{k[1]} (in baseline, not in run)")
-            missing.append(k)
-            continue
-        sps = n.get("subframes_per_sec", 0.0)
-        ratio = sps / base_sps
-        status = "ok" if ratio >= 1.0 - args.threshold else "REGRESSED"
-        print(f"  {status:10s}{k[0]}/{k[1]}: {sps:.0f} vs baseline "
-              f"{base_sps:.0f} subframes/s ({ratio:.2f}x)")
-        if status != "ok":
-            failures.append(k)
-    for k in sorted(set(new) - set(base)):
-        print(f"  NEW      {k[0]}/{k[1]} (not in baseline)")
-    if missing:
-        if args.strict:
-            print(f"{len(missing)} baseline record(s) absent from the run "
-                  f"— failing (--strict)", file=sys.stderr)
-            return 1
-        print(f"warning: {len(missing)} baseline record(s) absent from the "
-              f"run (bench not executed?) — not gating on them",
-              file=sys.stderr)
-    if failures:
-        print(f"{len(failures)} record(s) regressed more than "
-              f"{100 * args.threshold:.0f}% vs {args.baseline}")
+    print(f"{'workload':10s} {'metric':17s} {'parent':>12s} "
+          f"{'change':>12s} {'ratio':>6s} {'bound':>6s}")
+    worse = []
+    for workload in workloads:
+        for metric in spec["end_to_end"]:
+            key = f"{workload}:{metric['name']}"
+            med = {side: statistics.median(r["metrics"][key]["value"]
+                                           for r in runs[side])
+                   for side in runs}
+            ratio = (med["change"] / med["parent"] if med["parent"]
+                     else 1.0 if med["change"] == med["parent"]
+                     else float("inf"))
+            bound = metric["bound"]
+            if metric["better"] == "higher":
+                ok = ratio >= 1.0 - bound
+            else:
+                ok = ratio <= 1.0 + bound
+            print(f"{workload:10s} {metric['name']:17s} "
+                  f"{med['parent']:12.6g} {med['change']:12.6g} "
+                  f"{ratio:6.3f} {bound:6.2f}{'' if ok else '  WORSE'}")
+            if not ok:
+                worse.append(key)
+    print(f"{PAIRS} pairs of {RUN_SECONDS} s runs in "
+          f"{time.monotonic() - start:.0f} s")
+    if incorrect:
+        print(f"{incorrect} change run(s) failed a correctness check")
+    if worse:
+        print(f"{len(worse)} metric(s) worse than their bound: "
+              f"{', '.join(worse)}")
+    if incorrect or worse:
         return 1
-    print("bench gate passed")
-    return 0
-
-
-def cmd_speedup(args):
-    records = [r for r in load_records(args.bench_file)
-               if r.get("bench") == args.bench]
-    by_config = {r["config"]: r for r in records}
-    for cfg in (args.base, args.test):
-        if cfg not in by_config:
-            raise SystemExit(
-                f"{args.bench_file}: no {args.bench}/{cfg} record")
-    base_rate = by_config[args.base].get("subframes_per_sec", 0.0)
-    test_rate = by_config[args.test].get("subframes_per_sec", 0.0)
-    if base_rate <= 0 or test_rate <= 0:
-        raise SystemExit(f"{args.bench}: subframes_per_sec missing or zero")
-    ratio = test_rate / base_rate
-    ok = ratio >= args.min_ratio
-    print(f"  {'ok' if ok else 'TOO SLOW':9s}{args.bench}: {args.test} "
-          f"{test_rate:.0f} vs {args.base} {base_rate:.0f} subframes/s "
-          f"({ratio:.2f}x, need >= {args.min_ratio:.2f}x)")
-    if not ok:
-        return 1
-    print("speedup gate passed")
-    return 0
-
-
-def cmd_write_baseline(args):
-    records = load_records(args.bench)
-    slim = [
-        {
-            "bench": r["bench"],
-            "config": r["config"],
-            "subframes_per_sec": round(r.get("subframes_per_sec", 0.0), 1),
-            "decode_attempts": r.get("decode_attempts", 0),
-            "threads": r.get("threads", 1),
-        }
-        for r in records
-    ]
-    with open(args.baseline, "w") as f:
-        json.dump(slim, f, indent=2)
-        f.write("\n")
-    print(f"wrote {len(slim)} baseline records to {args.baseline}")
+    print("ab gate passed")
     return 0
 
 
@@ -211,30 +172,10 @@ def main():
     p = argparse.ArgumentParser(description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    m = sub.add_parser("merge")
-    m.add_argument("out")
-    m.add_argument("inputs", nargs="+")
-    m.set_defaults(fn=cmd_merge)
-
-    c = sub.add_parser("compare")
-    c.add_argument("bench")
-    c.add_argument("baseline")
-    c.add_argument("--threshold", type=float, default=0.25)
-    c.add_argument("--strict", action="store_true")
-    c.set_defaults(fn=cmd_compare)
-
-    s = sub.add_parser("speedup")
-    s.add_argument("bench_file")
-    s.add_argument("--bench", required=True)
-    s.add_argument("--base", required=True)
-    s.add_argument("--test", required=True)
-    s.add_argument("--min-ratio", type=float, default=2.0)
-    s.set_defaults(fn=cmd_speedup)
-
-    w = sub.add_parser("write-baseline")
-    w.add_argument("bench")
-    w.add_argument("baseline")
-    w.set_defaults(fn=cmd_write_baseline)
+    ab = sub.add_parser("ab")
+    ab.add_argument("parent")
+    ab.add_argument("change")
+    ab.set_defaults(fn=cmd_ab)
 
     ch = sub.add_parser("chaos")
     ch.add_argument("chaos")

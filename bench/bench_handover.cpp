@@ -13,7 +13,8 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_handover", argc, argv);
+  const bench::Args args(argc, argv, {"--threads"});
+  par::ThreadPool pool(args.threads());
   bench::header("Extension: inter-site handover (endpoint keeps all the state)");
 
   struct Row {
@@ -21,8 +22,7 @@ int main(int argc, char** argv) {
     unsigned long long lost = 0;
   };
   const std::vector<std::string> algos = {"pbe", "abc", "bbr"};
-  bench::WallTimer wt;
-  const auto rows = rep.pool().parallel_map(algos.size(), [&](std::size_t j) {
+  const auto rows = pool.parallel_map(algos.size(), [&](std::size_t j) {
     sim::ScenarioConfig cfg;
     cfg.seed = 77;
     cfg.cells = {{10.0, 0.02}, {10.0, 0.02}};
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(
                    s.sender(f).total_lost_packets())};
   });
-  // 3 algos x 20 s x two cells, 1 ms subframes.
-  rep.add("handover_3algo", wt.ms(), 120000.0 / (wt.ms() / 1000.0), 0);
 
   std::printf("\n  %-8s %12s %12s %12s %14s\n", "algo", "tput(Mb)",
               "p50-d(ms)", "p95-d(ms)", "lost packets");

@@ -5,9 +5,7 @@
 
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "decoder/blind_decoder.h"
-#include "sim/location.h"
 #include "decoder/user_tracker.h"
 #include "mac/scheduler.h"
 #include "pbe/capacity_estimator.h"
@@ -229,45 +227,4 @@ BENCHMARK(BM_FairShareScheduler)->Arg(2)->Arg(8)->Arg(32);
 
 }  // namespace
 
-// With --json <path> the binary runs a machine-readable throughput mode
-// instead of google-benchmark: M scenario replications fanned out on the
-// pool (the CI regression gate's primary signal) plus a Viterbi
-// micro-record, written through the shared Reporter. Without --json it
-// falls through to the normal google-benchmark suite.
-int main(int argc, char** argv) {
-  bench::Reporter rep("bench_micro", argc, argv);
-  if (rep.json_enabled()) {
-    constexpr std::size_t kReps = 8;
-    bench::WallTimer wt;
-    const auto results = rep.pool().parallel_map(kReps, [&](std::size_t j) {
-      return sim::run_location(sim::location(static_cast<int>(j % 4)), "pbe",
-                               4 * util::kSecond);
-    });
-    std::uint64_t sfs = 0, attempts = 0;
-    for (const auto& r : results) {
-      sfs += r.sim_cell_subframes;
-      attempts += r.decode_candidates;
-    }
-    rep.add("scenario_8rep", wt.ms(),
-            static_cast<double>(sfs) / (wt.ms() / 1000.0), attempts);
-
-    // Viterbi decodes of an AL4 candidate; subframes_per_sec =
-    // decodes/sec here.
-    ViterbiCandidate vc(4);
-    constexpr std::uint64_t kDecodes = 2000;
-    bench::WallTimer vt;
-    for (std::uint64_t i = 0; i < kDecodes; ++i) {
-      const auto r = vc.decode();
-      benchmark::DoNotOptimize(r);
-      benchmark::DoNotOptimize(vc.decoded);
-      benchmark::ClobberMemory();
-    }
-    rep.add("viterbi_al4", vt.ms(),
-            static_cast<double>(kDecodes) / (vt.ms() / 1000.0), kDecodes);
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

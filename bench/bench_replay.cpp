@@ -1,28 +1,24 @@
-// Capture/replay throughput bench (DESIGN.md §11): records a 3-cell busy
-// location live (full MAC + network simulation), then replays the trace
-// through the decoder/estimator pipeline alone. The replay rate is the
-// pipeline's intrinsic decode throughput — it must beat the live rate,
-// which also pays for scheduling, queues and packet events — and the run
-// double-checks record→replay digest equality while it is at it.
+// Capture/replay bench (DESIGN.md §11): records a 3-cell busy location
+// live (full MAC + network simulation), then replays the trace through the
+// decoder/estimator pipeline alone. It prints both rates (the replay skips
+// scheduling, queues and packet events, so it runs faster) and exits 1
+// unless the replay reproduces the live run's pipeline digests.
 //
-//   bench_replay [--seconds N] [--json out.json]
+//   bench_replay [--seconds N]
 //
-// Corpus mode (DESIGN.md §14, the decode throughput gate):
+// Corpus mode (DESIGN.md §14, the decode digest check):
 //
 //   bench_replay --record-corpus FILE.pbt [--seconds N]
 //     Record a seed-pinned convolutional-PDCCH run (location 26, the
-//     3-cell busy profile) into FILE.pbt, print its pipeline digests on a
-//     `digest:` line and exit. The corpus is fully deterministic: same
-//     build => byte-identical file.
+//     3-cell busy profile, no fault profile) into FILE.pbt, print its
+//     pipeline digests on a `digest:` line and exit. The corpus is fully
+//     deterministic: same build => byte-identical file.
 //
-//   bench_replay --corpus FILE.pbt [--json out]
+//   bench_replay --corpus FILE.pbt
 //     Replay FILE.pbt once through a fresh pipeline, print the replay's
-//     `digest:` line in the recorder's format (CI diffs the two) and
-//     report decode throughput as the corpus_simd record. The corpus's
-//     candidate count is fixed, so the record's floor in
-//     bench/decode_baseline.json is an absolute candidates/s floor.
+//     `digest:` line in the recorder's format (CI diffs the two) and the
+//     decode rate in candidates/s.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -67,7 +63,7 @@ int record_corpus(const char* path, util::Duration flow_len) {
 }
 
 // One replay of a recorded corpus through the full candidate pipeline.
-int run_corpus(const char* path, bench::Reporter& reporter) {
+int run_corpus(const char* path) {
   bench::header("Viterbi decode corpus throughput");
   cap::TraceReader reader(path);
   if (!reader.ok()) {
@@ -77,42 +73,33 @@ int run_corpus(const char* path, bench::Reporter& reporter) {
   cap::PipelineDigest digest;
   cap::ReplayDriver driver(reader.header(), &digest);
   const bench::WallTimer timer;
-  const auto stats = driver.run(reader);
+  driver.run(reader);
   const double wall_ms = timer.ms();
   if (!reader.ok()) {
     std::fprintf(stderr, "corpus replay failed: %s\n", reader.error().c_str());
     return 1;
   }
   const std::uint64_t candidates = driver.monitor().total_candidates_tried();
-  std::printf("corpus_simd %9.0f candidates/s  (%llu candidates, %.1f ms "
+  std::printf("corpus decode: %9.0f candidates/s  (%llu candidates, %.1f ms "
               "wall, %llu Viterbi runs, %llu early-aborted)\n",
               static_cast<double>(candidates) / (wall_ms / 1000.0),
               static_cast<unsigned long long>(candidates), wall_ms,
               static_cast<unsigned long long>(driver.monitor().total_lane_batches()),
               static_cast<unsigned long long>(driver.monitor().total_early_aborts()));
   print_digest(digest);
-  reporter.add("corpus_simd", wall_ms,
-               static_cast<double>(stats.cell_subframes) / (wall_ms / 1000.0),
-               candidates);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Reporter reporter("bench_replay", argc, argv);
-  const util::Duration flow_len = bench::flow_seconds(argc, argv, 6);
-  const char* record_path = nullptr;
-  const char* corpus_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--record-corpus")) {
-      record_path = argv[i + 1];
-    } else if (!std::strcmp(argv[i], "--corpus")) {
-      corpus_path = argv[i + 1];
-    }
-  }
-  if (record_path != nullptr) return record_corpus(record_path, flow_len);
-  if (corpus_path != nullptr) return run_corpus(corpus_path, reporter);
+  const bench::Args args(argc, argv,
+                        {"--seconds", "--record-corpus", "--corpus"});
+  const util::Duration flow_len = args.seconds(6);
+  const std::string record_path = args.text("--record-corpus");
+  const std::string corpus_path = args.text("--corpus");
+  if (!record_path.empty()) return record_corpus(record_path.c_str(), flow_len);
+  if (!corpus_path.empty()) return run_corpus(corpus_path.c_str());
 
   const char* trace_path = "bench_replay.tmp.pbt";
 
@@ -123,19 +110,24 @@ int main(int argc, char** argv) {
   cap::PipelineDigest live_digest;
   sim::CaptureOptions capture{&writer, &live_digest};
   const auto loc = sim::location(26);  // 3-cell busy indoor
-  const auto live = sim::run_location(loc, "pbe", flow_len, nullptr, 1, capture);
+  const bench::WallTimer live_timer;
+  sim::run_location(loc, "pbe", flow_len, nullptr, 1, capture);
+  const double live_ms = live_timer.ms();
   if (!writer.close()) {
     std::fprintf(stderr, "record failed: %s\n", writer.error().c_str());
     return 1;
   }
-  const double live_sf_per_sec =
-      static_cast<double>(live.sim_cell_subframes) / (live.wall_ms / 1000.0);
+  // run_location steps every cell from 0 to 600 ms past the flow's length
+  // (100 ms before the flow starts, 500 ms after it stops).
+  const double live_cell_subframes =
+      static_cast<double>((flow_len + 600 * util::kMillisecond) /
+                          util::kSubframe) *
+      static_cast<double>(sim::scenario_config_for(loc).cells.size());
+  const double live_sf_per_sec = live_cell_subframes / (live_ms / 1000.0);
   std::printf("live_sim: %.0f cell-subframes/s (%.1f ms wall, %llu bytes "
               "recorded)\n",
-              live_sf_per_sec, live.wall_ms,
+              live_sf_per_sec, live_ms,
               static_cast<unsigned long long>(writer.bytes_written()));
-  reporter.add("live_sim", live.wall_ms, live_sf_per_sec,
-               live.decode_candidates);
 
   // --- Replay.
   cap::TraceReader reader(trace_path);
@@ -157,8 +149,6 @@ int main(int argc, char** argv) {
   std::printf("replay:   %.0f cell-subframes/s (%.1f ms wall, %llu batches)\n",
               replay_sf_per_sec, replay_ms,
               static_cast<unsigned long long>(stats.batches));
-  reporter.add("replay", replay_ms, replay_sf_per_sec,
-               driver.monitor().total_candidates_tried());
 
   std::remove(trace_path);
 

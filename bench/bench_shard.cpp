@@ -1,17 +1,17 @@
 // Shard-scaling bench (DESIGN.md §15): a city-scale scenario — 64 cells
 // in 16 cell-clusters, one real flow per cluster plus aggregate
-// background populations — stepped at shards {1, 4}. Reports wall time
-// and cell-subframes/s per config via --json; the CI bench-smoke job
-// gates the 4-shard record at >= 2.5x the 1-shard record with
-// `bench_gate.py speedup` (and the binary itself
-// asserts the ratio when the host has the cores to make it meaningful).
+// background populations — stepped at shards {1, 4}. Prints wall time
+// and cell-subframes/s per config, and exits 1 when the 4-shard rate is
+// below 2.5x the 1-shard rate on a host with the cores to make the ratio
+// meaningful.
+//
+//   bench_shard [--seconds N]
 //
 // The contract under test is the tentpole one: shards is purely a
 // parallelism knob, so both configs simulate the byte-identical run (the
 // determinism suite pins that); this bench pins that the knob actually
 // buys wall-clock at city scale.
 #include <cstdio>
-#include <string>
 #include <thread>
 
 #include "bench/bench_common.h"
@@ -63,8 +63,8 @@ double run_city(int shards, util::Duration len) {
 
 int main(int argc, char** argv) {
   using namespace pbecc;
-  bench::Reporter rep("bench_shard", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 2);
+  const bench::Args args(argc, argv, {"--seconds"});
+  const util::Duration len = args.seconds(2);
   bench::header("Shard scaling: 64 cells / 16 clusters (DESIGN.md §15)");
   // Work metric: cell-subframes simulated (cells x 1 ms ticks), so the
   // rate is comparable across machines and run lengths.
@@ -76,14 +76,12 @@ int main(int argc, char** argv) {
     const double sps = cell_subframes * 1000.0 / ms;
     std::printf("  shards=%d  wall=%9.1f ms  %12.0f cell-subframes/s\n",
                 shards, ms, sps);
-    rep.add("shards" + std::to_string(shards), ms, sps, 0);
     if (shards == 1) {
       serial_sps = sps;
     } else {
       const double ratio = sps / serial_sps;
       std::printf("  scaling: %.2fx at %d shards\n", ratio, shards);
-      // Only meaningful with real cores behind the shard workers; CI's
-      // bench_gate speedup check enforces the same bound from the JSON.
+      // Only meaningful with real cores behind the shard workers.
       if (std::thread::hardware_concurrency() >= 4 && ratio < 2.5) {
         std::fprintf(stderr,
                      "FAIL: expected >= 2.5x cell-subframes/s at 4 shards, "
@@ -93,5 +91,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return rep.write() ? 0 : 1;
+  return 0;
 }

@@ -5,9 +5,6 @@
 //   --subframes N       pipeline soak length, 1..1e9 (default 2,000,000)
 //   --mac-subframes N   MAC soak length, 1..1e9 (default 200,000)
 //   --metrics <path>    write the merged soak report JSON (CI artifact)
-//   --json <path>       standard bench records (bench_gate.py schema)
-//   --threads N         accepted like every bench's (the soaks run on the
-//                       calling thread)
 //   --abort             abort at the first invariant violation (debugging)
 //   --telemetry <path>  sample the pipeline soak into a .tsv.pbt telemetry
 //                       recording (est.*/decode.*/check.* series)
@@ -82,9 +79,6 @@ int main(int argc, char** argv) {
       metrics_path = value();
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       telemetry_path = value();
-    } else if (std::strcmp(argv[i], "--json") == 0 ||
-               std::strcmp(argv[i], "--threads") == 0) {
-      value();  // read by the Reporter below
     } else if (std::strcmp(argv[i], "--strict-checks") == 0) {
       strict_checks = true;
     } else if (std::strcmp(argv[i], "--abort") == 0) {
@@ -94,7 +88,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bench::Reporter reporter("bench_soak", argc, argv);
 
   std::unique_ptr<tel::Sampler> telemetry;
   if (!telemetry_path.empty()) {
@@ -110,8 +103,6 @@ int main(int argc, char** argv) {
   const sim::SoakReport prep = sim::run_pipeline_soak(pcfg);
   const double p_ms = pt.ms();
   print_report("pipeline soak", prep, p_ms);
-  reporter.add("pipeline_soak", p_ms, prep.subframes / (p_ms / 1000.0),
-               prep.decode_attempts);
 
   bench::header("Soak: base station + UE churn + handover storms");
   std::printf("subframes=%lld cells=%d fg=%d bg_pool=%d\n",
@@ -121,7 +112,6 @@ int main(int argc, char** argv) {
   const sim::SoakReport mrep = sim::run_mac_soak(mcfg);
   const double m_ms = mt.ms();
   print_report("mac soak", mrep, m_ms);
-  reporter.add("mac_soak", m_ms, mrep.subframes / (m_ms / 1000.0), 0);
 
   if (!metrics_path.empty()) {
     FILE* f = std::fopen(metrics_path.c_str(), "w");

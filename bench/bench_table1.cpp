@@ -13,8 +13,9 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Reporter rep("bench_table1", argc, argv);
-  const util::Duration len = bench::flow_seconds(argc, argv, 12);
+  const bench::Args args(argc, argv, {"--seconds", "--threads"});
+  par::ThreadPool pool(args.threads());
+  const util::Duration len = args.seconds(12);
   bench::header("Table 1: PBE-CC vs BBR / Verus / Copa over 40 locations");
   std::printf("(flow length %.0f s per location; paper uses 20 s)\n",
               util::to_seconds(len));
@@ -31,21 +32,13 @@ int main(int argc, char** argv) {
   // flat pool fan-out, then the per-location ratios merge in order.
   std::vector<std::string> all = {"pbe"};
   all.insert(all.end(), others.begin(), others.end());
-  bench::WallTimer wt;
-  const auto results = rep.pool().parallel_map(
+  const auto results = pool.parallel_map(
       static_cast<std::size_t>(sim::kNumLocations) * all.size(),
       [&](std::size_t j) {
         return sim::run_location(
             sim::location(static_cast<int>(j / all.size())),
             all[j % all.size()], len);
       });
-  std::uint64_t sim_sfs = 0, attempts = 0;
-  for (const auto& r : results) {
-    sim_sfs += r.sim_cell_subframes;
-    attempts += r.decode_candidates;
-  }
-  rep.add("40loc_x_4algo", wt.ms(),
-          static_cast<double>(sim_sfs) / (wt.ms() / 1000.0), attempts);
 
   for (int i = 0; i < sim::kNumLocations; ++i) {
     const auto loc = sim::location(i);

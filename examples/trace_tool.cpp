@@ -24,11 +24,19 @@ using namespace pbecc;
 namespace {
 
 const char* coding_name(phy::PdcchCoding c) {
-  return c == phy::PdcchCoding::kConvolutional ? "convolutional" : "repetition";
+  switch (c) {
+    case phy::PdcchCoding::kRepetition:
+      return "repetition";
+    case phy::PdcchCoding::kConvolutional:
+      return "convolutional";
+    case phy::PdcchCoding::kPolar:
+      return "polar";
+  }
+  return "unknown";
 }
 
-void print_header(const cap::TraceHeader& h) {
-  std::printf("format:      PBT1 v%u\n", cap::kFormatVersion);
+void print_header(std::uint16_t version, const cap::TraceHeader& h) {
+  std::printf("format:      PBT1 v%u\n", version);
   std::printf("own RNTI:    0x%04x\n", h.own_rnti);
   std::printf("monitor:     seed=%llu tracker{window=%lldms, Ta>=%d, Pa>=%.1f}\n",
               static_cast<unsigned long long>(h.monitor_seed),
@@ -41,9 +49,13 @@ void print_header(const cap::TraceHeader& h) {
   }
   std::printf("cells:       %zu (primary first)\n", h.cells.size());
   for (const auto& c : h.cells) {
-    std::printf("  cell %u: %.1f MHz @ %.1f GHz, %d CCEs, %s PDCCH\n",
-                c.id, c.bandwidth_mhz, c.carrier_ghz, c.n_cces(),
-                coding_name(c.pdcch_coding));
+    if (c.rat == phy::Rat::kNr) {
+      std::printf("  cell %u: NR %d kHz, ", c.id, nr::scs_khz(c.scs));
+    } else {
+      std::printf("  cell %u: LTE, ", c.id);
+    }
+    std::printf("%.1f MHz @ %.1f GHz, %d CCEs, %s PDCCH\n", c.bandwidth_mhz,
+                c.carrier_ghz, c.n_cces(), coding_name(c.pdcch_coding));
   }
 }
 
@@ -78,7 +90,7 @@ int cmd_info(const std::string& path) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
-  print_header(s.header);
+  print_header(s.version, s.header);
   print_stream(s);
   return s.complete ? 0 : 1;
 }

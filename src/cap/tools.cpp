@@ -65,6 +65,7 @@ bool summarize(const std::string& path, TraceSummary& out, std::string& err) {
     err = reader.error();
     return false;
   }
+  out.version = reader.version();
   out.header = reader.header();
   Record rec;
   while (reader.next(rec)) tally(rec, out);
@@ -81,6 +82,7 @@ bool verify(const std::string& path, TraceSummary& out, std::string& err) {
     err = reader.error();
     return false;
   }
+  out.version = reader.version();
   out.header = reader.header();
   std::optional<std::int64_t> prev_sf;
   util::Time prev_t = 0;

@@ -14,6 +14,7 @@
 namespace pbecc::cap {
 
 struct TraceSummary {
+  std::uint16_t version = 0;  // on-disk format version the reader found
   TraceHeader header;
   std::uint64_t records = 0;
   std::uint64_t chunks = 0;

@@ -65,8 +65,9 @@ void set_abort_on_violation(bool abort_on_violation);
 bool abort_on_violation();
 
 namespace detail {
-// Out of line so the macro body stays a cheap branch; thread-safe (pool
-// threads run decode phases that carry invariants).
+// Out of line so the macro body stays a cheap branch; thread-safe (shard
+// workers and runs side by side on a bench grid's pool hit invariants
+// concurrently).
 void fail(const char* name, const char* file, int line);
 }  // namespace detail
 

@@ -212,25 +212,11 @@ double Monitor::decode_success_rate(util::Time now) const {
   while (!success_times_.empty() && success_times_.front() < lo) {
     success_times_.pop_front();
   }
-  bool all_subframe_tick = true;
-  for (const auto& [id, tick] : cell_tick_) {
-    all_subframe_tick = all_subframe_tick && tick == util::kSubframe;
-  }
+  // Each cell contributes one expected decode per tick of its own cadence
+  // over the window span.
   double expected = 0;
-  if (all_subframe_tick) {
-    // LTE-only fast path, kept verbatim (one multiply instead of a per-cell
-    // sum) so pre-NR runs stay bit-identical.
-    const double span_sf =
-        static_cast<double>(now - lo) / static_cast<double>(util::kSubframe) +
-        1.0;
-    expected = span_sf * static_cast<double>(decoders_.size());
-  } else {
-    // Heterogeneous clocks: each cell contributes one expected decode per
-    // tick of its own cadence over the window span.
-    for (const auto& [id, tick] : cell_tick_) {
-      expected += static_cast<double>(now - lo) / static_cast<double>(tick) +
-                  1.0;
-    }
+  for (const auto& [id, tick] : cell_tick_) {
+    expected += static_cast<double>(now - lo) / static_cast<double>(tick) + 1.0;
   }
   if (expected <= 0) return 1.0;
   return std::min(1.0, static_cast<double>(success_times_.size()) / expected);

@@ -87,7 +87,7 @@ class Monitor {
   double decode_success_rate(util::Time now) const;
   std::uint64_t decode_attempts() const { return attempts_; }
   std::uint64_t decode_failures() const { return failures_; }
-  // Blind-decode candidates tried across all cell decoders (bench JSON).
+  // Blind-decode candidates tried across all cell decoders.
   std::uint64_t total_candidates_tried() const;
   // Viterbi diagnostics summed across all cell decoders: Viterbi runs
   // (DecodeStats::lane_batches) and candidate attempts retired by the

@@ -6,16 +6,16 @@
 //   pbe.sender.pacing_bps        gauge, last written value wins
 //   prof.blind_decode            histogram of wall-clock ns per call
 //
-// The registry is process-global and thread-safe: pbecc::par runs
-// scenario replications and blind-decode candidates on pool threads, so
-// counters/gauges use relaxed atomics, histograms atomic buckets, and
-// find-or-create takes a registry mutex. Metric objects returned by the
-// registry are never deallocated, so call sites may cache the reference
-// once and update it on the hot path; reset() zeroes values but keeps the
-// registrations (and cached references) valid. Counter totals stay
-// deterministic under concurrency (increments commute); only histogram
-// min/max interleavings and trace ordering across *concurrent scenarios*
-// are timing-dependent.
+// The registry is process-global and thread-safe: shard workers step their
+// domains on pool threads and bench grids run whole scenarios side by side,
+// all counting into it, so counters/gauges use relaxed atomics, histograms
+// atomic buckets, and find-or-create takes a registry mutex. Metric objects
+// returned by the registry are never deallocated, so call sites may cache
+// the reference once and update it on the hot path; reset() zeroes values
+// but keeps the registrations (and cached references) valid. Counter totals
+// stay deterministic under concurrency (increments commute); only histogram
+// min/max interleavings and trace ordering across *concurrent scenarios* are
+// timing-dependent.
 #pragma once
 
 #include <array>

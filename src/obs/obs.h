@@ -1,7 +1,9 @@
 // pbecc::obs — umbrella header for the observability layer.
 //
-// Three cooperating pieces, all process-global and single-threaded like the
-// simulator itself:
+// Three cooperating pieces, all process-global and shared by every thread
+// that runs simulation code (shard workers, runs side by side on a bench
+// grid's pool). The trace and the registry are thread-safe; the profiler
+// is switched on or off before runs start:
 //
 //   trace.h    structured event timeline (sim-clock timestamps, ring
 //              buffer, JSONL + Chrome trace_event exporters)

@@ -3,8 +3,9 @@
 // Blind decode runs on the thread that steps its cell; nothing in a single
 // run uses a pool. Pools have owners instead (DESIGN.md §9):
 //
-//   * bench::Reporter builds one from a bench's --threads flag and fans the
-//     bench grid's independent scenario runs out on it;
+//   * a bench that runs a grid builds one from its --threads flag
+//     (bench/bench_common.h) and fans the grid's independent scenario runs
+//     out on it;
 //   * sim::Scenario builds one per multi-cluster scenario, sized by
 //     ScenarioConfig::shards, to step its shard domains between barriers.
 //

@@ -82,7 +82,7 @@ class PbeClient {
   // Wire to BaseStation::add_pdcch_observer.
   void on_pdcch(const phy::PdcchSubframe& sf);
   // Wire to BaseStation::add_pdcch_batch_observer: all cells of one tick
-  // at once, decoded concurrently on the pbecc::par pool.
+  // at once, decoded in turn on the calling thread.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
 
   // Wire to FlowReceiver::set_feedback_filler.

@@ -1,6 +1,5 @@
 #include "sim/location.h"
 
-#include <chrono>
 #include <cstdio>
 
 namespace pbecc::sim {
@@ -132,7 +131,6 @@ LocationRunResult run_location(const LocationProfile& loc,
   cfg.capture = capture.writer;
   cfg.digest = capture.digest;
   cfg.telemetry = capture.telemetry;
-  const auto n_cells = cfg.cells.size();
   Scenario s{std::move(cfg)};
   s.add_ue(ue_spec_for(loc));
   add_location_background(s, loc);
@@ -145,17 +143,10 @@ LocationRunResult run_location(const LocationProfile& loc,
   flow.stop = flow.start + flow_len;
   const int f = s.add_flow(flow);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const util::Time sim_end = flow.stop + 500 * util::kMillisecond;
-  s.run_until(sim_end);
-  const auto t1 = std::chrono::steady_clock::now();
+  s.run_until(flow.stop + 500 * util::kMillisecond);
   s.stats(f).finish(flow.stop);
 
   LocationRunResult r;
-  r.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.sim_cell_subframes = static_cast<std::uint64_t>(sim_end / util::kSubframe) *
-                         static_cast<std::uint64_t>(n_cells);
   const auto& st = s.stats(f);
   r.avg_tput_mbps = st.avg_tput_mbps();
   r.avg_delay_ms = st.avg_delay_ms();

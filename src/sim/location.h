@@ -61,10 +61,7 @@ struct LocationRunResult {
   double internet_state_fraction = 0;  // PBE only
   util::SampleSet window_tputs;
   util::SampleSet delays_ms;
-  // Bench instrumentation (bench/bench_common.h JSON records):
-  double wall_ms = 0;                    // real time spent simulating
-  std::uint64_t sim_cell_subframes = 0;  // simulated subframes x cells
-  std::uint64_t decode_candidates = 0;   // blind-decode attempts (PBE only)
+  std::uint64_t decode_candidates = 0;  // blind-decode attempts (PBE only)
 };
 // Optional pbecc::cap / pbecc::tel hookup for a run: record the PBE
 // pipeline into `writer`, digest its outputs, and/or sample run telemetry

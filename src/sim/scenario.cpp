@@ -378,7 +378,7 @@ int Scenario::add_flow(const FlowSpec& spec) {
     }
     if (want_taps) ctx->client->set_taps(std::move(taps));
     // Batched: the client's monitor decodes all of one tick's cells at
-    // once, fanning out on the pbecc::par pool when --threads > 1.
+    // once, on the thread that steps this UE's domain.
     dbs->add_pdcch_batch_observer(
         [c = ctx->client.get()](const std::vector<phy::PdcchSubframe>& sfs) {
           c->on_pdcch_batch(sfs);

@@ -519,6 +519,26 @@ TEST(CapTools, MergeRejectsMismatchedHeaders) {
   for (const auto& p : {a, b, out}) std::remove(p.c_str());
 }
 
+// summarize() reports the version the file was written in, not the
+// build's cap::kFormatVersion: a v1 trace must not describe itself as v2.
+TEST(CapTools, SummaryCarriesTheFileVersion) {
+  for (const std::uint16_t version : {std::uint16_t{1}, cap::kFormatVersion}) {
+    const auto path = tmp_path("summary_v" + std::to_string(version) + ".pbt");
+    {
+      cap::TraceWriter w(path, 16, version);
+      w.begin(sample_header(false));
+      w.record_probe(1000);
+      ASSERT_TRUE(w.close()) << w.error();
+    }
+    cap::TraceSummary s;
+    std::string err;
+    ASSERT_TRUE(cap::summarize(path, s, err)) << err;
+    EXPECT_EQ(s.version, version);
+    EXPECT_EQ(s.probes, 1u);
+    std::remove(path.c_str());
+  }
+}
+
 // --- record → replay fidelity (the tentpole guarantee) -------------------
 
 struct LiveCapture {
