@@ -3,6 +3,7 @@
 // the paper's decoder sustains six cells per PC with <40% per-core load.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
@@ -86,10 +87,17 @@ BENCHMARK(BM_PdcchBuilderAdd)->Arg(1)->Arg(8);
 void BM_PdcchPlace(benchmark::State& state) { fill_pdcch(state, false); }
 BENCHMARK(BM_PdcchPlace)->Arg(1)->Arg(8);
 
-// Monitor-side noise over a 20 MHz control region at 1% BER: one RNG draw
-// per bit.
-void BM_ApplyBitNoise(benchmark::State& state) {
+// Monitor-side noise over a 20 MHz control region of 84 CCEs at 1% BER:
+// one RNG draw per bit, flips computed only in energized CCEs and the
+// draws of silent words skipped. `busy` energizes the 8 CCEs that
+// busy_subframe(4) places (about the 11% a live PBE endpoint sees),
+// `energized` all 84 (every flip computed) and `silent` none.
+enum class Energy { kBusy, kAll, kNone };
+void BM_ApplyBitNoise(benchmark::State& state, Energy energy) {
   auto sf = busy_subframe(4);
+  if (energy != Energy::kBusy) {
+    std::fill(sf.cce_used.begin(), sf.cce_used.end(), energy == Energy::kAll);
+  }
   util::Rng rng{1};
   for (auto _ : state) {
     phy::apply_bit_noise(sf, 0.01, rng);
@@ -99,7 +107,9 @@ void BM_ApplyBitNoise(benchmark::State& state) {
                           static_cast<std::int64_t>(sf.bits.size()));
   state.SetLabel("items = control-region bits");
 }
-BENCHMARK(BM_ApplyBitNoise);
+BENCHMARK_CAPTURE(BM_ApplyBitNoise, busy, Energy::kBusy);
+BENCHMARK_CAPTURE(BM_ApplyBitNoise, energized, Energy::kAll);
+BENCHMARK_CAPTURE(BM_ApplyBitNoise, silent, Energy::kNone);
 
 // One blind-decode candidate's Viterbi run (the srsLTE-equivalent path):
 // a format-1 DCI rate-matched to an aggregation level's region, decoded

@@ -205,7 +205,7 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   run.sf_index = sf.sf_index;
   run.tick = sf.tick;
   run.delta.subframes = 1;
-  std::vector<bool> claimed(static_cast<std::size_t>(sf.n_cces), false);
+  claimed_.assign(static_cast<std::size_t>(sf.n_cces), false);
 
   // Largest aggregation level first: a message placed at AL4 would also
   // pass the CRC at the AL2/AL1 candidates nested inside it (its
@@ -226,38 +226,35 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   const int ladder_len = is_nr ? 5 : 4;
   for (int li = 0; li < ladder_len; ++li) {
     const int al = ladder[li];
-    std::vector<int> all_starts;
-    if (is_nr) {
-      all_starts = nr::candidate_starts(
-          sf.n_cces, al, cell_.search_space.candidates_for(al));
-    } else {
-      for (int start = 0; start + al <= sf.n_cces; start += al) {
-        all_starts.push_back(start);
-      }
-    }
-    std::vector<int> starts;
-    for (int start : all_starts) {
-      bool skip = false;
+    starts_.clear();
+    const auto admit = [&](int start) {
       for (int c = start; c < start + al; ++c) {
         // Claimed by an already-decoded message, or carrying no transmit
         // energy (real monitors sense per-CCE energy before decoding, so
         // a candidate spanning silent CCEs is never attempted).
-        if (claimed[static_cast<std::size_t>(c)] ||
+        if (claimed_[static_cast<std::size_t>(c)] ||
             !sf.cce_used[static_cast<std::size_t>(c)]) {
-          skip = true;
-          break;
+          return;
         }
       }
-      if (!skip) starts.push_back(start);
+      starts_.push_back(start);
+    };
+    if (is_nr) {
+      for (const int start : nr::candidate_starts(
+               sf.n_cces, al, cell_.search_space.candidates_for(al))) {
+        admit(start);
+      }
+    } else {
+      for (int start = 0; start + al <= sf.n_cces; start += al) admit(start);
     }
-    if (starts.empty()) continue;
+    if (starts_.empty()) continue;
 
     const auto ai = static_cast<std::size_t>(al_index(al));
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
     const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-    for (const int start : starts) {
+    for (const int start : starts_) {
       sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
                          region_bits, span_);
       MemoEntry& entry = memo_[ai][static_cast<std::size_t>(start / al)];
@@ -285,7 +282,7 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
         ++run.delta.decoded_by_al[ai];
         run.found.push_back({*r.dci, al});
         for (int c = start; c < start + al; ++c) {
-          claimed[static_cast<std::size_t>(c)] = true;
+          claimed_[static_cast<std::size_t>(c)] = true;
         }
       }
     }

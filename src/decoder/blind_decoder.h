@@ -155,11 +155,15 @@ class BlindDecoder {
 
   // The candidate being decoded: its span, the span's vote prefix sums
   // (Viterbi cells only) and the message recovered by the current format
-  // attempt. Members so the buffers are reused across candidates instead
-  // of reallocated.
+  // attempt; and per subframe, the CCEs claimed by decoded messages and
+  // the current level's candidate starts left to try. Members so the
+  // buffers are reused across candidates and subframes instead of
+  // reallocated.
   util::BitVec span_;
   std::vector<std::int32_t> prefix_;
   util::BitVec bits_;
+  std::vector<bool> claimed_;
+  std::vector<int> starts_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

@@ -118,18 +118,45 @@ PdcchSubframe PdcchBuilder::build() && {
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;
   // One Bernoulli draw per bit in bit order, gathered into one flip mask
-  // per word: the RNG stream is the per-bit loop's exactly.
+  // per word: the RNG stream is the per-bit loop's exactly. A word whose
+  // CCEs are all silent computes no flips; its draws are owed and paid in
+  // one discard before the next word that does.
+  constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+  constexpr auto kCceBits = static_cast<std::size_t>(kBitsPerCce);
+  const auto energized = [&sf](std::size_t c) {
+    return c >= sf.cce_used.size() || sf.cce_used[c];
+  };
   const std::uint64_t cutoff = util::Rng::bernoulli_cutoff(ber);
   const std::size_t n = sf.bits.size();
+  std::uint64_t owed = 0;
   for (std::size_t w = 0; w < sf.bits.num_words(); ++w) {
-    const std::size_t len =
-        std::min(util::BitVec::kWordBits, n - w * util::BitVec::kWordBits);
+    const std::size_t first = w * kWordBits;
+    const std::size_t len = std::min(kWordBits, n - first);
+    // A word is shorter than a CCE, so it touches at most two.
+    const std::size_t c0 = first / kCceBits;
+    const std::size_t c1 = (first + len - 1) / kCceBits;
+    const bool e0 = energized(c0);
+    const bool e1 = energized(c1);
+    if (!e0 && !e1) {
+      owed += len;
+      continue;
+    }
+    rng.discard(owed);
+    owed = 0;
     std::uint64_t mask = 0;
     for (std::size_t j = 0; j < len; ++j) {
       mask = (mask << 1) | ((rng.next_u64() >> 11) < cutoff ? 1 : 0);
     }
-    sf.bits.xor_word(w, mask << (util::BitVec::kWordBits - len));
+    mask <<= kWordBits - len;
+    if (e0 != e1) {
+      // The word's first `head` bits (1..63) are c0's, the rest c1's.
+      const std::size_t head = c1 * kCceBits - first;
+      const std::uint64_t head_mask = ~0ULL << (kWordBits - head);
+      mask &= e0 ? head_mask : ~head_mask;
+    }
+    sf.bits.xor_word(w, mask);
   }
+  rng.discard(owed);
 }
 
 }  // namespace pbecc::phy

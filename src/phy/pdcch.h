@@ -98,10 +98,14 @@ class PdcchBuilder {
   std::vector<Placement> placed_;
 };
 
-// Flip each bit independently with probability `ber` — the monitor-side
-// reception noise. (The scheduled user itself sees the same channel.)
-// Takes exactly one rng.bernoulli(ber) draw per bit, in bit order; every
-// pinned digest depends on that stream (phy_test pins it).
+// Flip each bit of an energized CCE independently with probability `ber`
+// — the monitor-side reception noise. (The scheduled user itself sees the
+// same channel.) CCE c is energized when cce_used[c] is true or c lies
+// past the end of cce_used; a silent CCE's bits stay as they are, since
+// no decoder reads a candidate that touches one. Takes exactly one
+// rng.bernoulli(ber) draw per bit of the whole region, in bit order,
+// whether or not the bit can flip, and none when ber <= 0; every pinned
+// digest depends on that stream (phy_test pins it).
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);
 
 // Number of repetitions of a (payload+CRC) message of `msg_bits` bits that

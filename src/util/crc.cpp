@@ -64,28 +64,49 @@ std::uint16_t crc16_range(const BitVec& bits, std::size_t pos,
 
 namespace {
 
-struct Crc32Table {
-  std::uint32_t t[256];
-  Crc32Table() {
+// CRC-32 slicing-by-8 (Kounavis & Berry, 2005): t[0] is the byte-at-a-time
+// table, and t[k][b] is the register update for byte b followed by k zero
+// bytes, so eight table lookups fold eight input bytes at once.
+struct Crc32Tables {
+  std::uint32_t t[8][256] = {};
+  constexpr Crc32Tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
   }
 };
+constexpr Crc32Tables kCrc32;
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  static const Crc32Table table;
+  const auto& t = kCrc32.t;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table.t[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; len > 0; --len) c = t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -1,8 +1,45 @@
 #include "util/rng.h"
 
+#include <algorithm>
+#include <array>
+
 namespace pbecc::util {
 
 namespace {
+
+// A polynomial over GF(2) of degree below 256: the coefficient of x^i is
+// bit i % 64 of word i / 64.
+using Poly = std::array<std::uint64_t, 4>;
+
+// The characteristic polynomial P(x) of the xoshiro256 state transition T,
+// without its x^256 term. Berlekamp–Massey over 512 outputs of one state
+// bit finds it at degree 256. Since P(T) = 0, n steps of T equal the
+// polynomial x^n mod P evaluated at T (Haramoto et al., "Efficient jump
+// ahead for F2-linear random number generators", 2008). A wrong
+// coefficient fails Rng.DiscardMatchesStepping.
+constexpr Poly kCharPoly = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                            0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+// a * x mod P.
+Poly times_x(Poly a) {
+  const std::uint64_t carry = 0 - (a[3] >> 63);
+  for (int i = 3; i > 0; --i) a[i] = (a[i] << 1) | (a[i - 1] >> 63);
+  a[0] <<= 1;
+  for (int i = 0; i < 4; ++i) a[i] ^= kCharPoly[i] & carry;
+  return a;
+}
+
+// Entry k is x^(64 k) mod P: the jump over 64 k draws.
+struct JumpTable {
+  std::array<Poly, Rng::kJumpSpan / 64 + 1> pow{};
+  JumpTable() {
+    Poly a = {1, 0, 0, 0};
+    for (Poly& e : pow) {
+      e = a;
+      for (int i = 0; i < 64; ++i) a = times_x(a);
+    }
+  }
+};
 
 // splitmix64: seeds the xoshiro state from a single 64-bit value.
 std::uint64_t splitmix64(std::uint64_t& x) {
@@ -69,5 +106,33 @@ std::int64_t Rng::poisson(double mean) {
 }
 
 Rng Rng::fork() { return Rng{next_u64()}; }
+
+void Rng::jump_ahead(std::uint64_t n) {
+  // Built on first use; shard workers share it read-only.
+  static const JumpTable table;
+  for (std::uint64_t r = n % 64; r > 0; --r) step();
+  for (std::uint64_t words = n / 64; words > 0;) {
+    const std::uint64_t k = std::min<std::uint64_t>(words, kJumpSpan / 64);
+    words -= k;
+    // s <- q(T) s for q = x^(64 k) mod P, one pass over q's coefficients
+    // as in xoshiro's own jump(). Four named accumulators: with an array
+    // gcc -O2 left them in memory and the pass ran four times slower.
+    std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+    for (const std::uint64_t word : table.pow[k]) {
+      for (int b = 0; b < 64; ++b) {
+        const std::uint64_t take = 0 - ((word >> b) & 1);
+        a0 ^= s_[0] & take;
+        a1 ^= s_[1] & take;
+        a2 ^= s_[2] & take;
+        a3 ^= s_[3] & take;
+        step();
+      }
+    }
+    s_[0] = a0;
+    s_[1] = a1;
+    s_[2] = a2;
+    s_[3] = a3;
+  }
+}
 
 }  // namespace pbecc::util

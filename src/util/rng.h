@@ -21,15 +21,27 @@ class Rng {
   // once per control-region bit.
   std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    step();
     return result;
   }
+
+  // Skip `n` draws: afterwards every output (next_u64, normal, fork, ...)
+  // is the one it would be after n next_u64() calls. Short skips step the
+  // state without computing outputs; from kJumpBreakEven draws on, the
+  // state jumps (rng.cpp), at a cost that no longer grows with n until
+  // n passes kJumpSpan.
+  void discard(std::uint64_t n) {
+    if (n < kJumpBreakEven) {
+      for (; n > 0; --n) step();
+    } else {
+      jump_ahead(n);
+    }
+  }
+  // Where a jump starts to beat stepping, measured on a 4-vCPU x86-64
+  // host (DESIGN.md §14, "Noise contract").
+  static constexpr std::uint64_t kJumpBreakEven = 512;
+  // Draws one tabled jump covers; a longer discard makes several.
+  static constexpr std::uint64_t kJumpSpan = 64 * 256;
 
   // Uniform double in [0, 1): 53 random mantissa bits.
   double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
@@ -70,6 +82,19 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  // The xoshiro256 state transition: linear over GF(2), output-free.
+  void step() {
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+  }
+
+  void jump_ahead(std::uint64_t n);
 
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;

@@ -2,6 +2,7 @@
 // wire format, the synthetic PDCCH, and the wireless channel model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <string>
@@ -483,7 +484,11 @@ TEST(Pdcch, BuildIsPinned) {
 TEST(Pdcch, NoiseFlipsBitsDeterministically) {
   CellConfig cell{1, 10.0};
   PdcchBuilder b1(cell, 0);
-  auto sf1 = std::move(b1).build();
+  const PdcchSubframe silent = std::move(b1).build();
+  // Nothing is placed, so every CCE is silent: energize them all, as a
+  // monitor sensing pure noise would.
+  auto sf1 = silent;
+  std::fill(sf1.cce_used.begin(), sf1.cce_used.end(), true);
   auto sf2 = sf1;
   util::Rng r1{5}, r2{5};
   apply_bit_noise(sf1, 0.1, r1);
@@ -492,12 +497,70 @@ TEST(Pdcch, NoiseFlipsBitsDeterministically) {
   int flips = 0;
   for (std::size_t i = 0; i < sf1.bits.size(); ++i) flips += sf1.bits.bit(i);
   EXPECT_NEAR(flips / static_cast<double>(sf1.bits.size()), 0.1, 0.02);
+  // All silent: nothing flips, and the RNG still moves one draw per bit.
+  auto quiet = silent;
+  util::Rng r3{5};
+  apply_bit_noise(quiet, 0.1, r3);
+  EXPECT_EQ(quiet, silent);
+  EXPECT_EQ(r3.next_u64(), r1.next_u64());
+}
+
+// apply_bit_noise against the per-bit loop it stands for: one bernoulli
+// draw per bit of the region in bit order, and a flip only where the
+// bit's CCE is energized (cce_used[c], or c past the end of cce_used).
+TEST(Pdcch, NoiseFlipsOnlyEnergizedCces) {
+  util::Rng gen{404};
+  const double bers[] = {0.0, 1e-10, 1e-3, 0.04, 0.5, 1.0};
+  for (int trial = 0; trial < 48; ++trial) {
+    PdcchSubframe sf;
+    sf.n_cces =
+        trial < 8 ? 1 + trial : static_cast<int>(gen.uniform_int(1, 135));
+    const auto n_bits = static_cast<std::size_t>(sf.n_cces) * kBitsPerCce;
+    sf.bits = util::BitVec(n_bits);
+    for (std::size_t i = 0; i < n_bits; ++i) {
+      sf.bits.set_bit(i, gen.bernoulli(0.5));
+    }
+    // All energized, all silent, random, or a random prefix shorter than
+    // the region.
+    const int kind = trial % 4;
+    sf.cce_used.resize(kind == 3 ? static_cast<std::size_t>(
+                                       gen.uniform_int(0, sf.n_cces - 1))
+                                 : static_cast<std::size_t>(sf.n_cces));
+    for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
+      sf.cce_used[c] = kind == 0 || (kind != 1 && gen.bernoulli(0.3));
+    }
+    const auto energized = [&sf](std::size_t i) {
+      const std::size_t c = i / kBitsPerCce;
+      return c >= sf.cce_used.size() || sf.cce_used[c];
+    };
+    for (const double ber : bers) {
+      const std::uint64_t seed = gen.next_u64();
+      PdcchSubframe got = sf;
+      util::Rng rng{seed};
+      apply_bit_noise(got, ber, rng);
+
+      util::BitVec want = sf.bits;
+      util::Rng ref{seed};
+      for (std::size_t i = 0; ber > 0.0 && i < n_bits; ++i) {
+        if (ref.bernoulli(ber) && energized(i)) want.flip_bit(i);
+      }
+      for (std::size_t i = 0; i < n_bits; ++i) {
+        ASSERT_EQ(got.bits.bit(i), energized(i) ? want.bit(i) : sf.bits.bit(i))
+            << "trial " << trial << " ber " << ber << " bit " << i;
+      }
+      ASSERT_EQ(rng.next_u64(), ref.next_u64())
+          << "trial " << trial << " ber " << ber;
+      ASSERT_EQ(got.cce_used, sf.cce_used);
+    }
+  }
 }
 
 // The monitor-side noise stream: exactly one bernoulli draw per bit, in bit
 // order. Pinned to the values the per-bit flip loop produced; a noise
 // model that changes the stream (e.g. geometric-gap sampling) moves every
-// determinism digest and must re-pin this table on purpose.
+// determinism digest and must re-pin this table on purpose. Silent CCEs
+// keep their bits but not their draws, so `next` does not depend on which
+// CCEs are energized.
 TEST(Pdcch, NoiseStreamIsPinned) {
   CellConfig lte{1, 20.0};
   PdcchBuilder b(lte, 0);
@@ -510,8 +573,10 @@ TEST(Pdcch, NoiseStreamIsPinned) {
     d.mcs = {7 + i, 1};
     ASSERT_TRUE(b.add(d, 1 << i));
   }
-  const PdcchSubframe lte_sf = std::move(b).build();
+  const PdcchSubframe lte_sf = std::move(b).build();  // CCEs 0 and 2-15
   ASSERT_EQ(lte_sf.bits.size(), 6048u);
+  PdcchSubframe lte_all = lte_sf;  // the same bits, every CCE energized
+  std::fill(lte_all.cce_used.begin(), lte_all.cce_used.end(), true);
   PdcchSubframe nr_sf;  // one NR AL16 candidate's worth of bits
   nr_sf.n_cces = 16;
   nr_sf.bits = util::BitVec(16 * kBitsPerCce);
@@ -524,9 +589,12 @@ TEST(Pdcch, NoiseStreamIsPinned) {
     std::uint64_t next;    // the rng's next draw after the call
   };
   const Pin pins[] = {
-      {&lte_sf, 1e-3, 101, 0xbd52016f25739719ULL, 0xedb2a16b811b8d47ULL},
-      {&lte_sf, 0.04, 102, 0x80478978afdae092ULL, 0x99f387d0732b0317ULL},
-      {&lte_sf, 0.5, 103, 0x2596e2ea6b9c4871ULL, 0x5dd776321f3feec0ULL},
+      {&lte_sf, 1e-3, 101, 0x9daec226d985143dULL, 0xedb2a16b811b8d47ULL},
+      {&lte_sf, 0.04, 102, 0xf5f150d9778efb98ULL, 0x99f387d0732b0317ULL},
+      {&lte_sf, 0.5, 103, 0xdea2050a20aa75c2ULL, 0x5dd776321f3feec0ULL},
+      {&lte_all, 1e-3, 101, 0xbd52016f25739719ULL, 0xedb2a16b811b8d47ULL},
+      {&lte_all, 0.04, 102, 0x80478978afdae092ULL, 0x99f387d0732b0317ULL},
+      {&lte_all, 0.5, 103, 0x2596e2ea6b9c4871ULL, 0x5dd776321f3feec0ULL},
       {&nr_sf, 1e-3, 104, 0xec32669a74fcae65ULL, 0x72503e72f1a3b393ULL},
       {&nr_sf, 0.04, 105, 0x67a187cc99200317ULL, 0x0cb79002cafa29c3ULL},
       {&nr_sf, 0.5, 106, 0x02cea5696f7ad596ULL, 0x1b7e2f33b9a26c25ULL},

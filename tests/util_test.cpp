@@ -174,6 +174,45 @@ TEST(Rng, ForkIndependent) {
   EXPECT_LT(same, 2);
 }
 
+// discard(n) is n next_u64() calls: every n through the step/jump
+// break-even and past it, n around and several times past one jump's span
+// (so one discard makes several jumps), and random large n. Each check
+// reads the stream a different way: a draw, a normal, a fork.
+TEST(Rng, DiscardMatchesStepping) {
+  std::vector<std::uint64_t> ns;
+  for (std::uint64_t n = 0; n <= 2 * Rng::kJumpBreakEven; ++n) ns.push_back(n);
+  for (std::uint64_t n = 2 * Rng::kJumpBreakEven; n < 4 * Rng::kJumpSpan;
+       n += 997) {
+    ns.push_back(n);
+  }
+  for (const std::uint64_t n :
+       {Rng::kJumpSpan - 1, Rng::kJumpSpan, Rng::kJumpSpan + 1,
+        Rng::kJumpSpan + 64, 2 * Rng::kJumpSpan, 3 * Rng::kJumpSpan + 63}) {
+    ns.push_back(n);
+  }
+  Rng pick{2024};
+  for (int i = 0; i < 20; ++i) {
+    ns.push_back(static_cast<std::uint64_t>(pick.uniform_int(1, 1000000)));
+  }
+  Rng stepped{77}, skipped{77};
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    const std::uint64_t n = ns[i];
+    for (std::uint64_t k = 0; k < n; ++k) stepped.next_u64();
+    skipped.discard(n);
+    switch (i % 3) {
+      case 0:
+        ASSERT_EQ(skipped.next_u64(), stepped.next_u64()) << "n " << n;
+        break;
+      case 1:
+        ASSERT_EQ(skipped.normal(), stepped.normal()) << "n " << n;
+        break;
+      default:
+        ASSERT_EQ(skipped.fork().next_u64(), stepped.fork().next_u64())
+            << "n " << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- stats
 
 TEST(OnlineStatsTest, Basics) {
@@ -731,6 +770,41 @@ TEST(CrcTest, TableDrivenMatchesBitwiseAtEveryOffset) {
     }
   }
   EXPECT_THROW(crc16_range(b, 64, 201), std::out_of_range);
+}
+
+// CRC-32/ISO-HDLC a byte per iteration, its bits shifted out one by one:
+// the reference the sliced crc32 must match.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t len,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+TEST(CrcTest, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  Rng rng{32};
+  std::vector<unsigned char> buf(16 + 300);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.next_u64());
+  // Every alignment and every length through several 8-byte slices, each
+  // continuing a random running checksum and split at a random point.
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + off;
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      const std::uint32_t want = crc32_bytewise(p, len, seed);
+      ASSERT_EQ(crc32(p, len, seed), want) << "off " << off << " len " << len;
+      const auto split = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(len)));
+      ASSERT_EQ(crc32(p + split, len - split, crc32(p, split, seed)), want)
+          << "off " << off << " len " << len << " split " << split;
+    }
+  }
 }
 
 }  // namespace
