@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   bench::header("Soak: decode->fusion->tracking->estimation pipeline");
   std::printf("subframes=%lld cells=%d rnti_pool=%d (deep checks %s)\n",
               static_cast<long long>(pcfg.subframes), pcfg.n_cells,
-              pcfg.rnti_pool, check::kDeep ? "ON" : "off");
+              sim::kPipelineSoakRntiPool, check::kDeep ? "ON" : "off");
   bench::WallTimer pt;
   const sim::SoakReport prep = sim::run_pipeline_soak(pcfg);
   const double p_ms = pt.ms();
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   bench::header("Soak: base station + UE churn + handover storms");
   std::printf("subframes=%lld cells=%d fg=%d bg_pool=%d\n",
               static_cast<long long>(mcfg.subframes), mcfg.n_cells,
-              mcfg.fg_ues, mcfg.bg_ue_pool);
+              sim::kMacSoakFgUes, sim::kMacSoakBgUePool);
   bench::WallTimer mt;
   const sim::SoakReport mrep = sim::run_mac_soak(mcfg);
   const double m_ms = mt.ms();

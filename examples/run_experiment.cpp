@@ -63,6 +63,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,7 @@ struct Options {
   std::string algo = "pbe";
   int location = 2;
   int seconds = 12;
-  std::uint64_t seed = 0;  // 0 = location default
+  std::optional<std::uint64_t> seed;  // unset = location default
   std::string csv;
   std::string timeseries;
   std::string trace_jsonl;
@@ -272,7 +273,7 @@ Options parse(int argc, char** argv) {
 
 void run_one(const Options& o, const std::string& algo) {
   auto loc = sim::location(o.location);
-  if (o.seed != 0) loc.seed = o.seed;
+  if (o.seed) loc.seed = *o.seed;
   loc.convolutional_pdcch = o.conv_pdcch;
   if (o.nr_scs_khz != 0) {
     loc.nr_numerology = nr::mu_of(nr::scs_from_khz(o.nr_scs_khz));

@@ -8,6 +8,12 @@ namespace {
 // The PROBE_BW gain cycle of the paper's Fig 9.
 constexpr double kCycleGains[] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
 constexpr int kCycleLen = 8;
+constexpr double kStartupGain = 2.885;  // 2/ln(2)
+constexpr double kDrainGain = 1.0 / kStartupGain;
+constexpr util::Duration kRtpropWindow = 10 * util::kSecond;
+constexpr util::Duration kProbeRttDuration = 200 * util::kMillisecond;
+constexpr util::Duration kProbeRttInterval = 10 * util::kSecond;
+constexpr util::RateBps kInitialRate = 1e6;  // 1 Mbit/s until the first sample
 }  // namespace
 
 Bbr::Bbr(BbrConfig cfg)
@@ -31,12 +37,12 @@ void Bbr::seed_estimates(util::Time now, util::RateBps btlbw,
 }
 
 util::RateBps Bbr::btl_bw(util::Time now) const {
-  return btlbw_filter_.get(now, cfg_.initial_rate);
+  return btlbw_filter_.get(now, kInitialRate);
 }
 
 double Bbr::bdp_bytes(util::Time now, double gain) const {
   const double bdp = btl_bw(now) / util::kBitsPerByte * util::to_seconds(rtprop_);
-  return std::max(gain * bdp, 4.0 * cfg_.mss);
+  return std::max(gain * bdp, 4.0 * net::kDefaultMss);
 }
 
 void Bbr::on_packet_sent(util::Time, const net::Packet&, std::uint64_t bif) {
@@ -59,7 +65,7 @@ void Bbr::on_ack(const net::AckSample& s) {
   }
   // Note the order: expiry must be observed *before* the refresh below, or
   // PROBE_RTT would never trigger (the refresh resets the staleness stamp).
-  const bool rtprop_expired = s.now - rtprop_stamp_ > cfg_.rtprop_window;
+  const bool rtprop_expired = s.now - rtprop_stamp_ > kRtpropWindow;
   if (s.rtt > 0 && (s.rtt <= rtprop_ || rtprop_expired)) {
     rtprop_ = s.rtt;
     rtprop_stamp_ = s.now;
@@ -125,9 +131,9 @@ void Bbr::advance_cycle(util::Time now) {
 
 void Bbr::maybe_enter_probe_rtt(util::Time now, bool rtprop_expired) {
   if (mode_ == Mode::kProbeRtt || mode_ == Mode::kStartup) return;
-  if (rtprop_expired && now - last_probe_rtt_ > cfg_.probe_rtt_interval) {
+  if (rtprop_expired && now - last_probe_rtt_ > kProbeRttInterval) {
     mode_ = Mode::kProbeRtt;
-    probe_rtt_done_ = now + cfg_.probe_rtt_duration;
+    probe_rtt_done_ = now + kProbeRttDuration;
   }
 }
 
@@ -146,9 +152,9 @@ util::RateBps Bbr::pacing_rate(util::Time now) const {
   const util::RateBps bw = btl_bw(now);
   switch (mode_) {
     case Mode::kStartup:
-      return cfg_.startup_gain * bw;
+      return kStartupGain * bw;
     case Mode::kDrain:
-      return cfg_.drain_gain * bw;
+      return kDrainGain * bw;
     case Mode::kEntryDrain:
       return 0.5 * bw;
     case Mode::kProbeRtt:
@@ -167,9 +173,9 @@ util::RateBps Bbr::pacing_rate(util::Time now) const {
 }
 
 double Bbr::cwnd_bytes(util::Time now) const {
-  if (mode_ == Mode::kProbeRtt) return 4.0 * cfg_.mss;
+  if (mode_ == Mode::kProbeRtt) return 4.0 * net::kDefaultMss;
   const double gain =
-      mode_ == Mode::kStartup ? cfg_.startup_gain : cfg_.cwnd_gain;
+      mode_ == Mode::kStartup ? kStartupGain : cfg_.cwnd_gain;
   return bdp_bytes(now, gain);
 }
 

@@ -21,16 +21,9 @@
 namespace pbecc::baselines {
 
 struct BbrConfig {
-  double startup_gain = 2.885;  // 2/ln(2)
-  double drain_gain = 1.0 / 2.885;
   double cwnd_gain = 2.0;
-  util::Duration rtprop_window = 10 * util::kSecond;
   // BtlBw max-filter window; BBR uses 10 round trips, we use time-based.
   util::Duration btlbw_window = 2 * util::kSecond;
-  util::Duration probe_rtt_duration = 200 * util::kMillisecond;
-  util::Duration probe_rtt_interval = 10 * util::kSecond;
-  std::int32_t mss = net::kDefaultMss;
-  util::RateBps initial_rate = 1e6;  // 1 Mbit/s until the first sample
   std::uint64_t seed = 3;
 
   // --- PBE-CC extensions (inactive by default) ---

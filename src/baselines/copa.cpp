@@ -4,9 +4,15 @@
 
 namespace pbecc::baselines {
 
-Copa::Copa(CopaConfig cfg)
-    : cfg_(cfg), cwnd_(cfg.initial_cwnd_segments),
-      rtt_min_(cfg.rttmin_window),
+namespace {
+constexpr double kDelta = 0.5;  // default mode: 1/(2 * dq) packets/s target
+constexpr double kInitialCwndSegments = 10;
+constexpr util::Duration kRttMinWindow = 10 * util::kSecond;
+}  // namespace
+
+Copa::Copa()
+    : cwnd_(kInitialCwndSegments),
+      rtt_min_(kRttMinWindow),
       rtt_standing_(50 * util::kMillisecond) {}
 
 void Copa::update_velocity(bool direction_up) {
@@ -34,7 +40,7 @@ void Copa::on_ack(const net::AckSample& s) {
   const double dq_sec = std::max(util::to_seconds(standing - rtt_min), 1e-5);
 
   // Target rate (packets/s) and the equivalent target window.
-  const double target_rate = 1.0 / (cfg_.delta * dq_sec);
+  const double target_rate = 1.0 / (kDelta * dq_sec);
   const double current_rate = cwnd_ / std::max(util::to_seconds(srtt_), 1e-4);
 
   const bool direction_up = current_rate < target_rate;
@@ -52,7 +58,7 @@ void Copa::on_ack(const net::AckSample& s) {
     update_velocity(direction_up);
   }
 
-  const double step = velocity_ / (cfg_.delta * std::max(cwnd_, 1.0));
+  const double step = velocity_ / (kDelta * std::max(cwnd_, 1.0));
   if (direction_up) {
     cwnd_ += step;
   } else {
@@ -61,16 +67,16 @@ void Copa::on_ack(const net::AckSample& s) {
 }
 
 void Copa::on_loss(const net::LossSample& s) {
-  if (s.bytes_in_flight == 0) cwnd_ = cfg_.initial_cwnd_segments;
+  if (s.bytes_in_flight == 0) cwnd_ = kInitialCwndSegments;
   // Copa's default mode reacts to delay, not individual losses.
 }
 
 util::RateBps Copa::pacing_rate(util::Time) const {
   // Copa paces at 2 * cwnd / RTT (two packets per ack pacing).
   const double rtt_sec = std::max(util::to_seconds(srtt_), 1e-4);
-  return 2.0 * cwnd_ * cfg_.mss * util::kBitsPerByte / rtt_sec;
+  return 2.0 * cwnd_ * net::kDefaultMss * util::kBitsPerByte / rtt_sec;
 }
 
-double Copa::cwnd_bytes(util::Time) const { return cwnd_ * cfg_.mss; }
+double Copa::cwnd_bytes(util::Time) const { return cwnd_ * net::kDefaultMss; }
 
 }  // namespace pbecc::baselines

@@ -13,16 +13,9 @@
 
 namespace pbecc::baselines {
 
-struct CopaConfig {
-  double delta = 0.5;  // default mode: 1/(2 * dq) packets/s target
-  std::int32_t mss = net::kDefaultMss;
-  double initial_cwnd_segments = 10;
-  util::Duration rttmin_window = 10 * util::kSecond;
-};
-
 class Copa : public net::CongestionController {
  public:
-  explicit Copa(CopaConfig cfg = {});
+  Copa();
 
   void on_ack(const net::AckSample& s) override;
   void on_loss(const net::LossSample& s) override;
@@ -34,7 +27,6 @@ class Copa : public net::CongestionController {
  private:
   void update_velocity(bool direction_up);
 
-  CopaConfig cfg_;
   double cwnd_;  // segments
   double velocity_ = 1.0;
   bool last_direction_up_ = true;

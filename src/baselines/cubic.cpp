@@ -5,11 +5,19 @@
 
 namespace pbecc::baselines {
 
-Cubic::Cubic(CubicConfig cfg) : cfg_(cfg), cwnd_(cfg.initial_cwnd_segments) {}
+namespace {
+constexpr double kC = 0.4;     // scaling constant (segments/sec^3)
+constexpr double kBeta = 0.7;  // multiplicative decrease factor
+constexpr double kInitialCwndSegments = 10;
+// Pacing headroom over cwnd/srtt so the window, not the pacer, limits.
+constexpr double kPacingGain = 1.25;
+}  // namespace
+
+Cubic::Cubic() : cwnd_(kInitialCwndSegments) {}
 
 double Cubic::cubic_window(double t_sec) const {
   const double dt = t_sec - k_;
-  return cfg_.c * dt * dt * dt + w_max_;
+  return kC * dt * dt * dt + w_max_;
 }
 
 void Cubic::on_ack(const net::AckSample& s) {
@@ -27,7 +35,7 @@ void Cubic::on_ack(const net::AckSample& s) {
       w_max_ = cwnd_;
       k_ = 0;
     } else {
-      k_ = std::cbrt(w_max_ * (1.0 - cfg_.beta) / cfg_.c);
+      k_ = std::cbrt(w_max_ * (1.0 - kBeta) / kC);
     }
     w_tcp_ = cwnd_;
   }
@@ -36,7 +44,7 @@ void Cubic::on_ack(const net::AckSample& s) {
 
   // TCP-friendly region (standard Reno-rate tracking).
   const double rtt_sec = std::max(util::to_seconds(srtt_), 1e-3);
-  w_tcp_ += 3.0 * (1.0 - cfg_.beta) / (1.0 + cfg_.beta) * (1.0 / cwnd_);
+  w_tcp_ += 3.0 * (1.0 - kBeta) / (1.0 + kBeta) * (1.0 / cwnd_);
   const double floor_w = std::max(target, w_tcp_);
 
   if (floor_w > cwnd_) {
@@ -51,14 +59,14 @@ void Cubic::on_ack(const net::AckSample& s) {
 void Cubic::enter_recovery(util::Time now) {
   if (now < recovery_until_) return;  // one decrease per RTT-ish
   recovery_until_ = now + srtt_;
-  if (cfg_.fast_convergence && cwnd_ < w_last_max_) {
+  if (cwnd_ < w_last_max_) {  // fast convergence
     w_last_max_ = cwnd_;
-    w_max_ = cwnd_ * (1.0 + cfg_.beta) / 2.0;
+    w_max_ = cwnd_ * (1.0 + kBeta) / 2.0;
   } else {
     w_last_max_ = cwnd_;
     w_max_ = cwnd_;
   }
-  cwnd_ = std::max(cwnd_ * cfg_.beta, 2.0);
+  cwnd_ = std::max(cwnd_ * kBeta, 2.0);
   ssthresh_ = cwnd_;
   epoch_start_ = -1;
 }
@@ -66,8 +74,8 @@ void Cubic::enter_recovery(util::Time now) {
 void Cubic::on_loss(const net::LossSample& s) {
   if (s.bytes_in_flight == 0) {
     // RTO: collapse like TCP.
-    ssthresh_ = std::max(cwnd_ * cfg_.beta, 2.0);
-    cwnd_ = cfg_.initial_cwnd_segments;
+    ssthresh_ = std::max(cwnd_ * kBeta, 2.0);
+    cwnd_ = kInitialCwndSegments;
     epoch_start_ = -1;
     return;
   }
@@ -76,9 +84,9 @@ void Cubic::on_loss(const net::LossSample& s) {
 
 util::RateBps Cubic::pacing_rate(util::Time) const {
   const double rtt_sec = std::max(util::to_seconds(srtt_), 1e-3);
-  return cfg_.pacing_gain * cwnd_bytes(0) * util::kBitsPerByte / rtt_sec;
+  return kPacingGain * cwnd_bytes(0) * util::kBitsPerByte / rtt_sec;
 }
 
-double Cubic::cwnd_bytes(util::Time) const { return cwnd_ * cfg_.mss; }
+double Cubic::cwnd_bytes(util::Time) const { return cwnd_ * net::kDefaultMss; }
 
 }  // namespace pbecc::baselines

@@ -12,19 +12,9 @@
 
 namespace pbecc::baselines {
 
-struct CubicConfig {
-  double c = 0.4;            // scaling constant (segments/sec^3)
-  double beta = 0.7;         // multiplicative decrease factor
-  bool fast_convergence = true;
-  std::int32_t mss = net::kDefaultMss;
-  double initial_cwnd_segments = 10;
-  // Pacing headroom over cwnd/srtt so the window, not the pacer, limits.
-  double pacing_gain = 1.25;
-};
-
 class Cubic : public net::CongestionController {
  public:
-  explicit Cubic(CubicConfig cfg = {});
+  Cubic();
 
   void on_ack(const net::AckSample& s) override;
   void on_loss(const net::LossSample& s) override;
@@ -39,7 +29,6 @@ class Cubic : public net::CongestionController {
   double cubic_window(double t_sec) const;
   void enter_recovery(util::Time now);
 
-  CubicConfig cfg_;
   double cwnd_;           // in segments
   double ssthresh_ = 1e9; // in segments
   double w_max_ = 0;

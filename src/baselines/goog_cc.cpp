@@ -4,8 +4,16 @@
 
 namespace pbecc::baselines {
 
-GoogCc::GoogCc(GoogCcConfig cfg)
-    : cfg_(cfg), bwe_(cfg.bwe), rtprop_(cfg.rtprop_window) {}
+namespace {
+constexpr double kCwndGain = 2.0;
+constexpr util::Duration kRtpropWindow = 10 * util::kSecond;
+// Loss is a secondary signal for a delay-based scheme, but ignoring it
+// entirely lets a policer starve everyone: cut like AIMD's beta.
+constexpr double kLossBeta = 0.85;
+constexpr util::Duration kLossBackoffHold = 200 * util::kMillisecond;
+}  // namespace
+
+GoogCc::GoogCc() : rtprop_(kRtpropWindow) {}
 
 void GoogCc::on_ack(const net::AckSample& s) {
   if (s.rtt > 0) {
@@ -19,13 +27,13 @@ void GoogCc::on_ack(const net::AckSample& s) {
 }
 
 void GoogCc::on_loss(const net::LossSample& s) {
-  if (last_loss_cut_ >= 0 && s.now - last_loss_cut_ < cfg_.loss_backoff_hold) {
+  if (last_loss_cut_ >= 0 && s.now - last_loss_cut_ < kLossBackoffHold) {
     return;  // one cut per burst
   }
   const double basis = loss_cap_ > 0
                            ? std::min<double>(loss_cap_, bwe_.target_bps())
                            : bwe_.target_bps();
-  loss_cap_ = std::max(cfg_.loss_beta * basis, cfg_.bwe.aimd.min_rate);
+  loss_cap_ = std::max(kLossBeta * basis, bwe::kAimdMinRate);
   last_loss_cut_ = s.now;
 }
 
@@ -39,8 +47,8 @@ double GoogCc::cwnd_bytes(util::Time now) const {
   const util::Duration rtprop = rtprop_.get(now, last_rtt_);
   const double bdp = pacing_rate(now) / util::kBitsPerByte *
                      util::to_seconds(std::max<util::Duration>(rtprop, 1));
-  return std::max(cfg_.cwnd_gain * bdp,
-                  4.0 * static_cast<double>(cfg_.bwe.aimd.mss));
+  return std::max(kCwndGain * bdp,
+                  4.0 * static_cast<double>(net::kDefaultMss));
 }
 
 }  // namespace pbecc::baselines

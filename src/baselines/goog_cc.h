@@ -13,19 +13,9 @@
 
 namespace pbecc::baselines {
 
-struct GoogCcConfig {
-  bwe::DelayBasedBweConfig bwe{};
-  double cwnd_gain = 2.0;
-  util::Duration rtprop_window = 10 * util::kSecond;
-  // Loss is a secondary signal for a delay-based scheme, but ignoring it
-  // entirely lets a policer starve everyone: cut like AIMD's beta.
-  double loss_beta = 0.85;
-  util::Duration loss_backoff_hold = 200 * util::kMillisecond;
-};
-
 class GoogCc : public net::CongestionController {
  public:
-  explicit GoogCc(GoogCcConfig cfg = {});
+  GoogCc();
 
   void on_ack(const net::AckSample& s) override;
   void on_loss(const net::LossSample& s) override;
@@ -37,7 +27,6 @@ class GoogCc : public net::CongestionController {
   const bwe::DelayBasedBwe& estimator() const { return bwe_; }
 
  private:
-  GoogCcConfig cfg_;
   bwe::DelayBasedBwe bwe_;
   mutable util::WindowedMin<util::Duration> rtprop_;
   util::Duration last_rtt_ = 100 * util::kMillisecond;

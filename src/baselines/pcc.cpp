@@ -5,6 +5,10 @@
 
 namespace pbecc::baselines {
 
+namespace {
+constexpr double kEpsilon = 0.05;  // trial rate offset
+}  // namespace
+
 void MonitorIntervals::on_ack(const net::AckSample& s) {
   if (mi_start_ == 0) mi_start_ = s.now;
   if (s.rtt > 0) {
@@ -51,7 +55,7 @@ std::optional<MonitorIntervals::MiResult> MonitorIntervals::poll(
 // ---------------------------------------------------------------- Allegro
 
 PccAllegro::PccAllegro(PccConfig cfg)
-    : cfg_(cfg), rate_(cfg.initial_rate), rng_(cfg.seed) {
+    : rate_(cfg.initial_rate), rng_(cfg.seed) {
   // Random pairing of the four trials: two +eps, two -eps.
   trial_sign_ = {+1, -1, +1, -1};
   if (rng_.bernoulli(0.5)) std::swap(trial_sign_[0], trial_sign_[1]);
@@ -85,9 +89,9 @@ void PccAllegro::on_mi(const MonitorIntervals::MiResult& mi, util::Time) {
     case Mode::kStarting:
       if (u > prev_utility_) {
         prev_utility_ = u;
-        rate_ = std::min(rate_ * 2.0, cfg_.max_rate);
+        rate_ = std::min(rate_ * 2.0, kPccMaxRate);
       } else {
-        rate_ = std::max(rate_ / 2.0, cfg_.min_rate);
+        rate_ = std::max(rate_ / 2.0, kPccMinRate);
         mode_ = Mode::kDecision;
         trial_index_ = 0;
       }
@@ -104,13 +108,13 @@ void PccAllegro::on_mi(const MonitorIntervals::MiResult& mi, util::Time) {
             trial_utility_[static_cast<std::size_t>(i)];
       }
       if (up > down) {
-        rate_ = std::min(rate_ * (1.0 + eps_), cfg_.max_rate);
+        rate_ = std::min(rate_ * (1.0 + eps_), kPccMaxRate);
         eps_ = 0.01;
       } else if (down > up) {
-        rate_ = std::max(rate_ * (1.0 - eps_), cfg_.min_rate);
+        rate_ = std::max(rate_ * (1.0 - eps_), kPccMinRate);
         eps_ = 0.01;
       } else {
-        eps_ = std::min(eps_ + 0.01, cfg_.epsilon);
+        eps_ = std::min(eps_ + 0.01, kEpsilon);
       }
       break;
     }
@@ -127,7 +131,7 @@ util::RateBps PccAllegro::pacing_rate(util::Time) const {
 
 // ---------------------------------------------------------------- Vivace
 
-PccVivace::PccVivace(PccConfig cfg) : cfg_(cfg), rate_(cfg.initial_rate) {}
+PccVivace::PccVivace(PccConfig cfg) : rate_(cfg.initial_rate) {}
 
 double PccVivace::utility(const MonitorIntervals::MiResult& mi) {
   // u = x^0.9 - b * x * d(RTT)/dt - c * x * L   (x in Mbit/s)
@@ -159,7 +163,7 @@ void PccVivace::on_mi(const MonitorIntervals::MiResult& mi, util::Time) {
   trial_index_ = 0;
 
   const double du = trial_utility_[0] - trial_utility_[1];  // +eps minus -eps
-  const double dr = 2.0 * cfg_.epsilon * rate_ / 1e6;       // Mbit/s
+  const double dr = 2.0 * kEpsilon * rate_ / 1e6;       // Mbit/s
   if (dr <= 0) return;
   double gradient = du / dr;
 
@@ -175,12 +179,12 @@ void PccVivace::on_mi(const MonitorIntervals::MiResult& mi, util::Time) {
   double step = theta * confidence_ * gradient;
   const double max_step = 0.08 * rate_;
   step = std::clamp(step, -max_step, max_step);
-  rate_ = std::clamp(rate_ + step, cfg_.min_rate, cfg_.max_rate);
+  rate_ = std::clamp(rate_ + step, kPccMinRate, kPccMaxRate);
 }
 
 util::RateBps PccVivace::pacing_rate(util::Time) const {
   const double sign = trial_index_ == 0 ? +1.0 : -1.0;
-  return rate_ * (1.0 + sign * cfg_.epsilon);
+  return rate_ * (1.0 + sign * kEpsilon);
 }
 
 }  // namespace pbecc::baselines

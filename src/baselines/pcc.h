@@ -59,12 +59,12 @@ class MonitorIntervals {
   util::Duration srtt_ = 100 * util::kMillisecond;
 };
 
+// Pacing-rate range of both PCC variants.
+inline constexpr util::RateBps kPccMinRate = 2e5;
+inline constexpr util::RateBps kPccMaxRate = 500e6;
+
 struct PccConfig {
   util::RateBps initial_rate = 2e6;
-  util::RateBps min_rate = 2e5;
-  util::RateBps max_rate = 500e6;
-  double epsilon = 0.05;         // trial rate offset
-  std::int32_t mss = net::kDefaultMss;
   std::uint64_t seed = 17;
 };
 
@@ -82,7 +82,6 @@ class PccAllegro : public net::CongestionController {
   static double utility(const MonitorIntervals::MiResult& mi);
   void on_mi(const MonitorIntervals::MiResult& mi, util::Time now);
 
-  PccConfig cfg_;
   MonitorIntervals mi_;
   Mode mode_ = Mode::kStarting;
   util::RateBps rate_;
@@ -108,7 +107,6 @@ class PccVivace : public net::CongestionController {
   static double utility(const MonitorIntervals::MiResult& mi);
   void on_mi(const MonitorIntervals::MiResult& mi, util::Time now);
 
-  PccConfig cfg_;
   MonitorIntervals mi_;
   util::RateBps rate_;
   int trial_index_ = 0;          // 0: +eps MI, 1: -eps MI

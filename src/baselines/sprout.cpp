@@ -5,13 +5,20 @@
 
 namespace pbecc::baselines {
 
-Sprout::Sprout(SproutConfig cfg) : cfg_(cfg) {}
+namespace {
+// Forecast update period, and the in-network time the window targets.
+constexpr util::Duration kTick = 20 * util::kMillisecond;
+constexpr util::Duration kHorizon = 100 * util::kMillisecond;
+// ~5th percentile of a normal forecast.
+constexpr double kPercentileSigma = 1.64;
+constexpr double kDriftGain = 0.2;  // uncertainty growth per tick
+}  // namespace
 
 void Sprout::on_ack(const net::AckSample& s) {
   bytes_in_flight_ = s.bytes_in_flight;
   bytes_this_tick_ += s.acked_bytes;
   if (tick_start_ == 0) tick_start_ = s.now;
-  if (s.now - tick_start_ >= cfg_.tick) tick_update(s.now);
+  if (s.now - tick_start_ >= kTick) tick_update(s.now);
 }
 
 void Sprout::tick_update(util::Time now) {
@@ -28,10 +35,10 @@ void Sprout::tick_update(util::Time now) {
   const double innovation = observed - rate_mean_;
   rate_mean_ += 0.25 * innovation;
   rate_var_ = 0.75 * rate_var_ + 0.25 * innovation * innovation;
-  rate_var_ *= (1.0 + cfg_.drift_gain * elapsed_sec);
+  rate_var_ *= (1.0 + kDriftGain * elapsed_sec);
 
   const double std_dev = std::sqrt(std::max(rate_var_, 0.0));
-  cautious_rate_ = std::max(rate_mean_ - cfg_.percentile_sigma * std_dev,
+  cautious_rate_ = std::max(rate_mean_ - kPercentileSigma * std_dev,
                             0.3 * rate_mean_);
 }
 
@@ -46,8 +53,8 @@ util::RateBps Sprout::pacing_rate(util::Time) const {
 double Sprout::cwnd_bytes(util::Time) const {
   // Send only what the cautious forecast drains within the horizon.
   const double budget_bytes = pacing_rate(0) / util::kBitsPerByte *
-                              util::to_seconds(cfg_.horizon);
-  return std::max(budget_bytes, 4.0 * cfg_.mss);
+                              util::to_seconds(kHorizon);
+  return std::max(budget_bytes, 4.0 * net::kDefaultMss);
 }
 
 }  // namespace pbecc::baselines

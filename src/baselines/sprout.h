@@ -12,18 +12,8 @@
 
 namespace pbecc::baselines {
 
-struct SproutConfig {
-  util::Duration tick = 20 * util::kMillisecond;   // forecast update period
-  util::Duration horizon = 100 * util::kMillisecond;  // target in-network time
-  double percentile_sigma = 1.64;  // ~5th percentile of a normal forecast
-  double drift_gain = 0.2;         // uncertainty growth per tick
-  std::int32_t mss = net::kDefaultMss;
-};
-
 class Sprout : public net::CongestionController {
  public:
-  explicit Sprout(SproutConfig cfg = {});
-
   void on_ack(const net::AckSample& s) override;
   void on_loss(const net::LossSample&) override {}
 
@@ -34,7 +24,6 @@ class Sprout : public net::CongestionController {
  private:
   void tick_update(util::Time now);
 
-  SproutConfig cfg_;
   // Delivery-rate process estimate (bits/s): mean and std dev.
   double rate_mean_ = 1e6;
   double rate_var_ = 1e12;

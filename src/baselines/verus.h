@@ -15,19 +15,9 @@
 
 namespace pbecc::baselines {
 
-struct VerusConfig {
-  util::Duration epoch = 5 * util::kMillisecond;
-  double delta1 = 1.0;   // additive window increase when delay is low (segments)
-  double delta2 = 2.0;   // multiplicative-ish decrease when delay is high
-  double r = 2.0;        // delay-ratio threshold D_est / D_min
-  std::int32_t mss = net::kDefaultMss;
-  int max_window_segments = 4000;
-  double ewma_alpha = 0.25;
-};
-
 class Verus : public net::CongestionController {
  public:
-  explicit Verus(VerusConfig cfg = {});
+  Verus();
 
   void on_ack(const net::AckSample& s) override;
   void on_loss(const net::LossSample& s) override;
@@ -40,7 +30,6 @@ class Verus : public net::CongestionController {
   void epoch_update(util::Time now);
   int window_for_delay(double target_delay_ms) const;
 
-  VerusConfig cfg_;
   double cwnd_ = 10;  // segments
   // Delay profile: profile_[w] = EWMA of delay (ms) observed when the
   // in-flight window was about w segments.

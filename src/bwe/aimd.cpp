@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/packet.h"
+
 namespace pbecc::bwe {
 
 namespace {
@@ -12,6 +14,26 @@ constexpr double kSampleWeight = 0.05;
 // Samples this many normalized deviations outside the band reset the
 // tracker instead of updating it.
 constexpr double kResetDeviations = 3.0;
+// Multiplicative increase while far from the tracked capacity. Stock
+// goog_cc uses 1.08/s — tuned for video sources that also send probe
+// bursts. This estimator has no prober and must re-find cellular
+// capacity on its own after an outage, so it climbs much faster and
+// relies on the trendline cut (plus the max_vs_acked clamp) to rein in
+// the overshoot.
+constexpr double kIncreasePerSecond = 2.0;
+// Upper clamp on the decrease spacing. The RTT fed in includes the queue
+// the overshoot itself built, so after a sharp capacity drop it can
+// inflate faster than wall-clock time passes — an uncapped spacing then
+// recedes forever and the controller never cuts again while the queue
+// grows without bound (cut-starvation spiral; see bwe_test's
+// capacity-drop convergence test).
+constexpr util::Duration kMaxDecreaseInterval = 500 * util::kMillisecond;
+// Growth rate during kAimdStartupGrace. The steady-state rate is tuned for
+// re-finding capacity after an outage, but a fresh flow knows nothing —
+// like BBR's startup it should discover the link in RTTs, not seconds.
+// The max_vs_acked clamp stays active, so the effective climb is a
+// ladder bounded by demonstrated delivery, not open-loop growth.
+constexpr double kStartupIncreasePerSecond = 6.0;
 }  // namespace
 
 void LinkCapacityTracker::on_overuse(double acked_bps) {
@@ -49,12 +71,12 @@ double LinkCapacityTracker::stddev_bps() const {
 
 AimdRateControl::AimdRateControl(AimdConfig cfg, util::RateBps initial_rate)
     : cfg_(cfg),
-      target_(std::clamp(initial_rate, cfg.min_rate, cfg.max_rate)),
+      target_(std::clamp(initial_rate, kAimdMinRate, kAimdMaxRate)),
       initial_target_(target_) {}
 
 void AimdRateControl::seed(util::RateBps bps) {
   const util::RateBps seeded =
-      std::clamp(std::max(target_, bps), cfg_.min_rate, cfg_.max_rate);
+      std::clamp(std::max(target_, bps), kAimdMinRate, kAimdMaxRate);
   if (seeded > target_) {
     target_ = seeded;
     seeded_ = true;
@@ -62,19 +84,19 @@ void AimdRateControl::seed(util::RateBps bps) {
 }
 
 void AimdRateControl::force_decrease(util::Time now, double acked_bps) {
-  if (last_decrease_ >= 0 && now - last_decrease_ < cfg_.min_decrease_interval) {
+  if (last_decrease_ >= 0 && now - last_decrease_ < kAimdMinDecreaseInterval) {
     return;  // a recent cut is already draining this queue
   }
   if (first_update_ < 0) first_update_ = now;
-  const bool in_startup_grace = now - first_update_ < cfg_.startup_grace;
+  const bool in_startup_grace = now - first_update_ < kAimdStartupGrace;
   const double basis = acked_bps > 0 ? acked_bps : target_;
   // The level detector fires only when the path has been saturated long
   // enough to stand a queue, so the acked bitrate is as capacity-revealing
   // here as at a trendline-driven cut.
   if (!in_startup_grace) capacity_.on_overuse(basis);
-  target_ = std::min<util::RateBps>(target_, cfg_.beta * basis);
+  target_ = std::min<util::RateBps>(target_, kAimdBeta * basis);
   if (in_startup_grace) target_ = std::max(target_, initial_target_);
-  target_ = std::clamp(target_, cfg_.min_rate, cfg_.max_rate);
+  target_ = std::clamp(target_, kAimdMinRate, kAimdMaxRate);
   last_decrease_ = now;
   seeded_ = false;
   state_ = State::kHold;
@@ -103,7 +125,7 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
                                       double acked_bps, util::Duration rtt) {
   change_state(usage);
   if (first_update_ < 0) first_update_ = now;
-  const bool in_startup_grace = now - first_update_ < cfg_.startup_grace;
+  const bool in_startup_grace = now - first_update_ < kAimdStartupGrace;
   const double dt_s =
       last_update_ >= 0
           ? std::min(util::to_seconds(now - last_update_), 1.0)
@@ -115,7 +137,7 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
       break;
     case State::kDecrease: {
       const util::Duration spacing = std::clamp(
-          rtt, cfg_.min_decrease_interval, cfg_.max_decrease_interval);
+          rtt, kAimdMinDecreaseInterval, kMaxDecreaseInterval);
       if (last_decrease_ >= 0 && now - last_decrease_ < spacing) {
         state_ = State::kHold;
         break;
@@ -124,7 +146,7 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
       // capacity-revealing sample for the tracker.
       const double basis = acked_bps > 0 ? acked_bps : target_;
       if (!in_startup_grace) capacity_.on_overuse(basis);
-      target_ = std::min<util::RateBps>(target_, cfg_.beta * basis);
+      target_ = std::min<util::RateBps>(target_, kAimdBeta * basis);
       last_decrease_ = now;
       seeded_ = false;  // the cut is fresh evidence; the seed is spent
       // One cut per verdict: go to hold until the trendline reports
@@ -148,11 +170,11 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
         // Additive: about one MSS per RTT (scaled to this update's dt).
         const double rtt_s = std::max(util::to_seconds(rtt), 1e-3);
         const double additive_bps_per_s =
-            static_cast<double>(cfg_.mss) * util::kBitsPerByte / rtt_s;
+            static_cast<double>(net::kDefaultMss) * util::kBitsPerByte / rtt_s;
         target_ += additive_bps_per_s * dt_s;
       } else {
-        const double rate = in_startup_grace ? cfg_.startup_increase_per_second
-                                             : cfg_.increase_per_second;
+        const double rate = in_startup_grace ? kStartupIncreasePerSecond
+                                             : kIncreasePerSecond;
         target_ *= std::pow(rate, dt_s);
       }
       capacity_.maybe_reset(target_);
@@ -174,7 +196,7 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
   if (in_startup_grace) {
     target_ = std::max(target_, initial_target_);
   }
-  target_ = std::clamp(target_, cfg_.min_rate, cfg_.max_rate);
+  target_ = std::clamp(target_, kAimdMinRate, kAimdMaxRate);
   return target_;
 }
 

@@ -20,7 +20,6 @@
 
 #include <optional>
 
-#include "net/packet.h"
 #include "util/rate.h"
 #include "util/time.h"
 
@@ -49,48 +48,30 @@ class LinkCapacityTracker {
   double var_norm_ = 0.4;
 };
 
+inline constexpr double kAimdBeta = 0.9;  // multiplicative decrease factor
+// Range of the target rate.
+inline constexpr util::RateBps kAimdMinRate = 1e5;
+inline constexpr util::RateBps kAimdMaxRate = 2.5e9;
+// Minimum spacing between multiplicative decreases. A sustained overuse
+// verdict arrives on every ACK; cutting on each one compounds through
+// the acked bitrate (pace lower -> deliver lower -> cut lower) and
+// spirals to the floor. One cut, then let the queue drain and the acked
+// estimate settle before judging again. The effective interval is the
+// smoothed RTT clamped to [kAimdMinDecreaseInterval, kMaxDecreaseInterval].
+inline constexpr util::Duration kAimdMinDecreaseInterval =
+    150 * util::kMillisecond;
+// For this long after the first update the target will not drop below
+// the initial rate, and overuse cuts do not teach the capacity tracker.
+// The first verdicts of a flow fire on the startup-burst delay
+// transient with an acked basis that reflects the pacing ramp, not the
+// link; cutting on them digs a hole that takes seconds to climb out of
+// (and seeds the tracker with a bogus "capacity").
+inline constexpr util::Duration kAimdStartupGrace = util::kSecond;
+
 struct AimdConfig {
-  double beta = 0.9;  // multiplicative decrease factor
-  // Multiplicative increase while far from the tracked capacity. Stock
-  // goog_cc uses 1.08/s — tuned for video sources that also send probe
-  // bursts. This estimator has no prober and must re-find cellular
-  // capacity on its own after an outage, so it climbs much faster and
-  // relies on the trendline cut (plus the max_vs_acked clamp) to rein in
-  // the overshoot.
-  double increase_per_second = 2.0;
-  util::RateBps min_rate = 1e5;
-  util::RateBps max_rate = 2.5e9;
-  std::int32_t mss = net::kDefaultMss;
   // Increase is clamped to this multiple of the acked bitrate, so the
   // target cannot run away from what the path demonstrably delivers.
   double max_vs_acked = 1.25;
-  // Minimum spacing between multiplicative decreases. A sustained overuse
-  // verdict arrives on every ACK; cutting on each one compounds through
-  // the acked bitrate (pace lower -> deliver lower -> cut lower) and
-  // spirals to the floor. One cut, then let the queue drain and the acked
-  // estimate settle before judging again. The effective interval is the
-  // smoothed RTT clamped to [min_decrease_interval, max_decrease_interval].
-  util::Duration min_decrease_interval = 150 * util::kMillisecond;
-  // Upper clamp on that spacing. The RTT fed in includes the queue the
-  // overshoot itself built, so after a sharp capacity drop it can inflate
-  // faster than wall-clock time passes — an uncapped spacing then recedes
-  // forever and the controller never cuts again while the queue grows
-  // without bound (cut-starvation spiral; see bwe_test's capacity-drop
-  // convergence test).
-  util::Duration max_decrease_interval = 500 * util::kMillisecond;
-  // Growth rate during startup_grace. The steady-state rate is tuned for
-  // re-finding capacity after an outage, but a fresh flow knows nothing —
-  // like BBR's startup it should discover the link in RTTs, not seconds.
-  // The max_vs_acked clamp stays active, so the effective climb is a
-  // ladder bounded by demonstrated delivery, not open-loop growth.
-  double startup_increase_per_second = 6.0;
-  // For this long after the first update the target will not drop below
-  // the initial rate, and overuse cuts do not teach the capacity tracker.
-  // The first verdicts of a flow fire on the startup-burst delay
-  // transient with an acked basis that reflects the pacing ramp, not the
-  // link; cutting on them digs a hole that takes seconds to climb out of
-  // (and seeds the tracker with a bogus "capacity").
-  util::Duration startup_grace = util::kSecond;
 };
 
 class AimdRateControl {
@@ -114,7 +95,7 @@ class AimdRateControl {
   // fires no matter how deep it stands). Cuts to beta x the acked bitrate,
   // teaches the capacity tracker (the link is saturated — that *is*
   // capacity), and parks in Hold so the drain is not misread as underuse
-  // headroom. Respects min_decrease_interval so a level cut cannot
+  // headroom. Respects kAimdMinDecreaseInterval so a level cut cannot
   // compound with a fresh trendline cut.
   void force_decrease(util::Time now, double acked_bps);
 

@@ -4,18 +4,41 @@
 
 namespace pbecc::bwe {
 
+namespace {
+constexpr util::RateBps kInitialRate = 2e6;
+// Acked-bitrate estimate: mean of the flow driver's delivery-rate
+// samples over this window (uses util::WindowedMean, which already
+// carries the exact re-sum discipline from DESIGN.md §10).
+constexpr util::Duration kAckRateWindow = 250 * util::kMillisecond;
+// A silence longer than this resets the trendline window: delay samples
+// from before a feed gap describe a queue that no longer exists.
+constexpr util::Duration kSilenceReset = 500 * util::kMillisecond;
+// Fallback window for the acked-bitrate estimate when ACK loss keeps
+// the short window from filling (see on_ack).
+constexpr util::Duration kAckRateLongWindow = util::kSecond;
+// Growth headroom over the acked estimate while in that sparse-ACK
+// regime. Much tighter than aimd.max_vs_acked: an ACK-starved
+// transport cannot turn pacing headroom into delivery, so anything
+// beyond a small probing margin just stands as queue.
+constexpr double kSparseHeadroom = 1.3;
+// Standing-queue level detector (DelayBasedBweConfig has the rationale).
+constexpr double kLevelClearMs = 15.0;
+constexpr util::Duration kLevelSustain = 400 * util::kMillisecond;
+constexpr util::Duration kLevelBaseWindow = 10 * util::kSecond;
+// EWMA retention on the level signal (jitter must not trip it).
+constexpr double kLevelSmoothing = 0.9;
+}  // namespace
+
 DelayBasedBwe::DelayBasedBwe(DelayBasedBweConfig cfg)
     : cfg_(cfg),
-      trendline_(cfg.trendline),
-      aimd_(cfg.aimd, cfg.initial_rate),
-      ack_rate_(cfg.ack_rate_window),
-      ack_rate_long_(cfg.ack_rate_long_window),
-      target_(std::clamp(cfg.initial_rate, cfg.aimd.min_rate,
-                         cfg.aimd.max_rate)),
-      base_owd_ms_(cfg.level_base_window) {}
+      aimd_(cfg.aimd, kInitialRate),
+      ack_rate_(kAckRateWindow),
+      ack_rate_long_(kAckRateLongWindow),
+      target_(std::clamp(kInitialRate, kAimdMinRate, kAimdMaxRate)),
+      base_owd_ms_(kLevelBaseWindow) {}
 
 void DelayBasedBwe::on_ack(const net::AckSample& s) {
-  if (last_ack_ >= 0 && s.now - last_ack_ > cfg_.silence_reset) {
+  if (last_ack_ >= 0 && s.now - last_ack_ > kSilenceReset) {
     // The queue the old window described drained (or the path changed)
     // during the gap; stale slope points would fake an under/overuse.
     trendline_.reset();
@@ -60,13 +83,13 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
   base_owd_ms_.update(s.now, owd_ms);
   owd_level_ms_ = owd_level_ms_ < 0
                       ? owd_ms
-                      : cfg_.level_smoothing * owd_level_ms_ +
-                            (1.0 - cfg_.level_smoothing) * owd_ms;
+                      : kLevelSmoothing * owd_level_ms_ +
+                            (1.0 - kLevelSmoothing) * owd_ms;
   level_excess_ms_ = owd_level_ms_ - base_owd_ms_.get(s.now, owd_ms);
   if (cfg_.level_threshold_ms > 0) {
     if (level_excess_ms_ > cfg_.level_threshold_ms) {
       if (level_high_since_ < 0) level_high_since_ = s.now;
-      if (s.now - level_high_since_ >= cfg_.level_sustain) {
+      if (s.now - level_high_since_ >= kLevelSustain) {
         aimd_.force_decrease(s.now, acked_bps_);
         target_ = aimd_.target_bps();
         level_tripped_ = true;
@@ -77,11 +100,11 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
       }
     } else {
       level_high_since_ = -1;
-      if (level_excess_ms_ < cfg_.level_clear_ms) level_tripped_ = false;
+      if (level_excess_ms_ < kLevelClearMs) level_tripped_ = false;
     }
     if (level_tripped_ && acked_bps_ > 0) {
       target_ = std::clamp(std::min(target_, acked_bps_),
-                           cfg_.aimd.min_rate, cfg_.aimd.max_rate);
+                           kAimdMinRate, kAimdMaxRate);
     }
   }
   // Sparse-ACK cap: when the short acked window cannot fill but the long
@@ -97,8 +120,8 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
   if (ack_rate_.size() < 8 && ack_rate_long_.size() >= 8 &&
       acked_bps_ > 0) {
     target_ = std::clamp(
-        std::min(target_, cfg_.sparse_headroom * acked_bps_),
-        cfg_.aimd.min_rate, cfg_.aimd.max_rate);
+        std::min(target_, kSparseHeadroom * acked_bps_),
+        kAimdMinRate, kAimdMaxRate);
   }
 }
 

@@ -24,24 +24,7 @@
 namespace pbecc::bwe {
 
 struct DelayBasedBweConfig {
-  TrendlineConfig trendline{};
   AimdConfig aimd{};
-  util::RateBps initial_rate = 2e6;
-  // Acked-bitrate estimate: mean of the flow driver's delivery-rate
-  // samples over this window (uses util::WindowedMean, which already
-  // carries the exact re-sum discipline from DESIGN.md §10).
-  util::Duration ack_rate_window = 250 * util::kMillisecond;
-  // A silence longer than this resets the trendline window: delay samples
-  // from before a feed gap describe a queue that no longer exists.
-  util::Duration silence_reset = 500 * util::kMillisecond;
-  // Fallback window for the acked-bitrate estimate when ACK loss keeps
-  // the short window from filling (see delay_bwe.cpp).
-  util::Duration ack_rate_long_window = util::kSecond;
-  // Growth headroom over the acked estimate while in that sparse-ACK
-  // regime. Much tighter than aimd.max_vs_acked: an ACK-starved
-  // transport cannot turn pacing headroom into delivery, so anything
-  // beyond a small probing margin just stands as queue.
-  double sparse_headroom = 1.3;
   // Standing-queue *level* detector. The trendline reacts to the delay
   // gradient, so an overshoot small enough to sit under the adaptive
   // threshold (+7.5% of capacity fits the window slope to a modified
@@ -51,17 +34,12 @@ struct DelayBasedBweConfig {
   // the backlog stands forever. The level detector compares an
   // EWMA-smoothed one-way delay against a long-window minimum (the
   // RTprop idiom): excess above `level_threshold_ms` sustained for
-  // `level_sustain` forces one AIMD decrease, and growth stays capped at
-  // the acked bitrate until the excess falls below `level_clear_ms`
+  // kLevelSustain forces one AIMD decrease, and growth stays capped at
+  // the acked bitrate until the excess falls below kLevelClearMs
   // (hysteresis). While the excess stays high, one cut per sustain
   // period — the drain needs time to show up in the delay signal.
   // Set level_threshold_ms <= 0 to disable.
   double level_threshold_ms = 30.0;
-  double level_clear_ms = 15.0;
-  util::Duration level_sustain = 400 * util::kMillisecond;
-  util::Duration level_base_window = 10 * util::kSecond;
-  // EWMA retention on the level signal (jitter must not trip it).
-  double level_smoothing = 0.9;
 };
 
 class DelayBasedBwe {

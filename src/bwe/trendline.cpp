@@ -5,8 +5,26 @@
 
 namespace pbecc::bwe {
 
-TrendlineEstimator::TrendlineEstimator(TrendlineConfig cfg)
-    : cfg_(cfg), threshold_(cfg.initial_threshold_ms) {}
+namespace {
+// EWMA retention on the delay samples (goog_cc's smoothing_coef).
+constexpr double kSmoothing = 0.9;
+// The fitted slope is scaled by min(#points, 60) x this gain before the
+// threshold comparison (goog_cc's threshold_gain).
+constexpr double kGain = 4.0;
+// Adaptive threshold gamma: moves toward |trend| with kUp when below it
+// and kDown when above (down faster than up, per Holmer et al.), within
+// [kMinThresholdMs, kMaxThresholdMs]. Units: milliseconds.
+constexpr double kInitialThresholdMs = 12.5;
+constexpr double kMinThresholdMs = 6.0;
+constexpr double kMaxThresholdMs = 600.0;
+constexpr double kUp = 0.0087;
+constexpr double kDown = 0.039;
+// An excursion beyond gamma must persist this long (and over >= 2
+// samples, with a non-decreasing slope) before kOverusing is declared.
+constexpr util::Duration kOveruseTime = 10 * util::kMillisecond;
+}  // namespace
+
+TrendlineEstimator::TrendlineEstimator() : threshold_(kInitialThresholdMs) {}
 
 void TrendlineEstimator::reset() {
   points_.clear();
@@ -29,13 +47,13 @@ void TrendlineEstimator::update(util::Time arrival, double one_way_delay_ms) {
     have_sample_ = true;
     smoothed_ms_ = one_way_delay_ms;
   } else {
-    smoothed_ms_ = cfg_.smoothing * smoothed_ms_ +
-                   (1.0 - cfg_.smoothing) * one_way_delay_ms;
+    smoothed_ms_ = kSmoothing * smoothed_ms_ +
+                   (1.0 - kSmoothing) * one_way_delay_ms;
   }
 
   points_.push_back(
       {static_cast<double>(arrival - epoch_) / 1000.0, smoothed_ms_});
-  if (points_.size() > cfg_.window_size) {
+  if (points_.size() > kTrendlineWindow) {
     points_.pop_front();
     // Re-anchor the epoch at the window head so t_ms stays small over
     // unbounded runs (a multi-hour soak would otherwise push t into the
@@ -76,9 +94,9 @@ void TrendlineEstimator::update(util::Time arrival, double one_way_delay_ms) {
 void TrendlineEstimator::detect(util::Time arrival) {
   const double count_scale =
       std::min<double>(static_cast<double>(points_.size()), 60.0);
-  modified_trend_ = slope_ * count_scale * cfg_.gain;
+  modified_trend_ = slope_ * count_scale * kGain;
 
-  if (points_.size() < cfg_.window_size) {
+  if (points_.size() < kTrendlineWindow) {
     // Window still filling (startup or post-reset): the fit is too noisy
     // to act on either way.
     state_ = BandwidthUsage::kNormal;
@@ -95,7 +113,7 @@ void TrendlineEstimator::detect(util::Time arrival) {
     }
     ++over_count_;
     // Sustained, repeated, and not already easing off: overuse.
-    if (arrival - over_since_ >= cfg_.overuse_time && over_count_ > 1 &&
+    if (arrival - over_since_ >= kOveruseTime && over_count_ > 1 &&
         slope_ >= prev_slope_) {
       state_ = BandwidthUsage::kOverusing;
     }
@@ -120,7 +138,7 @@ void TrendlineEstimator::adapt_threshold(util::Time arrival) {
     last_update_ = arrival;
     return;
   }
-  const double k = abs_trend < threshold_ ? cfg_.k_down : cfg_.k_up;
+  const double k = abs_trend < threshold_ ? kDown : kUp;
   const double dt_ms =
       last_update_ >= 0
           ? std::min(static_cast<double>(arrival - last_update_) / 1000.0,
@@ -128,7 +146,7 @@ void TrendlineEstimator::adapt_threshold(util::Time arrival) {
           : 0.0;
   threshold_ += k * (abs_trend - threshold_) * dt_ms;
   threshold_ =
-      std::clamp(threshold_, cfg_.min_threshold_ms, cfg_.max_threshold_ms);
+      std::clamp(threshold_, kMinThresholdMs, kMaxThresholdMs);
 }
 
 }  // namespace pbecc::bwe

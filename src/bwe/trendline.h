@@ -35,31 +35,13 @@ enum class BandwidthUsage : std::uint8_t {
   kUnderusing = 2,
 };
 
-struct TrendlineConfig {
-  // Sliding window of (arrival time, smoothed delay) points the slope is
-  // fit over. Small keeps the fit responsive and the exact recompute cheap.
-  std::size_t window_size = 20;
-  // EWMA retention on the delay samples (goog_cc's smoothing_coef).
-  double smoothing = 0.9;
-  // The fitted slope is scaled by min(#points, 60) x this gain before the
-  // threshold comparison (goog_cc's threshold_gain).
-  double gain = 4.0;
-  // Adaptive threshold gamma: moves toward |trend| with k_up when below it
-  // and k_down when above (down faster than up, per Holmer et al.), within
-  // [min_threshold, max_threshold]. Units: milliseconds.
-  double initial_threshold_ms = 12.5;
-  double min_threshold_ms = 6.0;
-  double max_threshold_ms = 600.0;
-  double k_up = 0.0087;
-  double k_down = 0.039;
-  // An excursion beyond gamma must persist this long (and over >= 2
-  // samples, with a non-decreasing slope) before kOverusing is declared.
-  util::Duration overuse_time = 10 * util::kMillisecond;
-};
+// Sliding window of (arrival time, smoothed delay) points the slope is
+// fit over. Small keeps the fit responsive and the exact recompute cheap.
+inline constexpr std::size_t kTrendlineWindow = 20;
 
 class TrendlineEstimator {
  public:
-  explicit TrendlineEstimator(TrendlineConfig cfg = {});
+  TrendlineEstimator();
 
   // One ACK's sample: `arrival` is the ACK receipt time on the sender's
   // clock, `one_way_delay_ms` the data packet's measured one-way delay.
@@ -86,7 +68,6 @@ class TrendlineEstimator {
   void detect(util::Time arrival);
   void adapt_threshold(util::Time arrival);
 
-  TrendlineConfig cfg_;
   std::deque<Point> points_;
   util::Time epoch_ = -1;  // window epoch: first arrival after a reset
   bool have_sample_ = false;

@@ -49,11 +49,31 @@ BlindDecoder::BlindDecoder(phy::CellConfig cell) : cell_(cell) {
   obs_.lane_batches = &obs::counter("decoder.lane_batches");
   obs_.early_aborts = &obs::counter("decoder.early_aborts");
   obs_.screen_rejects = &obs::counter("decoder.crc_screen_rejects");
+  refresh_starts(cell_.n_cces());
 }
 
 void BlindDecoder::reconfigure(const phy::CellConfig& cell) {
   cell_ = cell;
+  refresh_starts(cell_.n_cces());
   for (auto& lane : memo_) lane.clear();
+}
+
+void BlindDecoder::refresh_starts(int n_cces) {
+  starts_n_cces_ = n_cces;
+  const bool is_nr = cell_.rat == phy::Rat::kNr;
+  for (const int al : kAggregationLevels) {
+    std::vector<int>& starts = starts_[static_cast<std::size_t>(al_index(al))];
+    if (is_nr) {
+      starts = nr::candidate_starts(n_cces, al,
+                                    cell_.search_space.candidates_for(al));
+    } else {
+      starts.clear();
+      if (al == 16) continue;  // LTE has no AL16 rung
+      for (int start = 0; start + al <= n_cces; start += al) {
+        starts.push_back(start);
+      }
+    }
+  }
 }
 
 void majority_decode(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
@@ -213,48 +233,28 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   // its CCEs and skip anything overlapping them. Positions within one AL
   // are disjoint, so a claim never touches another candidate of the same
   // level: each is decoded, or answered from the memo, in position order.
-  //
-  // Candidate enumeration per RAT mirrors the encoder exactly: every
-  // AL-aligned start for LTE, the cell's 38.213 search-space candidate
-  // list for NR (which also adds the AL16 rung). NR candidate starts are
-  // AL-aligned too, so the memo's start/al position indexing and the
-  // claimed-CCE pruning carry over unchanged.
-  const bool is_nr = cell_.rat == phy::Rat::kNr;
-  const int al_ladder_lte[] = {8, 4, 2, 1};
-  const int al_ladder_nr[] = {16, 8, 4, 2, 1};
-  const int* ladder = is_nr ? al_ladder_nr : al_ladder_lte;
-  const int ladder_len = is_nr ? 5 : 4;
-  for (int li = 0; li < ladder_len; ++li) {
-    const int al = ladder[li];
-    starts_.clear();
-    const auto admit = [&](int start) {
-      for (int c = start; c < start + al; ++c) {
-        // Claimed by an already-decoded message, or carrying no transmit
-        // energy (real monitors sense per-CCE energy before decoding, so
-        // a candidate spanning silent CCEs is never attempted).
-        if (claimed_[static_cast<std::size_t>(c)] ||
-            !sf.cce_used[static_cast<std::size_t>(c)]) {
-          return;
-        }
-      }
-      starts_.push_back(start);
-    };
-    if (is_nr) {
-      for (const int start : nr::candidate_starts(
-               sf.n_cces, al, cell_.search_space.candidates_for(al))) {
-        admit(start);
-      }
-    } else {
-      for (int start = 0; start + al <= sf.n_cces; start += al) admit(start);
+  // NR candidate starts are AL-aligned too, so the memo's start/al
+  // position indexing and the claimed-CCE pruning carry over unchanged.
+  if (sf.n_cces != starts_n_cces_) refresh_starts(sf.n_cces);
+  // Claimed by an already-decoded message, or spanning a CCE without
+  // transmit energy (real monitors sense per-CCE energy before decoding,
+  // so such a candidate is never attempted).
+  const auto skip = [&](int start, int al) {
+    for (int c = start; c < start + al; ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      if (claimed_[ci] || !sf.cce_used[ci]) return true;
     }
-    if (starts_.empty()) continue;
-
+    return false;
+  };
+  for (const int al : {16, 8, 4, 2, 1}) {
     const auto ai = static_cast<std::size_t>(al_index(al));
+    if (starts_[ai].empty()) continue;
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
     const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-    for (const int start : starts_) {
+    for (const int start : starts_[ai]) {
+      if (skip(start, al)) continue;
       sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
                          region_bits, span_);
       MemoEntry& entry = memo_[ai][static_cast<std::size_t>(start / al)];

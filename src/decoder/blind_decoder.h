@@ -107,9 +107,10 @@ class BlindDecoder {
   std::vector<phy::Dci> decode_apply(const DecodeRun& run);
 
   // Carrier reconfiguration: adopt the cell's new parameters (PRB count /
-  // control region size) and drop the span memo — memoized candidate
-  // outcomes are only valid against the coding geometry they were recorded
-  // under. Stats persist across reconfigurations.
+  // control region size / search space), recompute the candidate starts
+  // and drop the span memo — memoized candidate outcomes are only valid
+  // against the coding geometry they were recorded under. Stats persist
+  // across reconfigurations.
   void reconfigure(const phy::CellConfig& cell);
 
   const DecodeStats& stats() const { return stats_; }
@@ -137,6 +138,9 @@ class BlindDecoder {
   CandidateResult decode_candidate(const phy::PdcchSubframe& sf, int al,
                                    int start, std::uint64_t& viterbi_runs);
 
+  // Recompute every AL's candidate starts for a region of `n_cces` CCEs.
+  void refresh_starts(int n_cces);
+
   phy::CellConfig cell_;
   DecodeStats stats_;
 
@@ -153,17 +157,23 @@ class BlindDecoder {
   };
   std::array<std::vector<MemoEntry>, kNumAlLanes> memo_;
 
+  // Candidate starts per AL lane for a control region of starts_n_cces_
+  // CCEs, mirroring the encoder exactly: every AL-aligned start for LTE
+  // (whose AL16 lane stays empty), the cell's 38.213 search-space list for
+  // NR. A cell's starts change only with its configuration or region size,
+  // so they are computed once, not per subframe.
+  std::array<std::vector<int>, kNumAlLanes> starts_;
+  int starts_n_cces_ = -1;
+
   // The candidate being decoded: its span, the span's vote prefix sums
   // (Viterbi cells only) and the message recovered by the current format
-  // attempt; and per subframe, the CCEs claimed by decoded messages and
-  // the current level's candidate starts left to try. Members so the
-  // buffers are reused across candidates and subframes instead of
-  // reallocated.
+  // attempt; and per subframe, the CCEs claimed by decoded messages.
+  // Members so the buffers are reused across candidates and subframes
+  // instead of reallocated.
   util::BitVec span_;
   std::vector<std::int32_t> prefix_;
   util::BitVec bits_;
   std::vector<bool> claimed_;
-  std::vector<int> starts_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

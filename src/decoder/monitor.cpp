@@ -90,9 +90,9 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
   std::vector<Pending> pending;
   pending.reserve(sfs.size());
 
-  // Phase 1 — serial preparation, in input order. Every fault decision,
+  // Phase 1 — preparation, in input order. Every fault decision,
   // accounting update and rng_ noise draw happens here, so the random
-  // stream each cell sees is independent of how phase 2 is scheduled.
+  // stream each cell sees depends only on the batch's cell order.
   for (const auto& sf : sfs) {
     auto dit = decoders_.find(sf.cell_id);
     if (dit == decoders_.end()) continue;

@@ -5,6 +5,15 @@
 
 namespace pbecc::mac {
 
+namespace {
+// Session lifetime is exponential with this mean.
+constexpr util::Duration kMeanDuration = 500 * util::kMillisecond;
+// Per-session radio quality: RSSI ~ N(mean, sigma), SINR over the floor.
+constexpr double kRssiMeanDbm = -95.0;
+constexpr double kRssiSigmaDb = 6.0;
+constexpr double kNoiseFloorDbm = -108.0;
+}  // namespace
+
 AggregateTraffic::AggregateTraffic(phy::CellId cell, AggregateTrafficConfig cfg)
     : cell_(cell), cfg_(cfg), rng_(cfg.seed) {
   if (cfg_.sessions_per_sec > 0) next_arrival_sf_ = 1 + arrival_gap_sf();
@@ -20,7 +29,7 @@ std::vector<AggregateTraffic::Grant> AggregateTraffic::tick(
   std::erase_if(sessions_, [&](const Session& s) { return s.end_sf <= sf; });
 
   while (cfg_.sessions_per_sec > 0 && next_arrival_sf_ <= sf) {
-    if (static_cast<int>(sessions_.size()) < cfg_.max_sessions) {
+    if (static_cast<int>(sessions_.size()) < kAggregateMaxSessions) {
       Session s;
       // Synthetic RNTIs live in a high range well clear of the foreground
       // mapping (0x100 + ue) and control-plane grants; the counter rotates
@@ -28,14 +37,14 @@ std::vector<AggregateTraffic::Grant> AggregateTraffic::tick(
       s.rnti = static_cast<phy::Rnti>(
           0xC000u + ((static_cast<std::uint32_t>(cell_) & 0xFu) << 8) +
           (rnti_counter_++ & 0xFFu));
-      const double rssi = cfg_.rssi_mean_dbm + rng_.normal(0.0, cfg_.rssi_sigma_db);
-      s.sinr_db = rssi - cfg_.noise_floor_dbm;
+      const double rssi = kRssiMeanDbm + rng_.normal(0.0, kRssiSigmaDb);
+      s.sinr_db = rssi - kNoiseFloorDbm;
       s.mcs = phy::Mcs{std::max(1, phy::cqi_from_sinr_db(s.sinr_db)),
                        s.sinr_db >= 14.0 ? 2 : 1};
       const double rate = rng_.uniform(cfg_.rate_lo_bps, cfg_.rate_hi_bps);
       s.demand_prbs = std::max(
           1, static_cast<int>(std::ceil((rate / 1000.0) / s.mcs.bits_per_prb())));
-      const double dur_s = rng_.exponential(util::to_seconds(cfg_.mean_duration));
+      const double dur_s = rng_.exponential(util::to_seconds(kMeanDuration));
       s.end_sf = sf + std::max<std::int64_t>(10, std::llround(dur_s * 1000.0));
       sessions_.push_back(s);
     }

@@ -29,20 +29,15 @@
 
 namespace pbecc::mac {
 
+// Hard cap on concurrently active sessions (bounds per-subframe cost).
+inline constexpr int kAggregateMaxSessions = 64;
+
 struct AggregateTrafficConfig {
   // Poisson arrival rate of synthetic sessions on this cell.
   double sessions_per_sec = 20.0;
-  // Session lifetime is exponential with this mean.
-  util::Duration mean_duration = 500 * util::kMillisecond;
   // Per-session downlink demand, uniform in [rate_lo, rate_hi].
   double rate_lo_bps = 2e6;
   double rate_hi_bps = 12e6;
-  // Per-session radio quality: RSSI ~ N(mean, sigma), SINR over the floor.
-  double rssi_mean_dbm = -95.0;
-  double rssi_sigma_db = 6.0;
-  double noise_floor_dbm = -108.0;
-  // Hard cap on concurrently active sessions (bounds per-subframe cost).
-  int max_sessions = 64;
   std::uint64_t seed = 1;
 };
 

@@ -10,6 +10,13 @@
 
 namespace pbecc::mac {
 
+namespace {
+// Fraction of every transport block consumed by RLC/PDCP/MAC headers and
+// periodic control payloads — the paper's gamma = 6.8% (Fig 6a), which
+// its Eqn 5 subtracts when translating physical capacity to goodput.
+constexpr double kProtocolOverhead = 0.068;
+}  // namespace
+
 BaseStation::BaseStation(net::EventLoop& loop,
                          std::vector<phy::CellConfig> cells,
                          BaseStationConfig cfg)
@@ -60,8 +67,7 @@ void BaseStation::add_ue(const UeConfig& cfg, DeliveryHandler deliver) {
   delivery_[cfg.id] = std::move(deliver);
   const UeId id = cfg.id;
   st.reorder = std::make_unique<ReorderingBuffer>(
-      [this, id](net::Packet pkt) { delivery_.at(id)(std::move(pkt)); },
-      cfg_.reordering);
+      [this, id](net::Packet pkt) { delivery_.at(id)(std::move(pkt)); });
   for (phy::CellId c : cfg.aggregated_cells) {
     phy::ChannelConfig chc = cfg.channel;
     // Independent fading per carrier, same mobility trace.
@@ -307,10 +313,10 @@ void BaseStation::run_cell(CellState& cell, std::int64_t tick_index) {
     tb.n_prbs = a.n_prbs;
     tb.mcs = mcs;
     const double capacity_bits =
-        phy::transport_block_bits(a.n_prbs, mcs) * (1.0 - cfg_.protocol_overhead);
+        phy::transport_block_bits(a.n_prbs, mcs) * (1.0 - kProtocolOverhead);
     const double payload_bits = take_bits(ue, capacity_bits, tb.completed_packets);
     // The TB error model sees the full on-air block, headers included.
-    tb.bits = payload_bits / (1.0 - cfg_.protocol_overhead);
+    tb.bits = payload_bits / (1.0 - kProtocolOverhead);
 
     prbs_left -= a.n_prbs;
     prb_cursor += a.n_prbs;
@@ -505,7 +511,7 @@ void BaseStation::update_explicit_rates() {
       const auto nit = active_count.find(c);
       const int n = std::max(nit == active_count.end() ? 0 : nit->second, 1);
       bits_per_sf += (static_cast<double>(prbs) / n) * mcs.bits_per_prb() *
-                     (1.0 - cfg_.protocol_overhead);
+                     (1.0 - kProtocolOverhead);
     }
     const double rate = bits_per_sf * 1000.0;  // bits per second
     constexpr double alpha = 0.05;
@@ -700,8 +706,7 @@ void BaseStation::admit_ue(UeMigration m, const std::vector<phy::CellId>& new_ce
   const UeId id = st.cfg.id;
   delivery_[id] = std::move(deliver);
   st.reorder = std::make_unique<ReorderingBuffer>(
-      [this, id](net::Packet pkt) { delivery_.at(id)(std::move(pkt)); },
-      cfg_.reordering);
+      [this, id](net::Packet pkt) { delivery_.at(id)(std::move(pkt)); });
   st.reorder->restore(std::move(m.reorder));
   for (phy::CellId c : new_cells) {
     // Same seed formula as add_ue/handover: the channel a UE sees on a

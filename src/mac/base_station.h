@@ -62,12 +62,6 @@ struct UeConfig {
 struct BaseStationConfig {
   std::string scheduler = "fair-share";
   ControlTrafficConfig control_traffic{};
-  // Fraction of every transport block consumed by RLC/PDCP/MAC headers and
-  // periodic control payloads — the paper's gamma = 6.8% (Fig 6a), which
-  // its Eqn 5 subtracts when translating physical capacity to goodput.
-  double protocol_overhead = 0.068;
-  // RLC reordering-timer settings for every UE's in-order delivery buffer.
-  ReorderingBuffer::Config reordering{};
   std::uint64_t seed = 42;
 };
 
@@ -148,8 +142,9 @@ class BaseStation {
   // subframe, before noise — each monitor applies its own channel noise.
   void add_pdcch_observer(PdcchObserver obs) { pdcch_observers_.push_back(std::move(obs)); }
   // Batched variant: one call per tick with every cell's control region,
-  // in cell order — lets a monitor blind-decode all cells concurrently
-  // (Monitor::on_pdcch_batch) instead of cell-by-cell.
+  // in cell order — lets a monitor draw every cell's noise, decode every
+  // cell and then fuse the results in one pass (Monitor::on_pdcch_batch)
+  // instead of cell-by-cell.
   void add_pdcch_batch_observer(PdcchBatchObserver obs) {
     pdcch_batch_observers_.push_back(std::move(obs));
   }

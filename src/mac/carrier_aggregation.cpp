@@ -4,6 +4,12 @@
 
 namespace pbecc::mac {
 
+namespace {
+// Mean PRBs per subframe on the newest secondary below which it counts
+// as idle (see CaConfig::deactivation_delay).
+constexpr double kDeactivationPrbThreshold = 2.0;
+}  // namespace
+
 CaManager::CaManager(std::vector<phy::CellId> aggregated_cells, CaConfig cfg)
     : all_(std::move(aggregated_cells)), cfg_(cfg) {
   if (all_.empty()) throw std::invalid_argument("UE needs at least a primary cell");
@@ -55,7 +61,7 @@ CaManager::Update CaManager::on_subframe(util::Time now,
       utilization_high_since_ = util::kNever;
       utilization_ewma_ = 0.0;  // denominator changed; restart smoothing
       secondary_idle_since_ = util::kNever;
-      secondary_prb_ewma_ = cfg_.deactivation_prb_threshold * 4;  // grace
+      secondary_prb_ewma_ = kDeactivationPrbThreshold * 4;  // grace
       ever_aggregated_ = true;
       u.activated = true;
       u.cell = active_.back();
@@ -68,7 +74,7 @@ CaManager::Update CaManager::on_subframe(util::Time now,
     constexpr double alpha = 0.02;  // ~50 ms smoothing at 1 kHz updates
     secondary_prb_ewma_ +=
         alpha * (static_cast<double>(newest_secondary_prbs) - secondary_prb_ewma_);
-    if (secondary_prb_ewma_ < cfg_.deactivation_prb_threshold) {
+    if (secondary_prb_ewma_ < kDeactivationPrbThreshold) {
       if (secondary_idle_since_ == util::kNever) secondary_idle_since_ = now;
       if (now - secondary_idle_since_ >= cfg_.deactivation_delay) {
         u.deactivated = true;

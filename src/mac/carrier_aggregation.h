@@ -28,9 +28,7 @@ struct CaConfig {
   // How long the queue must stay above the threshold before activating.
   util::Duration activation_delay = 60 * util::kMillisecond;
   // Deactivate the newest secondary when the user's mean allocation on it
-  // stays below this many PRBs ...
-  double deactivation_prb_threshold = 2.0;
-  // ... for this long.
+  // stays below kDeactivationPrbThreshold PRBs for this long.
   util::Duration deactivation_delay = 500 * util::kMillisecond;
   // Cool-down between consecutive activations (lets the new cell take
   // load before judging whether yet another is needed).

@@ -44,9 +44,9 @@ void ReorderingBuffer::on_tb_abandoned(util::Time now, std::uint64_t tb_seq) {
 
 void ReorderingBuffer::expire(util::Time now) {
   // Only a head-of-line gap can be expired: the oldest buffered TB has
-  // waited `timeout` for a sequence number that never arrived.
+  // waited kReorderingTimeout for a sequence number that never arrived.
   while (!buffer_.empty() && buffer_.begin()->first != next_expected_ &&
-         now - buffer_.begin()->second.since >= cfg_.timeout) {
+         now - buffer_.begin()->second.since >= kReorderingTimeout) {
     next_expected_ = buffer_.begin()->first;
     ++expired_skips_;
     static obs::Counter& skips = obs::counter("mac.reorder_expired_skips");

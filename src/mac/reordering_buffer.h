@@ -10,9 +10,9 @@
 // Real RLC also runs a reordering timer: if the gap at the head of the
 // buffer is never filled (the abandon notification itself can be lost in
 // a handover or injected fault), the stuck sequence number is skipped
-// after `timeout` so delivery never wedges permanently. Duplicate decodes
-// of the same sequence (HARQ ACK lost -> spurious retransmission) keep
-// the first copy.
+// after kReorderingTimeout so delivery never wedges permanently.
+// Duplicate decodes of the same sequence (HARQ ACK lost -> spurious
+// retransmission) keep the first copy.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +25,17 @@
 
 namespace pbecc::mac {
 
-struct ReorderingBufferConfig {
-  // Head-of-line gaps older than this are skipped. The worst legitimate
-  // HARQ chain is 3 retransmissions x 8 ms plus delivery, ~32 ms; 60 ms
-  // leaves margin without holding traffic hostage for long.
-  util::Duration timeout = 60 * util::kMillisecond;
-};
+// Head-of-line gaps older than this are skipped. The worst legitimate
+// HARQ chain is 3 retransmissions x 8 ms plus delivery, ~32 ms; 60 ms
+// leaves margin without holding traffic hostage for long.
+inline constexpr util::Duration kReorderingTimeout = 60 * util::kMillisecond;
 
 class ReorderingBuffer {
  public:
   // Sink for packets released in order.
   using Deliver = std::function<void(net::Packet)>;
 
-  using Config = ReorderingBufferConfig;
-
-  explicit ReorderingBuffer(Deliver deliver, Config cfg = {})
-      : deliver_(std::move(deliver)), cfg_(cfg) {}
+  explicit ReorderingBuffer(Deliver deliver) : deliver_(std::move(deliver)) {}
 
   // A TB decoded successfully at time `now`.
   void on_tb_decoded(util::Time now, TransportBlock tb);
@@ -84,7 +79,6 @@ class ReorderingBuffer {
   void check_order() const;
 
   Deliver deliver_;
-  Config cfg_;
   std::uint64_t next_expected_ = 0;
   std::uint64_t expired_skips_ = 0;
   // tb_seq -> completed packets (empty vector for abandoned TBs).

@@ -8,6 +8,13 @@
 
 namespace pbecc::mac {
 
+namespace {
+// Proportional fair: EWMA weight of each subframe's served bits, and the
+// resource-block group size grants are made in.
+constexpr double kEwmaAlpha = 0.05;
+constexpr int kRbgSize = 4;
+}  // namespace
+
 int demand_prbs(const SchedRequest& r) {
   if (r.backlog_bytes <= 0) return 0;
   if (r.bits_per_prb <= 0) return 0;
@@ -113,13 +120,13 @@ std::vector<SchedAllocation> ProportionalFairScheduler::allocate(
       }
     }
     if (best == nullptr) break;
-    const int give = std::min({rbg_size_, remaining, best->demand - best->granted});
+    const int give = std::min({kRbgSize, remaining, best->demand - best->granted});
     best->granted += give;
     remaining -= give;
     // Update the EWMA immediately so repeated grants within one subframe
     // rotate across users.
     avg_rate_[best->req->ue] +=
-        alpha_ * (static_cast<double>(give) * best->req->bits_per_prb -
+        kEwmaAlpha * (static_cast<double>(give) * best->req->bits_per_prb -
                   avg_rate_[best->req->ue]);
   }
   // Users that got nothing still age their average toward zero.
@@ -129,7 +136,7 @@ std::vector<SchedAllocation> ProportionalFairScheduler::allocate(
       for (const auto& e : entries) {
         if (e.req == &r && e.granted > 0) { granted = true; break; }
       }
-      if (!granted) avg_rate_[r.ue] *= (1.0 - alpha_);
+      if (!granted) avg_rate_[r.ue] *= (1.0 - kEwmaAlpha);
     }
   }
 

@@ -42,16 +42,11 @@ class FairShareScheduler final : public Scheduler {
 // user maximizing instantaneous_rate / smoothed_throughput.
 class ProportionalFairScheduler final : public Scheduler {
  public:
-  explicit ProportionalFairScheduler(double ewma_alpha = 0.05, int rbg_size = 4)
-      : alpha_(ewma_alpha), rbg_size_(rbg_size) {}
-
   std::vector<SchedAllocation> allocate(
       int available_prbs, const std::vector<SchedRequest>& requests) override;
   std::string name() const override { return "proportional-fair"; }
 
  private:
-  double alpha_;
-  int rbg_size_;
   std::map<UeId, double> avg_rate_;  // EWMA of served bits per subframe
 };
 

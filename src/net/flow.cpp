@@ -7,6 +7,13 @@
 
 namespace pbecc::net {
 
+namespace {
+// Packets sent this far (in packet numbers) behind the latest ack are
+// declared lost (QUIC-style packet threshold).
+constexpr std::uint64_t kReorderThreshold = 3;
+constexpr util::Duration kMinRto = 500 * util::kMillisecond;
+}  // namespace
+
 FlowSender::FlowSender(EventLoop& loop, Config cfg,
                        std::unique_ptr<CongestionController> cc,
                        PacketHandler egress)
@@ -34,16 +41,16 @@ void FlowSender::try_send() {
 
   const double cwnd = cc_->cwnd_bytes(now);
   while (loop_.now() >= next_send_time_ &&
-         static_cast<double>(bytes_in_flight_ + static_cast<std::uint64_t>(cfg_.mss)) <= cwnd) {
+         static_cast<double>(bytes_in_flight_ + static_cast<std::uint64_t>(kDefaultMss)) <= cwnd) {
     send_packet();
     const util::RateBps rate = std::max(cc_->pacing_rate(loop_.now()), 1000.0);
     next_send_time_ = std::max(next_send_time_, loop_.now()) +
-                      util::transmission_delay(cfg_.mss, rate);
+                      util::transmission_delay(kDefaultMss, rate);
     if (loop_.now() >= cfg_.stop_time) return;
   }
   // If pacing (not cwnd) is the limiter, arm a timer for the next slot;
   // cwnd-limited flows resume from on_ack().
-  if (static_cast<double>(bytes_in_flight_ + static_cast<std::uint64_t>(cfg_.mss)) <= cwnd) {
+  if (static_cast<double>(bytes_in_flight_ + static_cast<std::uint64_t>(kDefaultMss)) <= cwnd) {
     wake();
   }
   arm_watchdog();
@@ -53,7 +60,7 @@ void FlowSender::send_packet() {
   Packet pkt;
   pkt.flow = cfg_.id;
   pkt.seq = next_seq_++;
-  pkt.bytes = cfg_.mss;
+  pkt.bytes = kDefaultMss;
   pkt.sent_time = loop_.now();
   pkt.delivered_at_send = delivered_bytes_;
   pkt.delivered_time_at_send = delivered_time_;
@@ -115,8 +122,8 @@ void FlowSender::on_ack(const Ack& ack) {
 }
 
 void FlowSender::detect_threshold_losses(std::uint64_t acked_seq) {
-  if (acked_seq < cfg_.reorder_threshold) return;
-  const std::uint64_t lost_below = acked_seq - cfg_.reorder_threshold;
+  if (acked_seq < kReorderThreshold) return;
+  const std::uint64_t lost_below = acked_seq - kReorderThreshold;
   while (!in_flight_.empty() && in_flight_.begin()->first < lost_below) {
     const auto [seq, meta] = *in_flight_.begin();
     in_flight_.erase(in_flight_.begin());
@@ -144,7 +151,7 @@ void FlowSender::arm_watchdog() {
     const util::Time now = loop_.now();
     if (now >= cfg_.stop_time) return;
     const util::Duration rto =
-        std::max<util::Duration>(cfg_.min_rto, 4 * srtt_);
+        std::max<util::Duration>(kMinRto, 4 * srtt_);
     if (bytes_in_flight_ > 0 && now - last_ack_time_ > rto) {
       // Retransmission timeout: everything outstanding is presumed lost
       // (e.g. an entire window tail-dropped at the Internet bottleneck).

@@ -26,13 +26,8 @@ class FlowSender {
  public:
   struct Config {
     FlowId id = 0;
-    std::int32_t mss = kDefaultMss;
     util::Time start_time = 0;
     util::Time stop_time = util::kNever;
-    // Packets sent this far (in packet numbers) behind the latest ack are
-    // declared lost (QUIC-style packet threshold).
-    std::uint64_t reorder_threshold = 3;
-    util::Duration min_rto = 500 * util::kMillisecond;
   };
 
   FlowSender(EventLoop& loop, Config cfg,

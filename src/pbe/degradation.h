@@ -9,15 +9,15 @@
 //
 //   PRECISE   — feed healthy: pace at the reported capacity (paper §4/§5).
 //   DEGRADED  — feed suspect: hold the last good estimate and decay it
-//               exponentially (half-life hold_half_life) so a stale rate
+//               exponentially (half-life kHoldHalfLife) so a stale rate
 //               can never overdrive a collapsing link for long.
 //   FALLBACK  — feed dead: run a plain BBR; physical-layer feedback is
 //               ignored until it proves healthy again.
 //
 // Hysteresis on both transitions: the confidence band between
-// degrade_below and recover_above holds the current state, escalation to
-// FALLBACK requires continuous ill health for fallback_after, and any
-// recovery to PRECISE requires continuous good health for recover_hold.
+// kDegradeBelow and kRecoverAbove holds the current state, escalation to
+// FALLBACK requires continuous ill health for kFallbackAfter, and any
+// recovery to PRECISE requires continuous good health for kRecoverHold.
 // The machine is inert until the first valid feedback arrives, so a
 // connection's first RTT never starts degraded. See DESIGN.md §8.
 #pragma once
@@ -35,6 +35,26 @@ enum class DegradationState : std::uint8_t {
   kFallback = 2,
 };
 
+// Confidence below this is unhealthy; above kRecoverAbove is healthy;
+// the band in between holds the current state (dual-threshold
+// hysteresis). The thresholds bracket the confidence a half-degraded
+// decode window produces, so brief single-subframe hiccups (confidence
+// ~0.95) never leave PRECISE.
+inline constexpr double kDegradeBelow = 0.55;
+inline constexpr double kRecoverAbove = 0.75;
+// Feedback older than this is unhealthy regardless of its confidence
+// (watchdog for total feedback loss). ~2x the largest location RTT.
+inline constexpr util::Duration kFeedbackTimeout = 200 * util::kMillisecond;
+// Continuous ill health in DEGRADED before escalating to FALLBACK.
+inline constexpr util::Duration kFallbackAfter = 250 * util::kMillisecond;
+// Continuous good health before any recovery to PRECISE. Together with
+// the ~150 ms the 200 ms decode window needs to clear kRecoverAbove,
+// recovery lands ~300 ms after the feed returns — inside the 500 ms
+// budget, but immune to one lucky subframe.
+inline constexpr util::Duration kRecoverHold = 100 * util::kMillisecond;
+// DEGRADED hold-and-decay half-life for the held pacing rate.
+inline constexpr util::Duration kHoldHalfLife = 500 * util::kMillisecond;
+
 // Confidence-weighted blending of the PHY capacity estimate with the
 // delay-gradient sidecar (DESIGN.md §13). Off by default: the discrete
 // PRECISE/DEGRADED/FALLBACK behaviour is exactly what it was before the
@@ -42,71 +62,35 @@ enum class DegradationState : std::uint8_t {
 //
 //   * a blend weight w in [0,1] — the share of pacing authority the PHY
 //     estimate holds. w maps from *effective* confidence: 1 at or above
-//     full_trust_above (clean runs are bit-identical to pure PBE), 0 at or
-//     below zero_trust_below, linear between. The committed weight moves
-//     only when the target has left a deadband around it AND a hold has
-//     elapsed since the last commit, so bounded confidence noise can flip
-//     it at most once per hold window;
+//     kBlendFullTrustAbove (clean runs are bit-identical to pure PBE), 0
+//     at or below kBlendZeroTrustBelow, linear between. The committed
+//     weight moves only when the target has left a deadband around it AND
+//     a hold has elapsed since the last commit, so bounded confidence
+//     noise can flip it at most once per hold window;
 //   * a divergence verdict — PHY sustainedly claiming more than the
 //     delay-gradient estimate confirms (the dangerous direction: false
 //     DCIs and stale cell state inflate capacity; underclaiming is merely
 //     conservative) multiplies the confidence fed to both the state
-//     machine and the weight by divergence_penalty until the two
-//     estimates agree again for agree_hold.
-struct BlendConfig {
-  bool enabled = false;
-  // Effective-confidence endpoints of the weight ramp. full_trust_above
-  // sits above recover_above so a link healthy enough to be PRECISE but
-  // jittery still cedes a little authority to the delay estimate.
-  double zero_trust_below = 0.35;
-  double full_trust_above = 0.80;
-  // Committed-weight hysteresis: move only if |target - committed| exceeds
-  // the deadband and `hold` has passed since the previous move.
-  double deadband = 0.10;
-  util::Duration hold = 200 * util::kMillisecond;
-  // Divergence: phy > divergence_ratio x delay estimate, sustained for
-  // divergence_after, flags the PHY feed; agreement (phy back inside
-  // agree_ratio x delay) sustained for agree_hold clears it.
-  double divergence_ratio = 1.6;
-  double agree_ratio = 1.3;
-  // Underclaim: server-side capacity memory (recent BtlBw / achieved-rate
-  // maximum) exceeding memory_ratio x the claim flags the feed from the
-  // other side. Memory, not instantaneous acked bitrate, because pacing
-  // follows the claim: within one window acked collapses to match any
-  // underreport, and the lie becomes self-consistent. 2.0 = "the path
-  // delivered twice your claim seconds ago" — far outside honest
-  // cell-share variation, so clean runs never trip it.
-  double memory_ratio = 2.0;
-  util::Duration divergence_after = 300 * util::kMillisecond;
-  util::Duration agree_hold = 200 * util::kMillisecond;
-  // Multiplier on the raw confidence while diverged. 0.45 x a perfect 1.0
-  // lands below degrade_below, so a confidently-wrong feed still degrades.
-  double divergence_penalty = 0.45;
-};
-
-struct DegradationConfig {
-  // Confidence below this is unhealthy; above recover_above is healthy;
-  // the band in between holds the current state (dual-threshold
-  // hysteresis). The thresholds bracket the confidence a half-degraded
-  // decode window produces, so brief single-subframe hiccups (confidence
-  // ~0.95) never leave PRECISE.
-  double degrade_below = 0.55;
-  double recover_above = 0.75;
-  // Feedback older than this is unhealthy regardless of its confidence
-  // (watchdog for total feedback loss). ~2x the largest location RTT.
-  util::Duration feedback_timeout = 200 * util::kMillisecond;
-  // Continuous ill health in DEGRADED before escalating to FALLBACK.
-  util::Duration fallback_after = 250 * util::kMillisecond;
-  // Continuous good health before any recovery to PRECISE. Together with
-  // the ~150 ms the 200 ms decode window needs to clear recover_above,
-  // recovery lands ~300 ms after the feed returns — inside the 500 ms
-  // budget, but immune to one lucky subframe.
-  util::Duration recover_hold = 100 * util::kMillisecond;
-  // DEGRADED hold-and-decay half-life for the held pacing rate.
-  util::Duration hold_half_life = 500 * util::kMillisecond;
-  // Hybrid blending (inert unless blend.enabled).
-  BlendConfig blend{};
-};
+//     machine and the weight by a penalty until the two estimates agree
+//     again (degradation.cpp holds the divergence constants).
+//
+// Effective-confidence endpoints of the weight ramp. kBlendFullTrustAbove
+// sits above kRecoverAbove so a link healthy enough to be PRECISE but
+// jittery still cedes a little authority to the delay estimate.
+inline constexpr double kBlendZeroTrustBelow = 0.35;
+inline constexpr double kBlendFullTrustAbove = 0.80;
+// Committed-weight hysteresis: move only if |target - committed| exceeds
+// the deadband and kBlendHold has passed since the previous move.
+inline constexpr double kBlendDeadband = 0.10;
+inline constexpr util::Duration kBlendHold = 200 * util::kMillisecond;
+// Underclaim: server-side capacity memory (recent BtlBw / achieved-rate
+// maximum) exceeding kMemoryRatio x the claim flags the feed from the
+// other side. Memory, not instantaneous acked bitrate, because pacing
+// follows the claim: within one window acked collapses to match any
+// underreport, and the lie becomes self-consistent. 2.0 = "the path
+// delivered twice your claim seconds ago" — far outside honest
+// cell-share variation, so clean runs never trip it.
+inline constexpr double kMemoryRatio = 2.0;
 
 class DegradationMachine {
  public:
@@ -119,7 +103,8 @@ class DegradationMachine {
   using CrossCheckHook =
       std::function<void(util::Time, double, double, bool)>;
 
-  explicit DegradationMachine(DegradationConfig cfg = {}) : cfg_(cfg) {}
+  // `blend` turns on the hybrid's confidence-weighted blending.
+  explicit DegradationMachine(bool blend = false) : blend_(blend) {}
 
   void set_transition_hook(TransitionHook hook) { hook_ = std::move(hook); }
   void set_cross_check_hook(CrossCheckHook hook) {
@@ -136,19 +121,19 @@ class DegradationMachine {
   // achieved-rate maximum, 0 when unknown), and `overusing` the
   // trendline's current verdict. Two divergence modes:
   //
-  //   overclaim  — phy > divergence_ratio x delay WHILE overusing. The
+  //   overclaim  — phy > kDivergenceRatio x delay WHILE overusing. The
   //                congestion evidence is required because a low delay
   //                target with no delay growth merely means the sidecar
   //                has not had to probe that high (it is not driving
   //                pacing) — not that the PHY feed lies.
-  //   underclaim — memory > memory_ratio x phy. The path having recently
+  //   underclaim — memory > kMemoryRatio x phy. The path having recently
   //                delivered far more than the claim refutes it; memory
   //                is used instead of acked because pacing-at-the-claim
   //                drags acked down to the claim within one window.
   //
-  // Either, sustained for divergence_after, flags the feed. Runs the
+  // Either, sustained for kDivergenceAfter, flags the feed. Runs the
   // divergence detector and the blend-weight commit. No-op unless
-  // blend.enabled — legacy callers never reach this, so discrete-machine
+  // blending — legacy callers never reach this, so discrete-machine
   // behaviour is untouched.
   void on_estimates(util::Time now, double phy_bps, double delay_bps,
                     double acked_bps, double memory_bps, bool overusing);
@@ -169,14 +154,14 @@ class DegradationMachine {
   // whenever blending is disabled.
   double phy_weight() const { return blend_weight_; }
   bool diverged() const { return diverged_; }
+  bool blending() const { return blend_; }
   util::Time last_feedback_time() const { return last_feedback_; }
-  const DegradationConfig& config() const { return cfg_; }
 
  private:
   void transition(util::Time now, DegradationState to);
   void update_weight(util::Time now);
 
-  DegradationConfig cfg_;
+  bool blend_;
   TransitionHook hook_;
   CrossCheckHook cross_check_hook_;
   DegradationState state_ = DegradationState::kPrecise;
@@ -184,7 +169,7 @@ class DegradationMachine {
   util::Time last_feedback_ = -1;
   util::Time healthy_since_ = -1;
   util::Time unhealthy_since_ = -1;
-  // Blend state (inert unless cfg_.blend.enabled).
+  // Blend state (inert unless blend_).
   double blend_weight_ = 1.0;
   util::Time last_weight_commit_ = -1;
   bool diverged_ = false;

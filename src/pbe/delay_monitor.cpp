@@ -1,22 +1,30 @@
 #include "pbe/delay_monitor.h"
 
+#include "net/packet.h"
+
 namespace pbecc::pbe {
 
-DelayMonitor::DelayMonitor(DelayMonitorConfig cfg)
-    : cfg_(cfg), dprop_filter_(cfg.dprop_window) {}
+namespace {
+constexpr util::Duration kDpropWindow = 10 * util::kSecond;
+// 3 retransmissions x 8 ms + 3 ms jitter allowance.
+constexpr util::Duration kThresholdMargin = (3 * 8 + 3) * util::kMillisecond;
+constexpr std::int64_t kMinNpkt = 4;
+}  // namespace
+
+DelayMonitor::DelayMonitor() : dprop_filter_(kDpropWindow) {}
 
 util::Duration DelayMonitor::dprop(util::Time now) const {
   return dprop_filter_.get(now, 0);
 }
 
 util::Duration DelayMonitor::threshold(util::Time now) const {
-  return dprop(now) + cfg_.threshold_margin;
+  return dprop(now) + kThresholdMargin;
 }
 
 std::int64_t DelayMonitor::npkt(double ct_bits_per_sf) const {
   // Eqn 6: packets carried in six subframes at the current rate.
-  const double pkts = 6.0 * ct_bits_per_sf / (cfg_.mss * 8.0);
-  return std::max<std::int64_t>(static_cast<std::int64_t>(pkts), cfg_.min_npkt);
+  const double pkts = 6.0 * ct_bits_per_sf / (net::kDefaultMss * 8.0);
+  return std::max<std::int64_t>(static_cast<std::int64_t>(pkts), kMinNpkt);
 }
 
 void DelayMonitor::on_packet(util::Time now, util::Duration one_way_delay,

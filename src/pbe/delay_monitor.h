@@ -19,17 +19,9 @@
 
 namespace pbecc::pbe {
 
-struct DelayMonitorConfig {
-  util::Duration dprop_window = 10 * util::kSecond;
-  // 3 retransmissions x 8 ms + 3 ms jitter allowance.
-  util::Duration threshold_margin = (3 * 8 + 3) * util::kMillisecond;
-  std::int32_t mss = 1500;
-  std::int64_t min_npkt = 4;
-};
-
 class DelayMonitor {
  public:
-  explicit DelayMonitor(DelayMonitorConfig cfg = {});
+  DelayMonitor();
 
   // Feed one packet's one-way delay. `ct_bits_per_sf` is the current
   // transport-layer capacity estimate (sets Npkt).
@@ -48,7 +40,6 @@ class DelayMonitor {
   std::int64_t consecutive_below() const { return below_; }
 
  private:
-  DelayMonitorConfig cfg_;
   mutable util::WindowedMin<util::Duration> dprop_filter_;
   std::int64_t above_ = 0;
   std::int64_t below_ = 0;

@@ -9,8 +9,9 @@
 // actually delivers. Once flagged, the sender caps its pacing at the
 // measured delivery rate instead of the reported one. Unflagging is
 // symmetric: the client must report within the suspicion ratio of the
-// achieved rate continuously for flag_after before trust is restored —
-// a liar cannot clear the flag with a single honest ack.
+// achieved rate continuously for as long as it took to earn the flag
+// before trust is restored — a liar cannot clear the flag with a single
+// honest ack.
 //
 // The detector also tracks feedback-word plausibility (an EWMA of whether
 // each decoded word carried a physically possible rate), one input to the
@@ -22,22 +23,9 @@
 
 namespace pbecc::pbe {
 
-struct MisreportDetectorConfig {
-  // Reported rate must exceed this multiple of the achieved delivery rate
-  // to count as suspicious (delivery-rate samples are noisy; honest
-  // feedback routinely sits slightly above instantaneous delivery).
-  double suspicion_ratio = 1.5;
-  // ... continuously for this long before the client is flagged.
-  util::Duration flag_after = 2 * util::kSecond;
-  // Achieved-rate estimate: windowed max of delivery-rate samples.
-  util::Duration rate_window = util::kSecond;
-  // Once flagged, pacing is capped at measured rate times this headroom.
-  double capped_gain = 1.1;
-};
-
 class MisreportDetector {
  public:
-  explicit MisreportDetector(MisreportDetectorConfig cfg = {});
+  MisreportDetector();
 
   // Feed every ACK along with the rate the client currently reports.
   void on_ack(const net::AckSample& s, util::RateBps reported_rate);
@@ -60,7 +48,6 @@ class MisreportDetector {
   util::RateBps rate_cap(util::Time now) const;
 
  private:
-  MisreportDetectorConfig cfg_;
   mutable util::WindowedMax<double> achieved_;
   util::Time suspicious_since_ = -1;
   util::Time honest_since_ = -1;

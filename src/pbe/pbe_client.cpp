@@ -8,9 +8,16 @@
 
 namespace pbecc::pbe {
 
+namespace {
+// Linear rate increase spans this many RTprop (paper: three RTTs).
+constexpr double kRampRtts = 3.0;
+// Fraction of the fair share the receive rate must reach to declare the
+// ramp complete / the wireless link re-bottlenecked.
+constexpr double kRateAttainedFraction = 0.9;
+}  // namespace
+
 PbeClient::PbeClient(PbeClientConfig cfg, ChannelQuery channel_query)
-    : cfg_(std::move(cfg)), channel_(std::move(channel_query)),
-      delay_(cfg_.delay) {
+    : cfg_(std::move(cfg)), channel_(std::move(channel_query)) {
   // The first configured cell is the primary carrier: the connection-start
   // fair-share fallback must target it regardless of CellId ordering.
   if (!cfg_.cells.empty()) estimator_.set_primary_cell(cfg_.cells.front().id);
@@ -98,7 +105,7 @@ double PbeClient::recv_rate_bps(util::Time now) {
 void PbeClient::update_state(util::Time now, double cf_bps) {
   const bool delay_high = delay_.internet_bottleneck();
   const double recv = recv_rate_bps(now);
-  const bool rate_attained = recv >= cfg_.rate_attained_fraction * cf_bps;
+  const bool rate_attained = recv >= kRateAttainedFraction * cf_bps;
 
   switch (state_) {
     case State::kStartup: {
@@ -109,7 +116,7 @@ void PbeClient::update_state(util::Time now, double cf_bps) {
         break;
       }
       const auto ramp_len = static_cast<util::Duration>(
-          cfg_.ramp_rtts * static_cast<double>(rtprop_est_));
+          kRampRtts * static_cast<double>(rtprop_est_));
       if (rate_attained || (ramp_start_ >= 0 && now - ramp_start_ >= ramp_len)) {
         state_ = State::kWireless;
       }
@@ -209,7 +216,7 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
   switch (state_) {
     case State::kStartup: {
       const auto ramp_len = static_cast<double>(static_cast<util::Duration>(
-          cfg_.ramp_rtts * static_cast<double>(rtprop_est_)));
+          kRampRtts * static_cast<double>(rtprop_est_)));
       const double frac = ramp_len > 0
                               ? std::clamp(static_cast<double>(now - ramp_start_) /
                                            ramp_len, 0.05, 1.0)
@@ -244,7 +251,7 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
   // --- Encode: interval in microseconds between two MSS-size packets.
   if (rate_bps > 1000.0) {
     const double interval_us =
-        static_cast<double>(cfg_.mss) * 8.0 / rate_bps * 1e6;
+        static_cast<double>(net::kDefaultMss) * 8.0 / rate_bps * 1e6;
     ack.pbe_rate_interval_us =
         static_cast<std::uint32_t>(std::clamp(interval_us, 1.0, 4e9));
   } else {

@@ -28,14 +28,7 @@ namespace pbecc::pbe {
 struct PbeClientConfig {
   phy::Rnti rnti = 0;
   std::vector<phy::CellConfig> cells;  // the UE's aggregated cells
-  std::int32_t mss = net::kDefaultMss;
-  DelayMonitorConfig delay{};
   decoder::UserTrackerConfig tracker{};
-  // Linear rate increase spans this many RTprop (paper: three RTTs).
-  double ramp_rtts = 3.0;
-  // Fraction of the fair share the receive rate must reach to declare the
-  // ramp complete / the wireless link re-bottlenecked.
-  double rate_attained_fraction = 0.9;
   std::uint64_t seed = 21;
   // Optional fault injector threaded down into the decoder monitor
   // (unowned; must outlive the client). nullptr = fault-free.

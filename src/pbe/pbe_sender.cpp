@@ -14,22 +14,35 @@ namespace {
 // outside this range with overwhelming probability.
 constexpr double kMinPlausibleBps = 1e4;
 constexpr double kMaxPlausibleBps = 2.5e9;
-}  // namespace
-
-namespace {
-// Hybrid mode implies the blend is live; everything else in the config is
-// taken as given.
-DegradationConfig degradation_config(const PbeSenderConfig& cfg) {
-  DegradationConfig d = cfg.degradation;
-  if (cfg.hybrid) d.blend.enabled = true;
-  return d;
-}
+constexpr util::RateBps kInitialRate = 2e6;  // until the first feedback arrives
+constexpr util::Duration kRtpropWindow = 10 * util::kSecond;
+constexpr util::Duration kBtlBwWindow = 2 * util::kSecond;
+// Hybrid claim re-seed quarantine: a healthy PHY claim may jump-start
+// the sidecar only if the sidecar's last overuse cut is older than this.
+// Congestion evidence fresher than the claim wins — without the
+// quarantine an inflated claim under heavy ACK loss re-seeds on every
+// ACK, out-shouting the cuts that keep refuting it (2x the AIMD's
+// kAimdMinDecreaseInterval: one full cut-and-settle cycle must complete).
+constexpr util::Duration kReseedQuarantine = 300 * util::kMillisecond;
+// ... and only while the smoothed RTT is within this factor of RTprop.
+// The trendline is a *gradient* detector: a standing queue holds the
+// delay level high at zero slope, reads as kNormal, and (because the
+// seed overwrites the sidecar target the divergence check compares
+// against) would let an inflated claim re-assert itself forever. The
+// RTT level is the evidence a standing queue cannot hide from.
+constexpr double kReseedMaxRttRatio = 1.3;
+// The re-seed value itself is capped at this multiple of the best
+// delivery evidence (capacity memory / acked bitrate): trust is ramped,
+// not granted. A corrupted 45 Mbit/s claim against half a megabit of
+// demonstrated delivery must not out-rank the evidence 90x in one ACK;
+// an honest claim still gets there in a few windows, because each seed
+// raises delivery, which raises the evidence, which raises the cap.
+constexpr double kReseedEvidenceRatio = 4.0;
 }  // namespace
 
 PbeSender::PbeSender(PbeSenderConfig cfg)
-    : cfg_(cfg), feedback_rate_(cfg.initial_rate),
-      btlbw_filter_(cfg.btlbw_window), misreport_(cfg.misreport),
-      degradation_(degradation_config(cfg)), delay_bwe_(cfg.bwe) {
+    : cfg_(cfg), feedback_rate_(kInitialRate), btlbw_filter_(kBtlBwWindow),
+      degradation_(/*blend=*/cfg.hybrid) {
   degradation_.set_transition_hook(
       [this](util::Time now, DegradationState from, DegradationState to) {
         on_degradation_switch(now, from, to);
@@ -48,7 +61,7 @@ void PbeSender::decode_feedback(const net::AckSample& s) {
   if (s.pbe_rate_interval_us == 0) return;
   // Interval between two MSS-sized packets -> bits per second.
   const double interval_sec = static_cast<double>(s.pbe_rate_interval_us) / 1e6;
-  const double rate = static_cast<double>(cfg_.mss) * 8.0 / interval_sec;
+  const double rate = static_cast<double>(net::kDefaultMss) * 8.0 / interval_sec;
 
   // Plausibility screen: a corrupted word must not steer pacing. The word
   // is rejected (last good rate kept) and the plausibility EWMA dinged,
@@ -75,7 +88,7 @@ void PbeSender::on_ack(const net::AckSample& s) {
   // its estimated RTprop and BtlBw with every received ACK, so it can
   // immediately switch").
   if (s.rtt > 0 &&
-      (s.rtt <= rtprop_ || s.now - rtprop_stamp_ > cfg_.rtprop_window)) {
+      (s.rtt <= rtprop_ || s.now - rtprop_stamp_ > kRtpropWindow)) {
     rtprop_ = s.rtt;
     rtprop_stamp_ = s.now;
   }
@@ -107,13 +120,12 @@ void PbeSender::on_ack(const net::AckSample& s) {
     const util::Time last_cut = delay_bwe_.aimd().last_decrease();
     const double seed_value = std::min(
         static_cast<double>(feedback_rate_),
-        cfg_.reseed_evidence_ratio * std::max(memory, delay_bwe_.acked_bps()));
-    if (degradation_.effective_confidence() >=
-            degradation_.config().recover_above &&
+        kReseedEvidenceRatio * std::max(memory, delay_bwe_.acked_bps()));
+    if (degradation_.effective_confidence() >= kRecoverAbove &&
         !degradation_.diverged() && delay_bwe_.acked_fresh() &&
-        (last_cut < 0 || s.now - last_cut > cfg_.reseed_quarantine) &&
+        (last_cut < 0 || s.now - last_cut > kReseedQuarantine) &&
         static_cast<double>(s.rtt) <=
-            cfg_.reseed_max_rtt_ratio * static_cast<double>(rtprop_) &&
+            kReseedMaxRttRatio * static_cast<double>(rtprop_) &&
         seed_value > delay_bwe_.target_bps()) {
       delay_bwe_.seed_target(seed_value);
     }
@@ -201,7 +213,6 @@ void PbeSender::on_degradation_switch(util::Time now, DegradationState from,
       // reached the weight has drained to the delay-gradient sidecar,
       // which tracked the path all along.
       baselines::BbrConfig bc;
-      bc.mss = cfg_.mss;
       bc.seed = cfg_.seed + 1;
       fallback_bbr_ = std::make_unique<baselines::Bbr>(bc);
       // Seed from the server-side achieved-rate estimate — the one input a
@@ -223,7 +234,6 @@ void PbeSender::on_degradation_switch(util::Time now, DegradationState from,
 
 void PbeSender::enter_internet_mode(util::Time now) {
   baselines::BbrConfig bc;
-  bc.mss = cfg_.mss;
   bc.enter_probe_bw_directly = true;  // entry drain at 0.5 BtlBw, then probe
   bc.probe_cap = [this] { return feedback_rate_; };  // Cprobe cap = Cf (Eqn 7)
   // Strictly less aggressive than stock BBR (paper §4.3): a tight window
@@ -258,13 +268,13 @@ util::RateBps PbeSender::phy_rate(util::Time now) const {
   if (st == DegradationState::kDegraded ||
       (cfg_.hybrid && st == DegradationState::kFallback)) {
     // Hold-and-decay: pace at the last trusted rate, halved every
-    // hold_half_life, so a stale estimate cannot overdrive a link whose
+    // kHoldHalfLife, so a stale estimate cannot overdrive a link whose
     // true capacity may have collapsed with the feed. (In hybrid mode the
     // decay also covers FALLBACK — there is no fallback BBR, and whatever
     // residual weight the PHY side still holds must keep shrinking.)
     const double halves =
         util::to_seconds(now - hold_since_) /
-        util::to_seconds(degradation_.config().hold_half_life);
+        util::to_seconds(kHoldHalfLife);
     rate = hold_rate_ * std::exp2(-halves);
   }
   if (cfg_.detect_misreports) {
@@ -287,7 +297,7 @@ util::RateBps PbeSender::pacing_rate(util::Time now) const {
     rate = w * phy + (1.0 - w) * delay_bwe_.target_bps();
     // Memory-gated floor: while server-side capacity memory contradicts
     // the PHY term actually being blended (path recently delivered >
-    // memory_ratio x it), that term may not throttle pacing below the
+    // kMemoryRatio x it), that term may not throttle pacing below the
     // evidence-backed delay target regardless of the committed weight.
     // This covers both a floor/stale report at high weight (a convex
     // blend alone would pin pacing near zero for a hold window) and the
@@ -296,10 +306,10 @@ util::RateBps PbeSender::pacing_rate(util::Time now) const {
     // pacing at the delay target builds a queue and the AIMD cuts that
     // target within an RTT or two — bounded, self-correcting risk.
     // Honest feeds never see the floor: clean-run delivery memory stays
-    // well inside memory_ratio x the reported rate.
+    // well inside kMemoryRatio x the reported rate.
     const double memory = std::max(misreport_.achieved_rate(now),
                                    btlbw_filter_.get(now, 0.0));
-    if (memory > degradation_.config().blend.memory_ratio * phy) {
+    if (memory > kMemoryRatio * phy) {
       rate = std::max(rate, static_cast<double>(delay_bwe_.target_bps()));
     }
   }
@@ -313,7 +323,7 @@ double PbeSender::cwnd_bytes(util::Time now) const {
   // amount of inflight data to the bandwidth-delay product".
   const double bdp_bytes = pacing_rate(now) / util::kBitsPerByte *
                            util::to_seconds(rtprop_);
-  return std::max(cfg_.cwnd_gain * bdp_bytes, 4.0 * cfg_.mss);
+  return std::max(cfg_.cwnd_gain * bdp_bytes, 4.0 * net::kDefaultMss);
 }
 
 }  // namespace pbecc::pbe

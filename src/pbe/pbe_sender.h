@@ -26,7 +26,6 @@
 namespace pbecc::pbe {
 
 struct PbeSenderConfig {
-  std::int32_t mss = net::kDefaultMss;
   // Display name: the same sender logic also serves the ABC-style
   // explicit-network-feedback oracle (rates stamped by the base station
   // instead of the PBE client).
@@ -36,15 +35,9 @@ struct PbeSenderConfig {
   // that can form before feedback reacts (paper §4: inflight limited to
   // the BDP).
   double cwnd_gain = 1.5;
-  util::RateBps initial_rate = 2e6;  // until the first feedback arrives
-  util::Duration rtprop_window = 10 * util::kSecond;
-  util::Duration btlbw_window = 2 * util::kSecond;
   // §7 defense: cross-check the client's reported capacity against a
   // server-side throughput estimate and cap flows that misreport.
   bool detect_misreports = true;
-  MisreportDetectorConfig misreport{};
-  // Graceful-degradation thresholds (DESIGN.md §8).
-  DegradationConfig degradation{};
   // Hybrid PBE x delay estimation (DESIGN.md §13): blend the PHY capacity
   // with the delay-gradient sidecar's target by the degradation machine's
   // confidence weight, instead of the cliff-edge hold/fallback path. The
@@ -52,28 +45,6 @@ struct PbeSenderConfig {
   // feed goes suspect); `hybrid` only controls whether it holds pacing
   // authority.
   bool hybrid = false;
-  bwe::DelayBasedBweConfig bwe{};
-  // Hybrid claim re-seed quarantine: a healthy PHY claim may jump-start
-  // the sidecar only if the sidecar's last overuse cut is older than this.
-  // Congestion evidence fresher than the claim wins — without the
-  // quarantine an inflated claim under heavy ACK loss re-seeds on every
-  // ACK, out-shouting the cuts that keep refuting it (2x the AIMD's
-  // min_decrease_interval: one full cut-and-settle cycle must complete).
-  util::Duration reseed_quarantine = 300 * util::kMillisecond;
-  // ... and only while the smoothed RTT is within this factor of RTprop.
-  // The trendline is a *gradient* detector: a standing queue holds the
-  // delay level high at zero slope, reads as kNormal, and (because the
-  // seed overwrites the sidecar target the divergence check compares
-  // against) would let an inflated claim re-assert itself forever. The
-  // RTT level is the evidence a standing queue cannot hide from.
-  double reseed_max_rtt_ratio = 1.3;
-  // The re-seed value itself is capped at this multiple of the best
-  // delivery evidence (capacity memory / acked bitrate): trust is ramped,
-  // not granted. A corrupted 45 Mbit/s claim against half a megabit of
-  // demonstrated delivery must not out-rank the evidence 90x in one ACK;
-  // an honest claim still gets there in a few windows, because each seed
-  // raises delivery, which raises the evidence, which raises the cap.
-  double reseed_evidence_ratio = 4.0;
   std::uint64_t seed = 5;
 };
 

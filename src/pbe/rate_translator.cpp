@@ -10,7 +10,7 @@ namespace pbecc::pbe {
 double RateTranslator::to_physical(double ct, double p) const {
   if (ct <= 0) return 0;
   const double tber = phy::tb_error_rate(p, ct);
-  return (ct + ct * tber) / (1.0 - gamma_);
+  return (ct + ct * tber) / (1.0 - kProtocolOverhead);
 }
 
 double RateTranslator::solve(double cp, double p) const {

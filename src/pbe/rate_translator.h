@@ -19,8 +19,6 @@ inline constexpr double kProtocolOverhead = 0.068;  // gamma = 6.8%
 
 class RateTranslator {
  public:
-  explicit RateTranslator(double gamma = kProtocolOverhead) : gamma_(gamma) {}
-
   // Transport goodput (bits/subframe) for a physical capacity Cp
   // (bits/subframe) at residual bit error rate p.
   double to_transport(double cp_bits_per_sf, double p);
@@ -34,7 +32,6 @@ class RateTranslator {
  private:
   double solve(double cp, double p) const;
 
-  double gamma_;
   // Key: quantized Cp (1 kbit buckets) and p (log-spaced bucket).
   std::unordered_map<std::uint64_t, double> lut_;
 };

@@ -6,6 +6,12 @@
 
 namespace pbecc::phy {
 
+namespace {
+constexpr double kShadowingSigmaDb = 1.5;
+constexpr util::Duration kShadowingCoherence = 200 * util::kMillisecond;
+constexpr double kFastFadingSigmaDb = 0.8;
+}  // namespace
+
 MobilityTrace MobilityTrace::stationary(double rssi_dbm) {
   return MobilityTrace{{{0, rssi_dbm}}};
 }
@@ -41,23 +47,20 @@ ChannelModel::ChannelModel(ChannelConfig cfg)
 ChannelState ChannelModel::sample(util::Time t) {
   // Advance the Gauss-Markov shadowing process one step per coherence
   // interval that elapsed.
-  if (cfg_.shadowing_coherence > 0) {
-    const auto interval = cfg_.shadowing_coherence;
-    if (last_shadow_update_ < 0) {
-      shadow_db_ = rng_.normal(0.0, cfg_.shadowing_sigma_db);
-      last_shadow_update_ = t;
-    }
-    while (t - last_shadow_update_ >= interval) {
-      constexpr double rho = 0.8;  // AR(1) correlation between intervals
-      shadow_db_ = rho * shadow_db_ +
-                   std::sqrt(1 - rho * rho) * rng_.normal(0.0, cfg_.shadowing_sigma_db);
-      last_shadow_update_ += interval;
-    }
+  if (last_shadow_update_ < 0) {
+    shadow_db_ = rng_.normal(0.0, kShadowingSigmaDb);
+    last_shadow_update_ = t;
+  }
+  while (t - last_shadow_update_ >= kShadowingCoherence) {
+    constexpr double rho = 0.8;  // AR(1) correlation between intervals
+    shadow_db_ = rho * shadow_db_ +
+                 std::sqrt(1 - rho * rho) * rng_.normal(0.0, kShadowingSigmaDb);
+    last_shadow_update_ += kShadowingCoherence;
   }
 
   ChannelState s;
   s.rssi_dbm = cfg_.trace.rssi_at(t) + shadow_db_;
-  const double fading = rng_.normal(0.0, cfg_.fast_fading_sigma_db);
+  const double fading = rng_.normal(0.0, kFastFadingSigmaDb);
   s.sinr_db = s.rssi_dbm - cfg_.noise_floor_dbm + fading;
   s.cqi = std::max(1, cqi_from_sinr_db(s.sinr_db));
   s.data_ber = residual_ber_from_rssi(s.rssi_dbm);

@@ -48,9 +48,6 @@ struct ChannelConfig {
   MobilityTrace trace = MobilityTrace::stationary(-90.0);
   // Effective noise+interference floor; busier cells see more interference.
   double noise_floor_dbm = -110.0;
-  double shadowing_sigma_db = 1.5;
-  util::Duration shadowing_coherence = 200 * util::kMillisecond;
-  double fast_fading_sigma_db = 0.8;
   std::uint64_t seed = 1;
 };
 

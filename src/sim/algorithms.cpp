@@ -20,7 +20,7 @@ const std::vector<std::string>& all_algorithms() {
 }
 
 const std::vector<std::string>& extra_algorithms() {
-  static const std::vector<std::string> kExtra = {"gcc", "hybrid"};
+  static const std::vector<std::string> kExtra = {"gcc", "hybrid", "abc"};
   return kExtra;
 }
 

@@ -16,8 +16,9 @@ namespace pbecc::sim {
 const std::vector<std::string>& all_algorithms();
 
 // This repo's additions beyond the paper: "gcc" (the delay-gradient BWE
-// baseline) and "hybrid" (PBE x delay confidence-weighted blend,
-// DESIGN.md §13).
+// baseline), "hybrid" (PBE x delay confidence-weighted blend, DESIGN.md
+// §13) and "abc" (the explicit-network-feedback oracle: PBE's sender fed
+// rates the base station stamps).
 const std::vector<std::string>& extra_algorithms();
 
 // True for the algorithms that consume physical-layer feedback ("pbe",
@@ -25,7 +26,7 @@ const std::vector<std::string>& extra_algorithms();
 bool needs_pbe_client(const std::string& name);
 
 // Construct a controller by name ("pbe", "bbr", "cubic", "copa", "verus",
-// "sprout", "pcc", "vivace", "gcc", "hybrid"). Throws
+// "sprout", "pcc", "vivace", "gcc", "hybrid", "abc"). Throws
 // std::invalid_argument on unknown name.
 std::unique_ptr<net::CongestionController> make_controller(
     const std::string& name, std::uint64_t seed);

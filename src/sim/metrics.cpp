@@ -6,6 +6,8 @@ namespace pbecc::sim {
 
 namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+// Throughput averaging window (paper §6.1).
+constexpr util::Duration kWindow = 100 * util::kMillisecond;
 }  // namespace
 
 double FlowStats::avg_delay_ms() const {
@@ -21,11 +23,11 @@ double FlowStats::median_delay_ms() const {
 }
 
 void FlowStats::roll_windows(util::Time now) {
-  while (now - window_start_ >= window_) {
+  while (now - window_start_ >= kWindow) {
     window_tputs_.add(static_cast<double>(window_bytes_) * 8.0 /
-                      util::to_seconds(window_) / 1e6);
+                      util::to_seconds(kWindow) / 1e6);
     window_bytes_ = 0;
-    window_start_ += window_;
+    window_start_ += kWindow;
   }
 }
 

@@ -14,9 +14,6 @@ namespace pbecc::sim {
 
 class FlowStats {
  public:
-  explicit FlowStats(util::Duration window = 100 * util::kMillisecond)
-      : window_(window) {}
-
   void on_delivery(const net::Packet& pkt, util::Time now);
 
   // Mark the end of measurement (flushes the last partial window).
@@ -43,7 +40,6 @@ class FlowStats {
  private:
   void roll_windows(util::Time now);
 
-  util::Duration window_;
   util::SampleSet delays_ms_;
   util::SampleSet window_tputs_;
 

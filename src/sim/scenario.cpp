@@ -19,6 +19,8 @@ namespace {
 // granularity at which the MAC layer acts, and the cadence the paper's
 // own feedback loop runs at.
 constexpr util::Duration kShardBarrier = util::kMillisecond;
+// Mean RSSI of a background user; BackgroundSpec::rssi_sigma_db spreads it.
+constexpr double kBackgroundRssiMeanDbm = -95.0;
 }  // namespace
 
 Scenario::Scenario(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {
@@ -407,7 +409,7 @@ void Scenario::add_background(const BackgroundSpec& spec) {
     cfg.id = id;
     cfg.rnti = rnti_for(id);
     cfg.aggregated_cells = {cell_cfgs_.at(spec.cell_index).id};
-    const double rssi = rng_.normal(spec.rssi_mean_dbm, spec.rssi_sigma_db);
+    const double rssi = rng_.normal(kBackgroundRssiMeanDbm, spec.rssi_sigma_db);
     cfg.channel.trace = phy::MobilityTrace::stationary(rssi);
     cfg.channel.seed = rng_.next_u64();
     dbs->add_ue(cfg, [](net::Packet) { /* background payload: discard */ });

@@ -126,7 +126,6 @@ struct BackgroundSpec {
   util::Duration mean_duration = 2 * util::kSecond;
   util::RateBps rate_lo = 2e6;
   util::RateBps rate_hi = 12e6;
-  double rssi_mean_dbm = -95.0;
   double rssi_sigma_db = 6.0;
 };
 

@@ -24,6 +24,12 @@ namespace pbecc::sim {
 
 namespace {
 
+// Background-user session arrival probability per cell, and departure
+// probability per active background user, per subframe.
+constexpr double kArrivalPerSf = 0.02;
+constexpr double kDeparturePerSf = 0.003;
+constexpr std::int64_t kCheckPeriodSf = 1'000;  // bound + drift checks
+
 void note_failure(SoakReport& rep, std::string what) {
   if (rep.failures.size() < 20) rep.failures.push_back(std::move(what));
 }
@@ -133,7 +139,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
   std::vector<std::vector<BgUser>> active(cells.size());
   std::vector<std::vector<phy::Rnti>> free_rntis(cells.size());
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    for (int k = 0; k < cfg.rnti_pool; ++k) {
+    for (int k = 0; k < kPipelineSoakRntiPool; ++k) {
       free_rntis[ci].push_back(
           static_cast<phy::Rnti>(0x200 + 0x100 * ci + k));
     }
@@ -159,7 +165,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
 
     // --- User churn with RNTI reuse.
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-      if (!free_rntis[ci].empty() && rng.bernoulli(cfg.arrival_per_sf)) {
+      if (!free_rntis[ci].empty() && rng.bernoulli(kArrivalPerSf)) {
         active[ci].push_back(
             {free_rntis[ci].back(),
              static_cast<int>(2 + rng.uniform_int(0, 10))});
@@ -167,7 +173,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
         ++rep.churn_events;
       }
       for (std::size_t u = active[ci].size(); u-- > 0;) {
-        if (rng.bernoulli(cfg.departure_per_sf)) {
+        if (rng.bernoulli(kDeparturePerSf)) {
           free_rntis[ci].push_back(active[ci][u].rnti);
           active[ci].erase(active[ci].begin() +
                            static_cast<std::ptrdiff_t>(u));
@@ -275,7 +281,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
     }
 
     // --- Periodic bound / freshness / drift checks.
-    if (cfg.check_period_sf > 0 && sf % cfg.check_period_sf == 0) {
+    if (sf % kCheckPeriodSf == 0) {
       rep.max_estimator_cells =
           std::max(rep.max_estimator_cells, estimator.tracked_cells());
       if (estimator.tracked_cells() > cells.size()) {
@@ -295,7 +301,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
         // window (at most 200 subframes under jitter), so the allowance
         // scales with the window; a genuine leak grows past any constant.
         const std::size_t user_bound =
-            static_cast<std::size_t>(cfg.rnti_pool) + 1 + 200;
+            static_cast<std::size_t>(kPipelineSoakRntiPool) + 1 + 200;
         if (tracker.tracked_users() > user_bound) {
           note_failure(rep, "tracker users " +
                                 std::to_string(tracker.tracked_users()) +
@@ -388,7 +394,7 @@ SoakReport run_mac_soak(const MacSoakConfig& cfg) {
   // Foreground UEs: carrier-aggregated, one on a weak channel so HARQ
   // retransmissions and abandons actually happen.
   std::vector<mac::UeId> fg;
-  for (int i = 0; i < cfg.fg_ues; ++i) {
+  for (int i = 0; i < kMacSoakFgUes; ++i) {
     const mac::UeId id = static_cast<mac::UeId>(i + 1);
     fg.push_back(id);
     add_one(id, i == 0 ? -95.0 : -101.0,
@@ -404,7 +410,7 @@ SoakReport run_mac_soak(const MacSoakConfig& cfg) {
   };
   std::vector<BgSlot> free_bg;
   std::vector<mac::UeId> active_bg;
-  for (int i = 0; i < cfg.bg_ue_pool; ++i) {
+  for (int i = 0; i < kMacSoakBgUePool; ++i) {
     free_bg.push_back({static_cast<mac::UeId>(100 + i), -100});
   }
 
@@ -472,10 +478,10 @@ SoakReport run_mac_soak(const MacSoakConfig& cfg) {
     }
 
     // --- Bound checks.
-    if (cfg.check_period_sf > 0 && sf % cfg.check_period_sf == 0) {
+    if (sf % kCheckPeriodSf == 0) {
       rep.max_ues = std::max(rep.max_ues, bs.num_ues());
       const std::size_t ue_bound =
-          static_cast<std::size_t>(cfg.fg_ues + cfg.bg_ue_pool);
+          static_cast<std::size_t>(kMacSoakFgUes + kMacSoakBgUePool);
       if (bs.num_ues() > ue_bound) {
         note_failure(rep, "num_ues " + std::to_string(bs.num_ues()) +
                               " exceeds bound at sf " + std::to_string(sf));

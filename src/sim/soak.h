@@ -38,21 +38,24 @@ class Sampler;
 
 namespace pbecc::sim {
 
+// Pipeline soak: background users per cell are drawn from (and returned
+// to) a free list of this many RNTIs, so identifiers are aggressively
+// reused.
+inline constexpr int kPipelineSoakRntiPool = 24;
+// MAC soak: foreground UEs, and background UE ids recycled through
+// add_ue/remove_ue.
+inline constexpr int kMacSoakFgUes = 2;
+inline constexpr int kMacSoakBgUePool = 10;
+
 struct PipelineSoakConfig {
   std::int64_t subframes = 2'000'000;
   int n_cells = 3;
   std::uint64_t seed = 7;
-  // Background users per cell are drawn from (and returned to) a free list
-  // of this many RNTIs, so identifiers are aggressively reused.
-  int rnti_pool = 24;
-  double arrival_per_sf = 0.02;    // bg-user session arrival probability
-  double departure_per_sf = 0.003; // per active bg user, per subframe
   std::int64_t reconfig_period_sf = 250'000;  // carrier reconfiguration
   std::int64_t rotate_period_sf = 10'000;     // normal serving-set rotation
   std::int64_t storm_period_sf = 200'000;     // handover-storm windows...
   std::int64_t storm_len_sf = 2'000;          // ...this long, rotating fast
   std::int64_t window_jitter_period_sf = 5'000;  // RTprop window jitter
-  std::int64_t check_period_sf = 1'000;       // bound + drift checks
   // Optional run telemetry (unowned, may be null): the soak's monitor +
   // estimator drive the sampler's pipeline half, plus a check.violations
   // series on the same cadence.
@@ -63,12 +66,9 @@ struct MacSoakConfig {
   std::int64_t subframes = 200'000;
   std::uint64_t seed = 11;
   int n_cells = 4;
-  int fg_ues = 2;
-  int bg_ue_pool = 10;            // ids recycled through add_ue/remove_ue
   double churn_per_sf = 0.002;    // bg add/remove attempt probability
   std::int64_t storm_period_sf = 25'000;
   std::int64_t storm_len_sf = 1'000;
-  std::int64_t check_period_sf = 1'000;
 };
 
 struct SoakReport {

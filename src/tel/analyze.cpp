@@ -11,6 +11,17 @@ namespace pbecc::tel {
 
 namespace {
 
+// A truth-series move larger than this fraction between consecutive
+// samples is a capacity step.
+constexpr double kStepFraction = 0.25;
+// The estimate has "tracked" a step once within this fraction of truth.
+constexpr double kTrackedFraction = 0.15;
+constexpr util::Duration kStepSearchHorizon = 2 * util::kSecond;
+// Anomaly: relative error above kAnomalyRel for more than
+// kAnomalyMinSamples consecutive joined samples.
+constexpr double kAnomalyRel = 0.35;
+constexpr std::size_t kAnomalyMinSamples = 8;
+
 // Equal-timestamp inner join of two series (both time-sorted by
 // construction). Calls fn(t, va, vb).
 template <typename Fn>
@@ -87,13 +98,13 @@ StepLagStats step_lag(const Series& est, const Series& truth,
   for (std::size_t i = 1; i < t.size(); ++i) {
     if (t[i] < cfg.warmup) continue;
     const double base = std::max(std::fabs(tr[i - 1]), 1.0);
-    if (std::fabs(tr[i] - tr[i - 1]) / base < cfg.step_fraction) continue;
+    if (std::fabs(tr[i] - tr[i - 1]) / base < kStepFraction) continue;
     ++out.steps;
     bool tracked = false;
-    for (std::size_t j = i; j < t.size() && t[j] - t[i] <= cfg.step_search_horizon;
+    for (std::size_t j = i; j < t.size() && t[j] - t[i] <= kStepSearchHorizon;
          ++j) {
       if (tr[j] <= 0) continue;
-      if (std::fabs(e[j] - tr[j]) / tr[j] <= cfg.tracked_fraction) {
+      if (std::fabs(e[j] - tr[j]) / tr[j] <= kTrackedFraction) {
         lags.add(util::to_millis(t[j] - t[i]));
         tracked = true;
         break;
@@ -115,7 +126,7 @@ std::vector<Anomaly> find_anomalies(const std::string& cell, const Series& est,
   Anomaly cur;
   std::size_t run = 0;
   const auto flush = [&](util::Time end) {
-    if (run > cfg.anomaly_min_samples) {
+    if (run > kAnomalyMinSamples) {
       cur.cell = cell;
       cur.end = end;
       cur.samples = run;
@@ -128,7 +139,7 @@ std::vector<Anomaly> find_anomalies(const std::string& cell, const Series& est,
   join(est, truth, [&](util::Time t, double e, double tr) {
     last_t = t;
     const double rel = tr > 0 ? std::fabs(e - tr) / tr : 0.0;
-    if (t >= cfg.warmup && rel > cfg.anomaly_rel) {
+    if (t >= cfg.warmup && rel > kAnomalyRel) {
       if (run == 0) cur.start = t;
       cur.peak_rel_err = std::max(cur.peak_rel_err, rel);
       ++run;

@@ -70,16 +70,6 @@ struct AnalyzeConfig {
   // Samples before this are startup transient (ramp, empty windows) and
   // excluded from the error distributions.
   util::Duration warmup = util::kSecond;
-  // A truth-series move larger than this fraction between consecutive
-  // samples is a capacity step.
-  double step_fraction = 0.25;
-  // The estimate has "tracked" a step once within this fraction of truth.
-  double tracked_fraction = 0.15;
-  util::Duration step_search_horizon = 2 * util::kSecond;
-  // Anomaly: relative error above `anomaly_rel` for more than
-  // `anomaly_min_samples` consecutive joined samples.
-  double anomaly_rel = 0.35;
-  std::size_t anomaly_min_samples = 8;
 };
 
 Summary summarize(const Recorder& rec, const AnalyzeConfig& cfg = {});

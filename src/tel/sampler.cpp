@@ -57,8 +57,6 @@ void PipelineSampler::sample(util::Time now) {
 }
 
 Sampler::Sampler(SamplerConfig cfg)
-    : cfg_(cfg),
-      rec_(cfg.max_samples_per_series),
-      pipeline_(&rec_, cfg.interval) {}
+    : cfg_(cfg), pipeline_(&rec_, cfg.interval) {}
 
 }  // namespace pbecc::tel

@@ -34,7 +34,6 @@ namespace pbecc::tel {
 
 struct SamplerConfig {
   util::Duration interval = 10 * util::kMillisecond;
-  std::size_t max_samples_per_series = 1u << 20;
 };
 
 class PipelineSampler {

@@ -362,8 +362,8 @@ TEST(PccAllegro, RateStaysWithinBounds) {
       l.lost_bytes = 1500;
       pcc.on_loss(l);
     }
-    EXPECT_GE(pcc.pacing_rate(t), cfg.min_rate * 0.9);
-    EXPECT_LE(pcc.pacing_rate(t), cfg.max_rate * 1.1);
+    EXPECT_GE(pcc.pacing_rate(t), kPccMinRate * 0.9);
+    EXPECT_LE(pcc.pacing_rate(t), kPccMaxRate * 1.1);
   }
 }
 

@@ -92,12 +92,11 @@ TEST(Trendline, BoundedJitterStaysNormal) {
 }
 
 // The detector must not act on a window still filling: even a steep ramp
-// reads kNormal until window_size points have arrived.
+// reads kNormal until kTrendlineWindow points have arrived.
 TEST(Trendline, NoVerdictBeforeWindowFills) {
-  TrendlineConfig cfg;
-  TrendlineEstimator tr(cfg);
+  TrendlineEstimator tr;
   util::Time t = 0;
-  for (std::size_t i = 0; i + 1 < cfg.window_size; ++i, t += 5 * kMs) {
+  for (std::size_t i = 0; i + 1 < kTrendlineWindow; ++i, t += 5 * kMs) {
     tr.update(t, 30.0 + 5.0 * static_cast<double>(i));
     EXPECT_EQ(tr.state(), BandwidthUsage::kNormal) << "point " << i;
   }
@@ -111,7 +110,7 @@ TEST(Trendline, ThresholdAdaptsAndSurvivesReset) {
   TrendlineEstimator tr;
   const double initial = tr.threshold_ms();
   // Sustained 0.25 ms/ms ramp: modified trend ~20 ms, above the initial
-  // threshold but inside the +15 ms outlier cutoff, so k_up applies.
+  // threshold but inside the +15 ms outlier cutoff, so kUp applies.
   drive(tr, 0, 300, [](int i) { return 30.0 + 1.25 * i; });
   EXPECT_GT(tr.threshold_ms(), initial);
   const double adapted = tr.threshold_ms();
@@ -171,8 +170,7 @@ struct MirrorFit {
 };
 
 TEST(TrendlineDrift, TenMillionUpdatesStayWithin1e9OfBruteForce) {
-  TrendlineConfig cfg;
-  TrendlineEstimator tr(cfg);
+  TrendlineEstimator tr;
   MirrorFit mirror;
 
   constexpr int kUpdates = 10'000'000;
@@ -186,7 +184,7 @@ TEST(TrendlineDrift, TenMillionUpdatesStayWithin1e9OfBruteForce) {
         30.0 + 10.0 * ((i / 1000) % 7) + 2.0 * static_cast<double>(i % 5);
     t += (4 + i % 3) * kMs;
     tr.update(t, delay);
-    mirror.update(static_cast<double>(t) / 1000.0, delay, cfg.window_size);
+    mirror.update(static_cast<double>(t) / 1000.0, delay, kTrendlineWindow);
     if ((i + 1) % kCheckEvery == 0) {
       max_err = std::max(max_err, std::abs(tr.slope() - mirror.slope()));
     }
@@ -199,31 +197,31 @@ TEST(TrendlineDrift, TenMillionUpdatesStayWithin1e9OfBruteForce) {
 
 // Grace is measured from the first update() call, so every test that wants
 // steady-state behaviour burns it with one update and then jumps the clock.
-util::Time past_grace(AimdRateControl& aimd, const AimdConfig& cfg) {
+util::Time past_grace(AimdRateControl& aimd) {
   aimd.update(0, BandwidthUsage::kNormal, 0.0, 40 * kMs);
-  return cfg.startup_grace + 100 * kMs;
+  return kAimdStartupGrace + 100 * kMs;
 }
 
 TEST(Aimd, OveruseCutsToBetaTimesAcked) {
   AimdConfig cfg;
   AimdRateControl aimd(cfg, 10e6);
-  util::Time t = past_grace(aimd, cfg);
+  util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 8e6, 40 * kMs);
   t += 100 * kMs;
   const double target =
       aimd.update(t, BandwidthUsage::kOverusing, 8e6, 40 * kMs);
-  EXPECT_DOUBLE_EQ(target, cfg.beta * 8e6);
+  EXPECT_DOUBLE_EQ(target, kAimdBeta * 8e6);
   EXPECT_EQ(aimd.last_decrease(), t);
 }
 
 TEST(Aimd, CutsAreRateLimited) {
   AimdConfig cfg;
   AimdRateControl aimd(cfg, 10e6);
-  util::Time t = past_grace(aimd, cfg);
+  util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kOverusing, 8e6, 40 * kMs);
   const double after_first = aimd.target_bps();
-  // A second verdict inside min_decrease_interval must not cut again.
-  t += cfg.min_decrease_interval / 2;
+  // A second verdict inside kAimdMinDecreaseInterval must not cut again.
+  t += kAimdMinDecreaseInterval / 2;
   aimd.update(t, BandwidthUsage::kOverusing, 5e6, 40 * kMs);
   EXPECT_DOUBLE_EQ(aimd.target_bps(), after_first);
 }
@@ -231,7 +229,7 @@ TEST(Aimd, CutsAreRateLimited) {
 TEST(Aimd, UnderuseHoldsTheRate) {
   AimdConfig cfg;
   AimdRateControl aimd(cfg, 10e6);
-  util::Time t = past_grace(aimd, cfg);
+  util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 9e6, 40 * kMs);
   const double before = aimd.target_bps();
   for (int i = 0; i < 20; ++i) {
@@ -245,7 +243,7 @@ TEST(Aimd, UnderuseHoldsTheRate) {
 TEST(Aimd, IncreaseIsClampedToAckedMultiple) {
   AimdConfig cfg;
   AimdRateControl aimd(cfg, 10e6);
-  util::Time t = past_grace(aimd, cfg);
+  util::Time t = past_grace(aimd);
   // Many normal verdicts with delivery pinned at 8 Mbit/s: growth may not
   // outrun max_vs_acked x acked.
   for (int i = 0; i < 200; ++i) {
@@ -258,7 +256,7 @@ TEST(Aimd, IncreaseIsClampedToAckedMultiple) {
 TEST(Aimd, SeedSuspendsTheClampUntilEvidence) {
   AimdConfig cfg;
   AimdRateControl aimd(cfg, 2e6);
-  util::Time t = past_grace(aimd, cfg);
+  util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 2e6, 40 * kMs);
   aimd.seed(20e6);
   EXPECT_DOUBLE_EQ(aimd.target_bps(), 20e6);
@@ -270,7 +268,7 @@ TEST(Aimd, SeedSuspendsTheClampUntilEvidence) {
   // ...but an overuse verdict is evidence, and cuts it like any target.
   t += 200 * kMs;
   const double cut = aimd.update(t, BandwidthUsage::kOverusing, 3e6, 40 * kMs);
-  EXPECT_DOUBLE_EQ(cut, cfg.beta * 3e6);
+  EXPECT_DOUBLE_EQ(cut, kAimdBeta * 3e6);
 }
 
 TEST(Aimd, StartupGraceFloorsAtInitialRate) {
@@ -281,7 +279,7 @@ TEST(Aimd, StartupGraceFloorsAtInitialRate) {
   // must not learn the bogus basis.
   util::Time t = 10 * kMs;
   for (int i = 0; i < 3; ++i) {
-    t += cfg.min_decrease_interval + 10 * kMs;
+    t += kAimdMinDecreaseInterval + 10 * kMs;
     aimd.update(t, BandwidthUsage::kOverusing, 0.2e6, 40 * kMs);
   }
   EXPECT_GE(aimd.target_bps(), 5e6);
@@ -336,7 +334,7 @@ TEST(DelayBwe, ConvergesUpToCapacity) {
 // Capacity step down. Two properties, each the regression net for a real
 // failure mode:
 //   * the target must re-converge near the new capacity. Before the
-//     max_decrease_interval clamp this spiralled: the queue built by the
+//     kMaxDecreaseInterval clamp this spiralled: the queue built by the
 //     overshoot inflated the RTT (and with it the cut spacing) faster
 //     than wall time passed, so no cut ever landed and the target stayed
 //     at the old capacity while the queue grew at ~2 s of delay per
@@ -418,7 +416,7 @@ TEST(DelayBwe, SilenceResetsTheTrendlineWindow) {
   ToyLink link{8e6};
   converge(bwe, link, 0, 2 * util::kSecond);
   ASSERT_GT(bwe.trendline().num_points(), 0u);
-  // A gap longer than silence_reset: the next ACK arrives to an empty
+  // A gap longer than kSilenceReset: the next ACK arrives to an empty
   // window (plus its own fresh point).
   net::AckSample s = link.ack(3 * util::kSecond, bwe.target_bps(), 0.005);
   bwe.on_ack(s);
@@ -436,11 +434,9 @@ TEST(DelayBwe, SeedLiftsTheTargetImmediately) {
 
 // Property: bounded confidence noise commits at most one weight move per
 // hold window — i.e. consecutive committed-weight changes are at least
-// `hold` apart, for any noise sequence inside the deadband-scale band.
+// kBlendHold apart, for any noise sequence inside the deadband-scale band.
 TEST(BlendHysteresis, AtMostOneWeightMovePerHoldWindow) {
-  pbe::DegradationConfig cfg;
-  cfg.blend.enabled = true;
-  pbe::DegradationMachine m(cfg);
+  pbe::DegradationMachine m(/*blend=*/true);
 
   // Confidence oscillating across the whole trust ramp: raw targets swing
   // well past the deadband, so an unhysteresed weight would flip on nearly
@@ -452,8 +448,8 @@ TEST(BlendHysteresis, AtMostOneWeightMovePerHoldWindow) {
     const util::Time t = i * 10 * kMs;
     const double noise = static_cast<double>((i * 7919) % 101) / 100.0;
     const double conf =
-        cfg.blend.zero_trust_below +
-        noise * (cfg.blend.full_trust_above - cfg.blend.zero_trust_below);
+        pbe::kBlendZeroTrustBelow +
+        noise * (pbe::kBlendFullTrustAbove - pbe::kBlendZeroTrustBelow);
     m.on_feedback(t, conf);
     m.on_estimates(t, 10e6, 10e6, 10e6, 10e6, false);
     if (m.phy_weight() != prev_w) {
@@ -463,7 +459,7 @@ TEST(BlendHysteresis, AtMostOneWeightMovePerHoldWindow) {
   }
   ASSERT_GT(commits.size(), 1u) << "weight never moved — test is vacuous";
   for (std::size_t i = 1; i < commits.size(); ++i) {
-    EXPECT_GE(commits[i] - commits[i - 1], cfg.blend.hold)
+    EXPECT_GE(commits[i] - commits[i - 1], pbe::kBlendHold)
         << "two weight commits inside one hold window (commits " << i - 1
         << " and " << i << ")";
   }
@@ -472,22 +468,20 @@ TEST(BlendHysteresis, AtMostOneWeightMovePerHoldWindow) {
 // Small oscillations inside the deadband must never move the weight at
 // all, no matter how long they persist.
 TEST(BlendHysteresis, DeadbandAbsorbsSmallOscillation) {
-  pbe::DegradationConfig cfg;
-  cfg.blend.enabled = true;
-  pbe::DegradationMachine m(cfg);
+  pbe::DegradationMachine m(/*blend=*/true);
   // Center of the ramp, wobble worth ~half the deadband in weight terms.
   const double mid =
-      0.5 * (cfg.blend.zero_trust_below + cfg.blend.full_trust_above);
-  const double span = cfg.blend.full_trust_above - cfg.blend.zero_trust_below;
-  const double wobble = 0.4 * cfg.blend.deadband * span;
+      0.5 * (pbe::kBlendZeroTrustBelow + pbe::kBlendFullTrustAbove);
+  const double span = pbe::kBlendFullTrustAbove - pbe::kBlendZeroTrustBelow;
+  const double wobble = 0.4 * pbe::kBlendDeadband * span;
   m.on_feedback(0, mid);
   m.on_estimates(0, 10e6, 10e6, 10e6, 10e6, false);
   // Let the first commit land, then wobble.
-  m.on_feedback(cfg.blend.hold + 10 * kMs, mid);
-  m.on_estimates(cfg.blend.hold + 10 * kMs, 10e6, 10e6, 10e6, 10e6, false);
+  m.on_feedback(pbe::kBlendHold + 10 * kMs, mid);
+  m.on_estimates(pbe::kBlendHold + 10 * kMs, 10e6, 10e6, 10e6, 10e6, false);
   const double committed = m.phy_weight();
   for (int i = 0; i < 500; ++i) {
-    const util::Time t = cfg.blend.hold + (20 + i * 10) * kMs;
+    const util::Time t = pbe::kBlendHold + (20 + i * 10) * kMs;
     const double conf = mid + ((i % 2 == 0) ? wobble : -wobble);
     m.on_feedback(t, conf);
     m.on_estimates(t, 10e6, 10e6, 10e6, 10e6, false);

@@ -156,6 +156,59 @@ TEST(BlindDecoder, WrongFormatNeverWins) {
   }
 }
 
+// A decoder reconfigured onto another NR CORESET walks the new cell's
+// candidate list. One subframe per level fills every candidate of that
+// level: the reconfigured decoder must recover every placed DCI and try
+// exactly the candidates a decoder built for the new cell tries. The
+// denser search space keeps the CCE count, so only the reconfiguration can
+// tell the decoder its candidate list changed.
+TEST(BlindDecoder, ReconfiguredNrDecoderMatchesAFreshOne) {
+  phy::CellConfig from{2, 50.0};
+  from.rat = phy::Rat::kNr;
+  from.scs = nr::Scs::k30kHz;
+  from.coreset = {48, 2};  // 16 CCEs, default search space
+  phy::CellConfig dense = from;
+  dense.coreset = {96, 1};  // 16 CCEs
+  dense.search_space.candidates = {8, 8, 4, 1, 1};
+  phy::CellConfig small = from;
+  small.coreset = {30, 2};  // 10 CCEs
+  for (const phy::CellConfig& to : {dense, small}) {
+    BlindDecoder moved{from};
+    {
+      phy::PdcchBuilder b(from, 0);
+      ASSERT_TRUE(b.add(make_dci(0x100, 10, 0, phy::DciFormat::kNrFormat1_0), 2));
+      ASSERT_EQ(moved.decode(std::move(b).build()).size(), 1u);
+    }
+    moved.reconfigure(to);
+    BlindDecoder fresh{to};
+    std::int64_t sf_index = 1;
+    for (const int al : {16, 8, 4, 2, 1}) {
+      if (al > to.n_cces()) continue;
+      phy::PdcchBuilder b(to, sf_index++);
+      std::vector<phy::Rnti> placed;
+      for (phy::Rnti rnti = 0x200;
+           b.add(make_dci(rnti, 10, 0, phy::DciFormat::kNrFormat1_0), al);
+           ++rnti) {
+        placed.push_back(rnti);
+      }
+      ASSERT_FALSE(placed.empty()) << "AL " << al;
+      const auto sf = std::move(b).build();
+      const DecodeRun got = moved.decode_compute(sf);
+      const DecodeRun want = fresh.decode_compute(sf);
+      std::vector<phy::Rnti> decoded;
+      for (const auto& f : got.found) decoded.push_back(f.dci.rnti);
+      EXPECT_EQ(decoded, placed) << "AL " << al;
+      ASSERT_EQ(got.found.size(), want.found.size()) << "AL " << al;
+      for (std::size_t i = 0; i < got.found.size(); ++i) {
+        EXPECT_EQ(got.found[i].dci, want.found[i].dci);
+        EXPECT_EQ(got.found[i].al, want.found[i].al);
+      }
+      EXPECT_EQ(got.delta.candidates_by_al, want.delta.candidates_by_al)
+          << "AL " << al;
+    }
+  }
+}
+
 // 200 ticks of a Viterbi-coded cell at 1% BER with every CCE energized, so
 // every unclaimed candidate of every level is tried: a persistent grant
 // repeated each tick (memo hits whenever the noise spares its span), a

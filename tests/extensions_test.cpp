@@ -68,7 +68,7 @@ TEST(MisreportDetector, RecoversWhenHonestyReturns) {
   // (a liar could otherwise reset the cap with one honest ack).
   for (int i = 0; i < 100; ++i) det.on_ack(sample(t += kMillisecond, 20e6), 21e6);
   EXPECT_TRUE(det.flagged());
-  // Honest for the full flag_after window (2 s default): trust restored.
+  // Honest for the full kFlagAfter window (2 s): trust restored.
   for (int i = 0; i < 2000; ++i) det.on_ack(sample(t += kMillisecond, 20e6), 21e6);
   EXPECT_FALSE(det.flagged());
   EXPECT_GT(det.rate_cap(t), 1e12);  // effectively uncapped

@@ -184,8 +184,7 @@ TEST(DegradationMachine, LowConfidenceDegradesImmediately) {
 }
 
 TEST(DegradationMachine, MidBandHoldsEitherState) {
-  const pbe::DegradationConfig cfg;
-  const double mid = (cfg.degrade_below + cfg.recover_above) / 2;
+  const double mid = (pbe::kDegradeBelow + pbe::kRecoverAbove) / 2;
 
   pbe::DegradationMachine precise;
   precise.on_feedback(0, 1.0);
@@ -208,8 +207,7 @@ TEST(DegradationMachine, MidBandHoldsEitherState) {
 }
 
 TEST(DegradationMachine, EscalatesToFallbackAfterContinuousIllHealth) {
-  const pbe::DegradationConfig cfg;
-  pbe::DegradationMachine m{cfg};
+  pbe::DegradationMachine m;
   m.on_feedback(0, 1.0);
   util::Time t = 0;
   while (m.state() != DegradationState::kFallback && t < 2 * util::kSecond) {
@@ -217,35 +215,33 @@ TEST(DegradationMachine, EscalatesToFallbackAfterContinuousIllHealth) {
     m.on_feedback(t, 0.2);
   }
   EXPECT_EQ(m.state(), DegradationState::kFallback);
-  // DEGRADED fires on the first bad word; FALLBACK needs fallback_after of
+  // DEGRADED fires on the first bad word; FALLBACK needs kFallbackAfter of
   // continuous ill health on top.
-  EXPECT_GE(t, cfg.fallback_after);
-  EXPECT_LE(t, cfg.fallback_after + 30 * util::kMillisecond);
+  EXPECT_GE(t, pbe::kFallbackAfter);
+  EXPECT_LE(t, pbe::kFallbackAfter + 30 * util::kMillisecond);
 }
 
 TEST(DegradationMachine, SilenceTripsTheWatchdog) {
-  const pbe::DegradationConfig cfg;
-  pbe::DegradationMachine m{cfg};
+  pbe::DegradationMachine m;
   m.on_feedback(0, 1.0);
   // Feedback stops entirely; only the clock advances (sends / bare acks).
-  m.advance(cfg.feedback_timeout);
+  m.advance(pbe::kFeedbackTimeout);
   EXPECT_EQ(m.state(), DegradationState::kPrecise);  // exactly at the edge
-  m.advance(cfg.feedback_timeout + 10 * util::kMillisecond);
+  m.advance(pbe::kFeedbackTimeout + 10 * util::kMillisecond);
   EXPECT_EQ(m.state(), DegradationState::kDegraded);
-  m.advance(cfg.feedback_timeout + cfg.fallback_after +
+  m.advance(pbe::kFeedbackTimeout + pbe::kFallbackAfter +
             20 * util::kMillisecond);
   EXPECT_EQ(m.state(), DegradationState::kFallback);
 }
 
 TEST(DegradationMachine, RecoveryRequiresContinuousHealth) {
-  const pbe::DegradationConfig cfg;
-  pbe::DegradationMachine m{cfg};
+  pbe::DegradationMachine m;
   m.on_feedback(0, 0.2);
-  m.on_feedback(cfg.fallback_after + 10 * util::kMillisecond, 0.2);
+  m.on_feedback(pbe::kFallbackAfter + 10 * util::kMillisecond, 0.2);
   ASSERT_EQ(m.state(), DegradationState::kFallback);
 
   // Healthy feedback resumes at t0 — but flickers mid-band at t0+60 ms,
-  // which must restart the recover_hold clock.
+  // which must restart the kRecoverHold clock.
   const util::Time t0 = util::kSecond;
   m.on_feedback(t0, 0.9);
   m.on_feedback(t0 + 50 * util::kMillisecond, 0.9);
@@ -254,7 +250,7 @@ TEST(DegradationMachine, RecoveryRequiresContinuousHealth) {
   m.on_feedback(t0 + 70 * util::kMillisecond, 0.9);
   m.on_feedback(t0 + 160 * util::kMillisecond, 0.9);  // only 90 ms continuous
   EXPECT_EQ(m.state(), DegradationState::kFallback);
-  m.on_feedback(t0 + 70 * util::kMillisecond + cfg.recover_hold, 0.9);
+  m.on_feedback(t0 + 70 * util::kMillisecond + pbe::kRecoverHold, 0.9);
   EXPECT_EQ(m.state(), DegradationState::kPrecise);
 }
 
@@ -316,10 +312,10 @@ TEST(PbeSenderFault, DegradesDecaysThenFallsBackAndRecovers) {
   sender.on_ack(good_ack(t, seq++, kRate, /*conf=*/40));
   ASSERT_EQ(sender.degradation_state(), DegradationState::kDegraded);
 
-  // DEGRADED paces at the held rate and halves it every hold_half_life.
+  // DEGRADED paces at the held rate and halves it every kHoldHalfLife.
   const double r0 = sender.pacing_rate(t);
   EXPECT_NEAR(r0, kRate, kRate * 0.05);
-  const auto half_life = sender.degradation().config().hold_half_life;
+  const auto half_life = pbe::kHoldHalfLife;
   EXPECT_NEAR(sender.pacing_rate(t + half_life), r0 / 2, r0 * 0.05);
   EXPECT_NEAR(sender.pacing_rate(t + 2 * half_life), r0 / 4, r0 * 0.05);
 

@@ -921,7 +921,7 @@ TEST(AggregateTraffic, GrantsBoundedAndDeterministic) {
     peak_sessions = std::max(peak_sessions, a.active_sessions());
   }
   EXPECT_GT(peak_sessions, 0);
-  EXPECT_LE(peak_sessions, cfg.max_sessions);
+  EXPECT_LE(peak_sessions, kAggregateMaxSessions);
 }
 
 TEST(BaseStation, AggregateTrafficContendsWithRealUsers) {

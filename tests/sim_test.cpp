@@ -130,11 +130,12 @@ TEST(Algorithms, FactoryConstructsAll) {
   EXPECT_THROW(make_controller("quic", 1), std::invalid_argument);
 }
 
-// The extras (delay-gradient baseline + hybrid) construct through the same
-// factory but stay out of all_algorithms() so paper-figure sweeps keep the
-// paper's competitor set.
+// The extras (delay-gradient baseline, hybrid, ABC oracle) construct
+// through the same factory but stay out of all_algorithms() so
+// paper-figure sweeps keep the paper's competitor set.
 TEST(Algorithms, ExtraAlgorithmsConstruct) {
-  ASSERT_EQ(extra_algorithms(), (std::vector<std::string>{"gcc", "hybrid"}));
+  ASSERT_EQ(extra_algorithms(),
+            (std::vector<std::string>{"gcc", "hybrid", "abc"}));
   for (const auto& name : extra_algorithms()) {
     auto cc = make_controller(name, 1);
     ASSERT_NE(cc, nullptr) << name;
@@ -145,7 +146,7 @@ TEST(Algorithms, ExtraAlgorithmsConstruct) {
   auto hybrid = make_controller("hybrid", 1);
   auto& sender = dynamic_cast<pbe::PbeSender&>(*hybrid);
   EXPECT_TRUE(sender.hybrid());
-  EXPECT_TRUE(sender.degradation().config().blend.enabled);
+  EXPECT_TRUE(sender.degradation().blending());
   EXPECT_EQ(sender.blend_weight(), 1.0);  // full PHY trust until evidence
 }
 

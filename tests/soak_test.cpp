@@ -36,7 +36,7 @@ TEST(PipelineSoak, CleanAtSmallScale) {
   EXPECT_GT(r.max_estimator_cells, 0u);
   // Pool + own RNTI + the window-scaled alias allowance (see soak.cpp).
   EXPECT_LE(r.max_tracker_users,
-            static_cast<std::size_t>(cfg.rnti_pool) + 1 + 200);
+            static_cast<std::size_t>(kPipelineSoakRntiPool) + 1 + 200);
 }
 
 TEST(MacSoak, CleanAtSmallScale) {
@@ -54,7 +54,7 @@ TEST(MacSoak, CleanAtSmallScale) {
   EXPECT_GT(r.delivered_packets, 1000u);
   EXPECT_GT(r.churn_events, 10u);
   EXPECT_GT(r.handovers, 10u);
-  EXPECT_LE(r.max_ues, static_cast<std::size_t>(cfg.fg_ues + cfg.bg_ue_pool));
+  EXPECT_LE(r.max_ues, static_cast<std::size_t>(kMacSoakFgUes + kMacSoakBgUePool));
   EXPECT_LE(r.max_ue_cells, 2u);
   EXPECT_GT(r.max_ue_cells, 0u);
 }
