@@ -52,8 +52,9 @@ sim::ScenarioConfig busy_cell(std::uint64_t seed = 211) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
 
   // Every ablation point is an independent single-flow scenario. Build the
   // full run list up front (in the order the sections print), fan it out on

@@ -20,16 +20,6 @@
 // each chaos profile, and match PBE within 2% on the clean profile.
 //
 // Exits non-zero if any assertion fails (CI-friendly).
-//
-//   --seconds N          flow length of every run (default 12)
-//   --threads N          pool size for the Part-1 and Part-3 grids
-//   --telemetry <path>   sample the Part-2 recovery run into a .tsv.pbt
-//                        telemetry recording (the degradation-state
-//                        timeline is the interesting series here)
-//   --chaos-json <path>  write the Part-3 matrix as a JSON array of
-//                        self-describing records (schema_version, fault
-//                        profile + seed, algo, throughput/delay metrics)
-//                        for bench_gate.py's `chaos` subcommand
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -63,12 +53,18 @@ sim::LocationRunResult run_faulty(const std::string& algo, double duty,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(
-      argc, argv, {"--seconds", "--threads", "--telemetry", "--chaos-json"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration flow_len = args.seconds(12);
-  const std::string telemetry_path = args.text("--telemetry");
-  const std::string chaos_json_path = args.text("--chaos-json");
+  int threads = 1, seconds = 12;
+  std::string telemetry_path, chaos_json_path;
+  util::parse(argc, argv,
+              {bench::seconds(seconds), bench::threads(threads),
+               util::text("--telemetry FILE", telemetry_path,
+                          "sample the Part-2 recovery run into a .tsv.pbt "
+                          "telemetry recording"),
+               util::text("--chaos-json FILE", chaos_json_path,
+                          "write the Part-3 matrix as JSON records for "
+                          "bench_gate.py chaos")});
+  par::ThreadPool pool(threads);
+  const util::Duration flow_len = seconds * util::kSecond;
   bench::header("Chaos sweep: throughput/delay vs DCI-blackout intensity");
 
   // ---------------- Part 1: intensity sweep, PBE-CC vs plain BBR.

@@ -66,8 +66,9 @@ HourResult simulate_hour(double cell_mhz, int hour, bool cell_off) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 11: cell status over a day (synthetic diurnal load)");
 
   // Each (cell, hour) slice is an independent 20 s simulation: fan the

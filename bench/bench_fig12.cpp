@@ -7,9 +7,10 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--seconds", "--threads"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration len = args.seconds(12);
+  int threads = 1, seconds = 12;
+  util::parse(argc, argv, {bench::threads(threads), bench::seconds(seconds)});
+  par::ThreadPool pool(threads);
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Figure 12: CDFs across 40 locations (high-tput algorithms)");
 
   const std::vector<std::string> algos = {"pbe", "bbr", "cubic", "verus"};

@@ -42,9 +42,10 @@ void print_panel(const char* title, const sim::LocationProfile& loc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--seconds", "--threads"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration len = args.seconds(12);
+  int threads = 1, seconds = 12;
+  util::parse(argc, argv, {bench::threads(threads), bench::seconds(seconds)});
+  par::ThreadPool pool(threads);
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Figure 13: delay/throughput order statistics, indoor locations");
 
   const auto algos = sim::all_algorithms();

@@ -20,9 +20,10 @@ sim::LocationProfile pick(bool busy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--seconds", "--threads"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration len = args.seconds(12);
+  int threads = 1, seconds = 12;
+  util::parse(argc, argv, {bench::threads(threads), bench::seconds(seconds)});
+  par::ThreadPool pool(threads);
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Figure 14: outdoor two-cell locations, busy and idle");
   const auto algos = sim::all_algorithms();
   const bool panels[] = {true, false};

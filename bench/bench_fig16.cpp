@@ -23,8 +23,9 @@ phy::MobilityTrace paper_walk() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 16: 40 s mobility walk (-85 -> -105 -> -85 dBm), idle cell");
 
   struct Row {

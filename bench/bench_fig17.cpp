@@ -64,8 +64,9 @@ Series run(const std::string& algo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 17: PBE-CC vs BBR time series along the mobility walk");
   const auto series = pool.parallel_map(
       2, [&](std::size_t j) { return run(j == 0 ? "pbe" : "bbr"); });

@@ -10,8 +10,9 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 18: on-off 60 Mbit/s competitor every 8 s (4 s bursts)");
 
   struct Row {

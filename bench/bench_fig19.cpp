@@ -62,8 +62,9 @@ Series run(const std::string& algo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 19: PBE-CC vs BBR through competitor on/off transitions");
   const auto series = pool.parallel_map(
       2, [&](std::size_t j) { return run(j == 0 ? "pbe" : "bbr"); });

@@ -13,7 +13,7 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Args(argc, argv, {});
+  util::parse(argc, argv, {});
   bench::header("Figure 2: secondary-cell activation / deactivation");
 
   sim::ScenarioConfig cfg;

@@ -8,9 +8,10 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--seconds", "--threads"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration len = args.seconds(20);
+  int threads = 1, seconds = 20;
+  util::parse(argc, argv, {bench::threads(threads), bench::seconds(seconds)});
+  par::ThreadPool pool(threads);
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Figure 20: two concurrent connections from one device");
 
   struct Row {

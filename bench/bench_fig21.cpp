@@ -84,8 +84,9 @@ void print_panel(const char* title, PanelData& data) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 21: multi-user, RTT and cross-protocol fairness");
   const util::Duration rtt_similar[] = {26 * util::kMillisecond,
                                         28 * util::kMillisecond,

@@ -13,7 +13,7 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Args(argc, argv, {});
+  util::parse(argc, argv, {});
   bench::header("Figure 3: 8 ms retransmission delay and reordering");
 
   sim::ScenarioConfig cfg;

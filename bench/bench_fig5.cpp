@@ -12,7 +12,7 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Args(argc, argv, {});
+  util::parse(argc, argv, {});
   bench::header("Figure 5: idle PRBs are detected and re-shared");
 
   sim::ScenarioConfig cfg;

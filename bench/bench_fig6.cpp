@@ -48,8 +48,9 @@ OverheadResult measure_overhead(double rssi, double offered_mbps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 6(a): retransmission + protocol overhead vs offered load");
   std::printf("\n  offered(Mbit/s)   retx%% @-98dBm  proto%% @-98dBm   "
               "retx%% @-113dBm  proto%% @-113dBm\n");

@@ -10,7 +10,7 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  bench::Args(argc, argv, {});
+  util::parse(argc, argv, {});
   bench::header("Figure 7: active users and the control-traffic filter");
 
   sim::ScenarioConfig cfg;

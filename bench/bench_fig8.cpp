@@ -43,8 +43,9 @@ LoadResult run_load(double load) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Figure 8: one-way delay vs offered load (6/24/36 Mbit/s)");
 
   const std::vector<double> loads = {6.0, 24.0, 36.0};

@@ -13,8 +13,9 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--threads"});
-  par::ThreadPool pool(args.threads());
+  int threads = 1;
+  util::parse(argc, argv, {bench::threads(threads)});
+  par::ThreadPool pool(threads);
   bench::header("Extension: inter-site handover (endpoint keeps all the state)");
 
   struct Row {

@@ -4,20 +4,9 @@
 // scheduling, queues and packet events, so it runs faster) and exits 1
 // unless the replay reproduces the live run's pipeline digests.
 //
-//   bench_replay [--seconds N]
-//
-// Corpus mode (DESIGN.md §14, the decode digest check):
-//
-//   bench_replay --record-corpus FILE.pbt [--seconds N]
-//     Record a seed-pinned convolutional-PDCCH run (location 26, the
-//     3-cell busy profile, no fault profile) into FILE.pbt, print its
-//     pipeline digests on a `digest:` line and exit. The corpus is fully
-//     deterministic: same build => byte-identical file.
-//
-//   bench_replay --corpus FILE.pbt
-//     Replay FILE.pbt once through a fresh pipeline, print the replay's
-//     `digest:` line in the recorder's format (CI diffs the two) and the
-//     decode rate in candidates/s.
+// Corpus mode (DESIGN.md §14, the decode digest check): --record-corpus
+// records a seed-pinned Viterbi decode corpus and --corpus replays one;
+// CI diffs the `digest:` lines the two print.
 #include <cstdio>
 #include <string>
 
@@ -93,11 +82,23 @@ int run_corpus(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv,
-                        {"--seconds", "--record-corpus", "--corpus"});
-  const util::Duration flow_len = args.seconds(6);
-  const std::string record_path = args.text("--record-corpus");
-  const std::string corpus_path = args.text("--corpus");
+  int seconds = 6;
+  std::string record_path, corpus_path;
+  util::parse(argc, argv,
+              {bench::seconds(seconds),
+               util::text("--record-corpus FILE.pbt", record_path,
+                          "record the seed-pinned, byte-identical decode "
+                          "corpus into FILE.pbt and print its digest: line"),
+               util::text("--corpus FILE.pbt", corpus_path,
+                          "replay a corpus; print its digest: line and "
+                          "candidates/s")});
+  if (!record_path.empty() && !corpus_path.empty()) {
+    std::fprintf(stderr,
+                 "--record-corpus and --corpus are mutually exclusive: a run "
+                 "either records a corpus or replays one\n");
+    return 2;
+  }
+  const util::Duration flow_len = seconds * util::kSecond;
   if (!record_path.empty()) return record_corpus(record_path.c_str(), flow_len);
   if (!corpus_path.empty()) return run_corpus(corpus_path.c_str());
 

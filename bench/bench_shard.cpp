@@ -5,8 +5,6 @@
 // below 2.5x the 1-shard rate on a host with the cores to make the ratio
 // meaningful.
 //
-//   bench_shard [--seconds N]
-//
 // The contract under test is the tentpole one: shards is purely a
 // parallelism knob, so both configs simulate the byte-identical run (the
 // determinism suite pins that); this bench pins that the knob actually
@@ -63,8 +61,9 @@ double run_city(int shards, util::Duration len) {
 
 int main(int argc, char** argv) {
   using namespace pbecc;
-  const bench::Args args(argc, argv, {"--seconds"});
-  const util::Duration len = args.seconds(2);
+  int seconds = 2;
+  util::parse(argc, argv, {bench::seconds(seconds)});
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Shard scaling: 64 cells / 16 clusters (DESIGN.md §15)");
   // Work metric: cell-subframes simulated (cells x 1 ms ticks), so the
   // rate is comparable across machines and run lengths.

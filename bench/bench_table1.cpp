@@ -13,9 +13,10 @@
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv, {"--seconds", "--threads"});
-  par::ThreadPool pool(args.threads());
-  const util::Duration len = args.seconds(12);
+  int threads = 1, seconds = 12;
+  util::parse(argc, argv, {bench::threads(threads), bench::seconds(seconds)});
+  par::ThreadPool pool(threads);
+  const util::Duration len = seconds * util::kSecond;
   bench::header("Table 1: PBE-CC vs BBR / Verus / Copa over 40 locations");
   std::printf("(flow length %.0f s per location; paper uses 20 s)\n",
               util::to_seconds(len));

@@ -1,30 +1,29 @@
 // Drive-test example: run PBE-CC (or any algorithm) along a custom
 // signal-strength trajectory and watch it track the capacity.
 //
-//   ./build/examples/mobility_drive [algo] [start_dbm] [end_dbm] [seconds]
-//   e.g. ./build/examples/mobility_drive pbe -85 -107 20
-//
-// Signal strengths are decimals in -140..-30 dBm and seconds a whole
-// number in 1..86400; anything else exits 2.
+//   ./build/examples/mobility_drive pbe -85 -107 20
 #include <cstdio>
 #include <string>
 
+#include "sim/algorithms.h"
 #include "sim/scenario.h"
 #include "util/cli.h"
 
 using namespace pbecc;
 
 int main(int argc, char** argv) {
-  const std::string algo = argc > 1 ? argv[1] : "pbe";
-  const double start_dbm =
-      argc > 2 ? util::decimal_arg("start_dbm", argv[2], -140.0, -30.0)
-               : -85.0;
-  const double end_dbm =
-      argc > 3 ? util::decimal_arg("end_dbm", argv[3], -140.0, -30.0) : -105.0;
-  const int seconds =
-      argc > 4 ? static_cast<int>(
-                     util::whole_number_arg("seconds", argv[4], 1, 86400))
-               : 20;
+  std::string algo = "pbe";
+  double start_dbm = -85.0, end_dbm = -105.0;
+  int seconds = 20;
+  util::parse(argc, argv,
+              {util::choice("[algo]", algo,
+                            {sim::all_algorithms(), sim::extra_algorithms()},
+                            "algorithm to run"),
+               util::decimal("[start_dbm]", start_dbm, -140.0, -30.0,
+                             "signal strength at the start, dBm"),
+               util::decimal("[end_dbm]", end_dbm, -140.0, -30.0,
+                             "signal strength at the end, dBm"),
+               util::whole("[seconds]", seconds, 1, 86400, "drive length")});
 
   sim::ScenarioConfig cfg;
   cfg.seed = 7;

@@ -2,21 +2,29 @@
 // flows start staggered. Watch the per-user PRB allocation converge to
 // the fair share, and the Jain index of the steady state.
 //
-//   ./build/examples/multi_user_fairness [algo1 algo2 algo3]
-//   e.g. ./build/examples/multi_user_fairness pbe pbe bbr
+//   ./build/examples/multi_user_fairness pbe pbe bbr
 #include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "sim/algorithms.h"
 #include "sim/scenario.h"
+#include "util/cli.h"
 #include "util/stats.h"
 
 using namespace pbecc;
 
 int main(int argc, char** argv) {
   std::vector<std::string> algos = {"pbe", "pbe", "pbe"};
-  for (int i = 1; i < argc && i <= 3; ++i) algos[static_cast<std::size_t>(i - 1)] = argv[i];
+  const auto algo = [](const char* usage, std::string& to, const char* help) {
+    return util::choice(usage, to,
+                        {sim::all_algorithms(), sim::extra_algorithms()}, help);
+  };
+  util::parse(argc, argv,
+              {algo("[algo1]", algos[0], "user 1's algorithm, from 0 s"),
+               algo("[algo2]", algos[1], "user 2's algorithm, from 5 s"),
+               algo("[algo3]", algos[2], "user 3's algorithm, from 10 s")});
 
   sim::ScenarioConfig cfg;
   cfg.seed = 33;

@@ -10,10 +10,12 @@
 
 #include "sim/location.h"
 #include "sim/scenario.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
-int main() {
+int main(int argc, char** argv) {
+  util::parse(argc, argv, {});
   // A quiet two-carrier cell site, phone at moderate signal strength.
   sim::ScenarioConfig cfg;
   cfg.seed = 7;

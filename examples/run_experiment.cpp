@@ -3,64 +3,16 @@
 // delays and windowed throughput (§6.1). This tool does the same from the
 // command line and can emit machine-readable CSV for plotting.
 //
-//   run_experiment [options]
-//     --algo NAME        pbe|abc|bbr|cubic|copa|verus|sprout|pcc|vivace|
-//                        gcc|hybrid|all  (--cc is an alias)
-//     --location IDX     location profile 0..39 (default 2)
-//     --seconds N        flow length, 1..86400 (default 12)
-//     --seed N           override the location's seed
-//     --csv FILE         append one summary row per run to FILE
-//     --timeseries FILE  write 100 ms window throughput series to FILE
-//     --trace FILE         write the pbecc::obs event timeline as JSONL
-//     --chrome-trace FILE  same timeline in Chrome trace_event format
-//                          (load via chrome://tracing or ui.perfetto.dev)
-//     --metrics FILE       write the counter/gauge/histogram registry as
-//                          JSON; also enables the wall-clock profiler so
-//                          prof.* histograms (blind decode, Viterbi, ...)
-//                          are populated
-//     --trace-sample N     keep 1 in N high-frequency events
-//                          (1..1000000, default 1)
-//     --fault-profile P    chaos schedule: none|blackout|flap|feedback-loss|
-//                          handover-storm (default none)
-//     --fault-seed N       fault schedule seed (default 1); same seed =>
-//                          byte-identical fault schedule
-//     --conv-pdcch         encode every cell's control channel with the
-//                          36.212 convolutional code instead of repetition
-//                          coding (exercises the Viterbi hot path; used to
-//                          record the bench_replay decode corpus)
-//     --nr SCS_KHZ         make the location's secondary carriers 5G NR
-//                          cells at this subcarrier spacing (15|30|120 kHz;
-//                          the primary stays LTE, so the run exercises
-//                          mixed LTE+NR carrier aggregation; DESIGN.md §16)
-//     --record FILE.pbt    capture the PBE measurement pipeline (PDCCH
-//                          batches, window updates, estimator probes) into
-//                          a binary trace; requires --algo pbe
-//     --replay FILE.pbt    re-drive the decoder/estimator pipeline from a
-//                          recorded trace instead of simulating; mutually
-//                          exclusive with --record
-//     --telemetry FILE     sample the run into a .tsv.pbt telemetry
-//                          recording (estimate vs ground truth, flow state,
-//                          decode health; see telemetry_tool). Works for
-//                          live --algo pbe runs and for --replay (replay
-//                          emits the same est.*/decode.* series)
-//     --telemetry-interval MS  sampling cadence in sim-clock ms
-//                              (1..60000, default 10)
-//     --strict-checks      exit nonzero if any pbecc::check invariant
-//                          violations were recorded
-//     --help               print this option summary
-//
 //   ./build/examples/run_experiment --algo all --location 31 --csv out.csv
 //   ./build/examples/run_experiment --trace out.jsonl --metrics metrics.json
 //   ./build/examples/run_experiment --algo pbe --record run.pbt
 //   ./build/examples/run_experiment --replay run.pbt
 //
-// Numeric values must be whole numbers in range; a malformed or
-// out-of-range number, or an unknown option, exits 2. The whole run,
-// blind decode included, executes on the calling thread.
+// --help lists the options. The whole run, blind decode included,
+// executes on the calling thread.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -103,116 +55,66 @@ struct Options {
   std::string telemetry;  // .tsv.pbt telemetry output
   int telemetry_interval_ms = 10;
   bool conv_pdcch = false;
-  int nr_scs_khz = 0;  // 0 = all-LTE; 15/30/120 = NR secondaries
+  std::string nr_scs_khz;  // "" = all-LTE; "15"/"30"/"120" = NR secondaries
   bool strict_checks = false;
 };
-
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: run_experiment [options]\n"
-               "  --algo NAME        pbe|abc|bbr|cubic|copa|verus|sprout|pcc|"
-               "vivace|gcc|hybrid|all (default pbe; --cc is an alias)\n"
-               "  --location IDX     location profile 0..%d (default 2)\n"
-               "  --seconds N        flow length, 1..86400 (default 12)\n"
-               "  --seed N           override the location's seed\n"
-               "  --csv FILE         append one summary row per run\n"
-               "  --timeseries FILE  100 ms window throughput series\n"
-               "  --trace FILE       pbecc::obs event timeline as JSONL\n"
-               "  --chrome-trace FILE  same timeline, Chrome trace_event\n"
-               "  --metrics FILE     counter/gauge/histogram registry JSON\n"
-               "  --trace-sample N   keep 1 in N high-frequency events\n"
-               "                     (1..1000000, default 1)\n"
-               "  --fault-profile P  none|blackout|flap|feedback-loss|"
-               "handover-storm\n"
-               "  --fault-seed N     fault schedule seed (default 1)\n"
-               "  --conv-pdcch       convolutional control coding on every\n"
-               "                     cell (records a Viterbi decode corpus)\n"
-               "  --nr SCS_KHZ       5G NR secondary carriers at 15|30|120\n"
-               "                     kHz SCS (primary stays LTE: mixed CA)\n"
-               "  --record FILE.pbt  capture the PBE pipeline into a binary\n"
-               "                     trace (requires --algo pbe)\n"
-               "  --replay FILE.pbt  re-drive the pipeline from a trace; no\n"
-               "                     simulation runs (excludes --record)\n"
-               "  --telemetry FILE   sample the run into a .tsv.pbt telemetry\n"
-               "                     recording (live pbe runs and --replay)\n"
-               "  --telemetry-interval MS  sampling cadence, sim-clock ms\n"
-               "                     (1..60000, default 10)\n"
-               "  --strict-checks    exit nonzero on any pbecc::check\n"
-               "                     invariant violation\n"
-               "  --help             this summary\n"
-               "A malformed or out-of-range number, or an unknown option,\n"
-               "exits 2.\n",
-               sim::kNumLocations - 1);
-}
 
 // Seeds are 64-bit; a command-line seed stays in the signed range.
 constexpr long long kMaxSeed = std::numeric_limits<long long>::max();
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto number = [&](const char* flag, long long lo, long long hi) {
-      return util::whole_number_arg(flag, need(flag), lo, hi);
-    };
-    if (!std::strcmp(argv[i], "--algo")) {
-      o.algo = need("--algo");
-    } else if (!std::strcmp(argv[i], "--cc")) {
-      o.algo = need("--cc");  // alias: congestion-control vocabulary
-    } else if (!std::strcmp(argv[i], "--location")) {
-      o.location =
-          static_cast<int>(number("--location", 0, sim::kNumLocations - 1));
-    } else if (!std::strcmp(argv[i], "--seconds")) {
-      o.seconds = static_cast<int>(number("--seconds", 1, 86400));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      o.seed = static_cast<std::uint64_t>(number("--seed", 0, kMaxSeed));
-    } else if (!std::strcmp(argv[i], "--csv")) {
-      o.csv = need("--csv");
-    } else if (!std::strcmp(argv[i], "--timeseries")) {
-      o.timeseries = need("--timeseries");
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      o.trace_jsonl = need("--trace");
-    } else if (!std::strcmp(argv[i], "--chrome-trace")) {
-      o.trace_chrome = need("--chrome-trace");
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      o.metrics_json = need("--metrics");
-    } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      o.trace_sample =
-          static_cast<std::uint32_t>(number("--trace-sample", 1, 1000000));
-    } else if (!std::strcmp(argv[i], "--fault-profile")) {
-      o.fault_profile = need("--fault-profile");
-    } else if (!std::strcmp(argv[i], "--fault-seed")) {
-      o.fault_seed =
-          static_cast<std::uint64_t>(number("--fault-seed", 0, kMaxSeed));
-    } else if (!std::strcmp(argv[i], "--conv-pdcch")) {
-      o.conv_pdcch = true;
-    } else if (!std::strcmp(argv[i], "--nr")) {
-      o.nr_scs_khz = static_cast<int>(number("--nr", 15, 120));
-    } else if (!std::strcmp(argv[i], "--record")) {
-      o.record = need("--record");
-    } else if (!std::strcmp(argv[i], "--replay")) {
-      o.replay = need("--replay");
-    } else if (!std::strcmp(argv[i], "--telemetry")) {
-      o.telemetry = need("--telemetry");
-    } else if (!std::strcmp(argv[i], "--telemetry-interval")) {
-      o.telemetry_interval_ms =
-          static_cast<int>(number("--telemetry-interval", 1, 60000));
-    } else if (!std::strcmp(argv[i], "--strict-checks")) {
-      o.strict_checks = true;
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option %s (try --help)\n", argv[i]);
-      std::exit(2);
-    }
-  }
+  util::parse(argc, argv, {
+      util::choice("--algo NAME", o.algo,
+                   {sim::all_algorithms(), sim::extra_algorithms(), {"all"}},
+                   "algorithm to run; all runs the paper's eight in turn"),
+      util::whole("--location IDX", o.location, 0, sim::kNumLocations - 1,
+                  "location profile"),
+      util::whole("--seconds N", o.seconds, 1, 86400, "flow length"),
+      util::whole("--seed N", o.seed, 0, kMaxSeed,
+                  "override the location's seed"),
+      util::text("--csv FILE", o.csv, "append one summary row per run"),
+      util::text("--timeseries FILE", o.timeseries,
+                 "append the 100 ms window throughput series"),
+      util::text("--trace FILE", o.trace_jsonl,
+                 "write the pbecc::obs event timeline as JSONL"),
+      util::text("--chrome-trace FILE", o.trace_chrome,
+                 "write the same timeline in Chrome trace_event format "
+                 "(chrome://tracing, ui.perfetto.dev)"),
+      util::text("--metrics FILE", o.metrics_json,
+                 "write the counter/gauge/histogram registry as JSON, with "
+                 "the wall-clock profiler on to fill its prof.* histograms"),
+      util::whole("--trace-sample N", o.trace_sample, 1, 1000000,
+                  "keep 1 in N high-frequency trace events"),
+      util::choice("--fault-profile P", o.fault_profile,
+                   {fault::profile_names()}, "chaos schedule"),
+      util::whole("--fault-seed N", o.fault_seed, 0, kMaxSeed,
+                  "fault schedule seed; the same seed gives a byte-identical "
+                  "schedule"),
+      util::flag("--conv-pdcch", o.conv_pdcch,
+                 "encode every cell's control channel with the 36.212 "
+                 "convolutional code instead of repetition coding (records "
+                 "the bench_replay decode corpus)"),
+      util::choice("--nr SCS_KHZ", o.nr_scs_khz, {{"15", "30", "120"}},
+                   "make the secondary carriers 5G NR cells (DESIGN.md "
+                   "§16) at this subcarrier spacing in kHz; the primary "
+                   "stays LTE, so carrier aggregation mixes LTE and NR"),
+      util::text("--record FILE.pbt", o.record,
+                 "capture the PBE measurement pipeline (PDCCH batches, "
+                 "window updates, estimator probes) into a binary trace; "
+                 "needs --algo pbe or hybrid"),
+      util::text("--replay FILE.pbt", o.replay,
+                 "re-drive the decoder/estimator pipeline from a recorded "
+                 "trace instead of simulating; excludes --record"),
+      util::text("--telemetry FILE", o.telemetry,
+                 "sample the run into a .tsv.pbt telemetry recording "
+                 "(see telemetry_tool); needs --algo pbe or hybrid, or "
+                 "--replay"),
+      util::whole("--telemetry-interval MS", o.telemetry_interval_ms, 1,
+                  60000, "telemetry sampling cadence in sim-clock ms"),
+      util::flag("--strict-checks", o.strict_checks,
+                 "exit 1 if any pbecc::check invariant was violated"),
+  });
   if (!o.record.empty() && !o.replay.empty()) {
     std::fprintf(stderr,
                  "--record and --replay are mutually exclusive: a run either "
@@ -234,40 +136,6 @@ Options parse(int argc, char** argv) {
                  o.algo.c_str());
     std::exit(2);
   }
-  if (!fault::profile_by_name(o.fault_profile)) {
-    std::fprintf(stderr, "unknown fault profile '%s'; known:",
-                 o.fault_profile.c_str());
-    for (const auto& n : fault::profile_names()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
-  // Every enum-valued flag is validated here, before any work starts, so a
-  // misspelled value fails with the list of accepted ones instead of a
-  // late throw deep inside the run.
-  if (o.algo != "all") {
-    bool known = false;
-    for (const auto& a : sim::all_algorithms()) known |= (a == o.algo);
-    for (const auto& a : sim::extra_algorithms()) known |= (a == o.algo);
-    if (!known) {
-      std::fprintf(stderr, "unknown algorithm '%s'; known:", o.algo.c_str());
-      for (const auto& a : sim::all_algorithms()) {
-        std::fprintf(stderr, " %s", a.c_str());
-      }
-      for (const auto& a : sim::extra_algorithms()) {
-        std::fprintf(stderr, " %s", a.c_str());
-      }
-      std::fprintf(stderr, " all\n");
-      std::exit(2);
-    }
-  }
-  if (o.nr_scs_khz != 0 && !nr::valid_scs_khz(o.nr_scs_khz)) {
-    std::fprintf(stderr,
-                 "unknown --nr subcarrier spacing '%d'; known: 15 30 120\n",
-                 o.nr_scs_khz);
-    std::exit(2);
-  }
   return o;
 }
 
@@ -275,8 +143,8 @@ void run_one(const Options& o, const std::string& algo) {
   auto loc = sim::location(o.location);
   if (o.seed) loc.seed = *o.seed;
   loc.convolutional_pdcch = o.conv_pdcch;
-  if (o.nr_scs_khz != 0) {
-    loc.nr_numerology = nr::mu_of(nr::scs_from_khz(o.nr_scs_khz));
+  if (!o.nr_scs_khz.empty()) {
+    loc.nr_numerology = nr::mu_of(nr::scs_from_khz(std::stoi(o.nr_scs_khz)));
   }
   const auto profile = *fault::profile_by_name(o.fault_profile);
 

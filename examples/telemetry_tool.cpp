@@ -1,23 +1,9 @@
-// Inspection tooling for .tsv.pbt telemetry recordings (DESIGN.md §12).
+// Inspection tooling for .tsv.pbt telemetry recordings (DESIGN.md §12):
+// summary, diff, report and export; --help lists them.
 //
-//   telemetry_tool summary FILE            accuracy/dwell/anomaly summary
-//   telemetry_tool diff A B [options]      compare two runs series-by-series
-//     --mean-rel F       flag |mean delta| > F * |mean(a)|, 0..1000
-//                        (default 0.01)
-//     --warmup-ms N      analysis warmup for summary, 0..86400000
-//                        (default 1000)
-//   telemetry_tool report FILE OUT.html [--title T]
-//                                          self-contained HTML dashboard
-//   telemetry_tool export FILE OUT.{json,csv}
-//                                          re-encode as JSON or long CSV
-//
-// Exit codes: 0 ok; diff exits 1 on a flagged regression (schema mismatch,
-// series appearing/vanishing, mean or count drift past threshold); 2 on
-// unreadable input or bad usage (a malformed or out-of-range number, a
-// missing value, an unknown option) — so CI can tell "runs differ" from
-// "tool failed".
+// Exit codes: 0 ok; diff exits 1 on a flagged regression; 2 on unreadable
+// input or bad usage — so CI can tell "runs differ" from "tool failed".
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "tel/analyze.h"
@@ -30,18 +16,6 @@ using namespace pbecc;
 
 namespace {
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: telemetry_tool <command> ...\n"
-               "  summary FILE [--warmup-ms N]   accuracy + health summary\n"
-               "                                 (N in 0..86400000 ms)\n"
-               "  diff A B [--mean-rel F]        compare two recordings;\n"
-               "                                 exit 1 on regression\n"
-               "                                 (F in 0..1000)\n"
-               "  report FILE OUT.html [--title T]  HTML dashboard\n"
-               "  export FILE OUT.json|OUT.csv   convert the recording\n");
-}
-
 bool load(const std::string& path, tel::Recorder* rec) {
   std::string err;
   if (!tel::read_file(path, rec, &err)) {
@@ -49,11 +23,6 @@ bool load(const std::string& path, tel::Recorder* rec) {
     return false;
   }
   return true;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
 bool write_text(const std::string& path, const std::string& text) {
@@ -70,86 +39,42 @@ bool write_text(const std::string& path, const std::string& text) {
   return true;
 }
 
-int cmd_summary(int argc, char** argv) {
-  if (argc < 1) {
-    usage(stderr);
-    return 2;
-  }
+int cmd_summary(const std::string& path, long long warmup_ms) {
   tel::AnalyzeConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--warmup-ms")) {
-      cfg.warmup = util::whole_number_arg("--warmup-ms",
-                                          util::option_value(argc, argv, i), 0,
-                                          86'400'000) *
-                   util::kMillisecond;
-    } else {
-      std::fprintf(stderr, "summary: unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cfg.warmup = warmup_ms * util::kMillisecond;
   tel::Recorder rec;
-  if (!load(argv[0], &rec)) return 2;
+  if (!load(path, &rec)) return 2;
   const auto s = tel::summarize(rec, cfg);
   std::fputs(tel::render_summary_text(s).c_str(), stdout);
   return 0;
 }
 
-int cmd_diff(int argc, char** argv) {
-  if (argc < 2) {
-    usage(stderr);
-    return 2;
-  }
-  tel::DiffThresholds th;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--mean-rel")) {
-      th.mean_rel = util::decimal_arg(
-          "--mean-rel", util::option_value(argc, argv, i), 0.0, 1000.0);
-    } else {
-      std::fprintf(stderr, "diff: unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
+int cmd_diff(const std::string& a_path, const std::string& b_path,
+             const tel::DiffThresholds& th) {
   tel::Recorder a, b;
-  if (!load(argv[0], &a) || !load(argv[1], &b)) return 2;
+  if (!load(a_path, &a) || !load(b_path, &b)) return 2;
   const auto d = tel::diff(a, b, th);
   std::fputs(tel::render_diff_text(d).c_str(), stdout);
   return d.regression() ? 1 : 0;
 }
 
-int cmd_report(int argc, char** argv) {
-  if (argc < 2) {
-    usage(stderr);
-    return 2;
-  }
-  std::string title = argv[0];
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--title")) {
-      title = util::option_value(argc, argv, i);
-    } else {
-      std::fprintf(stderr, "report: unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
+int cmd_report(const std::string& path, const std::string& out,
+               const std::string& title) {
   tel::Recorder rec;
-  if (!load(argv[0], &rec)) return 2;
+  if (!load(path, &rec)) return 2;
   const auto s = tel::summarize(rec);
-  if (!write_text(argv[1], tel::render_html(rec, s, title))) return 2;
-  std::printf("report: %zu series -> %s\n", rec.series().size(), argv[1]);
+  if (!write_text(out, tel::render_html(rec, s, title))) return 2;
+  std::printf("report: %zu series -> %s\n", rec.series().size(), out.c_str());
   return 0;
 }
 
-int cmd_export(int argc, char** argv) {
-  if (argc < 2) {
-    usage(stderr);
-    return 2;
-  }
+int cmd_export(const std::string& path, const std::string& out) {
   tel::Recorder rec;
-  if (!load(argv[0], &rec)) return 2;
-  const std::string out = argv[1];
+  if (!load(path, &rec)) return 2;
   std::string text;
-  if (ends_with(out, ".json")) {
+  if (out.ends_with(".json")) {
     text = rec.to_json();
-  } else if (ends_with(out, ".csv")) {
+  } else if (out.ends_with(".csv")) {
     text = rec.to_csv();
   } else {
     std::fprintf(stderr, "export: output must end in .json or .csv\n");
@@ -165,20 +90,37 @@ int cmd_export(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage(stderr);
-    return 2;
-  }
-  const std::string cmd = argv[1];
-  if (cmd == "--help" || cmd == "-h") {
-    usage(stdout);
-    return 0;
-  }
-  if (cmd == "summary") return cmd_summary(argc - 2, argv + 2);
-  if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
-  if (cmd == "report") return cmd_report(argc - 2, argv + 2);
-  if (cmd == "export") return cmd_export(argc - 2, argv + 2);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  usage(stderr);
-  return 2;
+  std::string file, other, out, title;
+  long long warmup_ms = tel::AnalyzeConfig{}.warmup / util::kMillisecond;
+  tel::DiffThresholds th;
+  const auto recording = [](const char* usage, std::string& to) {
+    return util::text(usage, to, "a .tsv.pbt recording");
+  };
+  return util::dispatch(
+      argc, argv,
+      {{"summary",
+        "accuracy, dwell and anomaly summary",
+        {recording("FILE", file),
+         util::whole("--warmup-ms N", warmup_ms, 0, 86'400'000,
+                     "analysis warmup")},
+        [&] { return cmd_summary(file, warmup_ms); }},
+       {"diff",
+        "compare two runs series by series; exit 1 on a regression "
+        "(schema mismatch, series appearing or vanishing, mean or count "
+        "drift past threshold)",
+        {recording("A", file), recording("B", other),
+         util::decimal("--mean-rel F", th.mean_rel, 0.0, 1000.0,
+                       "flag |mean delta| > F * |mean(A)|")},
+        [&] { return cmd_diff(file, other, th); }},
+       {"report",
+        "self-contained HTML dashboard",
+        {recording("FILE", file),
+         util::text("OUT.html", out, "the page to write"),
+         util::text("--title T", title, "page title (default FILE)")},
+        [&] { return cmd_report(file, out, title.empty() ? file : title); }},
+       {"export",
+        "re-encode as JSON or long CSV",
+        {recording("FILE", file),
+         util::text("OUT", out, "the file to write, OUT.json or OUT.csv")},
+        [&] { return cmd_export(file, out); }}});
 }

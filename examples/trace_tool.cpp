@@ -1,16 +1,10 @@
-// Swiss-army knife for .pbt PDCCH capture traces (DESIGN.md §11):
-//
-//   trace_tool info FILE            header + stream summary
-//   trace_tool stats FILE           per-cell and per-record-kind breakdown
-//   trace_tool cut IN OUT FROM TO   extract subframes [FROM, TO] into OUT
-//   trace_tool merge OUT IN...      concatenate same-config traces
-//   trace_tool verify FILE          strict integrity check (exit 1 on damage)
+// Swiss-army knife for .pbt PDCCH capture traces (DESIGN.md §11): info,
+// stats, cut, merge and verify; --help lists them.
 //
 // info/stats tolerate a damaged tail (they report the valid prefix and the
 // damage); verify fails closed on any CRC mismatch, truncation or ordering
-// violation. FROM and TO are whole subframe indices; anything else exits 2.
+// violation.
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -136,11 +130,8 @@ int cmd_stats(const std::string& path) {
   return s.complete ? 0 : 1;
 }
 
-int cmd_cut(const std::string& in, const std::string& out, const char* from,
-            const char* to) {
-  constexpr long long kMaxSf = std::numeric_limits<long long>::max();
-  const long long sf_from = util::whole_number_arg("FROM_SF", from, 0, kMaxSf);
-  const long long sf_to = util::whole_number_arg("TO_SF", to, 0, kMaxSf);
+int cmd_cut(const std::string& in, const std::string& out, long long sf_from,
+            long long sf_to) {
   std::string err;
   if (!cap::cut(in, out, sf_from, sf_to, err)) {
     std::fprintf(stderr, "cut: %s\n", err.c_str());
@@ -154,7 +145,7 @@ int cmd_cut(const std::string& in, const std::string& out, const char* from,
   return 0;
 }
 
-int cmd_merge(const std::string& out, std::vector<std::string> inputs) {
+int cmd_merge(const std::string& out, const std::vector<std::string>& inputs) {
   std::string err;
   if (!cap::merge(inputs, out, err)) {
     std::fprintf(stderr, "merge: %s\n", err.c_str());
@@ -182,28 +173,31 @@ int cmd_verify(const std::string& path) {
   return 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: trace_tool info FILE\n"
-               "       trace_tool stats FILE\n"
-               "       trace_tool cut IN OUT FROM_SF TO_SF\n"
-               "       trace_tool merge OUT IN1 [IN2 ...]\n"
-               "       trace_tool verify FILE\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
-  if (cmd == "stats" && argc == 3) return cmd_stats(argv[2]);
-  if (cmd == "cut" && argc == 6) return cmd_cut(argv[2], argv[3], argv[4], argv[5]);
-  if (cmd == "merge" && argc >= 4) {
-    std::vector<std::string> inputs(argv + 3, argv + argc);
-    return cmd_merge(argv[2], std::move(inputs));
-  }
-  if (cmd == "verify" && argc == 3) return cmd_verify(argv[2]);
-  return usage();
+  std::string file, out;
+  long long from = 0, to = 0;
+  std::vector<std::string> inputs;
+  constexpr long long kMaxSf = std::numeric_limits<long long>::max();
+  const auto trace = [](const char* usage, std::string& path) {
+    return util::text(usage, path, "a .pbt trace");
+  };
+  return util::dispatch(
+      argc, argv,
+      {{"info", "header + stream summary", {trace("FILE", file)},
+        [&] { return cmd_info(file); }},
+       {"stats", "per-cell and per-record-kind breakdown",
+        {trace("FILE", file)}, [&] { return cmd_stats(file); }},
+       {"cut", "extract subframes [FROM_SF, TO_SF] into OUT",
+        {trace("IN", file), trace("OUT", out),
+         util::whole("FROM_SF", from, 0, kMaxSf, "first subframe kept"),
+         util::whole("TO_SF", to, 0, kMaxSf, "last subframe kept")},
+        [&] { return cmd_cut(file, out, from, to); }},
+       {"merge", "concatenate same-config traces into OUT",
+        {trace("OUT", out),
+         util::texts("IN...", inputs, "the traces, in order")},
+        [&] { return cmd_merge(out, inputs); }},
+       {"verify", "strict integrity check (exit 1 on damage)",
+        {trace("FILE", file)}, [&] { return cmd_verify(file); }}});
 }

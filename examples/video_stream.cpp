@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "sim/scenario.h"
+#include "util/cli.h"
 
 using namespace pbecc;
 
@@ -85,7 +86,8 @@ VideoMetrics play(const std::string& algo) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::parse(argc, argv, {});
   std::printf("25 Mbit/s video on a busy two-carrier cell, 40 s session\n\n");
   std::printf("%-8s %10s %10s %12s %12s %10s\n", "algo", "startup(s)",
               "rebuffers", "stalled(s)", "tput(Mb/s)", "p95-d(ms)");

@@ -85,9 +85,10 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
                       ? owd_ms
                       : kLevelSmoothing * owd_level_ms_ +
                             (1.0 - kLevelSmoothing) * owd_ms;
-  level_excess_ms_ = owd_level_ms_ - base_owd_ms_.get(s.now, owd_ms);
+  const double level_excess_ms =
+      owd_level_ms_ - base_owd_ms_.get(s.now, owd_ms);
   if (cfg_.level_threshold_ms > 0) {
-    if (level_excess_ms_ > cfg_.level_threshold_ms) {
+    if (level_excess_ms > cfg_.level_threshold_ms) {
       if (level_high_since_ < 0) level_high_since_ = s.now;
       if (s.now - level_high_since_ >= kLevelSustain) {
         aimd_.force_decrease(s.now, acked_bps_);
@@ -100,7 +101,7 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
       }
     } else {
       level_high_since_ = -1;
-      if (level_excess_ms_ < kLevelClearMs) level_tripped_ = false;
+      if (level_excess_ms < kLevelClearMs) level_tripped_ = false;
     }
     if (level_tripped_ && acked_bps_ > 0) {
       target_ = std::clamp(std::min(target_, acked_bps_),

@@ -69,12 +69,8 @@ class DelayBasedBwe {
   const TrendlineEstimator& trendline() const { return trendline_; }
   const AimdRateControl& aimd() const { return aimd_; }
   BandwidthUsage usage() const { return trendline_.state(); }
-  // Standing-queue level detector state: latched while the smoothed OWD
-  // excess is above the hysteresis band, total cuts it has forced, and
-  // the excess (ms over the long-window base) as of the last ACK.
-  bool standing_queue() const { return level_tripped_; }
+  // Total AIMD cuts the standing-queue level detector has forced.
   std::uint64_t level_trips() const { return level_trips_; }
-  double level_excess_ms() const { return level_excess_ms_; }
 
  private:
   DelayBasedBweConfig cfg_;
@@ -90,7 +86,6 @@ class DelayBasedBwe {
   // Standing-queue level detector (see DelayBasedBweConfig).
   util::WindowedMin<double> base_owd_ms_;
   double owd_level_ms_ = -1.0;  // EWMA of the OWD; <0 = no sample yet
-  double level_excess_ms_ = 0.0;
   util::Time level_high_since_ = -1;
   bool level_tripped_ = false;
   std::uint64_t level_trips_ = 0;

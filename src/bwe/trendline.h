@@ -54,7 +54,6 @@ class TrendlineEstimator {
   // Raw fitted slope: ms of delay growth per ms of arrival time.
   double slope() const { return slope_; }
   // Count-scaled, gain-multiplied trend the threshold compares against.
-  double modified_trend() const { return modified_trend_; }
   double threshold_ms() const { return threshold_; }
   BandwidthUsage state() const { return state_; }
   std::size_t num_points() const { return points_.size(); }

@@ -47,7 +47,6 @@ class MessageFusion {
   void register_cell(phy::CellId cell, util::Duration tick = util::kSubframe) {
     expected_.push_back({cell, tick});
   }
-  std::size_t num_cells() const { return expected_.size(); }
   // Carrier reconfiguration changed a cell's numerology; unknown cells are
   // ignored.
   void set_cell_tick(phy::CellId cell, util::Duration tick);

@@ -42,7 +42,6 @@ class CaManager {
   // Active prefix of the aggregated list (primary first).
   const std::vector<phy::CellId>& active_cells() const { return active_; }
   std::size_t num_active() const { return active_.size(); }
-  std::size_t num_configured() const { return all_.size(); }
 
   struct Update {
     bool activated = false;

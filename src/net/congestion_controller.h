@@ -72,7 +72,6 @@ class FixedRateController final : public CongestionController {
 
   void on_ack(const AckSample&) override {}
   util::RateBps pacing_rate(util::Time) const override { return rate_; }
-  void set_rate(util::RateBps rate) { rate_ = rate; }
   std::string name() const override { return "fixed"; }
 
  private:

@@ -64,7 +64,6 @@ class BottleneckLink {
 
   std::int64_t queued_bytes() const { return queued_bytes_; }
   std::uint64_t drops() const { return drops_; }
-  void set_rate(util::RateBps rate) { cfg_.rate = rate; }
   util::RateBps rate() const { return cfg_.rate; }
 
  private:

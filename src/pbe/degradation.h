@@ -155,7 +155,6 @@ class DegradationMachine {
   double phy_weight() const { return blend_weight_; }
   bool diverged() const { return diverged_; }
   bool blending() const { return blend_; }
-  util::Time last_feedback_time() const { return last_feedback_; }
 
  private:
   void transition(util::Time now, DegradationState to);

@@ -34,8 +34,6 @@ class FlowStats {
 
   std::uint64_t packets() const { return packets_; }
   std::uint64_t bytes() const { return bytes_; }
-  util::Time first_delivery() const { return first_; }
-  util::Time last_delivery() const { return last_; }
 
  private:
   void roll_windows(util::Time now);

@@ -190,9 +190,6 @@ class Scenario {
   // configs (every pre-shard call site), the first domain otherwise.
   net::EventLoop& loop() { return domains_.front()->loop; }
   mac::BaseStation& bs() { return *domains_.front()->bs; }
-  std::size_t num_domains() const { return domains_.size(); }
-  net::EventLoop& domain_loop(std::size_t d) { return domains_.at(d)->loop; }
-  mac::BaseStation& domain_bs(std::size_t d) { return *domains_.at(d)->bs; }
   // Domain currently hosting this UE (moves with migrations).
   int ue_domain(mac::UeId ue) const { return ue_records_.at(ue).domain; }
   util::Time now() const { return now_; }

@@ -81,7 +81,6 @@ class Histogram {
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
   std::size_t total() const { return total_; }
-  std::size_t num_bins() const { return counts_.size(); }
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
 
