@@ -4,11 +4,17 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
 #include "decoder/user_tracker.h"
 #include "mac/scheduler.h"
+#include "net/event_loop.h"
+#include "net/in_order_stream.h"
+#include "net/link.h"
+#include "net/packet.h"
 #include "pbe/capacity_estimator.h"
 #include "pbe/rate_translator.h"
 #include "phy/convolutional.h"
@@ -234,6 +240,39 @@ void BM_FairShareScheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FairShareScheduler)->Arg(2)->Arg(8)->Arg(32);
+
+// The event loop with N packets and ACKs in flight, as on a flow's path:
+// one DelayLink carries packets out and a return stream carries their ACKs
+// back, 10 ms each way, and every ACK sends the next packet. Items/s is
+// dispatches per second; each dispatch is one delivery.
+void BM_EventLoopInFlight(benchmark::State& state) {
+  constexpr util::Duration kLeg = 10 * util::kMillisecond;
+  constexpr int kBatch = 1024;
+  const std::int64_t n = state.range(0);
+  net::EventLoop loop;
+  std::unique_ptr<net::InOrderStream<net::Ack>> back;
+  net::DelayLink out(loop, kLeg, [&](net::Packet pkt) {
+    net::Ack ack;
+    ack.seq = pkt.seq;
+    back->send(loop.now() + kLeg, ack);
+  });
+  back = std::make_unique<net::InOrderStream<net::Ack>>(
+      loop, [&](net::Ack ack) {
+        net::Packet pkt;
+        pkt.seq = ack.seq + 1;
+        out.send(pkt);
+      });
+  // N first sends spread over one round trip; after it all N circulate.
+  for (std::int64_t i = 0; i < n; ++i) {
+    loop.schedule_at(i * 2 * kLeg / n, [&out] { out.send(net::Packet{}); });
+  }
+  loop.run_until(2 * kLeg);
+  for (auto _ : state) {
+    for (int k = 0; k < kBatch; ++k) loop.run_one();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_EventLoopInFlight)->Arg(16)->Arg(512)->Arg(4096);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 // Corpus mode (DESIGN.md §14, the decode digest check): --record-corpus
 // records a seed-pinned Viterbi decode corpus and --corpus replays one;
 // CI diffs the `digest:` lines the two print.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -84,7 +85,7 @@ int run_corpus(const char* path) {
 int main(int argc, char** argv) {
   int seconds = 6;
   std::string record_path, corpus_path;
-  util::parse(argc, argv,
+  const auto given = util::parse(argc, argv,
               {bench::seconds(seconds),
                util::text("--record-corpus FILE.pbt", record_path,
                           "record the seed-pinned, byte-identical decode "
@@ -96,6 +97,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--record-corpus and --corpus are mutually exclusive: a run "
                  "either records a corpus or replays one\n");
+    return 2;
+  }
+  if (!corpus_path.empty() &&
+      std::find(given.begin(), given.end(), "--seconds") != given.end()) {
+    std::fprintf(stderr,
+                 "--corpus replays a recorded corpus and takes no --seconds: "
+                 "the length is the recording's (--record-corpus)\n");
     return 2;
   }
   const util::Duration flow_len = seconds * util::kSecond;

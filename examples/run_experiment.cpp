@@ -10,6 +10,7 @@
 //
 // --help lists the options. The whole run, blind decode included,
 // executes on the calling thread.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,7 +65,7 @@ constexpr long long kMaxSeed = std::numeric_limits<long long>::max();
 
 Options parse(int argc, char** argv) {
   Options o;
-  util::parse(argc, argv, {
+  const auto given = util::parse(argc, argv, {
       util::choice("--algo NAME", o.algo,
                    {sim::all_algorithms(), sim::extra_algorithms(), {"all"}},
                    "algorithm to run; all runs the paper's eight in turn"),
@@ -105,7 +106,8 @@ Options parse(int argc, char** argv) {
                  "needs --algo pbe or hybrid"),
       util::text("--replay FILE.pbt", o.replay,
                  "re-drive the decoder/estimator pipeline from a recorded "
-                 "trace instead of simulating; excludes --record"),
+                 "trace instead of simulating; takes no option but "
+                 "--telemetry, --telemetry-interval and --strict-checks"),
       util::text("--telemetry FILE", o.telemetry,
                  "sample the run into a .tsv.pbt telemetry recording "
                  "(see telemetry_tool); needs --algo pbe or hybrid, or "
@@ -120,6 +122,22 @@ Options parse(int argc, char** argv) {
                  "--record and --replay are mutually exclusive: a run either "
                  "captures a live simulation or replays an existing trace\n");
     std::exit(2);
+  }
+  if (!o.replay.empty()) {
+    // A replay re-drives the recorded pipeline: what shaped the live run
+    // is in the trace, and no other option reaches run_replay.
+    const std::vector<std::string> replay_reads = {
+        "--replay", "--telemetry", "--telemetry-interval", "--strict-checks"};
+    for (const auto& name : given) {
+      if (std::find(replay_reads.begin(), replay_reads.end(), name) ==
+          replay_reads.end()) {
+        std::fprintf(stderr,
+                     "--replay ignores %s: a replay takes no option but "
+                     "--telemetry, --telemetry-interval and --strict-checks\n",
+                     name.c_str());
+        std::exit(2);
+      }
+    }
   }
   const bool pbe_pipeline = o.algo == "pbe" || o.algo == "hybrid";
   if (!o.record.empty() && !pbe_pipeline) {

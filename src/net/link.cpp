@@ -7,8 +7,8 @@ namespace pbecc::net {
 
 DelayLink::DelayLink(EventLoop& loop, util::Duration delay, PacketHandler sink,
                      util::Duration max_jitter, std::uint64_t seed)
-    : loop_(loop), delay_(delay), max_jitter_(max_jitter),
-      sink_(std::move(sink)), rng_(seed) {}
+    : loop_(loop), delay_(delay), max_jitter_(max_jitter), rng_(seed),
+      in_flight_(loop, std::move(sink)) {}
 
 void DelayLink::send(Packet pkt) {
   util::Duration jitter = 0;
@@ -19,14 +19,7 @@ void DelayLink::send(Packet pkt) {
   // FIFO: never deliver before a previously sent packet.
   deliver_at = std::max(deliver_at, last_delivery_);
   last_delivery_ = deliver_at;
-  loop_.schedule_at(deliver_at, [this] { deliver_head(); });
-  in_flight_.push_back(std::move(pkt));
-}
-
-void DelayLink::deliver_head() {
-  Packet pkt = std::move(in_flight_.front());
-  in_flight_.pop_front();
-  sink_(std::move(pkt));
+  in_flight_.send(deliver_at, std::move(pkt));
 }
 
 BottleneckLink::BottleneckLink(EventLoop& loop, Config cfg, PacketHandler sink)

@@ -8,6 +8,7 @@
 #include <functional>
 
 #include "net/event_loop.h"
+#include "net/in_order_stream.h"
 #include "net/packet.h"
 #include "util/rate.h"
 #include "util/rng.h"
@@ -25,27 +26,21 @@ class DelayLink {
  public:
   DelayLink(EventLoop& loop, util::Duration delay, PacketHandler sink,
             util::Duration max_jitter = 0, std::uint64_t seed = 1);
-  // Pending delivery events hold `this`.
-  DelayLink(const DelayLink&) = delete;
-  DelayLink& operator=(const DelayLink&) = delete;
 
   void send(Packet pkt);
 
   util::Duration delay() const { return delay_; }
 
  private:
-  void deliver_head();
-
   EventLoop& loop_;
   util::Duration delay_;
   util::Duration max_jitter_;
-  PacketHandler sink_;
   util::Rng rng_;
   util::Time last_delivery_ = 0;
-  // Packets in flight, in send order. Delivery times are monotonic and the
-  // loop breaks time ties by scheduling order, so this link's delivery
-  // events fire in send order too and each one delivers the head.
-  std::deque<Packet> in_flight_;
+  // Packets in flight, in send order. Each keeps the event-loop key it
+  // took when sent; delivery times are monotonic, so only the head is on
+  // the heap and the link costs the loop one entry however full it is.
+  InOrderStream<Packet> in_flight_;
 };
 
 // Rate-limited droptail queue: models the Internet bottleneck the paper's

@@ -261,12 +261,16 @@ int Scenario::add_flow(const FlowSpec& spec) {
   ctx->sender = std::make_unique<net::FlowSender>(dloop, scfg, std::move(cc),
                                                   std::move(egress));
 
-  // --- Receiver; ACKs return over a symmetric fixed-delay uplink.
-  auto* sender_ptr = ctx->sender.get();
+  // --- Receiver; ACKs return over a symmetric fixed-delay uplink, in
+  // order except where a feedback-delay spike holds one back.
+  ctx->uplink = std::make_unique<net::InOrderStream<net::Ack>>(
+      dloop, [sender_ptr = ctx->sender.get()](net::Ack ack) {
+        sender_ptr->on_ack(ack);
+      });
   const util::Duration up_delay = spec.path.one_way_delay;
   net::EventLoop* lp = &dloop;
   ctx->receiver = std::make_unique<net::FlowReceiver>(
-      dloop, flow_id, [this, sender_ptr, up_delay, flow_id, lp, ctxp](net::Ack ack) {
+      dloop, flow_id, [this, up_delay, flow_id, lp, ctxp](net::Ack ack) {
         util::Duration delay = up_delay;
         if (faults_) {
           const fault::FeedbackFault ff = faults_->feedback_fault(
@@ -308,7 +312,7 @@ int Scenario::add_flow(const FlowSpec& spec) {
             ctxp->in_delay_spike = false;
           }
         }
-        lp->schedule_in(delay, [sender_ptr, ack] { sender_ptr->on_ack(ack); });
+        ctxp->uplink->send(lp->now() + delay, ack);
       });
   ctx->receiver->set_delivery_observer(
       [st = ctx->stats.get()](const net::Packet& pkt, util::Time now) {

@@ -27,6 +27,7 @@
 #include "mac/base_station.h"
 #include "net/event_loop.h"
 #include "net/flow.h"
+#include "net/in_order_stream.h"
 #include "net/link.h"
 #include "net/shard_mailbox.h"
 #include "obs/trace.h"
@@ -245,6 +246,7 @@ class Scenario {
     std::unique_ptr<net::FlowReceiver> receiver;
     std::unique_ptr<net::BottleneckLink> bottleneck;
     std::unique_ptr<net::DelayLink> downlink;
+    std::unique_ptr<net::InOrderStream<net::Ack>> uplink;  // ACKs to sender
     std::unique_ptr<pbe::PbeClient> client;
     std::unique_ptr<FlowStats> stats;
   };

@@ -199,14 +199,17 @@ inline Arg choice(std::string usage, std::string& to,
           }};
 }
 
-// Sets the rows' variables from argv[1..argc). An option's value is the
-// word after it, whatever it starts with; a word starting with '-' is an
-// operand only when it reads as a negative number and an operand is open.
-// --help or -h prints the usage generated from the rows and exits 0. An
-// unknown option, a missing value ("missing value for X"), a value out of
-// its row's range, a missing operand or one too many exits 2.
-inline void parse(int argc, char** argv, const std::vector<Arg>& args,
-                  const std::string& prog = "") {
+// Sets the rows' variables from argv[1..argc) and returns the options
+// given, in argv order. An option's value is the word after it, whatever
+// it starts with; a word starting with '-' is an operand only when it
+// reads as a negative number and an operand is open. --help or -h prints
+// the usage generated from the rows and exits 0. An unknown option, a
+// missing value ("missing value for X"), a value out of its row's range, a
+// missing operand or one too many exits 2.
+inline std::vector<std::string> parse(int argc, char** argv,
+                                      const std::vector<Arg>& args,
+                                      const std::string& prog = "") {
+  std::vector<std::string> given;
   std::vector<const Arg*> operands;
   for (const auto& a : args) {
     if (!a.option()) operands.push_back(&a);
@@ -230,6 +233,7 @@ inline void parse(int argc, char** argv, const std::vector<Arg>& args,
         if (a.option() && a.name() == word) row = &a;
       }
       if (!row) cli_detail::fail("unknown option " + word + " (try --help)");
+      given.push_back(word);
       if (row->usage.find(' ') == std::string::npos) {
         row->set(argv[i], nullptr);
       } else if (i + 1 < argc) {
@@ -253,6 +257,7 @@ inline void parse(int argc, char** argv, const std::vector<Arg>& args,
                        " (try --help)");
     }
   }
+  return given;
 }
 
 // One subcommand of a tool: its name, a line of help, its table, and what

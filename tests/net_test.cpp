@@ -2,14 +2,19 @@
 // (pacing, congestion window, delivery-rate samples, loss detection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/congestion_controller.h"
 #include "net/event_loop.h"
 #include "net/flow.h"
+#include "net/in_order_stream.h"
 #include "net/link.h"
 #include "net/shard_mailbox.h"
+#include "util/rng.h"
 
 namespace pbecc::net {
 namespace {
@@ -252,6 +257,182 @@ TEST(DelayLink, InterleavedLinksKeepSendOrder) {
     last_seq[l] = d.send_order;
   }
   EXPECT_GT(shared_instants, 0);
+}
+
+// ------------------------------------------------------- in-order stream
+
+// What a run dispatched, in order: (time, tag) per item or plain event.
+using Dispatches = std::vector<std::pair<util::Time, int>>;
+
+// The reference an InOrderStream must match: one schedule_at per item.
+class OneEventPerItem {
+ public:
+  OneEventPerItem(EventLoop& loop, std::function<void(int)> sink)
+      : loop_(loop), sink_(std::move(sink)) {}
+  void send(util::Time t, int item) {
+    loop_.schedule_at(t, [this, item] { sink_(item); });
+  }
+
+ private:
+  EventLoop& loop_;
+  std::function<void(int)> sink_;
+};
+
+struct Script {
+  Dispatches log;
+  int before_tail = 0;  // sends due before an item already on that stream
+  int self_sends = 0;   // sends by stream A's own sink
+  int at_barrier = 0;   // items dispatched exactly at a run_until end
+};
+
+// A seeded random script over two streams. A driver event recurring at
+// colliding times sends on A and B, at times that are sometimes before the
+// stream's tail (the ACK a feedback-delay spike overtakes), and schedules
+// plain events at the same times; A's sink sometimes sends on A again.
+// The main loop steps through run_until barriers and adds work at each
+// barrier time after run_until returns. Every decision is drawn at
+// dispatch, so two runs draw the same numbers only while they dispatch in
+// the same order.
+template <class Stream>
+Script run_script(std::uint64_t seed) {
+  EventLoop loop;
+  util::Rng rng(seed);
+  Script out;
+  int next_tag = 0;
+  util::Time end = 0;
+  util::Time tail[2] = {0, 0};
+  const auto logged = [&](int tag) {
+    out.log.emplace_back(loop.now(), tag);
+    if (loop.now() == end) ++out.at_barrier;
+  };
+  Stream a(loop, [&](int tag) {
+    logged(tag);
+    if (rng.bernoulli(0.25)) {
+      ++out.self_sends;
+      const util::Time t = loop.now() + rng.uniform_int(0, 2);
+      out.before_tail += t < tail[0];
+      tail[0] = std::max(tail[0], t);
+      a.send(t, next_tag++);
+    }
+  });
+  Stream b(loop, logged);
+  const auto act = [&] {
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+      const util::Time t = loop.now() + rng.uniform_int(0, 6);
+      const int tag = next_tag++;
+      const auto which = rng.uniform_int(0, 2);
+      if (which == 2) {
+        loop.schedule_at(t, [&logged, tag] { logged(tag); });
+        continue;
+      }
+      const auto i = static_cast<std::size_t>(which);
+      out.before_tail += t < tail[i];
+      tail[i] = std::max(tail[i], t);
+      (i == 0 ? a : b).send(t, tag);
+    }
+  };
+  std::function<void()> drive = [&] {
+    act();
+    if (loop.now() < 500) loop.schedule_in(rng.uniform_int(0, 4), drive);
+  };
+  loop.schedule_at(0, drive);
+  while (end < 600) {
+    end += rng.uniform_int(0, 8);
+    loop.run_until(end);
+    if (rng.bernoulli(0.5)) act();
+  }
+  end += 50;  // A's sink stops sending by itself with probability one
+  loop.run_until(end);
+  EXPECT_EQ(loop.pending(), 0u);
+  return out;
+}
+
+TEST(InOrderStream, MatchesOneEventPerItem) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Script got = run_script<InOrderStream<int>>(seed);
+    const Script want = run_script<OneEventPerItem>(seed);
+    ASSERT_EQ(got.log, want.log) << "seed " << seed;
+    EXPECT_GT(got.log.size(), 300u) << "seed " << seed;
+    EXPECT_GT(got.before_tail, 0) << "seed " << seed;
+    EXPECT_GT(got.self_sends, 0) << "seed " << seed;
+    EXPECT_GT(got.at_barrier, 0) << "seed " << seed;
+  }
+}
+
+// A sink that sends on its own stream, due at once: the stream is empty
+// after its head fired, so the new item goes on the heap under its own
+// key and runs in this drain, after an event scheduled before it.
+TEST(InOrderStream, SinkSendsOnItsOwnStream) {
+  EventLoop loop;
+  std::vector<int> order;
+  int resends = 2;
+  InOrderStream<int> s(loop, [&](int v) {
+    order.push_back(v);
+    if (resends-- > 0) s.send(loop.now(), v + 10);
+  });
+  s.send(5, 1);
+  loop.schedule_at(5, [&] { order.push_back(0); });
+  s.send(7, 2);  // queued: the resends at 5 come before it
+  loop.run_until(5);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 11, 21}));
+  loop.run_until(10);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 11, 21, 2}));
+}
+
+// An item due before the stream's tail — the ACK a feedback-delay spike
+// overtakes — takes a heap entry of its own and still runs in its place.
+TEST(InOrderStream, ItemDueBeforeTailRunsInItsPlace) {
+  EventLoop loop;
+  Dispatches got;
+  InOrderStream<int> s(loop, [&](int v) { got.emplace_back(loop.now(), v); });
+  s.send(50, 1);  // the delayed one
+  s.send(20, 2);  // due before it
+  s.send(50, 3);  // ties with the tail: queues behind it
+  s.send(60, 4);
+  EXPECT_EQ(loop.pending(), 2u);  // 1 as the head of 1, 3, 4; 2 on its own
+  loop.run_until(100);
+  EXPECT_EQ(got, (Dispatches{{20, 2}, {50, 1}, {50, 3}, {60, 4}}));
+}
+
+// Heads due exactly at a run_until end run in that call, the second armed
+// by the first's dispatch; an item sent at the barrier time after it
+// returned runs on the next call, before the later head.
+TEST(InOrderStream, HeadDueAtRunUntilEndRuns) {
+  EventLoop loop;
+  std::vector<int> got;
+  InOrderStream<int> s(loop, [&](int v) { got.push_back(v); });
+  s.send(100, 1);
+  s.send(100, 2);
+  s.send(101, 3);
+  loop.run_until(100);
+  EXPECT_EQ(got, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.now(), 100);
+  s.send(100, 4);
+  loop.run_until(100);
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 4}));
+  loop.run_until(200);
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 4, 3}));
+}
+
+// pending() counts heap entries: a stream is one however many items it
+// holds, and a DelayLink full of packets is one too.
+TEST(InOrderStream, PendingCountsHeapEntries) {
+  EventLoop loop;
+  int delivered = 0;
+  InOrderStream<int> s(loop, [&](int) { ++delivered; });
+  for (int i = 0; i < 10; ++i) s.send(10 + i, i);
+  loop.schedule_at(15, [] {});
+  EXPECT_EQ(loop.pending(), 2u);  // the stream's head and the plain event
+  loop.run_until(14);
+  EXPECT_EQ(delivered, 5);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.run_until(100);
+  EXPECT_EQ(delivered, 10);
+  EXPECT_EQ(loop.pending(), 0u);
+
+  DelayLink link(loop, 10 * util::kMillisecond, [](Packet) {}, 5, 3);
+  for (int i = 0; i < 100; ++i) link.send(Packet{});
+  EXPECT_EQ(loop.pending(), 1u);
 }
 
 TEST(BottleneckLink, SerializationRate) {
