@@ -93,29 +93,47 @@ BENCHMARK(BM_PdcchBuilderAdd)->Arg(1)->Arg(8);
 void BM_PdcchPlace(benchmark::State& state) { fill_pdcch(state, false); }
 BENCHMARK(BM_PdcchPlace)->Arg(1)->Arg(8);
 
-// Monitor-side noise over a 20 MHz control region of 84 CCEs at 1% BER:
-// one RNG draw per bit, flips computed only in energized CCEs and the
-// draws of silent words skipped. `busy` energizes the 8 CCEs that
-// busy_subframe(4) places (about the 11% a live PBE endpoint sees),
-// `energized` all 84 (every flip computed) and `silent` none.
-enum class Energy { kBusy, kAll, kNone };
+// Monitor-side noise at 1% BER: one RNG draw per bit, flips computed only
+// in energized CCEs, and the draws of silent words discarded, which the
+// Rng owes until its next draw. Each iteration ends with one draw, so the
+// debt is paid inside the timed loop. `busy`, `energized` and `silent`
+// noise one 20 MHz control region of 84 CCEs: `busy` energizes the 8
+// CCEs that busy_subframe(4) places (about the 11% a live PBE endpoint
+// sees), `energized` all 84 (every flip computed) and `silent` none.
+// `idle_slots` is replay_nr's tick: the busy LTE region, then the 16
+// silent slot regions of two idle 120 kHz NR carriers, all through one
+// Rng.
+enum class Energy { kBusy, kAll, kNone, kIdleSlots };
 void BM_ApplyBitNoise(benchmark::State& state, Energy energy) {
   auto sf = busy_subframe(4);
-  if (energy != Energy::kBusy) {
+  if (energy == Energy::kAll || energy == Energy::kNone) {
     std::fill(sf.cce_used.begin(), sf.cce_used.end(), energy == Energy::kAll);
   }
+  std::vector<phy::PdcchSubframe> slots;
+  if (energy == Energy::kIdleSlots) {
+    phy::CellConfig nr{2, 50.0};
+    nr.rat = phy::Rat::kNr;
+    nr.scs = nr::Scs::k120kHz;
+    nr.coreset = {30, 2};
+    nr.pdcch_coding = phy::PdcchCoding::kPolar;
+    for (int s = 0; s < 16; ++s) slots.push_back(phy::PdcchBuilder(nr, s).build());
+  }
+  std::size_t bits = sf.bits.size();
+  for (const auto& slot : slots) bits += slot.bits.size();
   util::Rng rng{1};
   for (auto _ : state) {
     phy::apply_bit_noise(sf, 0.01, rng);
+    for (auto& slot : slots) phy::apply_bit_noise(slot, 0.01, rng);
+    benchmark::DoNotOptimize(rng.next_u64());
     benchmark::DoNotOptimize(sf.bits);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sf.bits.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(bits));
   state.SetLabel("items = control-region bits");
 }
 BENCHMARK_CAPTURE(BM_ApplyBitNoise, busy, Energy::kBusy);
 BENCHMARK_CAPTURE(BM_ApplyBitNoise, energized, Energy::kAll);
 BENCHMARK_CAPTURE(BM_ApplyBitNoise, silent, Energy::kNone);
+BENCHMARK_CAPTURE(BM_ApplyBitNoise, idle_slots, Energy::kIdleSlots);
 
 // One blind-decode candidate's Viterbi run (the srsLTE-equivalent path):
 // a format-1 DCI rate-matched to an aggregation level's region, decoded

@@ -309,9 +309,10 @@ bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
         const auto ncces = static_cast<std::size_t>(c.n_cces);
         const std::uint8_t* ebytes = r.get_bytes((ncces + 7) / 8);
         if (ebytes == nullptr) break;
-        const auto energy = util::BitVec::from_bytes(ebytes, ncces);
         c.cce_used.resize(ncces);
-        for (std::size_t j = 0; j < ncces; ++j) c.cce_used[j] = energy.bit(j);
+        for (std::size_t j = 0; j < ncces; ++j) {
+          c.cce_used[j] = (ebytes[j / 8] >> (7 - j % 8)) & 1;  // MSB first
+        }
         out.batch.cells.push_back(std::move(c));
       }
       break;

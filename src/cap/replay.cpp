@@ -77,12 +77,14 @@ ReplayDriver::ReplayDriver(const TraceHeader& header, PipelineDigest* digest)
 void ReplayDriver::step(const Record& rec) {
   switch (rec.kind) {
     case Record::Kind::kBatch: {
-      std::vector<phy::PdcchSubframe> sfs;
-      sfs.reserve(rec.batch.cells.size());
-      for (const auto& c : rec.batch.cells) {
+      // Copy-assigned into the entries of the previous batch, whose bit and
+      // energy storage is reused.
+      sfs_.resize(rec.batch.cells.size());
+      for (std::size_t i = 0; i < sfs_.size(); ++i) {
+        const CellCapture& c = rec.batch.cells[i];
         cur_ber_[c.cell] = c.control_ber;
         cur_bpp_[c.cell] = c.bits_per_prb;
-        phy::PdcchSubframe sf;
+        phy::PdcchSubframe& sf = sfs_[i];
         sf.cell_id = c.cell;
         sf.sf_index = c.sf_index;
         sf.tick = c.tick;
@@ -90,12 +92,11 @@ void ReplayDriver::step(const Record& rec) {
         sf.coding = c.coding;
         sf.bits = c.bits;
         sf.cce_used = c.cce_used;
-        sfs.push_back(std::move(sf));
       }
-      monitor_->on_pdcch_batch(sfs);
+      monitor_->on_pdcch_batch(sfs_);
       if (batch_end_) batch_end_(rec.batch.sf_index);
       ++stats_.batches;
-      stats_.cell_subframes += sfs.size();
+      stats_.cell_subframes += sfs_.size();
       break;
     }
     case Record::Kind::kWindow:

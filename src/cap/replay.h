@@ -6,6 +6,8 @@
 // into Monitor::on_pdcch_batch. No MAC simulator, base station, or event
 // loop is instantiated: the decode path runs as fast as the CPU allows,
 // and (like the live batch path) is byte-identical for any thread count.
+// ReplayDriver copies each batch into one control-region vector that it
+// keeps from batch to batch, so a steady-state batch reuses its storage.
 //
 // PipelineDigest is the fidelity instrument: both the live client (via
 // pbe::ClientTaps) and the replay fold the same pipeline outputs — every
@@ -92,6 +94,8 @@ class ReplayDriver {
   // the estimator's own-CSI hint during the current batch.
   std::map<phy::CellId, double> cur_ber_;
   std::map<phy::CellId, double> cur_bpp_;
+  // The current batch's control regions; entries are reused across batches.
+  std::vector<phy::PdcchSubframe> sfs_;
   std::function<void(std::int64_t)> batch_end_;
   ReplayStats stats_{};
 };

@@ -61,6 +61,8 @@ struct DecodeStats {
   std::array<std::uint64_t, kNumAlLanes> candidates_by_al{};
   std::array<std::uint64_t, kNumAlLanes> crc_failures_by_al{};
   std::array<std::uint64_t, kNumAlLanes> decoded_by_al{};
+
+  bool operator==(const DecodeStats&) const = default;
 };
 
 // Everything decode_compute() learned from one subframe, pending apply.

@@ -1,9 +1,11 @@
 #include "decoder/monitor.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "check/check.h"
 #include "obs/obs.h"
 
 namespace pbecc::decoder {
@@ -79,20 +81,20 @@ void Monitor::on_pdcch(const phy::PdcchSubframe& sf) {
 }
 
 void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
-  struct Pending {
-    phy::PdcchSubframe noisy;
-    BlindDecoder* dec = nullptr;
-    phy::CellId cell{};
-    std::int64_t sf_index = 0;
-    util::Time now = 0;
-    DecodeRun run;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(sfs.size());
+  PBECC_INVARIANT(!in_batch_, "monitor_batch_reentered");
+  if (in_batch_) return;  // the outer call's entries are in use
+  in_batch_ = true;
+  const struct Leave {
+    bool& in_batch;
+    ~Leave() { in_batch = false; }
+  } leave{in_batch_};
 
   // Phase 1 — preparation, in input order. Every fault decision,
   // accounting update and rng_ noise draw happens here, so the random
-  // stream each cell sees depends only on the batch's cell order.
+  // stream each cell sees depends only on the batch's cell order. Each
+  // subframe that will be decoded is copied into the next reused entry of
+  // pending_ and noised there.
+  std::size_t n_pending = 0;
   for (const auto& sf : sfs) {
     auto dit = decoders_.find(sf.cell_id);
     if (dit == decoders_.end()) continue;
@@ -145,7 +147,8 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
       ++failures_;
       continue;
     }
-    Pending p;
+    if (n_pending == pending_.size()) pending_.emplace_back();
+    Pending& p = pending_[n_pending++];
     p.noisy = sf;
     if (base_ber + extra_ber > 0) {
       phy::apply_bit_noise(p.noisy, base_ber + extra_ber, rng_);
@@ -154,19 +157,19 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
     p.cell = sf.cell_id;
     p.sf_index = sf.sf_index;
     p.now = now;
-    pending.push_back(std::move(p));
   }
+  const auto batch = std::span(pending_).first(n_pending);
 
   // Phase 2 — blind decode, the expensive part, on this thread in input
   // order. decode_compute touches nothing shared across decoders, and each
   // decoder (its span memo and scratch) sees its cell's entries — one per
   // slot of the tick for an NR cell — in order.
-  for (Pending& p : pending) p.run = p.dec->decode_compute(p.noisy);
+  for (Pending& p : batch) p.run = p.dec->decode_compute(p.noisy);
 
   // Phase 3 — apply + fusion, serial, back in input order: stats,
   // counters, trace events, false-DCI injection and downstream fusion
   // callbacks all land exactly as in a per-subframe serial run.
-  for (Pending& p : pending) {
+  for (Pending& p : batch) {
     auto messages = p.dec->decode_apply(p.run);
     if (faults_ != nullptr) {
       const int n_false = faults_->false_dci_count(p.sf_index, p.cell);

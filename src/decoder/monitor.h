@@ -37,6 +37,8 @@ struct CellObservation {
   util::Duration tick = util::kSubframe;
   int cell_prbs = 0;
   UserTracker::SubframeSummary summary{};
+
+  bool operator==(const CellObservation&) const = default;
 };
 
 class Monitor {
@@ -66,6 +68,11 @@ class Monitor {
   // (2) side-effect-free decode_compute, (3) decode_apply + fusion (stats,
   // counters, trace events, downstream callbacks).
   // Byte-identical to calling on_pdcch per subframe in the same order.
+  //
+  // Not re-entrant: the three phases work in buffers the monitor keeps
+  // across batches, so the Output callback must not feed this monitor
+  // (on_pdcch or on_pdcch_batch). A nested call records the
+  // `monitor_batch_reentered` invariant and is dropped.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
 
   // RTprop changes adjust the activity window (paper averages over the
@@ -121,6 +128,22 @@ class Monitor {
   obs::Counter* fused_subframes_ = nullptr;
   std::unique_ptr<MessageFusion> fusion_;
   util::Rng rng_;
+
+  // One decoded subframe of a batch, carried from phase 1 to phase 3.
+  struct Pending {
+    phy::PdcchSubframe noisy;
+    BlindDecoder* dec = nullptr;
+    phy::CellId cell{};
+    std::int64_t sf_index = 0;
+    util::Time now = 0;
+    DecodeRun run;
+  };
+  // Entries are reused from batch to batch, each copy-assigned in place so
+  // its noisy copy keeps its storage: a steady-state tick allocates none.
+  // Only the first entries, as many as the batch decodes, are the current
+  // batch's; the rest hold stale subframes of larger earlier batches.
+  std::vector<Pending> pending_;
+  bool in_batch_ = false;
 
   // Decode accounting: timestamps of successful cell-subframe decodes in
   // the recent window. Failures are implicit — the expected count comes

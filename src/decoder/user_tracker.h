@@ -58,6 +58,8 @@ class UserTracker {
     int idle_prbs = 0;         // Pcell - allocated (floored at 0)
     int raw_active_users = 0;  // users seen in window, unfiltered
     int data_users = 0;        // N after the control-traffic filter
+
+    bool operator==(const SubframeSummary&) const = default;
   };
 
   // Ingest one subframe's downlink DCIs; returns this subframe's summary.

@@ -119,8 +119,9 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;
   // One Bernoulli draw per bit in bit order, gathered into one flip mask
   // per word: the RNG stream is the per-bit loop's exactly. A word whose
-  // CCEs are all silent computes no flips; its draws are owed and paid in
-  // one discard before the next word that does.
+  // CCEs are all silent computes no flips; its draws are discarded, and
+  // the Rng owes them until it next draws, so a run of silent words here
+  // and in the regions noised after this one costs one skip.
   constexpr std::size_t kWordBits = util::BitVec::kWordBits;
   constexpr auto kCceBits = static_cast<std::size_t>(kBitsPerCce);
   const auto energized = [&sf](std::size_t c) {
@@ -128,7 +129,6 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   };
   const std::uint64_t cutoff = util::Rng::bernoulli_cutoff(ber);
   const std::size_t n = sf.bits.size();
-  std::uint64_t owed = 0;
   for (std::size_t w = 0; w < sf.bits.num_words(); ++w) {
     const std::size_t first = w * kWordBits;
     const std::size_t len = std::min(kWordBits, n - first);
@@ -138,16 +138,10 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
     const bool e0 = energized(c0);
     const bool e1 = energized(c1);
     if (!e0 && !e1) {
-      owed += len;
+      rng.discard(len);
       continue;
     }
-    rng.discard(owed);
-    owed = 0;
-    std::uint64_t mask = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      mask = (mask << 1) | ((rng.next_u64() >> 11) < cutoff ? 1 : 0);
-    }
-    mask <<= kWordBits - len;
+    std::uint64_t mask = rng.bernoulli_bits(len, cutoff) << (kWordBits - len);
     if (e0 != e1) {
       // The word's first `head` bits (1..63) are c0's, the rest c1's.
       const std::size_t head = c1 * kCceBits - first;
@@ -156,7 +150,6 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
     }
     sf.bits.xor_word(w, mask);
   }
-  rng.discard(owed);
 }
 
 }  // namespace pbecc::phy

@@ -55,6 +55,7 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
+  owed_ = 0;
   have_spare_normal_ = false;
 }
 
@@ -106,6 +107,16 @@ std::int64_t Rng::poisson(double mean) {
 }
 
 Rng Rng::fork() { return Rng{next_u64()}; }
+
+void Rng::settle() {
+  const std::uint64_t n = owed_;
+  owed_ = 0;
+  if (n < kJumpBreakEven) {
+    for (std::uint64_t k = n; k > 0; --k) step();
+  } else {
+    jump_ahead(n);
+  }
+}
 
 void Rng::jump_ahead(std::uint64_t n) {
   // Built on first use; shard workers share it read-only.

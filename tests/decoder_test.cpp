@@ -8,10 +8,12 @@
 #include <iterator>
 #include <vector>
 
+#include "check/check.h"
 #include "decoder/blind_decoder.h"
 #include "decoder/message_fusion.h"
 #include "decoder/monitor.h"
 #include "decoder/user_tracker.h"
+#include "fault/fault.h"
 #include "nr/numerology.h"
 #include "phy/pdcch.h"
 #include "util/rng.h"
@@ -575,6 +577,116 @@ TEST(Monitor, NoisyChannelLosesSomeMessages) {
   EXPECT_EQ(sfs, 100);
   EXPECT_LT(own_seen, 100);  // some messages genuinely lost
   EXPECT_GT(own_seen, 0);    // but not all
+}
+
+// The monitor keeps its per-batch entries from one batch to the next, so
+// nothing of a batch may leak into a later one. Batches that grow and
+// shrink (three LTE cells, then one, then an LTE cell with an NR cell's
+// eight slots, then a batch with a foreign cell, then one whose blackout
+// skips an entry) must give the observations and per-cell stats of the
+// same subframes fed one on_pdcch at a time.
+TEST(Monitor, ReusedBatchBuffersLeakNothing) {
+  const phy::CellConfig lte1{1, 10.0}, lte2{2, 10.0}, lte3{3, 10.0};
+  const phy::CellConfig foreign{9, 10.0};
+  phy::CellConfig nr{4, 50.0};
+  nr.rat = phy::Rat::kNr;
+  nr.scs = nr::Scs::k120kHz;
+  nr.coreset.rbs = 30;
+  nr.coreset.symbols = 2;
+  nr.pdcch_coding = phy::PdcchCoding::kPolar;
+
+  // The control regions of master subframe `sf` for `cells`, an NR cell's
+  // one per slot, each carrying three grants at growing levels.
+  const auto regions = [](std::int64_t sf,
+                          const std::vector<phy::CellConfig>& cells) {
+    std::vector<phy::PdcchSubframe> out;
+    for (const phy::CellConfig& c : cells) {
+      const bool is_nr = c.rat == phy::Rat::kNr;
+      const int slots = c.slots_per_subframe();
+      for (int s = 0; s < slots; ++s) {
+        const std::int64_t tick = sf * slots + s;
+        phy::PdcchBuilder b(c, tick);
+        for (int k = 0; k < 3; ++k) {
+          const auto rnti = static_cast<phy::Rnti>(
+              0x100 + 0x10 * static_cast<int>(c.id) + (tick + k) % 5);
+          b.add_escalating(
+              make_dci(rnti, 4 + k, 8 * k,
+                       is_nr ? phy::DciFormat::kNrFormat1_0
+                             : phy::DciFormat::kFormat1),
+              1 << k);
+        }
+        out.push_back(std::move(b).build());
+      }
+    }
+    return out;
+  };
+  const std::vector<std::vector<phy::PdcchSubframe>> batches = {
+      regions(0, {lte1, lte2, lte3}),
+      regions(1, {lte1}),
+      regions(2, {lte1, nr}),
+      regions(3, {lte1, foreign, lte2}),
+      regions(4, {lte1, nr}),
+  };
+  // Only the last batch's second NR slot falls in the blackout.
+  fault::FaultProfile blackout;
+  blackout.blackout_duty = 1.0;
+  blackout.blackout_from = 4 * util::kSubframe + nr.tick();
+  blackout.blackout_until = 4 * util::kSubframe + 2 * nr.tick();
+  const fault::FaultInjector faults(blackout, 7);
+
+  using Outputs = std::vector<std::vector<CellObservation>>;
+  const auto make = [&](Outputs& outputs) {
+    return Monitor(
+        0x112, {lte1, lte2, lte3, nr},
+        [&outputs](const std::vector<CellObservation>& o) {
+          outputs.push_back(o);
+        },
+        [](phy::CellId) { return 0.003; }, {}, 31, &faults);
+  };
+  Outputs batched_out, single_out;
+  Monitor batched = make(batched_out);
+  Monitor single = make(single_out);
+  for (const auto& batch : batches) {
+    batched.on_pdcch_batch(batch);
+    for (const auto& sf : batch) single.on_pdcch(sf);
+  }
+
+  EXPECT_EQ(batched.decode_attempts(), 3u + 1 + 9 + 2 + 9);
+  EXPECT_EQ(batched.decode_failures(), 1u);  // the blacked-out slot
+  ASSERT_FALSE(batched_out.empty());
+  EXPECT_EQ(batched_out, single_out);
+  for (const phy::CellId id : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "cell " << id);
+    EXPECT_GT(batched.decoder(id).stats().messages_decoded, 0u);
+    EXPECT_EQ(batched.decoder(id).stats(), single.decoder(id).stats());
+  }
+  EXPECT_EQ(batched.decoder(4).stats().subframes, 15u);
+}
+
+// The Output callback must not feed its own monitor: a nested call records
+// the invariant and is dropped, and the outer batch finishes intact.
+TEST(Monitor, ReentrantBatchIsRecordedAndDropped) {
+  check::reset();
+  const phy::CellConfig c1{1, 10.0};
+  Monitor* self = nullptr;
+  phy::PdcchSubframe nested;
+  std::vector<int> own_prbs;
+  Monitor mon(0x100, {c1}, [&](const std::vector<CellObservation>& obs) {
+    own_prbs.push_back(obs[0].summary.own_prbs);
+    self->on_pdcch(nested);
+  });
+  self = &mon;
+  for (int sf = 0; sf < 3; ++sf) {
+    phy::PdcchBuilder b(c1, sf);
+    ASSERT_TRUE(b.add(make_dci(0x100, 30), 2));
+    nested = std::move(b).build();
+    mon.on_pdcch(nested);
+  }
+  EXPECT_EQ(check::violations("monitor_batch_reentered"), 3u);
+  EXPECT_EQ(own_prbs, (std::vector<int>{30, 30, 30}));
+  EXPECT_EQ(mon.decode_attempts(), 3u);
+  EXPECT_EQ(mon.decoder(1).stats().subframes, 3u);
+  check::reset();
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -209,6 +211,103 @@ TEST(Rng, DiscardMatchesStepping) {
       default:
         ASSERT_EQ(skipped.fork().next_u64(), stepped.fork().next_u64())
             << "n " << n;
+    }
+  }
+}
+
+// discard() only adds to the draws the Rng owes; the next output pays
+// them all. Runs of discards with no draw between them (zero-length ones,
+// sums just below and at the step/jump break-even, past one jump span and
+// past several) must leave every output where plain stepping leaves it:
+// each run is read back through every output, through a copy taken while
+// the debt is pending, and through a reseed, which must drop the debt.
+TEST(Rng, DeferredDiscardsMatchStepping) {
+  constexpr std::uint64_t kEven = Rng::kJumpBreakEven;
+  constexpr std::uint64_t kSpan = Rng::kJumpSpan;
+  const std::vector<std::vector<std::uint64_t>> runs = {
+      {0},
+      {0, 0, 0},
+      {1, 0, 2, 0},
+      {100, 0, 200, kEven - 301},  // one short of the break-even
+      {100, 200, kEven - 300},     // exactly at it
+      {kEven - 1, 1, 0, 1},
+      {64, kSpan - 64, 0},         // one whole span
+      {kSpan - 63, 62, 2},         // one draw past it
+      {kSpan, 0, kSpan, 5},        // two spans and change
+      {3 * kSpan + 63, 1000, 0, 7, kEven},
+  };
+  const std::uint64_t half = Rng::bernoulli_cutoff(0.5);
+  // Each read draws from the deferred Rng `a` and its stepped twin `b`
+  // alike and compares what they return.
+  struct Read {
+    const char* name;
+    bool cache_spare;  // draw one normal() before the discards
+    std::function<void(Rng&, Rng&)> check;
+  };
+  const std::vector<Read> reads = {
+      {"next_u64", false,
+       [](Rng& a, Rng& b) { EXPECT_EQ(a.next_u64(), b.next_u64()); }},
+      {"uniform", false,
+       [](Rng& a, Rng& b) { EXPECT_EQ(a.uniform(), b.uniform()); }},
+      {"uniform_int", false,
+       [](Rng& a, Rng& b) {
+         EXPECT_EQ(a.uniform_int(-7, 1000000), b.uniform_int(-7, 1000000));
+       }},
+      {"bernoulli", false,
+       [](Rng& a, Rng& b) {
+         for (int i = 0; i < 64; ++i) EXPECT_EQ(a.bernoulli(0.5), b.bernoulli(0.5));
+       }},
+      {"exponential", false,
+       [](Rng& a, Rng& b) { EXPECT_EQ(a.exponential(3.0), b.exponential(3.0)); }},
+      {"normal", false,
+       [](Rng& a, Rng& b) { EXPECT_EQ(a.normal(), b.normal()); }},
+      {"normal with a cached spare", true,
+       [](Rng& a, Rng& b) {
+         EXPECT_EQ(a.normal(), b.normal());  // the spare: no draw, no payment
+         EXPECT_EQ(a.normal(), b.normal());
+       }},
+      {"poisson", false,
+       [](Rng& a, Rng& b) {
+         EXPECT_EQ(a.poisson(6.0), b.poisson(6.0));
+         EXPECT_EQ(a.poisson(500.0), b.poisson(500.0));
+       }},
+      {"fork", false,
+       [](Rng& a, Rng& b) { EXPECT_EQ(a.fork().next_u64(), b.fork().next_u64()); }},
+      {"bernoulli_bits", false,
+       [half](Rng& a, Rng& b) {
+         EXPECT_EQ(a.bernoulli_bits(64, half), b.bernoulli_bits(64, half));
+         EXPECT_EQ(a.bernoulli_bits(0, half), 0u);
+         EXPECT_EQ(a.bernoulli_bits(17, half), b.bernoulli_bits(17, half));
+       }},
+      {"a copy", false,
+       [](Rng& a, Rng& b) {
+         Rng copy = a;
+         const std::uint64_t want = b.next_u64();
+         EXPECT_EQ(copy.next_u64(), want);  // the copy pays its own debt
+         EXPECT_EQ(a.next_u64(), want);     // and the original still owes it
+       }},
+      {"reseed", false,
+       [](Rng& a, Rng& b) {
+         a.reseed(5);
+         b.reseed(5);
+         EXPECT_EQ(a.next_u64(), b.next_u64());
+       }},
+  };
+  std::uint64_t seed = 100;
+  for (const auto& run : runs) {
+    for (const Read& read : reads) {
+      SCOPED_TRACE(::testing::Message()
+                   << read.name << " after " << ::testing::PrintToString(run));
+      Rng a{++seed}, b{seed};
+      if (read.cache_spare) {
+        ASSERT_EQ(a.normal(), b.normal());
+      }
+      for (const std::uint64_t n : run) {
+        a.discard(n);
+        for (std::uint64_t k = 0; k < n; ++k) b.next_u64();
+      }
+      read.check(a, b);
+      EXPECT_EQ(a.next_u64(), b.next_u64());  // the streams go on together
     }
   }
 }
