@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     if (!telemetry_path.empty()) {
       telemetry = std::make_unique<tel::Sampler>();
       telemetry->recorder().set_meta("source", "bench_fault_recovery");
-      cfg.telemetry = telemetry.get();
+      cfg.capture.telemetry = telemetry.get();
     }
     sim::Scenario s{std::move(cfg)};
     s.add_ue(sim::ue_spec_for(sim::location(kLocation)));

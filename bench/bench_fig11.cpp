@@ -47,11 +47,13 @@ HourResult simulate_hour(double cell_mhz, int hour, bool cell_off) {
   // Count distinct RNTIs on the control channel; record their Rw.
   std::set<phy::Rnti> users;
   decoder::BlindDecoder probe{phy::CellConfig{1, cell_mhz}};
-  s.bs().add_pdcch_observer([&](const phy::PdcchSubframe& sf) {
-    for (const auto& dci : probe.decode(sf)) {
-      if (!dci.is_downlink()) continue;
-      users.insert(dci.rnti);
-      res.rates_mbps_per_prb.push_back(dci.mcs.bits_per_prb() / 1000.0);
+  s.bs().add_pdcch_batch_observer([&](const std::vector<phy::PdcchSubframe>& sfs) {
+    for (const auto& sf : sfs) {
+      for (const auto& dci : probe.decode(sf)) {
+        if (!dci.is_downlink()) continue;
+        users.insert(dci.rnti);
+        res.rates_mbps_per_prb.push_back(dci.mcs.bits_per_prb() / 1000.0);
+      }
     }
   });
   const util::Duration slice = 20 * util::kSecond;

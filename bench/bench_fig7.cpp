@@ -41,9 +41,11 @@ int main(int argc, char** argv) {
   // Messages per subframe (paper §7: <4 in >95% of subframes).
   util::SampleSet msgs_per_sf;
   decoder::BlindDecoder probe{phy::CellConfig{1, 20.0}};
-  s.bs().add_pdcch_observer([&](const phy::PdcchSubframe& sf) {
-    if (sf.cell_id == 1) {
-      msgs_per_sf.add(static_cast<double>(probe.decode(sf).size()));
+  s.bs().add_pdcch_batch_observer([&](const std::vector<phy::PdcchSubframe>& sfs) {
+    for (const auto& sf : sfs) {
+      if (sf.cell_id == 1) {
+        msgs_per_sf.add(static_cast<double>(probe.decode(sf).size()));
+      }
     }
   });
 

@@ -1,7 +1,6 @@
 #include "cap/replay.h"
 
-#include <algorithm>
-
+#include "cap/taps.h"
 #include "util/time.h"
 
 namespace pbecc::cap {
@@ -39,39 +38,34 @@ void PipelineDigest::on_probe(double cf_bits_sf, double cp_bits_sf,
   ++probes_;
 }
 
+namespace {
+
+std::unique_ptr<fault::FaultInjector> make_faults(const TraceHeader& h) {
+  if (!h.fault_active) return nullptr;
+  return std::make_unique<fault::FaultInjector>(h.fault, h.fault_seed);
+}
+
+// The inverse of capture_header: the recording client's configuration.
+pbe::PbeClientConfig client_config(const TraceHeader& h,
+                                   const fault::FaultInjector* faults) {
+  pbe::PbeClientConfig cfg;
+  cfg.rnti = h.own_rnti;
+  cfg.cells = h.cells;
+  cfg.tracker = h.tracker;
+  cfg.seed = h.monitor_seed;
+  cfg.faults = faults;
+  return cfg;
+}
+
+}  // namespace
+
 ReplayDriver::ReplayDriver(const TraceHeader& header, PipelineDigest* digest)
-    : digest_(digest) {
-  if (header.fault_active) {
-    faults_ =
-        std::make_unique<fault::FaultInjector>(header.fault, header.fault_seed);
-  }
-  // Mirrors PbeClient's construction exactly: primary cell, observation
-  // routing into the estimator, and the same `now` convention (the tick
-  // after the observed subframe).
-  if (!header.cells.empty()) {
-    estimator_.set_primary_cell(header.cells.front().id);
-  }
-  monitor_ = std::make_unique<decoder::Monitor>(
-      header.own_rnti, header.cells,
-      [this](const std::vector<decoder::CellObservation>& obs) {
-        if (obs.empty()) return;
-        if (digest_ != nullptr) digest_->on_observations(obs);
-        // PbeClient's `now` formula, verbatim: end of the latest tick in
-        // the fused emission — keep the two in lockstep.
-        util::Time now = 0;
-        for (const auto& o : obs) {
-          now = std::max(now, (o.sf_index + 1) * o.tick);
-        }
-        estimator_.on_observations(now, obs, [this](phy::CellId c) {
-          const auto it = cur_bpp_.find(c);
-          return it != cur_bpp_.end() ? it->second : 0.0;
-        });
-      },
-      [this](phy::CellId c) {
-        const auto it = cur_ber_.find(c);
-        return it != cur_ber_.end() ? it->second : 0.0;
-      },
-      header.tracker, header.monitor_seed, faults_.get());
+    : faults_(make_faults(header)),
+      pipeline_(client_config(header, faults_.get()), [this](phy::CellId c) {
+        const auto it = cur_inputs_.find(c);
+        return it != cur_inputs_.end() ? it->second : pbe::CellInputs{};
+      }) {
+  pipeline_.taps() = make_client_taps(nullptr, digest);
 }
 
 void ReplayDriver::step(const Record& rec) {
@@ -82,8 +76,7 @@ void ReplayDriver::step(const Record& rec) {
       sfs_.resize(rec.batch.cells.size());
       for (std::size_t i = 0; i < sfs_.size(); ++i) {
         const CellCapture& c = rec.batch.cells[i];
-        cur_ber_[c.cell] = c.control_ber;
-        cur_bpp_[c.cell] = c.bits_per_prb;
+        cur_inputs_[c.cell] = {c.control_ber, c.bits_per_prb};
         phy::PdcchSubframe& sf = sfs_[i];
         sf.cell_id = c.cell;
         sf.sf_index = c.sf_index;
@@ -93,29 +86,19 @@ void ReplayDriver::step(const Record& rec) {
         sf.bits = c.bits;
         sf.cce_used = c.cce_used;
       }
-      monitor_->on_pdcch_batch(sfs_);
-      if (batch_end_) batch_end_(rec.batch.sf_index);
+      pipeline_.on_pdcch_batch(sfs_);
       ++stats_.batches;
       stats_.cell_subframes += sfs_.size();
       break;
     }
     case Record::Kind::kWindow:
-      // Same pair of calls, in the same order, as the live client's
-      // RTprop update in fill_feedback.
-      estimator_.set_window(rec.window.window);
-      monitor_->set_tracker_window(rec.window.window);
+      pipeline_.set_window(rec.window.t, rec.window.window);
       ++stats_.window_sets;
       break;
-    case Record::Kind::kProbe: {
-      // The live client's estimator query sequence at an ACK, verbatim —
-      // these calls expire window state, so order and time must match.
-      const double cf = estimator_.fair_share_capacity(rec.probe.t);
-      const double cp = estimator_.available_capacity(rec.probe.t);
-      const int cells = estimator_.active_cell_count(rec.probe.t);
-      if (digest_ != nullptr) digest_->on_probe(cf, cp, cells);
+    case Record::Kind::kProbe:
+      pipeline_.probe(rec.probe.t);
       ++stats_.probes;
       break;
-    }
   }
 }
 

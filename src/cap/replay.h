@@ -1,16 +1,16 @@
-// Replay-driven monitor pipeline (DESIGN.md §11).
+// Replay-driven measurement pipeline (DESIGN.md §11).
 //
-// ReplayDriver rebuilds the measurement pipeline a live PBE client runs —
-// per-cell blind decoders, message fusion, user trackers, and the capacity
-// estimator — purely from a trace header, then streams recorded batches
-// into Monitor::on_pdcch_batch. No MAC simulator, base station, or event
-// loop is instantiated: the decode path runs as fast as the CPU allows,
-// and (like the live batch path) is byte-identical for any thread count.
-// ReplayDriver copies each batch into one control-region vector that it
-// keeps from batch to batch, so a steady-state batch reuses its storage.
+// ReplayDriver rebuilds, purely from a trace header, the
+// pbe::MeasurementPipeline the recording client ran — per-cell blind
+// decoders, message fusion, user trackers and the capacity estimator —
+// then streams the recorded ticks, window updates and probes into it. No
+// MAC simulator, base station, or event loop is instantiated: the decode
+// path runs as fast as the CPU allows. ReplayDriver copies each batch into
+// one control-region vector that it keeps from batch to batch, so a
+// steady-state batch reuses its storage.
 //
-// PipelineDigest is the fidelity instrument: both the live client (via
-// pbe::ClientTaps) and the replay fold the same pipeline outputs — every
+// PipelineDigest is the fidelity instrument: both the live client and the
+// replay fold the same pipeline outputs through pbe::ClientTaps — every
 // CellObservation field, and the estimator's Cf/Cp/active-cell answers at
 // each recorded probe point — into order-sensitive FNV-1a digests, so
 // record→replay equality is one 64-bit compare per stream.
@@ -26,7 +26,7 @@
 #include "cap/trace_reader.h"
 #include "decoder/monitor.h"
 #include "fault/fault.h"
-#include "pbe/capacity_estimator.h"
+#include "pbe/measurement_pipeline.h"
 #include "util/digest.h"
 
 namespace pbecc::cap {
@@ -72,31 +72,28 @@ class ReplayDriver {
   // Drain a reader to end-of-trace or error (check reader.ok()).
   ReplayStats run(TraceReader& reader);
 
-  // Mirror of pbe::ClientTaps::on_batch_end: fires after each batch
-  // record's decode, with the record's subframe index. A plain
-  // std::function keeps this module free of any telemetry dependency;
-  // tel::PipelineSampler plugs in here so a replay exports the same
-  // est.* / decode.* series the live run recorded.
+  // The pipeline's pbe::ClientTaps::on_batch_end, beside the digest's
+  // taps: fires after each batch record's decode with the record's
+  // subframe index. tel::PipelineSampler plugs in here so a replay exports
+  // the same est.* / decode.* series the live run recorded.
   void set_batch_end_hook(std::function<void(std::int64_t)> hook) {
-    batch_end_ = std::move(hook);
+    pipeline_.taps().on_batch_end = std::move(hook);
   }
 
   const ReplayStats& stats() const { return stats_; }
-  const decoder::Monitor& monitor() const { return *monitor_; }
-  const pbe::CapacityEstimator& estimator() const { return estimator_; }
+  const decoder::Monitor& monitor() const { return pipeline_.monitor(); }
+  const pbe::CapacityEstimator& estimator() const {
+    return pipeline_.estimator();
+  }
 
  private:
-  PipelineDigest* digest_;
   std::unique_ptr<fault::FaultInjector> faults_;
-  pbe::CapacityEstimator estimator_;
-  std::unique_ptr<decoder::Monitor> monitor_;
-  // Latest recorded per-cell inputs, consulted by the monitor's ber_fn and
-  // the estimator's own-CSI hint during the current batch.
-  std::map<phy::CellId, double> cur_ber_;
-  std::map<phy::CellId, double> cur_bpp_;
+  // Latest recorded per-cell inputs, read by the pipeline during the
+  // current batch.
+  std::map<phy::CellId, pbe::CellInputs> cur_inputs_;
+  pbe::MeasurementPipeline pipeline_;
   // The current batch's control regions; entries are reused across batches.
   std::vector<phy::PdcchSubframe> sfs_;
-  std::function<void(std::int64_t)> batch_end_;
   ReplayStats stats_{};
 };
 

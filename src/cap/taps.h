@@ -1,13 +1,13 @@
-// Glue between a live PBE client and the capture subsystem: builds the
-// pbe::ClientTaps bundle that routes the client's pipeline inputs into a
-// TraceWriter and/or its pipeline outputs into a PipelineDigest. Kept in
-// pbecc::cap so pbecc::pbe stays free of any capture dependency — the
-// client only sees plain std::function hooks.
+// Glue between a measurement pipeline and the capture subsystem: builds
+// the pbe::ClientTaps bundle that routes the pipeline's inputs into a
+// TraceWriter and/or its outputs into a PipelineDigest. Kept in pbecc::cap
+// so pbecc::pbe stays free of any capture dependency — the pipeline only
+// sees plain std::function hooks.
 #pragma once
 
 #include "cap/replay.h"
 #include "cap/trace_writer.h"
-#include "pbe/pbe_client.h"
+#include "pbe/measurement_pipeline.h"
 
 namespace pbecc::cap {
 

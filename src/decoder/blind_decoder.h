@@ -14,9 +14,9 @@
 // The search is split into a side-effect-free compute phase and an apply
 // phase: decode_compute() only reads the subframe (plus the per-position
 // memo cache and scratch it owns), and decode_apply() folds the resulting
-// deltas into stats, registry counters and trace events. Monitor runs all
-// of a tick's computes before its applies; both run on the thread that
-// steps the cell.
+// deltas into stats, registry counters and trace events. Monitor runs each
+// subframe's apply right after its compute, on the thread that steps the
+// cell.
 #pragma once
 
 #include <array>

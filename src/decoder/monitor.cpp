@@ -76,10 +76,6 @@ void Monitor::note_fault_edge(bool& state, bool now_active,
   state = now_active;
 }
 
-void Monitor::on_pdcch(const phy::PdcchSubframe& sf) {
-  on_pdcch_batch({sf});
-}
-
 void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
   PBECC_INVARIANT(!in_batch_, "monitor_batch_reentered");
   if (in_batch_) return;  // the outer call's entries are in use
@@ -160,17 +156,14 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
   }
   const auto batch = std::span(pending_).first(n_pending);
 
-  // Phase 2 — blind decode, the expensive part, on this thread in input
-  // order. decode_compute touches nothing shared across decoders, and each
-  // decoder (its span memo and scratch) sees its cell's entries — one per
-  // slot of the tick for an NR cell — in order.
-  for (Pending& p : batch) p.run = p.dec->decode_compute(p.noisy);
-
-  // Phase 3 — apply + fusion, serial, back in input order: stats,
-  // counters, trace events, false-DCI injection and downstream fusion
-  // callbacks all land exactly as in a per-subframe serial run.
+  // Phase 2 — decode, apply and fuse each entry in input order: stats,
+  // counters, trace events, false-DCI injection and fusion callbacks. Each
+  // decoder sees its cell's entries (one per slot of the tick for an NR
+  // cell) in order; decode_compute reads only that decoder's memo and
+  // scratch, and nothing fusion or the Output callback calls reaches a
+  // decoder.
   for (Pending& p : batch) {
-    auto messages = p.dec->decode_apply(p.run);
+    auto messages = p.dec->decode(p.noisy);
     if (faults_ != nullptr) {
       const int n_false = faults_->false_dci_count(p.sf_index, p.cell);
       for (int k = 0; k < n_false; ++k) {

@@ -56,23 +56,18 @@ class Monitor {
           UserTrackerConfig tracker_cfg = {}, std::uint64_t seed = 99,
           const fault::FaultInjector* faults = nullptr);
 
-  // Feed a (clean) control region broadcast from the base station; the
-  // monitor applies its own reception noise before decoding. Cells the
-  // monitor is not configured for are ignored (it only runs decoders for
-  // the aggregated cells of its own UE, as in the paper's prototype).
-  void on_pdcch(const phy::PdcchSubframe& sf);
-
-  // Batched form: all cells' control regions for one tick at once, in cell
-  // order. Runs on the calling thread in three phases, each in the given
-  // order: (1) fault/noise preparation (every rng_ draw happens here),
-  // (2) side-effect-free decode_compute, (3) decode_apply + fusion (stats,
-  // counters, trace events, downstream callbacks).
-  // Byte-identical to calling on_pdcch per subframe in the same order.
+  // Feed one tick's (clean) control regions broadcast from the base
+  // station, in cell order; the monitor applies its own reception noise
+  // before decoding. Cells the monitor is not configured for are ignored
+  // (it only runs decoders for the aggregated cells of its own UE, as in
+  // the paper's prototype). Runs on the calling thread in two phases, each
+  // in the given order: (1) fault/noise preparation (every rng_ draw
+  // happens here), (2) decode + fusion per entry (stats, counters, trace
+  // events, downstream callbacks).
   //
-  // Not re-entrant: the three phases work in buffers the monitor keeps
-  // across batches, so the Output callback must not feed this monitor
-  // (on_pdcch or on_pdcch_batch). A nested call records the
-  // `monitor_batch_reentered` invariant and is dropped.
+  // Not re-entrant: both phases work in buffers the monitor keeps across
+  // batches, so the Output callback must not feed this monitor. A nested
+  // call records the `monitor_batch_reentered` invariant and is dropped.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
 
   // RTprop changes adjust the activity window (paper averages over the
@@ -129,14 +124,13 @@ class Monitor {
   std::unique_ptr<MessageFusion> fusion_;
   util::Rng rng_;
 
-  // One decoded subframe of a batch, carried from phase 1 to phase 3.
+  // One subframe of a batch to decode, carried from phase 1 to phase 2.
   struct Pending {
     phy::PdcchSubframe noisy;
     BlindDecoder* dec = nullptr;
     phy::CellId cell{};
     std::int64_t sf_index = 0;
     util::Time now = 0;
-    DecodeRun run;
   };
   // Entries are reused from batch to batch, each copy-assigned in place so
   // its noisy copy keeps its storage: a steady-state tick allocates none.

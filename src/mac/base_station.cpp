@@ -369,10 +369,8 @@ void BaseStation::run_cell(CellState& cell, std::int64_t tick_index) {
   }
 
   // --- 4. Emit the control region to monitors.
-  if (!pdcch_observers_.empty() || !pdcch_batch_observers_.empty()) {
-    phy::PdcchSubframe sf = std::move(pdcch).build();
-    for (const auto& obs : pdcch_observers_) obs(sf);
-    if (!pdcch_batch_observers_.empty()) tick_pdcch_.push_back(std::move(sf));
+  if (!pdcch_batch_observers_.empty()) {
+    tick_pdcch_.push_back(std::move(pdcch).build());
   }
   if (alloc_observer_) alloc_observer_(record);
 

@@ -122,7 +122,6 @@ struct CellGroundTruth {
 class BaseStation {
  public:
   using DeliveryHandler = std::function<void(net::Packet)>;
-  using PdcchObserver = std::function<void(const phy::PdcchSubframe&)>;
   using PdcchBatchObserver =
       std::function<void(const std::vector<phy::PdcchSubframe>&)>;
   using AllocationObserver = std::function<void(const AllocationRecord&)>;
@@ -138,13 +137,10 @@ class BaseStation {
   // Downlink ingress (from the Internet path).
   void enqueue(UeId ue, net::Packet pkt);
 
-  // Monitors (PBE-CC decoders) receive every cell's control region each
-  // subframe, before noise — each monitor applies its own channel noise.
-  void add_pdcch_observer(PdcchObserver obs) { pdcch_observers_.push_back(std::move(obs)); }
-  // Batched variant: one call per tick with every cell's control region,
-  // in cell order — lets a monitor draw every cell's noise, decode every
-  // cell and then fuse the results in one pass (Monitor::on_pdcch_batch)
-  // instead of cell-by-cell.
+  // Monitors (PBE-CC decoders) receive one call per 1 ms tick with every
+  // cell's control regions, before noise, in slot-major cell order (an NR
+  // cell contributes one region per slot). Each monitor applies its own
+  // channel noise (Monitor::on_pdcch_batch).
   void add_pdcch_batch_observer(PdcchBatchObserver obs) {
     pdcch_batch_observers_.push_back(std::move(obs));
   }
@@ -283,7 +279,6 @@ class BaseStation {
   std::vector<CellState> cells_;
   std::map<UeId, UeState> ues_;
   std::map<UeId, DeliveryHandler> delivery_;
-  std::vector<PdcchObserver> pdcch_observers_;
   std::vector<PdcchBatchObserver> pdcch_batch_observers_;
   // Control regions built during the current tick, one per cell, handed to
   // the batch observers once every cell has run.

@@ -17,72 +17,13 @@ constexpr double kRateAttainedFraction = 0.9;
 }  // namespace
 
 PbeClient::PbeClient(PbeClientConfig cfg, ChannelQuery channel_query)
-    : cfg_(std::move(cfg)), channel_(std::move(channel_query)) {
-  // The first configured cell is the primary carrier: the connection-start
-  // fair-share fallback must target it regardless of CellId ordering.
-  if (!cfg_.cells.empty()) estimator_.set_primary_cell(cfg_.cells.front().id);
-  monitor_ = std::make_unique<decoder::Monitor>(
-      cfg_.rnti, cfg_.cells,
-      [this](const std::vector<decoder::CellObservation>& obs) {
-        if (obs.empty()) return;
-        if (taps_.on_observations) taps_.on_observations(obs);
-        // Estimates timestamp at the end of the latest tick in the fused
-        // emission: (sf_index + 1) * tick per observation, maximized over
-        // the batch. For LTE-only sets every tick is 1 ms and this is
-        // exactly subframe_start(sf_index + 1). ReplayDriver mirrors this
-        // formula — keep the two in lockstep.
-        util::Time now = 0;
-        for (const auto& o : obs) {
-          now = std::max(now, (o.sf_index + 1) * o.tick);
-        }
-        estimator_.on_observations(now, obs, [this](phy::CellId c) {
-          const auto ch = channel_(c);
-          const phy::Mcs mcs{ch.cqi, ch.sinr_db >= 14.0 ? 2 : 1};
-          return mcs.bits_per_prb();
-        });
-      },
-      [this](phy::CellId c) { return channel_(c).control_ber; },
-      cfg_.tracker, cfg_.seed, cfg_.faults);
-}
-
-void PbeClient::on_pdcch(const phy::PdcchSubframe& sf) { monitor_->on_pdcch(sf); }
-
-void PbeClient::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
-  // Both taps apply only to batches carrying >=1 monitored cell — the
-  // same condition under which a capture emits a batch record, so replay
-  // sees identical tick streams.
-  std::int64_t monitored_sf = -1;
-  if (taps_.on_batch || taps_.on_batch_end) {
-    for (const auto& sf : sfs) {
-      if (monitor_->has_cell(sf.cell_id)) {
-        // Master 1 ms subframe index, whatever the cell's slot clock —
-        // matches the batch record's sf_index so replay's batch-end hook
-        // fires with identical values.
-        monitored_sf = sf.sf_index * sf.tick / util::kSubframe;
-        break;
-      }
-    }
-  }
-  if (taps_.on_batch && monitored_sf >= 0) {
-    // Capture exactly what the pipeline will consume: the monitored cells'
-    // clean control regions plus, per cell, the base control BER the
-    // monitor's ber_fn would return and the own-CSI Rw hint the estimator
-    // would compute from current channel state.
-    std::vector<phy::PdcchSubframe> kept;
-    std::vector<double> bers, bpps;
-    for (const auto& sf : sfs) {
-      if (!monitor_->has_cell(sf.cell_id)) continue;
-      const auto ch = channel_(sf.cell_id);
-      const phy::Mcs mcs{ch.cqi, ch.sinr_db >= 14.0 ? 2 : 1};
-      kept.push_back(sf);
-      bers.push_back(ch.control_ber);
-      bpps.push_back(mcs.bits_per_prb());
-    }
-    if (!kept.empty()) taps_.on_batch(kept, bers, bpps);
-  }
-  monitor_->on_pdcch_batch(sfs);
-  if (taps_.on_batch_end && monitored_sf >= 0) taps_.on_batch_end(monitored_sf);
-}
+    : cfg_(std::move(cfg)),
+      channel_(std::move(channel_query)),
+      pipeline_(cfg_, [this](phy::CellId c) {
+        const auto ch = channel_(c);
+        const phy::Mcs mcs{ch.cqi, ch.sinr_db >= 14.0 ? 2 : 1};
+        return CellInputs{ch.control_ber, mcs.bits_per_prb()};
+      }) {}
 
 double PbeClient::current_p() const {
   // Residual BER estimated from SINR (paper: "We estimate p using measured
@@ -171,9 +112,7 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
     rtprop_est_ = std::clamp<util::Duration>(2 * dprop + 4 * util::kMillisecond,
                                              20 * util::kMillisecond,
                                              400 * util::kMillisecond);
-    estimator_.set_window(rtprop_est_);
-    monitor_->set_tracker_window(rtprop_est_);
-    if (taps_.on_window_set) taps_.on_window_set(now, rtprop_est_);
+    pipeline_.set_window(now, rtprop_est_);
   }
 
   // --- Receive-rate window.
@@ -182,10 +121,9 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
 
   // --- Capacity estimates, physical -> transport (Eqn 5).
   const double p = current_p();
-  const double cf_phys = estimator_.fair_share_capacity(now);
-  const double cp_phys = estimator_.available_capacity(now);
-  const double cf_t = translator_.to_transport(cf_phys, p);
-  const double cp_t = translator_.to_transport(cp_phys, p);
+  const MeasurementPipeline::Probe probe = pipeline_.probe(now);
+  const double cf_t = translator_.to_transport(probe.cf_bits_sf, p);
+  const double cp_t = translator_.to_transport(probe.cp_bits_sf, p);
   const double cf_bps = util::bits_per_subframe_to_bps(cf_t);
 
   // --- Carrier (de)activation: a newly activated cell restarts the
@@ -194,11 +132,7 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
   // restart requires one second since the previous count increase. The
   // re-ramp starts from the current rate, not from zero — the paper's
   // from-zero ramp is for connection start, where there is no rate yet.
-  const int cells_now = estimator_.active_cell_count(now);
-  // Probe taps sit after the third estimator query so a replay can repeat
-  // the exact fair_share -> available -> active_cells sequence at `now`.
-  if (taps_.on_probe) taps_.on_probe(now);
-  if (taps_.on_probe_values) taps_.on_probe_values(cf_phys, cp_phys, cells_now);
+  const int cells_now = probe.active_cells;
   if (cells_now > last_cell_count_ &&
       now - last_cell_increase_ > util::kSecond) {
     state_ = State::kStartup;
@@ -272,11 +206,11 @@ void PbeClient::fill_feedback(const net::Packet& pkt, util::Time now,
 }
 
 double PbeClient::confidence(util::Time now) const {
-  double conf = monitor_->decode_success_rate(now);
+  double conf = pipeline_.monitor().decode_success_rate(now);
   // Estimate freshness: a feed that stopped updating (blackout, stall) is
   // worth less the older it gets — full trust up to 50 ms of age, linear
   // decay to zero at 300 ms.
-  const util::Time lu = estimator_.last_update();
+  const util::Time lu = pipeline_.estimator().last_update();
   if (lu > 0) {
     const util::Duration age = now - lu;
     if (age > 50 * util::kMillisecond) {

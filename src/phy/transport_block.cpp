@@ -9,9 +9,4 @@ double transport_block_bits(int n_prbs, const Mcs& mcs) {
   return static_cast<double>(n_prbs) * mcs.bits_per_prb();
 }
 
-double transport_block_bits(const Dci& dci) {
-  if (!dci.is_downlink()) throw std::invalid_argument("uplink DCI has no downlink TB");
-  return transport_block_bits(dci.n_prbs, dci.mcs);
-}
-
 }  // namespace pbecc::phy

@@ -6,16 +6,11 @@
 // 8 subframes later (paper Fig 3).
 #pragma once
 
-#include <cstdint>
-
-#include "phy/dci.h"
+#include "phy/mcs.h"
 
 namespace pbecc::phy {
 
 // Usable TB payload bits for an allocation.
 double transport_block_bits(int n_prbs, const Mcs& mcs);
-
-// As above but from a decoded DCI (downlink formats only).
-double transport_block_bits(const Dci& dci);
 
 }  // namespace pbecc::phy

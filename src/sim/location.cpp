@@ -128,9 +128,7 @@ LocationRunResult run_location(const LocationProfile& loc,
     cfg.fault = *fault;
     cfg.fault_seed = fault_seed;
   }
-  cfg.capture = capture.writer;
-  cfg.digest = capture.digest;
-  cfg.telemetry = capture.telemetry;
+  cfg.capture = capture;
   Scenario s{std::move(cfg)};
   s.add_ue(ue_spec_for(loc));
   add_location_background(s, loc);

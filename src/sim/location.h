@@ -63,15 +63,6 @@ struct LocationRunResult {
   util::SampleSet delays_ms;
   std::uint64_t decode_candidates = 0;  // blind-decode attempts (PBE only)
 };
-// Optional pbecc::cap / pbecc::tel hookup for a run: record the PBE
-// pipeline into `writer`, digest its outputs, and/or sample run telemetry
-// into `telemetry` (all unowned, all may be null).
-struct CaptureOptions {
-  cap::TraceWriter* writer = nullptr;
-  cap::PipelineDigest* digest = nullptr;
-  tel::Sampler* telemetry = nullptr;
-};
-
 // `fault` (optional) runs the flow under a deterministic chaos schedule
 // seeded with `fault_seed` (see fault::FaultProfile / --fault-profile).
 LocationRunResult run_location(const LocationProfile& loc, const std::string& algo,

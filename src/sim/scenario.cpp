@@ -356,26 +356,26 @@ int Scenario::add_flow(const FlowSpec& spec) {
     // compose into one ClientTaps so record+telemetry runs work.
     pbe::ClientTaps taps{};
     bool want_taps = false;
-    if ((cfg_.capture != nullptr || cfg_.digest != nullptr) &&
+    if ((cfg_.capture.writer != nullptr || cfg_.capture.digest != nullptr) &&
         !capture_attached_) {
       capture_attached_ = true;
-      if (cfg_.capture != nullptr && !cfg_.capture->begun()) {
-        cfg_.capture->begin(cap::capture_header(pcfg, faults_.get()));
+      if (cfg_.capture.writer != nullptr && !cfg_.capture.writer->begun()) {
+        cfg_.capture.writer->begin(cap::capture_header(pcfg, faults_.get()));
       }
-      taps = cap::make_client_taps(cfg_.capture, cfg_.digest);
+      taps = cap::make_client_taps(cfg_.capture.writer, cfg_.capture.digest);
       want_taps = true;
     }
-    if (cfg_.telemetry != nullptr && telemetry_flow_ < 0) {
+    if (cfg_.capture.telemetry != nullptr && telemetry_flow_ < 0) {
       telemetry_flow_ = static_cast<int>(flows_.size());
-      auto& trec = cfg_.telemetry->recorder();
+      auto& trec = cfg_.capture.telemetry->recorder();
       trec.set_meta("algo", spec.algo);
       trec.set_meta("seed", std::to_string(cfg_.seed));
-      trec.set_meta("interval_us", std::to_string(cfg_.telemetry->interval()));
+      trec.set_meta("interval_us", std::to_string(cfg_.capture.telemetry->interval()));
       trec.set_meta("fault_active", cfg_.fault.active() ? "1" : "0");
       if (cfg_.fault.active()) {
         trec.set_meta("fault_seed", std::to_string(cfg_.fault_seed));
       }
-      auto& pipeline = cfg_.telemetry->pipeline();
+      auto& pipeline = cfg_.capture.telemetry->pipeline();
       pipeline.attach(&ctx->client->monitor(), &ctx->client->estimator());
       taps.on_batch_end = [p = &pipeline](std::int64_t sf) {
         p->on_batch_end(sf);
@@ -478,15 +478,15 @@ void Scenario::schedule_bg_sessions(BgGroup* g) {
 }
 
 void Scenario::schedule_telemetry_sampling() {
-  if (cfg_.telemetry == nullptr || telemetry_flow_ < 0) return;
+  if (cfg_.capture.telemetry == nullptr || telemetry_flow_ < 0) return;
   auto* ctx = flows_.at(static_cast<std::size_t>(telemetry_flow_)).get();
   const mac::UeId ue = ctx->spec.ue;
   const int home = ctx->domain;
   auto& dloop = domains_[static_cast<std::size_t>(home)]->loop;
   auto* dbs = domains_[static_cast<std::size_t>(home)]->bs.get();
-  tel::Recorder* rec = &cfg_.telemetry->recorder();
+  tel::Recorder* rec = &cfg_.capture.telemetry->recorder();
   const util::Duration interval =
-      std::max<util::Duration>(cfg_.telemetry->interval(), util::kMillisecond);
+      std::max<util::Duration>(cfg_.capture.telemetry->interval(), util::kMillisecond);
 
   const auto sample = [this, ue, home, rec, dbs, sender = ctx->sender.get(),
                        client = ctx->client.get()](util::Time now) {

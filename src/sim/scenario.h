@@ -139,6 +139,20 @@ struct AggregateBackgroundSpec {
   mac::AggregateTrafficConfig traffic{};
 };
 
+// Optional pbecc::cap / pbecc::tel hookup for a run (all unowned, all may
+// be null), attached to the first PBE flow added:
+//   * `writer` records its measurement pipeline (begin() is called with
+//     the client's trace header);
+//   * `digest` folds its outputs for record→replay fidelity checks;
+//   * `telemetry` samples the pipeline's est.*/decode.* series, while a
+//     sim-clock event samples ground truth, flow, degradation, queue and
+//     invariant series on the same cadence.
+struct CaptureOptions {
+  cap::TraceWriter* writer = nullptr;
+  cap::PipelineDigest* digest = nullptr;
+  tel::Sampler* telemetry = nullptr;
+};
+
 struct ScenarioConfig {
   std::uint64_t seed = 1;
   std::vector<CellSpec> cells = {{}};
@@ -154,17 +168,8 @@ struct ScenarioConfig {
   // different fault schedules and vice versa.
   fault::FaultProfile fault{};
   std::uint64_t fault_seed = 1;
-  // Capture taps (pbecc::cap, both unowned, may be null): the first PBE
-  // flow added gets its measurement pipeline recorded into `capture`
-  // (begin() is called with the client's trace header) and/or its outputs
-  // folded into `digest` for record→replay fidelity checks.
-  cap::TraceWriter* capture = nullptr;
-  cap::PipelineDigest* digest = nullptr;
-  // Run telemetry (pbecc::tel, unowned, may be null): the first PBE flow's
-  // measurement pipeline drives the sampler's est.*/decode.* series, and a
-  // sim-clock event loop samples ground truth, flow, degradation, queue and
-  // invariant series on the same cadence.
-  tel::Sampler* telemetry = nullptr;
+  // Instruments on the first PBE flow's measurement pipeline.
+  CaptureOptions capture{};
 };
 
 class Scenario {

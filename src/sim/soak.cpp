@@ -10,10 +10,9 @@
 #include <vector>
 
 #include "check/check.h"
-#include "decoder/monitor.h"
 #include "mac/base_station.h"
 #include "net/event_loop.h"
-#include "pbe/capacity_estimator.h"
+#include "pbe/measurement_pipeline.h"
 #include "phy/mcs.h"
 #include "phy/pdcch.h"
 #include "tel/sampler.h"
@@ -110,18 +109,16 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
   const phy::Rnti own_rnti = 0x100;
   const double hint_rw = phy::Mcs{10, 1}.bits_per_prb();
 
-  pbe::CapacityEstimator estimator;
-  estimator.set_primary_cell(cells.front().id);
-  decoder::Monitor monitor(
-      own_rnti, cells,
-      [&](const std::vector<decoder::CellObservation>& obs) {
-        if (obs.empty()) return;
-        const auto now = util::subframe_start(obs.front().sf_index + 1);
-        estimator.on_observations(now, obs,
-                                  [&](phy::CellId) { return hint_rw; });
-      },
-      [](phy::CellId) { return 0.002; },  // light monitor reception noise
-      decoder::UserTrackerConfig{}, cfg.seed + 1);
+  pbe::PbeClientConfig pcfg;
+  pcfg.rnti = own_rnti;
+  pcfg.cells = cells;
+  pcfg.seed = cfg.seed + 1;
+  // Light monitor reception noise; a fixed own-CSI hint.
+  pbe::MeasurementPipeline pipeline(pcfg, [hint_rw](phy::CellId) {
+    return pbe::CellInputs{0.002, hint_rw};
+  });
+  const decoder::Monitor& monitor = pipeline.monitor();
+  const pbe::CapacityEstimator& estimator = pipeline.estimator();
   if (cfg.telemetry != nullptr) {
     auto& rec = cfg.telemetry->recorder();
     rec.set_meta("source", "pipeline_soak");
@@ -199,7 +196,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
       auto& c = cells[static_cast<std::size_t>(
           (sf / cfg.reconfig_period_sf) % static_cast<std::int64_t>(cells.size()))];
       c.bandwidth_mhz = c.bandwidth_mhz == 10.0 ? 20.0 : 10.0;
-      monitor.reconfigure_cell(c);
+      pipeline.reconfigure_cell(c);
       ++rep.reconfigs;
       last_reconfig_sf = sf;
     }
@@ -209,8 +206,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
         sf % cfg.window_jitter_period_sf == 0) {
       const auto w = util::from_millis(static_cast<double>(
           20 + (sf / cfg.window_jitter_period_sf * 7) % 180));
-      estimator.set_window(w);
-      monitor.set_tracker_window(w);
+      pipeline.set_window(now, w);
     }
 
     // --- Build every cell's control region and feed the batch.
@@ -248,7 +244,7 @@ SoakReport run_pipeline_soak(const PipelineSoakConfig& cfg) {
       }
       batch.push_back(std::move(builder).build());
     }
-    monitor.on_pdcch_batch(batch);
+    pipeline.on_pdcch_batch(batch);
     if (cfg.telemetry != nullptr) {
       cfg.telemetry->pipeline().on_batch_end(sf);
       // check.violations rides the same cadence the pipeline half uses.

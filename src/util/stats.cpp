@@ -1,8 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace pbecc::util {
 
@@ -14,17 +12,8 @@ void OnlineStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::sort_if_needed() const {
   if (!sorted_) {
@@ -60,45 +49,6 @@ double SampleSet::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
-
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(sorted.size());
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse runs of equal values to the last (highest-fraction) point.
-    if (!cdf.empty() && cdf.back().value == sorted[i]) {
-      cdf.back().fraction = static_cast<double>(i + 1) / n;
-    } else {
-      cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-    }
-  }
-  return cdf;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("bad histogram range");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;  // fp edge case
-    ++counts_[i];
-  }
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
 
 double jain_index(std::span<const double> allocations) {
   if (allocations.empty()) return 1.0;

@@ -1,8 +1,6 @@
 // Statistics helpers used across the evaluation harness:
-//  - OnlineStats: streaming mean / variance / min / max (Welford).
+//  - OnlineStats: streaming mean / min / max.
 //  - SampleSet:   exact order statistics (percentiles) over stored samples.
-//  - Cdf:         empirical CDF points for plotting paper-style figures.
-//  - Histogram:   fixed-bin counts.
 //  - jain_index:  Jain's fairness index (paper §6.4).
 #pragma once
 
@@ -19,9 +17,6 @@ class OnlineStats {
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  // Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
@@ -29,7 +24,6 @@ class OnlineStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -62,32 +56,6 @@ class SampleSet {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-// Empirical CDF: (value, cumulative fraction) pairs at each distinct sample.
-struct CdfPoint {
-  double value;
-  double fraction;  // in (0, 1]
-};
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples);
-
-class Histogram {
- public:
-  // Bins [lo, hi) split into `bins` equal cells plus under/overflow.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 // Jain's fairness index: (sum x)^2 / (n * sum x^2). 1.0 is perfectly fair.

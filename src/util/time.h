@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace pbecc::util {
 
@@ -35,8 +34,5 @@ constexpr double to_seconds(Duration d) { return static_cast<double>(d) / kSecon
 constexpr double to_millis(Duration d) { return static_cast<double>(d) / kMillisecond; }
 constexpr Duration from_seconds(double s) { return static_cast<Duration>(s * kSecond); }
 constexpr Duration from_millis(double ms) { return static_cast<Duration>(ms * kMillisecond); }
-
-// Human-readable rendering, e.g. "12.345ms", used in logs and bench output.
-std::string format_duration(Duration d);
 
 }  // namespace pbecc::util

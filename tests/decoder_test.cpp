@@ -534,10 +534,10 @@ TEST(Monitor, EndToEndPipeline) {
   for (int sf = 0; sf < 5; ++sf) {
     phy::PdcchBuilder b1(c1, sf);
     ASSERT_TRUE(b1.add(make_dci(0x100, 30), 1));
-    mon.on_pdcch(std::move(b1).build());
+    mon.on_pdcch_batch({std::move(b1).build()});
     phy::PdcchBuilder b2(c2, sf);
     ASSERT_TRUE(b2.add(make_dci(0x200, 10), 1));
-    mon.on_pdcch(std::move(b2).build());
+    mon.on_pdcch_batch({std::move(b2).build()});
   }
   ASSERT_EQ(outputs.size(), 5u);
   ASSERT_EQ(outputs[0].size(), 2u);
@@ -554,7 +554,7 @@ TEST(Monitor, IgnoresForeignCells) {
   int outputs = 0;
   Monitor mon(0x100, {c1}, [&](const auto&) { ++outputs; });
   phy::PdcchBuilder b(c9, 0);
-  mon.on_pdcch(std::move(b).build());
+  mon.on_pdcch_batch({std::move(b).build()});
   EXPECT_EQ(outputs, 0);
   EXPECT_FALSE(mon.has_cell(9));
   EXPECT_TRUE(mon.has_cell(1));
@@ -572,7 +572,7 @@ TEST(Monitor, NoisyChannelLosesSomeMessages) {
   for (int sf = 0; sf < 100; ++sf) {
     phy::PdcchBuilder b(c1, sf);
     ASSERT_TRUE(b.add(make_dci(0x100, 30), 1));  // AL1: fragile
-    mon.on_pdcch(std::move(b).build());
+    mon.on_pdcch_batch({std::move(b).build()});
   }
   EXPECT_EQ(sfs, 100);
   EXPECT_LT(own_seen, 100);  // some messages genuinely lost
@@ -584,7 +584,7 @@ TEST(Monitor, NoisyChannelLosesSomeMessages) {
 // shrink (three LTE cells, then one, then an LTE cell with an NR cell's
 // eight slots, then a batch with a foreign cell, then one whose blackout
 // skips an entry) must give the observations and per-cell stats of the
-// same subframes fed one on_pdcch at a time.
+// same subframes fed as one-element batches.
 TEST(Monitor, ReusedBatchBuffersLeakNothing) {
   const phy::CellConfig lte1{1, 10.0}, lte2{2, 10.0}, lte3{3, 10.0};
   const phy::CellConfig foreign{9, 10.0};
@@ -648,7 +648,7 @@ TEST(Monitor, ReusedBatchBuffersLeakNothing) {
   Monitor single = make(single_out);
   for (const auto& batch : batches) {
     batched.on_pdcch_batch(batch);
-    for (const auto& sf : batch) single.on_pdcch(sf);
+    for (const auto& sf : batch) single.on_pdcch_batch({sf});
   }
 
   EXPECT_EQ(batched.decode_attempts(), 3u + 1 + 9 + 2 + 9);
@@ -673,14 +673,14 @@ TEST(Monitor, ReentrantBatchIsRecordedAndDropped) {
   std::vector<int> own_prbs;
   Monitor mon(0x100, {c1}, [&](const std::vector<CellObservation>& obs) {
     own_prbs.push_back(obs[0].summary.own_prbs);
-    self->on_pdcch(nested);
+    self->on_pdcch_batch({nested});
   });
   self = &mon;
   for (int sf = 0; sf < 3; ++sf) {
     phy::PdcchBuilder b(c1, sf);
     ASSERT_TRUE(b.add(make_dci(0x100, 30), 2));
     nested = std::move(b).build();
-    mon.on_pdcch(nested);
+    mon.on_pdcch_batch({nested});
   }
   EXPECT_EQ(check::violations("monitor_batch_reentered"), 3u);
   EXPECT_EQ(own_prbs, (std::vector<int>{30, 30, 30}));

@@ -553,8 +553,7 @@ TEST(ShardDeterminism, ShardedRecordingReplaysByteIdentical) {
   {
     auto cfg = sharded_config("handover-storm", 11);
     cfg.shards = 8;
-    cfg.capture = &writer;
-    cfg.digest = &live;
+    cfg.capture = {&writer, &live};
     sim::Scenario s{cfg};
     populate_sharded(s);
     s.run_until(kShardStop);
@@ -568,7 +567,7 @@ TEST(ShardDeterminism, ShardedRecordingReplaysByteIdentical) {
   cap::PipelineDigest unsharded;
   {
     auto cfg = sharded_config("handover-storm", 11);
-    cfg.digest = &unsharded;
+    cfg.capture.digest = &unsharded;
     sim::Scenario s{cfg};
     populate_sharded(s);
     s.run_until(kShardStop);

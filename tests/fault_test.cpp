@@ -445,7 +445,7 @@ struct MonitorHarness {
     d.n_prbs = 4;
     d.mcs = {11, 1};
     b.add(d, 1);
-    mon.on_pdcch(std::move(b).build());
+    mon.on_pdcch_batch({std::move(b).build()});
     return (sf++) * util::kSubframe;
   }
 };
@@ -555,7 +555,7 @@ TEST(PbeClientFault, ConfidenceTracksBlackoutMonotonically) {
     d.n_prbs = 8;
     d.mcs = {11, 1};
     b.add(d, 1);
-    client.on_pdcch(std::move(b).build());
+    client.on_pdcch_batch({std::move(b).build()});
     ++sf;
     const util::Time now = sf * util::kSubframe;
     net::Packet pkt;

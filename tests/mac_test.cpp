@@ -623,9 +623,11 @@ TEST(BaseStation, PdcchObserverSeesOwnDci) {
   h.add_default_ue();
   decoder::BlindDecoder probe{phy::CellConfig{1, 10.0}};
   int own_msgs = 0;
-  h.bs->add_pdcch_observer([&](const phy::PdcchSubframe& sf) {
-    for (const auto& dci : probe.decode(sf)) {
-      own_msgs += dci.rnti == 0x101 ? 1 : 0;
+  h.bs->add_pdcch_batch_observer([&](const std::vector<phy::PdcchSubframe>& sfs) {
+    for (const auto& sf : sfs) {
+      for (const auto& dci : probe.decode(sf)) {
+        own_msgs += dci.rnti == 0x101 ? 1 : 0;
+      }
     }
   });
   h.bs->start();

@@ -444,7 +444,7 @@ struct ClientHarness {
       d.mcs = {11, 1};
       b.add(d, 1);
     }
-    client.on_pdcch(std::move(b).build());
+    client.on_pdcch_batch({std::move(b).build()});
     ++sf;
     now = sf * kSubframe;
 
@@ -547,6 +547,7 @@ TEST(PbeClient, CarrierActivationRestartsRamp) {
   util::Time now = 0;
   std::uint64_t seq = 0;
   auto step = [&](bool second_cell_active) {
+    std::vector<phy::PdcchSubframe> tick;
     for (phy::CellId cell : {phy::CellId{1}, phy::CellId{2}}) {
       phy::PdcchBuilder b(cell == 1 ? c1 : c2, sf);
       if (cell == 1 || second_cell_active) {
@@ -557,8 +558,9 @@ TEST(PbeClient, CarrierActivationRestartsRamp) {
         d.mcs = {11, 1};
         b.add(d, 1);
       }
-      client.on_pdcch(std::move(b).build());
+      tick.push_back(std::move(b).build());
     }
+    client.on_pdcch_batch(tick);
     ++sf;
     now = sf * kSubframe;
     net::Packet pkt;

@@ -670,15 +670,5 @@ TEST(TransportBlock, Sizing) {
   EXPECT_THROW(transport_block_bits(-1, mcs), std::invalid_argument);
 }
 
-TEST(TransportBlock, FromDci) {
-  Dci d;
-  d.format = DciFormat::kFormat1;
-  d.n_prbs = 25;
-  d.mcs = {9, 1};
-  EXPECT_DOUBLE_EQ(transport_block_bits(d), 25 * d.mcs.bits_per_prb());
-  d.format = DciFormat::kFormat0;  // uplink grant
-  EXPECT_THROW(transport_block_bits(d), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace pbecc::phy

@@ -389,5 +389,46 @@ TEST(TelEndToEnd, ReplayExportsByteIdenticalPipelineSeries) {
   std::remove(trace.c_str());
 }
 
+// `run_experiment --replay F --telemetry T`: one replay carries the
+// pipeline digest and the telemetry batch-end hook at once, and neither
+// instrument may displace the other.
+TEST(TelEndToEnd, ReplayWithDigestAndTelemetryKeepsBoth) {
+  const std::string trace = tmp_path("e2e_both.pbt");
+
+  tel::Sampler live;
+  cap::PipelineDigest live_digest;
+  {
+    cap::TraceWriter writer(trace);
+    const sim::CaptureOptions capture{&writer, &live_digest, &live};
+    sim::run_location(sim::location(2), "pbe", 3 * util::kSecond, nullptr, 1,
+                      capture);
+    ASSERT_TRUE(writer.close()) << writer.error();
+  }
+  ASSERT_GT(live_digest.observations(), 0u);
+  ASSERT_GT(live_digest.probes(), 0u);
+
+  tel::Sampler replayed;
+  cap::PipelineDigest replayed_digest;
+  {
+    cap::TraceReader reader(trace);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    cap::ReplayDriver driver(reader.header(), &replayed_digest);
+    replayed.pipeline().attach(&driver.monitor(), &driver.estimator());
+    driver.set_batch_end_hook([&](std::int64_t sf) {
+      replayed.pipeline().on_batch_end(sf);
+    });
+    driver.run(reader);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+  }
+  EXPECT_EQ(replayed_digest.observation_digest(),
+            live_digest.observation_digest());
+  EXPECT_EQ(replayed_digest.probe_digest(), live_digest.probe_digest());
+  EXPECT_TRUE(replayed_digest == live_digest);
+  EXPECT_EQ(pipeline_series_digest(replayed.recorder()),
+            pipeline_series_digest(live.recorder()));
+  EXPECT_NE(replayed.recorder().find("est.cf_bits_sf"), nullptr);
+  std::remove(trace.c_str());
+}
+
 }  // namespace
 }  // namespace pbecc
