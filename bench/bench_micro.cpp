@@ -107,7 +107,7 @@ enum class Energy { kBusy, kAll, kNone, kIdleSlots };
 void BM_ApplyBitNoise(benchmark::State& state, Energy energy) {
   auto sf = busy_subframe(4);
   if (energy == Energy::kAll || energy == Energy::kNone) {
-    std::fill(sf.cce_used.begin(), sf.cce_used.end(), energy == Energy::kAll);
+    sf.cce_used = util::BitVec(sf.cce_used.size(), energy == Energy::kAll);
   }
   std::vector<phy::PdcchSubframe> slots;
   if (energy == Energy::kIdleSlots) {

@@ -1,5 +1,6 @@
 #include "cap/format.h"
 
+#include <algorithm>
 #include <array>
 
 namespace pbecc::cap {
@@ -222,9 +223,12 @@ void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
         const auto bytes = c.bits.to_bytes();
         w.put_bytes(bytes.data(), bytes.size());
         util::BitVec energy;
-        for (int i = 0; i < c.n_cces; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          energy.push_bit(idx < c.cce_used.size() && c.cce_used[idx]);
+        constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+        const auto n_cces = static_cast<std::size_t>(std::max(c.n_cces, 0));
+        for (std::size_t w = 0; w * kWordBits < n_cces; ++w) {
+          const std::size_t k = std::min(kWordBits, n_cces - w * kWordBits);
+          energy.push_uint(phy::energy_word(c.cce_used, w) >> (kWordBits - k),
+                           k);
         }
         const auto ebytes = energy.to_bytes();
         w.put_bytes(ebytes.data(), ebytes.size());
@@ -309,10 +313,7 @@ bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
         const auto ncces = static_cast<std::size_t>(c.n_cces);
         const std::uint8_t* ebytes = r.get_bytes((ncces + 7) / 8);
         if (ebytes == nullptr) break;
-        c.cce_used.resize(ncces);
-        for (std::size_t j = 0; j < ncces; ++j) {
-          c.cce_used[j] = (ebytes[j / 8] >> (7 - j % 8)) & 1;  // MSB first
-        }
+        c.cce_used = util::BitVec::from_bytes(ebytes, ncces);
         out.batch.cells.push_back(std::move(c));
       }
       break;

@@ -74,10 +74,13 @@ struct CellCapture {
   double control_ber = 0;   // base BER the monitor's ber_fn returned
   double bits_per_prb = 0;  // own-CSI Rw hint fed to the estimator
   util::BitVec bits;        // clean control region, n_cces * 72 bits
-  // Per-CCE transmit-energy map (n_cces bits): real monitors sense energy
-  // before blind-decoding, and the decoder prunes candidates over silent
-  // CCEs — replay needs the same map to try the same candidates.
-  std::vector<bool> cce_used;
+  // Per-CCE transmit-energy map (n_cces bits, phy::PdcchSubframe's
+  // layout): real monitors sense energy before blind-decoding, and the
+  // decoder prunes candidates over silent CCEs — replay needs the same map
+  // to try the same candidates. It is recorded through phy::energy_word,
+  // so a CCE past the end of a short map is recorded energized, as noise
+  // and decode treat it.
+  util::BitVec cce_used;
 
   bool operator==(const CellCapture&) const = default;
 };

@@ -62,17 +62,19 @@ void BlindDecoder::refresh_starts(int n_cces) {
   starts_n_cces_ = n_cces;
   const bool is_nr = cell_.rat == phy::Rat::kNr;
   for (const int al : kAggregationLevels) {
-    std::vector<int>& starts = starts_[static_cast<std::size_t>(al_index(al))];
+    util::BitVec& starts = starts_[static_cast<std::size_t>(al_index(al))];
+    starts = util::BitVec(static_cast<std::size_t>(std::max(n_cces, 0)));
+    const auto add = [&starts](int start) {
+      starts.set_bit(static_cast<std::size_t>(start), true);
+      return false;
+    };
     if (is_nr) {
-      starts = nr::candidate_starts(n_cces, al,
-                                    cell_.search_space.candidates_for(al));
-    } else {
-      starts.clear();
-      if (al == 16) continue;  // LTE has no AL16 rung
-      for (int start = 0; start + al <= n_cces; start += al) {
-        starts.push_back(start);
-      }
+      nr::visit_candidate_starts(n_cces, al,
+                                 cell_.search_space.candidates_for(al), add);
+    } else if (al != 16) {  // LTE has no AL16 rung
+      for (int start = 0; start + al <= n_cces; start += al) add(start);
     }
+    if (starts.popcount(0, starts.size()) == 0) starts = util::BitVec{};
   }
 }
 
@@ -225,69 +227,82 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
   run.sf_index = sf.sf_index;
   run.tick = sf.tick;
   run.delta.subframes = 1;
-  claimed_.assign(static_cast<std::size_t>(sf.n_cces), false);
 
   // Largest aggregation level first: a message placed at AL4 would also
   // pass the CRC at the AL2/AL1 candidates nested inside it (its
   // repetitions are self-similar), so once a candidate validates we claim
   // its CCEs and skip anything overlapping them. Positions within one AL
   // are disjoint, so a claim never touches another candidate of the same
-  // level: each is decoded, or answered from the memo, in position order.
+  // level: the level's candidates in a word of CCEs are all found before
+  // any of them is decoded (or answered from the memo), in position order.
   // NR candidate starts are AL-aligned too, so the memo's start/al
-  // position indexing and the claimed-CCE pruning carry over unchanged.
+  // position indexing and the word-aligned claimed-CCE pruning carry over
+  // unchanged.
   if (sf.n_cces != starts_n_cces_) refresh_starts(sf.n_cces);
-  // Claimed by an already-decoded message, or spanning a CCE without
-  // transmit energy (real monitors sense per-CCE energy before decoding,
-  // so such a candidate is never attempted).
-  const auto skip = [&](int start, int al) {
-    for (int c = start; c < start + al; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (claimed_[ci] || !sf.cce_used[ci]) return true;
-    }
-    return false;
-  };
+  constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+  const std::size_t n_words =
+      (static_cast<std::size_t>(std::max(sf.n_cces, 0)) + kWordBits - 1) /
+      kWordBits;
+  claimed_.assign(n_words, 0);
   for (const int al : {16, 8, 4, 2, 1}) {
     const auto ai = static_cast<std::size_t>(al_index(al));
-    if (starts_[ai].empty()) continue;
+    const util::BitVec& starts = starts_[ai];
+    if (starts.empty()) continue;
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
-    const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-    for (const int start : starts_[ai]) {
-      if (skip(start, al)) continue;
-      sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
-                         region_bits, span_);
-      MemoEntry& entry = memo_[ai][static_cast<std::size_t>(start / al)];
-      CandidateResult r;
-      if (entry.valid && entry.coding == sf.coding && entry.span == span_) {
-        r = entry.result;
-        r.memo_hit = true;
-      } else {
-        r = decode_candidate(sf, al, start, run.delta.lane_batches);
-        entry.valid = true;
-        entry.coding = sf.coding;
-        entry.span = span_;
-        entry.result = r;  // memo_hit stays false inside the stored result
-      }
-
-      run.delta.candidates_tried += static_cast<std::uint64_t>(r.attempts);
-      run.delta.candidates_by_al[ai] += static_cast<std::uint64_t>(r.attempts);
-      run.delta.crc_failures += static_cast<std::uint64_t>(r.failures);
-      run.delta.crc_failures_by_al[ai] += static_cast<std::uint64_t>(r.failures);
-      run.delta.early_aborts += static_cast<std::uint64_t>(r.early_aborts);
-      run.delta.screen_rejects += static_cast<std::uint64_t>(r.screen_rejects);
-      if (r.memo_hit) ++run.delta.memo_hits;
-      if (r.dci.has_value()) {
-        ++run.delta.messages_decoded;
-        ++run.delta.decoded_by_al[ai];
-        run.found.push_back({*r.dci, al});
-        for (int c = start; c < start + al; ++c) {
-          claimed_[static_cast<std::size_t>(c)] = true;
+    const std::uint64_t al_run =
+        ~0ULL << (kWordBits - static_cast<std::size_t>(al));
+    for (std::size_t w = 0; w < n_words; ++w) {
+      // Real monitors sense per-CCE energy before decoding, so a candidate
+      // spanning a silent CCE is never attempted; nor is one overlapping
+      // an already-decoded message.
+      const std::uint64_t blocked =
+          ~phy::energy_word(sf.cce_used, w) | claimed_[w];
+      std::uint64_t todo =
+          starts.word(w) & ~phy::aligned_runs_hit(blocked, al);
+      while (todo != 0) {
+        const auto k = static_cast<std::size_t>(std::countl_zero(todo));
+        todo ^= (1ULL << 63) >> k;
+        if (try_candidate(sf, al, static_cast<int>(w * kWordBits + k), run)) {
+          claimed_[w] |= al_run >> k;
         }
       }
     }
   }
   return run;
+}
+
+bool BlindDecoder::try_candidate(const phy::PdcchSubframe& sf, int al,
+                                 int start, DecodeRun& run) {
+  const auto ai = static_cast<std::size_t>(al_index(al));
+  sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
+                     static_cast<std::size_t>(al) * phy::kBitsPerCce, span_);
+  MemoEntry& entry = memo_[ai][static_cast<std::size_t>(start / al)];
+  CandidateResult r;
+  if (entry.valid && entry.coding == sf.coding && entry.span == span_) {
+    r = entry.result;
+    r.memo_hit = true;
+  } else {
+    r = decode_candidate(sf, al, start, run.delta.lane_batches);
+    entry.valid = true;
+    entry.coding = sf.coding;
+    entry.span = span_;
+    entry.result = r;  // memo_hit stays false inside the stored result
+  }
+
+  run.delta.candidates_tried += static_cast<std::uint64_t>(r.attempts);
+  run.delta.candidates_by_al[ai] += static_cast<std::uint64_t>(r.attempts);
+  run.delta.crc_failures += static_cast<std::uint64_t>(r.failures);
+  run.delta.crc_failures_by_al[ai] += static_cast<std::uint64_t>(r.failures);
+  run.delta.early_aborts += static_cast<std::uint64_t>(r.early_aborts);
+  run.delta.screen_rejects += static_cast<std::uint64_t>(r.screen_rejects);
+  if (r.memo_hit) ++run.delta.memo_hits;
+  if (!r.dci.has_value()) return false;
+  ++run.delta.messages_decoded;
+  ++run.delta.decoded_by_al[ai];
+  run.found.push_back({*r.dci, al});
+  return true;
 }
 
 std::vector<phy::Dci> BlindDecoder::decode_apply(const DecodeRun& run) {

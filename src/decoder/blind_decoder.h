@@ -140,6 +140,11 @@ class BlindDecoder {
   CandidateResult decode_candidate(const phy::PdcchSubframe& sf, int al,
                                    int start, std::uint64_t& viterbi_runs);
 
+  // Decode the AL-`al` candidate at `start`, or answer it from the span
+  // memo, and add its outcome to `run`; true when it decoded a message.
+  bool try_candidate(const phy::PdcchSubframe& sf, int al, int start,
+                     DecodeRun& run);
+
   // Recompute every AL's candidate starts for a region of `n_cces` CCEs.
   void refresh_starts(int n_cces);
 
@@ -160,22 +165,24 @@ class BlindDecoder {
   std::array<std::vector<MemoEntry>, kNumAlLanes> memo_;
 
   // Candidate starts per AL lane for a control region of starts_n_cces_
-  // CCEs, mirroring the encoder exactly: every AL-aligned start for LTE
-  // (whose AL16 lane stays empty), the cell's 38.213 search-space list for
-  // NR. A cell's starts change only with its configuration or region size,
-  // so they are computed once, not per subframe.
-  std::array<std::vector<int>, kNumAlLanes> starts_;
+  // CCEs, as a mask over the CCEs (bit s set when a candidate starts at
+  // CCE s; empty when the lane has none), mirroring the encoder exactly:
+  // every AL-aligned start for LTE (whose AL16 lane stays empty), the
+  // cell's 38.213 search-space list for NR. A cell's starts change only
+  // with its configuration or region size, so they are computed once, not
+  // per subframe.
+  std::array<util::BitVec, kNumAlLanes> starts_;
   int starts_n_cces_ = -1;
 
   // The candidate being decoded: its span, the span's vote prefix sums
   // (Viterbi cells only) and the message recovered by the current format
-  // attempt; and per subframe, the CCEs claimed by decoded messages.
-  // Members so the buffers are reused across candidates and subframes
-  // instead of reallocated.
+  // attempt; and per subframe, the words of the mask of CCEs claimed by
+  // decoded messages (phy::energy_word's layout). Members so the buffers
+  // are reused across candidates and subframes instead of reallocated.
   util::BitVec span_;
   std::vector<std::int32_t> prefix_;
   util::BitVec bits_;
-  std::vector<bool> claimed_;
+  std::vector<std::uint64_t> claimed_;
 
   // Registry counters cached at construction: decode() runs per subframe
   // per cell and must not pay name lookups on the hot path. All decoder

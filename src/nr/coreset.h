@@ -11,12 +11,12 @@
 // (phy::PdcchBuilder) and the decode side (decoder::BlindDecoder) share.
 //
 // Header-only on purpose: phy::CellConfig embeds the config structs and
-// PdcchBuilder calls candidate_starts() without a phy -> nr link edge.
+// PdcchBuilder calls visit_candidate_starts() without a phy -> nr link
+// edge.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace pbecc::nr {
 
@@ -53,24 +53,31 @@ struct SearchSpaceConfig {
   bool operator==(const SearchSpaceConfig&) const = default;
 };
 
-// Start CCEs of the AL-`al` candidates in a CORESET of `n_cces` CCEs:
+// Visit the start CCEs of the AL-`al` candidates in a CORESET of `n_cces`
+// CCEs in ascending order, stopping at the first for which `visit`
+// returns true; returns that start, or -1 when none did. The starts are
 // the 38.213 §10.1 hashing with Y_p = 0 and non-interleaved mapping,
 // start(m) = L * floor(m * N_cce / (L * M_L)). Every start is a multiple
 // of L (the floor's argument is divided *after* scaling by L), which the
-// blind decoder's span memo and claimed-CCE pruning rely on. Duplicate
-// starts (possible when M_L > N_cce / L) are collapsed; the formula is
-// monotone in m, so adjacent-only dedup is exact.
-inline std::vector<int> candidate_starts(int n_cces, int al, int n_candidates) {
-  std::vector<int> out;
-  if (al <= 0 || n_candidates <= 0 || al > n_cces) return out;
+// blind decoder's span memo and its word-at-a-time candidate masks rely
+// on. Duplicate starts (possible when M_L > N_cce / L) are collapsed; the
+// formula is monotone in m, so adjacent-only dedup is exact. PdcchBuilder
+// places on, and BlindDecoder searches, exactly the starts this visits,
+// and it allocates nothing, so placement can walk it on every call.
+template <class Visit>
+int visit_candidate_starts(int n_cces, int al, int n_candidates,
+                           Visit&& visit) {
+  if (al <= 0 || n_candidates <= 0 || al > n_cces) return -1;
+  int prev = -1;
   for (int m = 0; m < n_candidates; ++m) {
     const long long scaled = static_cast<long long>(m) * n_cces;
     const int start =
         al * static_cast<int>(scaled / (static_cast<long long>(al) * n_candidates));
     if (start + al > n_cces) break;
-    if (out.empty() || out.back() != start) out.push_back(start);
+    if (start != prev && visit(start)) return start;
+    prev = start;
   }
-  return out;
+  return -1;
 }
 
 }  // namespace pbecc::nr

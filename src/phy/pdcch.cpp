@@ -1,6 +1,7 @@
 #include "phy/pdcch.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace pbecc::phy {
@@ -37,13 +38,46 @@ PdcchBuilder::PdcchBuilder(const CellConfig& cfg, std::int64_t sf_index)
   sf_.n_cces = cfg.n_cces();
   sf_.coding = cfg.pdcch_coding;
   sf_.tick = cfg.tick();
-  sf_.cce_used.assign(static_cast<std::size_t>(sf_.n_cces), false);
+  sf_.cce_used = util::BitVec(static_cast<std::size_t>(sf_.n_cces));
 }
 
 int PdcchBuilder::cces_free() const {
-  int free = 0;
-  for (bool used : sf_.cce_used) free += used ? 0 : 1;
-  return free;
+  return sf_.n_cces -
+         static_cast<int>(sf_.cce_used.popcount(0, sf_.cce_used.size()));
+}
+
+int PdcchBuilder::first_free_lte(int al) const {
+  // Every AL-aligned start that fits (the 36.213 UE-specific search space,
+  // simplified), a word of CCEs at a time: fold each aligned run's
+  // occupancy into its lead and take the first lead left clear.
+  constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+  const auto n = static_cast<std::size_t>(sf_.n_cces);
+  const auto len = static_cast<std::size_t>(al);
+  if (n < len) return -1;
+  const std::size_t n_starts = n - len + 1;  // a start below this fits
+  for (std::size_t w = 0; w * kWordBits < n_starts; ++w) {
+    std::uint64_t free = aligned_run_leads(al) &
+                         ~aligned_runs_hit(sf_.cce_used.word(w), al);
+    const std::size_t left = n_starts - w * kWordBits;
+    if (left < kWordBits) free &= ~0ULL << (kWordBits - left);
+    if (free != 0) {
+      return static_cast<int>(w * kWordBits) + std::countl_zero(free);
+    }
+  }
+  return -1;
+}
+
+int PdcchBuilder::first_free_nr(int al) const {
+  // The cell's search-space candidates (38.213 §10.1), one masked window
+  // of the occupancy map each.
+  const std::uint64_t run = ~0ULL << (util::BitVec::kWordBits -
+                                      static_cast<std::size_t>(al));
+  return nr::visit_candidate_starts(
+      sf_.n_cces, al, cfg_.search_space.candidates_for(al),
+      [this, run](int start) {
+        return (sf_.cce_used.window(static_cast<std::size_t>(start)) & run) ==
+               0;
+      });
 }
 
 bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
@@ -56,34 +90,18 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
   validate_dci(dci);
   if (!format_fits(sf_.coding, dci.format, al)) return false;
 
-  // First-fit over the level's candidates: every AL-aligned start for LTE
-  // (the 36.213 UE-specific search space, simplified), the cell's
-  // search-space candidate list for NR (38.213 §10.1 — the decoder walks
-  // the identical list, so anything placed here is findable).
-  std::vector<int> nr_starts;
-  if (is_nr) {
-    nr_starts = nr::candidate_starts(sf_.n_cces, al,
-                                     cfg_.search_space.candidates_for(al));
-  }
-  const std::size_t n_candidates =
-      is_nr ? nr_starts.size()
-            : static_cast<std::size_t>(sf_.n_cces >= al ? (sf_.n_cces / al) : 0);
-  for (std::size_t cand = 0; cand < n_candidates; ++cand) {
-    const int start = is_nr ? nr_starts[cand] : static_cast<int>(cand) * al;
-    if (start + al > sf_.n_cces) break;
-    bool free = true;
-    for (int c = start; c < start + al; ++c) {
-      if (sf_.cce_used[static_cast<std::size_t>(c)]) { free = false; break; }
-    }
-    if (!free) continue;
-
-    for (int c = start; c < start + al; ++c) {
-      sf_.cce_used[static_cast<std::size_t>(c)] = true;
-    }
-    placed_.push_back({dci, start, al});
-    return true;
-  }
-  return false;
+  // First fit over the level's candidates. Starts are multiples of the
+  // level, so the run lies inside one word of the map, and it is free, so
+  // XOR sets it.
+  const int start = is_nr ? first_free_nr(al) : first_free_lte(al);
+  if (start < 0) return false;
+  constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+  const auto s = static_cast<std::size_t>(start);
+  sf_.cce_used.xor_word(s / kWordBits,
+                        (~0ULL << (kWordBits - static_cast<std::size_t>(al))) >>
+                            (s % kWordBits));
+  placed_.push_back({dci, start, al});
+  return true;
 }
 
 bool PdcchBuilder::add_escalating(const Dci& dci, int aggregation_level) {
@@ -118,18 +136,29 @@ PdcchSubframe PdcchBuilder::build() && {
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;
   // One Bernoulli draw per bit in bit order, gathered into one flip mask
-  // per word: the RNG stream is the per-bit loop's exactly. A word whose
-  // CCEs are all silent computes no flips; its draws are discarded, and
-  // the Rng owes them until it next draws, so a run of silent words here
-  // and in the regions noised after this one costs one skip.
+  // per word: the RNG stream is the per-bit loop's exactly. Words whose
+  // CCEs are all silent compute no flips: a run of them, up to the first
+  // word of the next energized CCE, is discarded with one call, and the
+  // Rng owes the draws until it next draws, so silent runs here and in
+  // the regions noised after this one cost one skip.
   constexpr std::size_t kWordBits = util::BitVec::kWordBits;
   constexpr auto kCceBits = static_cast<std::size_t>(kBitsPerCce);
-  const auto energized = [&sf](std::size_t c) {
-    return c >= sf.cce_used.size() || sf.cce_used[c];
+  const util::BitVec& map = sf.cce_used;
+  const auto energized = [&map](std::size_t c) {
+    return ((energy_word(map, c / kWordBits) << (c % kWordBits)) >> 63) != 0;
+  };
+  // The first energized CCE at or after `c`. Past the map's end every CCE
+  // counts as energized, so the scan ends there at the latest.
+  const auto next_energized = [&map](std::size_t c) {
+    std::size_t w = c / kWordBits;
+    std::uint64_t e = energy_word(map, w) & (~0ULL >> (c % kWordBits));
+    while (e == 0) e = energy_word(map, ++w);
+    return w * kWordBits + static_cast<std::size_t>(std::countl_zero(e));
   };
   const std::uint64_t cutoff = util::Rng::bernoulli_cutoff(ber);
   const std::size_t n = sf.bits.size();
-  for (std::size_t w = 0; w < sf.bits.num_words(); ++w) {
+  const std::size_t n_words = sf.bits.num_words();
+  for (std::size_t w = 0; w < n_words;) {
     const std::size_t first = w * kWordBits;
     const std::size_t len = std::min(kWordBits, n - first);
     // A word is shorter than a CCE, so it touches at most two.
@@ -138,7 +167,12 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
     const bool e0 = energized(c0);
     const bool e1 = energized(c1);
     if (!e0 && !e1) {
-      rng.discard(len);
+      // The next word with energy is the one holding the next energized
+      // CCE's first bit, if that bit lies in the region.
+      const std::size_t from = next_energized(c1 + 1) * kCceBits;
+      const std::size_t next = from < n ? from / kWordBits : n_words;
+      rng.discard(std::min(next * kWordBits, n) - first);
+      w = next;
       continue;
     }
     std::uint64_t mask = rng.bernoulli_bits(len, cutoff) << (kWordBits - len);
@@ -149,6 +183,7 @@ void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
       mask &= e0 ? head_mask : ~head_mask;
     }
     sf.bits.xor_word(w, mask);
+    ++w;
   }
 }
 

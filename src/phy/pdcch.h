@@ -52,21 +52,66 @@ struct PdcchSubframe {
   // Duration of one tick on this cell's clock (1 ms for LTE, the slot
   // length for NR numerologies).
   util::Duration tick = util::kSubframe;
-  util::BitVec bits;           // n_cces * kBitsPerCce bits
-  std::vector<bool> cce_used;  // encoder-side occupancy (ground truth)
+  util::BitVec bits;  // n_cces * kBitsPerCce bits
+  // Encoder-side occupancy (ground truth), which is also the per-CCE
+  // energy a monitor senses: bit c is CCE c, set when a placed message
+  // covers it. Read it through energy_word(), which holds the rule for
+  // CCEs past its end.
+  util::BitVec cce_used;
 
   bool operator==(const PdcchSubframe&) const = default;
 };
+
+// CCE maps (cce_used, the decoder's claims, its candidate starts) are
+// read a word at a time in util::BitVec's layout: CCE 64w + k is bit
+// 63 - k of word w.
+
+// Word `w` of the energy map `cce_used`; a set bit is an energized CCE. A
+// CCE past the end of the map counts as energized, so a region with a
+// short map, or none, is noised, searched and recorded whole.
+// apply_bit_noise, decoder::BlindDecoder and cap::encode_record all read
+// the map through this one rule.
+inline std::uint64_t energy_word(const util::BitVec& cce_used,
+                                 std::size_t w) {
+  constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+  if (w * kWordBits >= cce_used.size()) return ~0ULL;
+  const std::size_t in_map = cce_used.size() - w * kWordBits;
+  const std::uint64_t v = cce_used.word(w);
+  return in_map >= kWordBits ? v : v | (~0ULL >> in_map);
+}
+
+// The first CCE of every run of `al` CCEs that starts at a multiple of
+// `al` (1, 2, 4, 8 or 16). `al` divides 64, so no aligned run straddles
+// two words.
+constexpr std::uint64_t aligned_run_leads(int al) {
+  switch (al) {
+    case 1: return ~0ULL;
+    case 2: return 0xAAAAAAAAAAAAAAAAULL;
+    case 4: return 0x8888888888888888ULL;
+    case 8: return 0x8080808080808080ULL;
+    default: return 0x8000800080008000ULL;  // 16
+  }
+}
+
+// The lead bit of every aligned run of `al` CCEs that holds a set bit of
+// `cces`: each run's bits are OR-folded into its lead.
+constexpr std::uint64_t aligned_runs_hit(std::uint64_t cces, int al) {
+  if (al >= 2) cces |= cces << 1;
+  if (al >= 4) cces |= cces << 2;
+  if (al >= 8) cces |= cces << 4;
+  if (al >= 16) cces |= cces << 8;
+  return cces & aligned_run_leads(al);
+}
 
 // Packs DCI messages into one tick's control region.
 class PdcchBuilder {
  public:
   PdcchBuilder(const CellConfig& cfg, std::int64_t sf_index);
 
-  // Place `dci` at the first free candidate of the level: LTE sweeps every
-  // aggregation-aligned start, NR walks exactly the cell's search-space
-  // candidate list (nr::candidate_starts) so the blind decoder's
-  // enumeration provably covers every placement. Returns false if the
+  // Place `dci` at the first free candidate of the level: LTE takes the
+  // first free aligned run a word of CCEs at a time, NR walks exactly the
+  // cell's search-space candidate list (nr::visit_candidate_starts, which
+  // the blind decoder walks too). Returns false if the
   // message cannot be carried at this level or no candidate is free
   // (message dropped, as in a real cell whose PDCCH is exhausted). Throws
   // std::invalid_argument for an aggregation level the RAT lacks or a DCI
@@ -93,17 +138,20 @@ class PdcchBuilder {
     int al;
   };
 
+  // The first free candidate of the level, or -1.
+  int first_free_lte(int al) const;
+  int first_free_nr(int al) const;
+
   CellConfig cfg_;
   PdcchSubframe sf_;  // everything but `bits` until build()
   std::vector<Placement> placed_;
 };
 
-// Flip each bit of an energized CCE independently with probability `ber`
-// — the monitor-side reception noise. (The scheduled user itself sees the
-// same channel.) CCE c is energized when cce_used[c] is true or c lies
-// past the end of cce_used; a silent CCE's bits stay as they are, since
-// no decoder reads a candidate that touches one. Takes exactly one
-// rng.bernoulli(ber) draw per bit of the whole region, in bit order,
+// Flip each bit of an energized CCE (energy_word) independently with
+// probability `ber` — the monitor-side reception noise. (The scheduled
+// user itself sees the same channel.) A silent CCE's bits stay as they
+// are, since no decoder reads a candidate that touches one. Takes exactly
+// one rng.bernoulli(ber) draw per bit of the whole region, in bit order,
 // whether or not the bit can flip, and none when ber <= 0; every pinned
 // digest depends on that stream (phy_test pins it).
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);

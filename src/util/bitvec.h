@@ -7,13 +7,14 @@
 // shift-and-mask and to_bytes() is a big-endian store. Bits past size() in
 // the last word are always zero, which makes operator== a word compare.
 // The single-bit accessors and read_uint() are bounds-checked; the range
-// operations (window, copy_range, write_range, xor_word, popcount,
+// operations (word, window, copy_range, write_range, xor_word, popcount,
 // hamming) check their whole range once per call.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -80,6 +81,13 @@ class BitVec {
       throw std::out_of_range("BitVec::read_uint");
     }
     return nbits == 0 ? 0 : load(pos) >> (kWordBits - nbits);
+  }
+
+  // Word `w`: bits [64w, 64w + 64), bit 64w + k at bit 63 - k; bits past
+  // size() read as zero.
+  std::uint64_t word(std::size_t w) const {
+    if (w >= words_.size()) throw std::out_of_range("BitVec::word");
+    return words_[w];
   }
 
   // The 64 bits starting at `pos`, MSB-first and left-aligned; bits at or
@@ -155,24 +163,34 @@ class BitVec {
   }
 
   // Pack to bytes, MSB-first within each byte, the final byte zero-padded —
-  // the on-disk representation used by the pbecc::cap trace format.
+  // the on-disk representation used by the pbecc::cap trace format. Whole
+  // words are stored eight bytes at a time (big-endian), the last
+  // ceil(size() / 8) mod 8 bytes one at a time.
   std::vector<std::uint8_t> to_bytes() const {
     std::vector<std::uint8_t> out((n_ + 7) / 8);
-    for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::size_t whole = out.size() / 8;
+    for (std::size_t w = 0; w < whole; ++w) {
+      store_be(out.data() + 8 * w, words_[w]);
+    }
+    for (std::size_t i = 8 * whole; i < out.size(); ++i) {
       out[i] = static_cast<std::uint8_t>(words_[i / 8] >> (56 - 8 * (i % 8)));
     }
     return out;
   }
 
   // Inverse of to_bytes(): read `nbits` bits from a packed byte buffer
-  // (which must hold at least ceil(nbits/8) bytes). Padding bits past
-  // `nbits` in the final byte are ignored.
+  // (which must hold at least ceil(nbits/8) bytes, and is read no further).
+  // Padding bits past `nbits` in the final byte are ignored.
   static BitVec from_bytes(const std::uint8_t* data, std::size_t nbits) {
     BitVec v;
     v.words_.assign(words_for(nbits), 0);
     v.n_ = nbits;
     const std::size_t nbytes = (nbits + 7) / 8;
-    for (std::size_t i = 0; i < nbytes; ++i) {
+    const std::size_t whole = nbytes / 8;
+    for (std::size_t w = 0; w < whole; ++w) {
+      v.words_[w] = load_be(data + 8 * w);
+    }
+    for (std::size_t i = 8 * whole; i < nbytes; ++i) {
       v.words_[i / 8] |= static_cast<std::uint64_t>(data[i])
                          << (56 - 8 * (i % 8));
     }
@@ -201,6 +219,22 @@ class BitVec {
   }
   void check_range(std::size_t pos, std::size_t len, const char* what) const {
     if (pos > n_ || len > n_ - pos) throw std::out_of_range(what);
+  }
+
+  // Eight bytes as one word, the first byte in the top bits.
+  static std::uint64_t load_be(const std::uint8_t* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
+  static void store_be(std::uint8_t* p, std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap64(v);
+    }
+    std::memcpy(p, &v, sizeof v);
   }
 
   void clear_tail() {

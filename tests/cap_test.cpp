@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "cap/tools.h"
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
+#include "decoder/blind_decoder.h"
 #include "fault/fault.h"
 #include "sim/location.h"
 #include "util/digest.h"
@@ -91,7 +93,7 @@ cap::CellCapture random_cell(util::Rng& rng, phy::CellId id, int n_cces) {
   for (int i = 0; i < n_cces * phy::kBitsPerCce; ++i) {
     c.bits.push_bit((rng.next_u64() & 1) != 0);
   }
-  for (int i = 0; i < n_cces; ++i) c.cce_used.push_back((rng.next_u64() & 3) != 0);
+  for (int i = 0; i < n_cces; ++i) c.cce_used.push_bit((rng.next_u64() & 3) != 0);
   return c;
 }
 
@@ -252,6 +254,87 @@ TEST(CapFormat, RecordStreamRandomRoundTrip) {
       expect_record_eq(rec, back);
     }
     EXPECT_TRUE(r.at_end());
+  }
+}
+
+// One rule for a short energy map (phy::energy_word): a CCE past its end
+// counts as energized. A region whose map stops short is noised, decoded
+// and recorded exactly like the same region with the missing CCEs set.
+TEST(CapFormat, ShortEnergyMapActsLikeTheRestSet) {
+  phy::CellConfig nr{2, 20.0};
+  nr.rat = phy::Rat::kNr;
+  nr.scs = nr::Scs::k30kHz;
+  nr.coreset = {48, 2};
+  nr.pdcch_coding = phy::PdcchCoding::kPolar;
+  for (const phy::CellConfig& cell : {phy::CellConfig{1, 20.0}, nr}) {
+    const bool is_nr = cell.rat == phy::Rat::kNr;
+    const phy::DciFormat* formats =
+        is_nr ? phy::kNrDciFormats : phy::kLteDciFormats;
+    const std::size_t n_formats =
+        is_nr ? std::size(phy::kNrDciFormats) : std::size(phy::kLteDciFormats);
+    phy::PdcchBuilder b(cell, 9);
+    // Enough messages that some sit past every cut below.
+    for (int i = 0; i < 64; ++i) {
+      phy::Dci d;
+      d.rnti = static_cast<phy::Rnti>(0x500 + i);
+      d.format = formats[static_cast<std::size_t>(i) % n_formats];
+      d.prb_start = static_cast<std::uint16_t>(i % 10);
+      d.n_prbs = static_cast<std::uint16_t>(1 + i % 8);
+      d.mcs = {5, phy::format_is_mimo(d.format) ? 2 : 1};
+      b.add_escalating(d, 1 << (i % 4));
+    }
+    const phy::PdcchSubframe built = std::move(b).build();
+    const std::size_t n = built.cce_used.size();
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, n / 3, n - 1}) {
+      phy::PdcchSubframe cut_map = built;
+      built.cce_used.copy_range(0, cut, cut_map.cce_used);
+      phy::PdcchSubframe set = built;
+      for (std::size_t c = cut; c < n; ++c) set.cce_used.set_bit(c, true);
+
+      util::Rng r1{cut + 1};
+      util::Rng r2{cut + 1};
+      phy::apply_bit_noise(cut_map, 0.01, r1);
+      phy::apply_bit_noise(set, 0.01, r2);
+      EXPECT_EQ(cut_map.bits, set.bits) << "cell " << cell.id << " cut " << cut;
+      EXPECT_EQ(r1.next_u64(), r2.next_u64());
+
+      decoder::BlindDecoder d1{cell};
+      decoder::BlindDecoder d2{cell};
+      const auto m1 = d1.decode(cut_map);
+      EXPECT_FALSE(m1.empty()) << "cell " << cell.id << " cut " << cut;
+      EXPECT_EQ(m1, d2.decode(set)) << "cell " << cell.id << " cut " << cut;
+      EXPECT_EQ(d1.stats(), d2.stats()) << "cell " << cell.id << " cut " << cut;
+
+      std::vector<std::uint8_t> bytes[2];
+      const phy::PdcchSubframe* sfs[2] = {&cut_map, &set};
+      for (int k = 0; k < 2; ++k) {
+        cap::Record rec;
+        rec.batch.sf_index =
+            sfs[k]->sf_index / (util::kSubframe / sfs[k]->tick);
+        cap::CellCapture c;
+        c.cell = cell.id;
+        c.sf_index = sfs[k]->sf_index;
+        c.tick = sfs[k]->tick;
+        c.n_cces = sfs[k]->n_cces;
+        c.coding = sfs[k]->coding;
+        c.bits = sfs[k]->bits;
+        c.cce_used = sfs[k]->cce_used;
+        rec.batch.cells.push_back(c);
+        cap::ByteWriter w;
+        cap::DeltaState enc{};
+        cap::encode_record(rec, enc, w);
+        bytes[k] = w.buf();
+        cap::ByteReader r(w.buf().data(), w.size());
+        cap::DeltaState dec{};
+        cap::Record back;
+        std::string err;
+        ASSERT_TRUE(cap::decode_record(r, dec, back, err)) << err;
+        ASSERT_EQ(back.batch.cells.size(), 1u);
+        EXPECT_EQ(back.batch.cells[0].cce_used, set.cce_used)
+            << "cell " << cell.id << " cut " << cut << " map " << k;
+      }
+      EXPECT_EQ(bytes[0], bytes[1]) << "cell " << cell.id << " cut " << cut;
+    }
   }
 }
 

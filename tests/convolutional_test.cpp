@@ -316,7 +316,7 @@ TEST(ConvolutionalPdcch, NoFalsePositivesOnNoise) {
   for (int t = 0; t < 100; ++t) {
     PdcchBuilder b(cell, t);
     auto sf = std::move(b).build();
-    std::fill(sf.cce_used.begin(), sf.cce_used.end(), true);
+    sf.cce_used = util::BitVec(sf.cce_used.size(), true);
     phy::apply_bit_noise(sf, 0.5, rng);
     phantom += static_cast<int>(dec.decode(sf).size());
   }

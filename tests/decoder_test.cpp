@@ -6,6 +6,9 @@
 #include <array>
 #include <cstdint>
 #include <iterator>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "check/check.h"
@@ -14,7 +17,9 @@
 #include "decoder/monitor.h"
 #include "decoder/user_tracker.h"
 #include "fault/fault.h"
+#include "nr/coreset.h"
 #include "nr/numerology.h"
+#include "phy/convolutional.h"
 #include "phy/pdcch.h"
 #include "util/rng.h"
 
@@ -111,7 +116,7 @@ TEST(BlindDecoder, NoFalsePositivesOnNoise) {
   for (int t = 0; t < 200; ++t) {
     phy::PdcchBuilder b(cell, t);
     auto sf = std::move(b).build();
-    std::fill(sf.cce_used.begin(), sf.cce_used.end(), true);
+    sf.cce_used = util::BitVec(sf.cce_used.size(), true);
     phy::apply_bit_noise(sf, 0.5, rng);  // random bits
     phantom += static_cast<int>(dec.decode(sf).size());
   }
@@ -211,6 +216,239 @@ TEST(BlindDecoder, ReconfiguredNrDecoderMatchesAFreshOne) {
   }
 }
 
+// The blind search as written before the energy map became a word mask,
+// kept as the reference: walk each level's start list in order, skip a
+// candidate when a CCE is silent (past the map's end counts as energized)
+// or claimed, checked one CCE at a time, and decode the rest with the
+// public kernels. Memo hits are counted against the last span seen at each
+// (level, position); a hit replays the outcome without a Viterbi run.
+class ReferenceSearch {
+ public:
+  explicit ReferenceSearch(phy::CellConfig cell) : cell_(cell) {}
+
+  DecodeRun run(const phy::PdcchSubframe& sf) {
+    DecodeRun out;
+    out.sf_index = sf.sf_index;
+    out.tick = sf.tick;
+    out.delta.subframes = 1;
+    const bool nr = cell_.rat == phy::Rat::kNr;
+    std::vector<bool> claimed(static_cast<std::size_t>(sf.n_cces), false);
+    for (const int al : {16, 8, 4, 2, 1}) {
+      std::vector<int> starts;
+      if (nr) {
+        nr::visit_candidate_starts(sf.n_cces, al,
+                                   cell_.search_space.candidates_for(al),
+                                   [&starts](int s) {
+                                     starts.push_back(s);
+                                     return false;
+                                   });
+      } else if (al != 16) {
+        for (int s = 0; s + al <= sf.n_cces; s += al) starts.push_back(s);
+      }
+      const auto ai = static_cast<std::size_t>(al_index(al));
+      for (const int start : starts) {
+        bool skip = false;
+        for (int c = start; c < start + al; ++c) {
+          const auto ci = static_cast<std::size_t>(c);
+          const bool energized =
+              ci >= sf.cce_used.size() || sf.cce_used.bit(ci);
+          if (claimed[ci] || !energized) skip = true;
+        }
+        if (skip) continue;
+        util::BitVec span;
+        sf.bits.copy_range(static_cast<std::size_t>(start) * phy::kBitsPerCce,
+                           static_cast<std::size_t>(al) * phy::kBitsPerCce,
+                           span);
+        auto& last = memo_[{al, start}];
+        const bool hit = last.first == sf.coding && last.second == span &&
+                         !last.second.empty();
+        last = {sf.coding, span};
+        const Outcome o = decode(sf, al, start, span);
+        DecodeStats& d = out.delta;
+        d.candidates_tried += o.attempts;
+        d.candidates_by_al[ai] += o.attempts;
+        d.crc_failures += o.failures;
+        d.crc_failures_by_al[ai] += o.failures;
+        d.early_aborts += o.early_aborts;
+        d.screen_rejects += o.screen_rejects;
+        if (hit) {
+          ++d.memo_hits;
+        } else {
+          d.lane_batches += o.viterbi_runs;
+        }
+        if (o.dci.has_value()) {
+          ++d.messages_decoded;
+          ++d.decoded_by_al[ai];
+          out.found.push_back({*o.dci, al});
+          for (int c = start; c < start + al; ++c) {
+            claimed[static_cast<std::size_t>(c)] = true;
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Outcome {
+    std::uint64_t attempts = 0, failures = 0, early_aborts = 0;
+    std::uint64_t screen_rejects = 0, viterbi_runs = 0;
+    std::optional<phy::Dci> dci;
+  };
+
+  Outcome decode(const phy::PdcchSubframe& sf, int al, int start,
+                 const util::BitVec& span) const {
+    const bool nr = cell_.rat == phy::Rat::kNr;
+    const bool viterbi = sf.coding != phy::PdcchCoding::kRepetition;
+    const auto region_bits = static_cast<double>(span.size());
+    auto matches = static_cast<std::int32_t>(0.85 * region_bits);
+    while (static_cast<double>(matches) < 0.85 * region_bits) ++matches;
+    const std::int32_t thr =
+        2 * matches - static_cast<std::int32_t>(span.size());
+    std::vector<std::int32_t> prefix(span.size() + 1);
+    phy::vote_prefix(span, prefix.data());
+    Outcome o;
+    util::BitVec bits;
+    const auto formats = nr ? std::vector<phy::DciFormat>(
+                                  std::begin(phy::kNrDciFormats),
+                                  std::end(phy::kNrDciFormats))
+                            : std::vector<phy::DciFormat>(
+                                  std::begin(phy::kLteDciFormats),
+                                  std::end(phy::kLteDciFormats));
+    for (const phy::DciFormat format : formats) {
+      if (!phy::format_fits(sf.coding, format, al)) continue;
+      const int msg_bits = phy::dci_message_bits(format);
+      ++o.attempts;
+      if (viterbi) {
+        ++o.viterbi_runs;
+        const auto d = phy::conv_decode(span, static_cast<std::size_t>(msg_bits),
+                                        bits, prefix.data(), thr);
+        if (d.aborted || d.metric < thr) {
+          ++o.failures;
+          o.early_aborts += d.aborted ? 1 : 0;
+          continue;
+        }
+      } else {
+        majority_decode(sf, start, al, msg_bits, bits);
+      }
+      if (!phy::dci_crc_screen(bits, format)) {
+        ++o.failures;
+        ++o.screen_rejects;
+        continue;
+      }
+      const auto dci = phy::decode_dci(bits, format, cell_.n_prbs());
+      if (!dci.has_value() ||
+          (!viterbi && !region_agrees(sf, start, al, bits))) {
+        ++o.failures;
+        continue;
+      }
+      o.dci = dci;
+      break;
+    }
+    return o;
+  }
+
+  phy::CellConfig cell_;
+  std::map<std::pair<int, int>, std::pair<phy::PdcchCoding, util::BitVec>>
+      memo_;
+};
+
+phy::CellConfig nr_cell(nr::Scs scs, int rbs) {
+  phy::CellConfig cell{7, scs == nr::Scs::k120kHz ? 50.0 : 40.0};
+  cell.rat = phy::Rat::kNr;
+  cell.scs = scs;
+  cell.coreset = {rbs, 2};
+  cell.pdcch_coding = phy::PdcchCoding::kPolar;
+  return cell;
+}
+
+// The word-mask candidate search against ReferenceSearch: the same found
+// list in the same order and every DecodeStats field equal, tick by tick,
+// on LTE 5/10/20 MHz repetition, 20 MHz convolutional and 30/120 kHz NR
+// cells (one with four AL16 candidates), with the energy map as built,
+// widened, thinned, all set and cut short, and with noise.
+TEST(BlindDecoder, CandidateSearchMatchesPerBitReference) {
+  phy::CellConfig conv{4, 20.0};
+  conv.pdcch_coding = phy::PdcchCoding::kConvolutional;
+  phy::CellConfig wide_nr = nr_cell(nr::Scs::k30kHz, 144);  // 48 CCEs
+  wide_nr.coreset.symbols = 3;                               // 72 CCEs
+  wide_nr.search_space.candidates = {6, 6, 4, 4, 4};
+  const phy::CellConfig cells[] = {
+      {1, 5.0}, {2, 10.0}, {3, 20.0}, conv,
+      nr_cell(nr::Scs::k30kHz, 48), nr_cell(nr::Scs::k120kHz, 30), wide_nr};
+  util::Rng rng{2025};
+  std::uint64_t memo_hits = 0;
+  std::uint64_t al16_decoded = 0;
+  for (const phy::CellConfig& cell : cells) {
+    const bool nr = cell.rat == phy::Rat::kNr;
+    const phy::DciFormat* formats =
+        nr ? phy::kNrDciFormats : phy::kLteDciFormats;
+    const auto n_formats = static_cast<std::int64_t>(
+        nr ? std::size(phy::kNrDciFormats) : std::size(phy::kLteDciFormats));
+    BlindDecoder dec{cell};
+    ReferenceSearch ref{cell};
+    for (int t = 0; t < 60; ++t) {
+      phy::PdcchBuilder b(cell, t);
+      // A persistent grant (memo hits on clean ticks), then random ones.
+      b.add_escalating(make_dci(0x3A0, 6, 0, formats[0]), 2);
+      const auto n = rng.uniform_int(0, 12);
+      for (std::int64_t k = 0; k < n; ++k) {
+        const auto fmt = formats[rng.uniform_int(0, n_formats - 1)];
+        b.add_escalating(
+            make_dci(static_cast<phy::Rnti>(0x400 + rng.uniform_int(0, 255)),
+                     static_cast<int>(rng.uniform_int(1, 6)),
+                     static_cast<int>(rng.uniform_int(0, 6)), fmt),
+            1 << rng.uniform_int(0, nr ? 4 : 3));
+      }
+      phy::PdcchSubframe sf = std::move(b).build();
+      const std::size_t n_cces = sf.cce_used.size();
+      switch (t % 5) {
+        case 0:  // as built
+          break;
+        case 1:  // extra energized CCEs
+          for (std::size_t c = 0; c < n_cces; ++c) {
+            if (rng.bernoulli(0.3)) sf.cce_used.set_bit(c, true);
+          }
+          break;
+        case 2:  // some placed CCEs silenced
+          for (std::size_t c = 0; c < n_cces; ++c) {
+            if (rng.bernoulli(0.2)) sf.cce_used.set_bit(c, false);
+          }
+          break;
+        case 3:  // every CCE energized
+          sf.cce_used = util::BitVec(n_cces, true);
+          break;
+        default: {  // a short map: the rest counts as energized
+          util::BitVec cut;
+          sf.cce_used.copy_range(
+              0, static_cast<std::size_t>(rng.uniform_int(0, n_cces - 1)), cut);
+          sf.cce_used = cut;
+          break;
+        }
+      }
+      const double bers[] = {0.0, 0.0, 1e-3, 0.02};
+      phy::apply_bit_noise(sf, bers[rng.uniform_int(0, 3)], rng);
+
+      const DecodeRun want = ref.run(sf);
+      const DecodeRun got = dec.decode_compute(sf);
+      ASSERT_EQ(got.found.size(), want.found.size())
+          << "cell " << cell.id << " tick " << t;
+      for (std::size_t i = 0; i < got.found.size(); ++i) {
+        EXPECT_EQ(got.found[i].dci, want.found[i].dci)
+            << "cell " << cell.id << " tick " << t << " #" << i;
+        EXPECT_EQ(got.found[i].al, want.found[i].al)
+            << "cell " << cell.id << " tick " << t << " #" << i;
+      }
+      ASSERT_EQ(got.delta, want.delta) << "cell " << cell.id << " tick " << t;
+      memo_hits += got.delta.memo_hits;
+      al16_decoded += got.delta.decoded_by_al[4];
+    }
+  }
+  // The ticks exercise the memo and the AL16 lane, not just the misses.
+  EXPECT_GT(memo_hits, 0u);
+  EXPECT_GT(al16_decoded, 0u);
+}
+
 // 200 ticks of a Viterbi-coded cell at 1% BER with every CCE energized, so
 // every unclaimed candidate of every level is tried: a persistent grant
 // repeated each tick (memo hits whenever the noise spares its span), a
@@ -239,7 +477,7 @@ DecodeStats noisy_viterbi_run(const phy::CellConfig& cell) {
           al);
     }
     auto sf = std::move(b).build();
-    std::fill(sf.cce_used.begin(), sf.cce_used.end(), true);
+    sf.cce_used = util::BitVec(sf.cce_used.size(), true);
     phy::apply_bit_noise(sf, 0.01, rng);
     dec.decode(sf);
   }

@@ -76,11 +76,21 @@ TEST(Numerology, CellConfigTick) {
 
 // ------------------------------------------------ CORESET candidate starts
 
+// The starts nr::visit_candidate_starts walks, as a list.
+std::vector<int> candidate_starts(int n_cces, int al, int n_candidates) {
+  std::vector<int> out;
+  nr::visit_candidate_starts(n_cces, al, n_candidates, [&out](int start) {
+    out.push_back(start);
+    return false;
+  });
+  return out;
+}
+
 TEST(Coreset, CandidateStartsAreAlignedMonotoneAndInPool) {
   for (const int n_cces : {6, 8, 10, 16, 24, 32}) {
     for (const int al : nr::kNrAggregationLevels) {
       for (const int m : {1, 2, 4, 8}) {
-        const auto starts = nr::candidate_starts(n_cces, al, m);
+        const auto starts = candidate_starts(n_cces, al, m);
         EXPECT_LE(static_cast<int>(starts.size()), m);
         int prev = -1;
         for (const int s : starts) {
@@ -97,15 +107,25 @@ TEST(Coreset, CandidateStartsAreAlignedMonotoneAndInPool) {
 TEST(Coreset, CandidateStarts38213SpotChecks) {
   // 38.213 §10.1 hashing, Y_p = 0: start(m) = L*floor(m*N_cce/(L*M_L)).
   using V = std::vector<int>;
-  EXPECT_EQ(nr::candidate_starts(16, 1, 4), (V{0, 4, 8, 12}));
-  EXPECT_EQ(nr::candidate_starts(16, 2, 4), (V{0, 4, 8, 12}));
-  EXPECT_EQ(nr::candidate_starts(16, 4, 2), (V{0, 8}));
-  EXPECT_EQ(nr::candidate_starts(16, 8, 2), (V{0, 8}));
-  EXPECT_EQ(nr::candidate_starts(16, 16, 1), (V{0}));
+  EXPECT_EQ(candidate_starts(16, 1, 4), (V{0, 4, 8, 12}));
+  EXPECT_EQ(candidate_starts(16, 2, 4), (V{0, 4, 8, 12}));
+  EXPECT_EQ(candidate_starts(16, 4, 2), (V{0, 8}));
+  EXPECT_EQ(candidate_starts(16, 8, 2), (V{0, 8}));
+  EXPECT_EQ(candidate_starts(16, 16, 1), (V{0}));
   // AL wider than the pool: no candidates.
-  EXPECT_TRUE(nr::candidate_starts(8, 16, 1).empty());
+  EXPECT_TRUE(candidate_starts(8, 16, 1).empty());
   // More candidates than slots: duplicates collapse.
-  EXPECT_EQ(nr::candidate_starts(8, 4, 4), (V{0, 4}));
+  EXPECT_EQ(candidate_starts(8, 4, 4), (V{0, 4}));
+  // The walk stops at the first start the visitor accepts and returns it.
+  std::vector<int> seen;
+  const auto upto_8 = [&seen](int start) {
+    seen.push_back(start);
+    return start == 8;
+  };
+  EXPECT_EQ(nr::visit_candidate_starts(16, 1, 4, upto_8), 8);
+  EXPECT_EQ(seen, (V{0, 4, 8}));
+  EXPECT_EQ(nr::visit_candidate_starts(16, 4, 2, [](int) { return false; }),
+            -1);
 }
 
 // The default 48x2 CORESET (16 CCEs) and the per-SCS scenario CORESETs:
@@ -119,7 +139,7 @@ TEST(Coreset, DefaultSearchSpaceCandidateCount) {
   for (int i = 0; i < nr::kNumNrAggregationLevels; ++i) {
     const int al = nr::kNrAggregationLevels[i];
     total += static_cast<int>(
-        nr::candidate_starts(coreset.n_cces(), al, ss.candidates_for(al))
+        candidate_starts(coreset.n_cces(), al, ss.candidates_for(al))
             .size());
   }
   // {4,4,2,2,1} candidates at ALs {1,2,4,8,16} in 16 CCEs: 4+4+2+2+1.
@@ -169,7 +189,7 @@ TEST(NrPdcch, BuilderDecoderRoundTripPerScs) {
     for (const int al : {1, 2, 4, 8, 16}) {
       phy::PdcchBuilder b(cell, 3);
       const bool has_candidate =
-          !nr::candidate_starts(cell.n_cces(), al,
+          !candidate_starts(cell.n_cces(), al,
                                 cell.search_space.candidates_for(al))
                .empty();
       if (!polar_fits(phy::DciFormat::kNrFormat1_0, al) || !has_candidate) {
@@ -206,13 +226,13 @@ TEST(NrPdcch, DecoderWalksExactlyTheSearchSpaceCandidates) {
     const auto cell = nr_cell_for(scs);
     phy::PdcchBuilder b(cell, 0);
     auto sf = std::move(b).build();
-    std::fill(sf.cce_used.begin(), sf.cce_used.end(), true);
+    sf.cce_used = util::BitVec(sf.cce_used.size(), true);
     decoder::BlindDecoder dec{cell};
     dec.decode(sf);
     const auto& st = dec.stats();
     for (int i = 0; i < nr::kNumNrAggregationLevels; ++i) {
       const int al = nr::kNrAggregationLevels[i];
-      const auto starts = nr::candidate_starts(
+      const auto starts = candidate_starts(
           cell.n_cces(), al, cell.search_space.candidates_for(al));
       std::size_t feasible_formats = 0;
       for (const auto fmt : phy::kNrDciFormats) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "nr/coreset.h"
 #include "phy/cell_config.h"
 #include "phy/channel.h"
 #include "phy/dci.h"
@@ -319,9 +320,7 @@ TEST(Pdcch, PlacementConsumesCces) {
   const auto sf = std::move(b).build();
   EXPECT_EQ(sf.sf_index, 5);
   EXPECT_EQ(sf.cell_id, 1u);
-  int used = 0;
-  for (bool u : sf.cce_used) used += u;
-  EXPECT_EQ(used, 4);
+  EXPECT_EQ(sf.cce_used.popcount(0, sf.cce_used.size()), 4u);
 }
 
 TEST(Pdcch, RegionExhaustion) {
@@ -470,14 +469,141 @@ TEST(Pdcch, BuildIsPinned) {
       ASSERT_EQ(sf.bits.size(),
                 static_cast<std::size_t>(pin.cell.n_cces()) * kBitsPerCce);
       const auto bits = sf.bits.to_bytes();
-      const std::vector<std::uint8_t> used(sf.cce_used.begin(),
-                                           sf.cce_used.end());
+      std::vector<std::uint8_t> used;  // one byte per CCE, as first pinned
+      for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
+        used.push_back(sf.cce_used.bit(c) ? 1 : 0);
+      }
       bits_digest = util::fnv1a64(bits.data(), bits.size(), bits_digest);
       used_digest = util::fnv1a64(used.data(), used.size(), used_digest);
     }
     EXPECT_EQ(accepts, pin.accepts) << "cell " << pin.cell.id;
     EXPECT_EQ(bits_digest, pin.bits_digest) << "cell " << pin.cell.id;
     EXPECT_EQ(used_digest, pin.used_digest) << "cell " << pin.cell.id;
+  }
+}
+
+// aligned_run_leads and aligned_runs_hit against the per-bit rule they
+// stand for: a lead at every multiple of `al`, set when any CCE of its run
+// is set.
+TEST(Pdcch, AlignedRunsMatchPerBitLoop) {
+  util::Rng rng{77};
+  for (const int al : {1, 2, 4, 8, 16}) {
+    std::uint64_t leads = 0;
+    for (int k = 0; k < 64; k += al) leads |= (1ULL << 63) >> k;
+    EXPECT_EQ(aligned_run_leads(al), leads) << "al " << al;
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::uint64_t x = rng.next_u64();
+      if (trial == 0) x = 0;
+      if (trial == 1) x = ~0ULL;
+      if (trial % 3 == 2) x &= rng.next_u64() & rng.next_u64();  // sparse
+      if (trial % 5 == 4) x = (1ULL << 63) >> rng.uniform_int(0, 63);
+      std::uint64_t want = 0;
+      for (int k = 0; k < 64; k += al) {
+        bool any = false;
+        for (int j = k; j < k + al; ++j) any = any || ((x << j) >> 63) != 0;
+        if (any) want |= (1ULL << 63) >> k;
+      }
+      ASSERT_EQ(aligned_runs_hit(x, al), want) << "al " << al << " x " << x;
+    }
+  }
+}
+
+// First fit as it was written before the occupancy map became a word
+// mask, kept as the reference: each candidate start in order (every
+// aligned start for LTE, the search-space list for NR), its CCEs checked
+// one at a time.
+int reference_first_fit(const CellConfig& cell, const std::vector<bool>& used,
+                        int al) {
+  const int n = cell.n_cces();
+  std::vector<int> starts;
+  if (cell.rat == Rat::kNr) {
+    nr::visit_candidate_starts(n, al, cell.search_space.candidates_for(al),
+                               [&starts](int s) {
+                                 starts.push_back(s);
+                                 return false;
+                               });
+  } else {
+    for (int s = 0; s + al <= n; s += al) starts.push_back(s);
+  }
+  for (const int s : starts) {
+    bool free = true;
+    for (int c = s; c < s + al; ++c) {
+      if (used[static_cast<std::size_t>(c)]) free = false;
+    }
+    if (free) return s;
+  }
+  return -1;
+}
+
+// add and add_escalating against the per-bit first fit, from an empty map
+// to a full one, at every level, on 5/10/20 MHz LTE (21/42/84 CCEs) and on
+// 30 kHz (16 and 72 CCEs) and 120 kHz (10 CCEs) NR CORESETs.
+TEST(Pdcch, WordFirstFitMatchesPerBitScan) {
+  auto nr_cell = [](CellId id, nr::Scs scs, double mhz, int rbs, int symbols) {
+    CellConfig c{id, mhz};
+    c.rat = Rat::kNr;
+    c.scs = scs;
+    c.coreset = {rbs, symbols};
+    c.pdcch_coding = PdcchCoding::kPolar;
+    return c;
+  };
+  CellConfig wide_nr = nr_cell(6, nr::Scs::k30kHz, 40.0, 144, 3);
+  wide_nr.search_space.candidates = {6, 6, 4, 4, 4};
+  const CellConfig cells[] = {{1, 5.0},
+                              {2, 10.0},
+                              {3, 20.0},
+                              nr_cell(4, nr::Scs::k30kHz, 20.0, 48, 2),
+                              nr_cell(5, nr::Scs::k120kHz, 50.0, 30, 2),
+                              wide_nr};
+  util::Rng rng{88};
+  for (const CellConfig& cell : cells) {
+    const bool is_nr = cell.rat == Rat::kNr;
+    const DciFormat* formats = is_nr ? kNrDciFormats : kLteDciFormats;
+    const auto n_formats = static_cast<std::int64_t>(
+        is_nr ? std::size(kNrDciFormats) : std::size(kLteDciFormats));
+    const int max_al = is_nr ? 16 : 8;
+    const auto n = static_cast<std::size_t>(cell.n_cces());
+    for (std::int64_t region = 0; region < 40; ++region) {
+      PdcchBuilder b(cell, region);
+      std::vector<bool> used(n, false);
+      // Every third region first fills from AL1 up, escalating; every
+      // region ends after 12 refusals in a row, most with a full map.
+      const bool fill_al1 = region % 3 == 0;
+      for (int refusals = 0; refusals < 12;) {
+        Dci d;
+        d.rnti = static_cast<Rnti>(rng.uniform_int(kMinCRnti, kMaxCRnti));
+        d.format = formats[rng.uniform_int(0, n_formats - 1)];
+        d.n_prbs = 1;
+        d.mcs = {5, format_is_mimo(d.format) ? 2 : 1};
+        const bool full = std::find(used.begin(), used.end(), false) ==
+                          used.end();
+        const bool fill = fill_al1 && !full;
+        const int al = fill ? 1 : 1 << rng.uniform_int(0, is_nr ? 4 : 3);
+        const bool escalate = fill || rng.bernoulli(0.5);
+        int want = -1;
+        int want_al = 0;
+        for (int a = al; a <= (escalate ? max_al : al) && want < 0; a *= 2) {
+          if (!format_fits(cell.pdcch_coding, d.format, a)) continue;
+          want = reference_first_fit(cell, used, a);
+          want_al = a;
+        }
+        const bool placed = escalate ? b.add_escalating(d, al) : b.add(d, al);
+        ASSERT_EQ(placed, want >= 0) << "cell " << cell.id << " region "
+                                     << region << " al " << al;
+        for (int c = want; placed && c < want + want_al; ++c) {
+          used[static_cast<std::size_t>(c)] = true;
+        }
+        refusals = placed ? 0 : refusals + 1;
+        ASSERT_EQ(b.cces_free(),
+                  static_cast<int>(std::count(used.begin(), used.end(), false)));
+      }
+      const PdcchSubframe sf = std::move(b).build();
+      ASSERT_EQ(sf.cce_used.size(), n);
+      for (std::size_t c = 0; c < n; ++c) {
+        ASSERT_EQ(sf.cce_used.bit(c), used[c])
+            << "cell " << cell.id << " region " << region << " cce " << c;
+      }
+    }
   }
 }
 
@@ -488,7 +614,7 @@ TEST(Pdcch, NoiseFlipsBitsDeterministically) {
   // Nothing is placed, so every CCE is silent: energize them all, as a
   // monitor sensing pure noise would.
   auto sf1 = silent;
-  std::fill(sf1.cce_used.begin(), sf1.cce_used.end(), true);
+  sf1.cce_used = util::BitVec(sf1.cce_used.size(), true);
   auto sf2 = sf1;
   util::Rng r1{5}, r2{5};
   apply_bit_noise(sf1, 0.1, r1);
@@ -523,15 +649,15 @@ TEST(Pdcch, NoiseFlipsOnlyEnergizedCces) {
     // All energized, all silent, random, or a random prefix shorter than
     // the region.
     const int kind = trial % 4;
-    sf.cce_used.resize(kind == 3 ? static_cast<std::size_t>(
-                                       gen.uniform_int(0, sf.n_cces - 1))
-                                 : static_cast<std::size_t>(sf.n_cces));
+    sf.cce_used = util::BitVec(
+        kind == 3 ? static_cast<std::size_t>(gen.uniform_int(0, sf.n_cces - 1))
+                  : static_cast<std::size_t>(sf.n_cces));
     for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
-      sf.cce_used[c] = kind == 0 || (kind != 1 && gen.bernoulli(0.3));
+      sf.cce_used.set_bit(c, kind == 0 || (kind != 1 && gen.bernoulli(0.3)));
     }
     const auto energized = [&sf](std::size_t i) {
       const std::size_t c = i / kBitsPerCce;
-      return c >= sf.cce_used.size() || sf.cce_used[c];
+      return c >= sf.cce_used.size() || sf.cce_used.bit(c);
     };
     for (const double ber : bers) {
       const std::uint64_t seed = gen.next_u64();
@@ -551,6 +677,62 @@ TEST(Pdcch, NoiseFlipsOnlyEnergizedCces) {
       ASSERT_EQ(rng.next_u64(), ref.next_u64())
           << "trial " << trial << " ber " << ber;
       ASSERT_EQ(got.cce_used, sf.cce_used);
+    }
+  }
+}
+
+// The silent-run skip against the per-bit loop: every placement of one or
+// two energized islands of one to three CCEs (each CCE crosses a word
+// boundary), in regions whose last word is partial or whole, with the map
+// as long as the region or cut short (the rest energized). A skip that
+// discards one word too many leaves the next island's first bits
+// unflipped.
+TEST(Pdcch, NoiseSkipsSilentRunsLikePerBitLoop) {
+  util::Rng gen{505};
+  for (const int n_cces : {1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 90}) {
+    const auto n_bits = static_cast<std::size_t>(n_cces) * kBitsPerCce;
+    PdcchSubframe base;
+    base.n_cces = n_cces;
+    base.bits = util::BitVec(n_bits);
+    for (std::size_t i = 0; i < n_bits; ++i) {
+      base.bits.set_bit(i, gen.bernoulli(0.5));
+    }
+    for (int p = 0; p < n_cces; ++p) {
+      for (const int width : {1, 3}) {
+        PdcchSubframe sf = base;
+        // Mode 0: one island; 1: two islands; 2: one island on a map cut
+        // short after it, so everything past the cut is energized too.
+        const int mode = (p + width) % 3;
+        const int second = static_cast<int>(gen.uniform_int(0, n_cces - 1));
+        const auto map_len = static_cast<std::size_t>(
+            mode == 2 ? std::min(n_cces, p + width + 2) : n_cces);
+        sf.cce_used = util::BitVec(map_len);
+        for (std::size_t c = 0; c < map_len; ++c) {
+          const auto ci = static_cast<int>(c);
+          const bool island = ci >= p && ci < p + width;
+          sf.cce_used.set_bit(c, island || (mode == 1 && ci == second));
+        }
+        const auto energized = [&sf](std::size_t i) {
+          const std::size_t c = i / kBitsPerCce;
+          return c >= sf.cce_used.size() || sf.cce_used.bit(c);
+        };
+        for (const double ber : {1e-3, 0.5}) {
+          const std::uint64_t seed = gen.next_u64();
+          PdcchSubframe got = sf;
+          util::Rng rng{seed};
+          apply_bit_noise(got, ber, rng);
+          util::BitVec want = sf.bits;
+          util::Rng ref{seed};
+          for (std::size_t i = 0; i < n_bits; ++i) {
+            if (ref.bernoulli(ber) && energized(i)) want.flip_bit(i);
+          }
+          ASSERT_EQ(got.bits, want)
+              << "n_cces " << n_cces << " p " << p << " width " << width
+              << " mode " << mode << " ber " << ber;
+          ASSERT_EQ(rng.next_u64(), ref.next_u64())
+              << "n_cces " << n_cces << " p " << p << " width " << width;
+        }
+      }
     }
   }
 }
@@ -576,7 +758,7 @@ TEST(Pdcch, NoiseStreamIsPinned) {
   const PdcchSubframe lte_sf = std::move(b).build();  // CCEs 0 and 2-15
   ASSERT_EQ(lte_sf.bits.size(), 6048u);
   PdcchSubframe lte_all = lte_sf;  // the same bits, every CCE energized
-  std::fill(lte_all.cce_used.begin(), lte_all.cce_used.end(), true);
+  lte_all.cce_used = util::BitVec(lte_all.cce_used.size(), true);
   PdcchSubframe nr_sf;  // one NR AL16 candidate's worth of bits
   nr_sf.n_cces = 16;
   nr_sf.bits = util::BitVec(16 * kBitsPerCce);

@@ -1,6 +1,8 @@
 // Unit tests for src/util: time, RNG, statistics, windowed filters,
 // bit vectors and CRC.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -757,6 +759,43 @@ TEST(BitVecTest, FromBytesClearsPaddingBits) {
     if (used != 0) padded.back() &= static_cast<std::uint8_t>(0xFF << (8 - used));
     ASSERT_EQ(b.to_bytes(), padded) << nbits;
   }
+}
+
+// from_bytes and to_bytes move whole words eight bytes at a time; held
+// here to the byte loops they replace for every length 0..300. The input
+// ends at a page the process may not read, so a word load that reaches
+// past ceil(nbits / 8) bytes faults instead of passing unnoticed.
+TEST(BitVecTest, BytesMatchTheByteLoop) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* mem = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  auto* guard = static_cast<std::uint8_t*>(mem) + page;
+  ASSERT_EQ(mprotect(guard, page, PROT_NONE), 0);
+  Rng rng{301};
+  for (std::size_t nbits = 0; nbits <= 300; ++nbits) {
+    const std::size_t nbytes = (nbits + 7) / 8;
+    std::uint8_t* data = guard - nbytes;
+    for (std::size_t i = 0; i < nbytes; ++i) {
+      data[i] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const BitVec b = BitVec::from_bytes(data, nbits);
+    BitVec want;
+    for (std::size_t i = 0; i < nbits; ++i) {
+      want.push_bit(((data[i / 8] >> (7 - i % 8)) & 1) != 0);
+    }
+    ASSERT_EQ(b, want) << nbits;
+    std::vector<std::uint8_t> bytes(nbytes, 0);
+    for (std::size_t i = 0; i < nbits; ++i) {
+      if (want.bit(i)) bytes[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+    }
+    ASSERT_EQ(b.to_bytes(), bytes) << nbits;
+    for (std::size_t w = 0; w < b.num_words(); ++w) {
+      ASSERT_EQ(b.word(w), b.window(64 * w)) << nbits << " word " << w;
+    }
+    EXPECT_THROW(b.word(b.num_words()), std::out_of_range);
+  }
+  munmap(mem, 2 * page);
 }
 
 TEST(BitVecTest, ConstructedOnesKeepZeroTail) {
