@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
     sim::Scenario s{cfg};
     sim::UeSpec ue;
     ue.cell_indices = {0, 1};  // phone tracks both cells (neighbor list)
-    // Keep CA off so the handover is a clean primary switch.
-    ue.ca.activation_queue_bytes = 1 << 30;
-    ue.ca.activation_utilization = 2.0;
     s.add_ue(ue);
+    // Serve from cell 1 alone, so carrier aggregation never adds cell 2
+    // and each handover below is a clean primary switch.
+    s.bs().handover(1, {1});
     sim::FlowSpec fs;
     fs.algo = algos[j];
     fs.stop = 20 * util::kSecond;

@@ -157,7 +157,7 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-void run_one(const Options& o, const std::string& algo) {
+void run_one(const Options& o, const std::string& algo, obs::Trace* trace) {
   auto loc = sim::location(o.location);
   if (o.seed) loc.seed = *o.seed;
   loc.convolutional_pdcch = o.conv_pdcch;
@@ -169,6 +169,7 @@ void run_one(const Options& o, const std::string& algo) {
   std::unique_ptr<cap::TraceWriter> writer;
   cap::PipelineDigest digest;
   sim::CaptureOptions capture;
+  capture.trace = trace;
   if (!o.record.empty()) {
     writer = std::make_unique<cap::TraceWriter>(o.record);
     capture.writer = writer.get();
@@ -335,24 +336,24 @@ int main(int argc, char** argv) {
     return rc != 0 ? rc : checks;
   }
 
-  const bool tracing = !o.trace_jsonl.empty() || !o.trace_chrome.empty();
-  if (tracing) {
+  // One timeline for every run, so `--algo all` traces them in turn.
+  std::unique_ptr<obs::Trace> trace;
+  if (!o.trace_jsonl.empty() || !o.trace_chrome.empty()) {
     obs::TraceConfig tc;
     tc.sample_every = o.trace_sample;
-    obs::Trace::instance().start(tc);
+    trace = std::make_unique<obs::Trace>(tc);
   }
   // The profiler feeds prof.* histograms in the metrics report.
   if (!o.metrics_json.empty()) obs::set_profiling(true);
 
   if (o.algo == "all") {
-    for (const auto& a : sim::all_algorithms()) run_one(o, a);
+    for (const auto& a : sim::all_algorithms()) run_one(o, a, trace.get());
   } else {
-    run_one(o, o.algo);
+    run_one(o, o.algo, trace.get());
   }
 
-  if (tracing) {
-    obs::Trace& tr = obs::Trace::instance();
-    tr.stop();
+  if (trace) {
+    const obs::Trace& tr = *trace;
     if (!o.trace_jsonl.empty() && !tr.write_jsonl(o.trace_jsonl)) {
       std::fprintf(stderr, "failed to write %s\n", o.trace_jsonl.c_str());
       return 1;

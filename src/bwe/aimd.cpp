@@ -18,7 +18,7 @@ constexpr double kResetDeviations = 3.0;
 // goog_cc uses 1.08/s — tuned for video sources that also send probe
 // bursts. This estimator has no prober and must re-find cellular
 // capacity on its own after an outage, so it climbs much faster and
-// relies on the trendline cut (plus the max_vs_acked clamp) to rein in
+// relies on the trendline cut (plus the kAimdMaxVsAcked clamp) to rein in
 // the overshoot.
 constexpr double kIncreasePerSecond = 2.0;
 // Upper clamp on the decrease spacing. The RTT fed in includes the queue
@@ -31,7 +31,7 @@ constexpr util::Duration kMaxDecreaseInterval = 500 * util::kMillisecond;
 // Growth rate during kAimdStartupGrace. The steady-state rate is tuned for
 // re-finding capacity after an outage, but a fresh flow knows nothing —
 // like BBR's startup it should discover the link in RTTs, not seconds.
-// The max_vs_acked clamp stays active, so the effective climb is a
+// The kAimdMaxVsAcked clamp stays active, so the effective climb is a
 // ladder bounded by demonstrated delivery, not open-loop growth.
 constexpr double kStartupIncreasePerSecond = 6.0;
 }  // namespace
@@ -69,9 +69,8 @@ double LinkCapacityTracker::stddev_bps() const {
   return 1e3 * std::sqrt(var_norm_ * std::max(*estimate_bps_, 1.0) / 1e3);
 }
 
-AimdRateControl::AimdRateControl(AimdConfig cfg, util::RateBps initial_rate)
-    : cfg_(cfg),
-      target_(std::clamp(initial_rate, kAimdMinRate, kAimdMaxRate)),
+AimdRateControl::AimdRateControl(util::RateBps initial_rate)
+    : target_(std::clamp(initial_rate, kAimdMinRate, kAimdMaxRate)),
       initial_target_(target_) {}
 
 void AimdRateControl::seed(util::RateBps bps) {
@@ -156,7 +155,7 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
     }
     case State::kIncrease: {
       // No growth without delivery evidence. When the ACK stream is too
-      // sparse for an acked-bitrate estimate the max_vs_acked clamp below
+      // sparse for an acked-bitrate estimate the kAimdMaxVsAcked clamp below
       // is inert and the trendline window never fills — multiplicative
       // growth would then run away with nothing able to stop it (the
       // feedback-loss chaos profile turns exactly this into a standing
@@ -183,15 +182,15 @@ util::RateBps AimdRateControl::update(util::Time now, BandwidthUsage usage,
   }
 
   if (seeded_ && acked_bps > 0 &&
-      cfg_.max_vs_acked * acked_bps >= target_) {
+      kAimdMaxVsAcked * acked_bps >= target_) {
     seeded_ = false;  // delivery caught up with the seed; clamp re-arms
   }
   if (acked_bps > 0 && state_ == State::kIncrease && !seeded_) {
     // Growth, not cuts, is what the clamp disciplines: the target may not
-    // run more than max_vs_acked ahead of what the path demonstrably
+    // run more than kAimdMaxVsAcked ahead of what the path demonstrably
     // delivers. Applying it outside kIncrease would let a transient dip in
     // the acked estimate drag an already-committed target down.
-    target_ = std::min<util::RateBps>(target_, cfg_.max_vs_acked * acked_bps);
+    target_ = std::min<util::RateBps>(target_, kAimdMaxVsAcked * acked_bps);
   }
   if (in_startup_grace) {
     target_ = std::max(target_, initial_target_);

@@ -68,15 +68,13 @@ inline constexpr util::Duration kAimdMinDecreaseInterval =
 // (and seeds the tracker with a bogus "capacity").
 inline constexpr util::Duration kAimdStartupGrace = util::kSecond;
 
-struct AimdConfig {
-  // Increase is clamped to this multiple of the acked bitrate, so the
-  // target cannot run away from what the path demonstrably delivers.
-  double max_vs_acked = 1.25;
-};
+// Increase is clamped to this multiple of the acked bitrate, so the
+// target cannot run away from what the path demonstrably delivers.
+inline constexpr double kAimdMaxVsAcked = 1.25;
 
 class AimdRateControl {
  public:
-  explicit AimdRateControl(AimdConfig cfg, util::RateBps initial_rate);
+  explicit AimdRateControl(util::RateBps initial_rate);
 
   // One verdict from the trendline; `acked_bps` is the current acked
   // bitrate (0 when unknown), `rtt` the smoothed RTT.
@@ -114,7 +112,6 @@ class AimdRateControl {
 
   void change_state(BandwidthUsage usage);
 
-  AimdConfig cfg_;
   LinkCapacityTracker capacity_;
   util::RateBps target_;
   util::RateBps initial_target_;
@@ -123,7 +120,7 @@ class AimdRateControl {
   util::Time last_update_ = -1;
   util::Time last_decrease_ = -1;
   // True between seed() and the first piece of evidence (an overuse cut,
-  // or the acked bitrate catching up): the max_vs_acked clamp is
+  // or the acked bitrate catching up): the kAimdMaxVsAcked clamp is
   // suspended, otherwise it would snap the seeded target straight back to
   // the pre-seed acked level and the jump-start would be a no-op.
   bool seeded_ = false;

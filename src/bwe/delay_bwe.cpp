@@ -17,11 +17,13 @@ constexpr util::Duration kSilenceReset = 500 * util::kMillisecond;
 // the short window from filling (see on_ack).
 constexpr util::Duration kAckRateLongWindow = util::kSecond;
 // Growth headroom over the acked estimate while in that sparse-ACK
-// regime. Much tighter than aimd.max_vs_acked: an ACK-starved
+// regime. Much tighter than kAimdMaxVsAcked: an ACK-starved
 // transport cannot turn pacing headroom into delivery, so anything
 // beyond a small probing margin just stands as queue.
 constexpr double kSparseHeadroom = 1.3;
-// Standing-queue level detector (DelayBasedBweConfig has the rationale).
+// Standing-queue level detector (the DelayBasedBwe class comment has the
+// rationale).
+constexpr double kLevelThresholdMs = 30.0;
 constexpr double kLevelClearMs = 15.0;
 constexpr util::Duration kLevelSustain = 400 * util::kMillisecond;
 constexpr util::Duration kLevelBaseWindow = 10 * util::kSecond;
@@ -29,9 +31,8 @@ constexpr util::Duration kLevelBaseWindow = 10 * util::kSecond;
 constexpr double kLevelSmoothing = 0.9;
 }  // namespace
 
-DelayBasedBwe::DelayBasedBwe(DelayBasedBweConfig cfg)
-    : cfg_(cfg),
-      aimd_(cfg.aimd, kInitialRate),
+DelayBasedBwe::DelayBasedBwe()
+    : aimd_(kInitialRate),
       ack_rate_(kAckRateWindow),
       ack_rate_long_(kAckRateLongWindow),
       target_(std::clamp(kInitialRate, kAimdMinRate, kAimdMaxRate)),
@@ -76,7 +77,7 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
   trendline_.update(s.now, owd_ms);
   target_ = aimd_.update(s.now, trendline_.state(), acked_bps_, s.rtt);
 
-  // Standing-queue level detector (config comment has the full rationale):
+  // Standing-queue level detector (class comment has the full rationale):
   // smoothed OWD vs the long-window base. A sustained excess forces an
   // AIMD cut the gradient-blind trendline will never issue, and the latch
   // caps growth at the acked bitrate until the queue demonstrably drains.
@@ -87,30 +88,28 @@ void DelayBasedBwe::on_ack(const net::AckSample& s) {
                             (1.0 - kLevelSmoothing) * owd_ms;
   const double level_excess_ms =
       owd_level_ms_ - base_owd_ms_.get(s.now, owd_ms);
-  if (cfg_.level_threshold_ms > 0) {
-    if (level_excess_ms > cfg_.level_threshold_ms) {
-      if (level_high_since_ < 0) level_high_since_ = s.now;
-      if (s.now - level_high_since_ >= kLevelSustain) {
-        aimd_.force_decrease(s.now, acked_bps_);
-        target_ = aimd_.target_bps();
-        level_tripped_ = true;
-        ++level_trips_;
-        // Re-arm: at most one forced cut per sustain period while the
-        // excess stays high — the drain needs time to reach the signal.
-        level_high_since_ = s.now;
-      }
-    } else {
-      level_high_since_ = -1;
-      if (level_excess_ms < kLevelClearMs) level_tripped_ = false;
+  if (level_excess_ms > kLevelThresholdMs) {
+    if (level_high_since_ < 0) level_high_since_ = s.now;
+    if (s.now - level_high_since_ >= kLevelSustain) {
+      aimd_.force_decrease(s.now, acked_bps_);
+      target_ = aimd_.target_bps();
+      level_tripped_ = true;
+      ++level_trips_;
+      // Re-arm: at most one forced cut per sustain period while the
+      // excess stays high — the drain needs time to reach the signal.
+      level_high_since_ = s.now;
     }
-    if (level_tripped_ && acked_bps_ > 0) {
-      target_ = std::clamp(std::min(target_, acked_bps_),
-                           kAimdMinRate, kAimdMaxRate);
-    }
+  } else {
+    level_high_since_ = -1;
+    if (level_excess_ms < kLevelClearMs) level_tripped_ = false;
+  }
+  if (level_tripped_ && acked_bps_ > 0) {
+    target_ = std::clamp(std::min(target_, acked_bps_),
+                         kAimdMinRate, kAimdMaxRate);
   }
   // Sparse-ACK cap: when the short acked window cannot fill but the long
   // one still does, delivery is ACK-clocked (cwnd stalls, not pacing,
-  // bound it) and the AIMD's usual max_vs_acked headroom stands as queue
+  // bound it) and the AIMD's usual kAimdMaxVsAcked headroom stands as queue
   // instead of buying throughput — hold the target to a tight probing
   // margin over measured delivery. When even the long window is starved
   // the sticky estimate is stale, and capping against it freezes the

@@ -23,28 +23,22 @@
 
 namespace pbecc::bwe {
 
-struct DelayBasedBweConfig {
-  AimdConfig aimd{};
-  // Standing-queue *level* detector. The trendline reacts to the delay
-  // gradient, so an overshoot small enough to sit under the adaptive
-  // threshold (+7.5% of capacity fits the window slope to a modified
-  // trend of 0.075 x 20 x 4 = 6.0 — exactly the threshold floor) builds
-  // queue the detector never convicts; and once delivery becomes
-  // ACK-clocked the queue stops growing, the gradient goes to zero, and
-  // the backlog stands forever. The level detector compares an
-  // EWMA-smoothed one-way delay against a long-window minimum (the
-  // RTprop idiom): excess above `level_threshold_ms` sustained for
-  // kLevelSustain forces one AIMD decrease, and growth stays capped at
-  // the acked bitrate until the excess falls below kLevelClearMs
-  // (hysteresis). While the excess stays high, one cut per sustain
-  // period — the drain needs time to show up in the delay signal.
-  // Set level_threshold_ms <= 0 to disable.
-  double level_threshold_ms = 30.0;
-};
-
+// Standing-queue *level* detector. The trendline reacts to the delay
+// gradient, so an overshoot small enough to sit under the adaptive
+// threshold (+7.5% of capacity fits the window slope to a modified trend
+// of 0.075 x 20 x 4 = 6.0 — exactly the threshold floor) builds queue the
+// detector never convicts; and once delivery becomes ACK-clocked the
+// queue stops growing, the gradient goes to zero, and the backlog stands
+// forever. The level detector compares an EWMA-smoothed one-way delay
+// against a long-window minimum (the RTprop idiom): excess above
+// kLevelThresholdMs sustained for kLevelSustain forces one AIMD decrease,
+// and growth stays capped at the acked bitrate until the excess falls
+// below kLevelClearMs (hysteresis). While the excess stays high, one cut
+// per sustain period — the drain needs time to show up in the delay
+// signal.
 class DelayBasedBwe {
  public:
-  explicit DelayBasedBwe(DelayBasedBweConfig cfg = {});
+  DelayBasedBwe();
 
   // Feed every ACK (works for any flow; only now / one_way_delay /
   // delivery_rate / rtt are consumed).
@@ -73,7 +67,6 @@ class DelayBasedBwe {
   std::uint64_t level_trips() const { return level_trips_; }
 
  private:
-  DelayBasedBweConfig cfg_;
   TrendlineEstimator trendline_;
   AimdRateControl aimd_;
   util::WindowedMean ack_rate_;
@@ -83,7 +76,7 @@ class DelayBasedBwe {
   util::Time last_ack_ = -1;
   util::RateBps target_;
   double acked_bps_ = 0.0;
-  // Standing-queue level detector (see DelayBasedBweConfig).
+  // Standing-queue level detector (see the class comment).
   util::WindowedMin<double> base_owd_ms_;
   double owd_level_ms_ = -1.0;  // EWMA of the OWD; <0 = no sample yet
   util::Time level_high_since_ = -1;

@@ -12,6 +12,8 @@ namespace {
 constexpr int kMaxCces = 4096;
 constexpr std::uint64_t kMaxCellsPerBatch = 64;
 constexpr std::uint64_t kMaxHeaderCells = 64;
+// Highest PdcchCoding value on the wire.
+constexpr auto kMaxCoding = static_cast<std::uint8_t>(phy::PdcchCoding::kPolar);
 
 void encode_fault_profile(const fault::FaultProfile& p, ByteWriter& w) {
   w.put_f64(p.blackout_duty);
@@ -57,19 +59,7 @@ void decode_fault_profile(ByteReader& r, fault::FaultProfile& p) {
 
 }  // namespace
 
-namespace {
-
-// Highest PdcchCoding value a given format version may carry: kPolar is
-// an NR mode and exists only from version 2 on.
-std::uint8_t max_coding_for(std::uint16_t version) {
-  return static_cast<std::uint8_t>(version >= 2 ? phy::PdcchCoding::kPolar
-                                                : phy::PdcchCoding::kConvolutional);
-}
-
-}  // namespace
-
-void encode_header(const TraceHeader& h, ByteWriter& w,
-                   std::uint16_t version) {
+void encode_header(const TraceHeader& h, ByteWriter& w) {
   w.put_varint(h.own_rnti);
   w.put_varint(h.monitor_seed);
   w.put_svarint(h.tracker.window);
@@ -86,21 +76,18 @@ void encode_header(const TraceHeader& h, ByteWriter& w,
     w.put_f64(c.bandwidth_mhz);
     w.put_f64(c.carrier_ghz);
     w.put_u8(static_cast<std::uint8_t>(c.pdcch_coding));
-    if (version >= 2) {
-      w.put_u8(static_cast<std::uint8_t>(c.rat));
-      if (c.rat == phy::Rat::kNr) {
-        w.put_u8(static_cast<std::uint8_t>(c.scs));  // value == mu
-        w.put_varint(static_cast<std::uint64_t>(c.coreset.rbs));
-        w.put_u8(static_cast<std::uint8_t>(c.coreset.symbols));
-        for (const std::uint8_t n : c.search_space.candidates) w.put_u8(n);
-        w.put_u8(c.mini_slot_preemption ? 1 : 0);
-      }
+    w.put_u8(static_cast<std::uint8_t>(c.rat));
+    if (c.rat == phy::Rat::kNr) {
+      w.put_u8(static_cast<std::uint8_t>(c.scs));  // value == mu
+      w.put_varint(static_cast<std::uint64_t>(c.coreset.rbs));
+      w.put_u8(static_cast<std::uint8_t>(c.coreset.symbols));
+      for (const std::uint8_t n : c.search_space.candidates) w.put_u8(n);
+      w.put_u8(c.mini_slot_preemption ? 1 : 0);
     }
   }
 }
 
-bool decode_header(ByteReader& r, TraceHeader& out, std::string& err,
-                   std::uint16_t version) {
+bool decode_header(ByteReader& r, TraceHeader& out, std::string& err) {
   out = TraceHeader{};
   out.own_rnti = static_cast<phy::Rnti>(r.get_varint());
   out.monitor_seed = r.get_varint();
@@ -137,56 +124,54 @@ bool decode_header(ByteReader& r, TraceHeader& out, std::string& err,
       err = "header: " + r.error();
       return false;
     }
-    if (coding > max_coding_for(version)) {
+    if (coding > kMaxCoding) {
       err = "header: unknown PDCCH coding " + std::to_string(coding);
       return false;
     }
     c.pdcch_coding = static_cast<phy::PdcchCoding>(coding);
-    if (version >= 2) {
-      const std::uint8_t rat = r.get_u8();
+    const std::uint8_t rat = r.get_u8();
+    if (!r.ok()) {
+      err = "header: " + r.error();
+      return false;
+    }
+    if (rat > static_cast<std::uint8_t>(phy::Rat::kNr)) {
+      err = "header: unknown RAT " + std::to_string(rat);
+      return false;
+    }
+    c.rat = static_cast<phy::Rat>(rat);
+    if (c.rat == phy::Rat::kNr) {
+      const std::uint8_t mu = r.get_u8();
+      const std::uint64_t rbs = r.get_varint();
+      const std::uint8_t symbols = r.get_u8();
+      std::array<std::uint8_t, 5> candidates{};
+      for (auto& n : candidates) n = r.get_u8();
+      const std::uint8_t mini = r.get_u8();
       if (!r.ok()) {
         err = "header: " + r.error();
         return false;
       }
-      if (rat > static_cast<std::uint8_t>(phy::Rat::kNr)) {
-        err = "header: unknown RAT " + std::to_string(rat);
+      if (mu != 0 && mu != 1 && mu != 3) {
+        err = "header: unsupported NR numerology mu=" + std::to_string(mu);
         return false;
       }
-      c.rat = static_cast<phy::Rat>(rat);
-      if (c.rat == phy::Rat::kNr) {
-        const std::uint8_t mu = r.get_u8();
-        const std::uint64_t rbs = r.get_varint();
-        const std::uint8_t symbols = r.get_u8();
-        std::array<std::uint8_t, 5> candidates{};
-        for (auto& n : candidates) n = r.get_u8();
-        const std::uint8_t mini = r.get_u8();
-        if (!r.ok()) {
-          err = "header: " + r.error();
-          return false;
-        }
-        if (mu != 0 && mu != 1 && mu != 3) {
-          err = "header: unsupported NR numerology mu=" + std::to_string(mu);
-          return false;
-        }
-        if (rbs == 0 || rbs % 6 != 0 || rbs > 1024) {
-          err = "header: implausible CORESET rbs " + std::to_string(rbs);
-          return false;
-        }
-        if (symbols < 1 || symbols > 3) {
-          err = "header: implausible CORESET symbols " +
-                std::to_string(symbols);
-          return false;
-        }
-        if (mini > 1) {
-          err = "header: bad mini-slot flag";
-          return false;
-        }
-        c.scs = static_cast<nr::Scs>(mu);
-        c.coreset.rbs = static_cast<int>(rbs);
-        c.coreset.symbols = symbols;
-        c.search_space.candidates = candidates;
-        c.mini_slot_preemption = mini == 1;
+      if (rbs == 0 || rbs % 6 != 0 || rbs > 1024) {
+        err = "header: implausible CORESET rbs " + std::to_string(rbs);
+        return false;
       }
+      if (symbols < 1 || symbols > 3) {
+        err = "header: implausible CORESET symbols " +
+              std::to_string(symbols);
+        return false;
+      }
+      if (mini > 1) {
+        err = "header: bad mini-slot flag";
+        return false;
+      }
+      c.scs = static_cast<nr::Scs>(mu);
+      c.coreset.rbs = static_cast<int>(rbs);
+      c.coreset.symbols = symbols;
+      c.search_space.candidates = candidates;
+      c.mini_slot_preemption = mini == 1;
     }
     out.cells.push_back(c);
   }
@@ -197,8 +182,7 @@ bool decode_header(ByteReader& r, TraceHeader& out, std::string& err,
   return true;
 }
 
-void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
-                   std::uint16_t version) {
+void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w) {
   w.put_u8(static_cast<std::uint8_t>(rec.kind));
   switch (rec.kind) {
     case Record::Kind::kBatch: {
@@ -208,14 +192,11 @@ void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
       w.put_varint(b.cells.size());
       for (const auto& c : b.cells) {
         w.put_varint(c.cell);
-        if (version >= 2) {
-          // Slot clock: slots per subframe, then the capture's slot within
-          // the master subframe (c.sf_index on a spsf-per-ms clock).
-          const std::int64_t spsf =
-              c.tick > 0 ? util::kSubframe / c.tick : 1;
-          w.put_varint(static_cast<std::uint64_t>(spsf));
-          w.put_svarint(c.sf_index - b.sf_index * spsf);
-        }
+        // Slot clock: slots per subframe, then the capture's slot within
+        // the master subframe (c.sf_index on a spsf-per-ms clock).
+        const std::int64_t spsf = c.tick > 0 ? util::kSubframe / c.tick : 1;
+        w.put_varint(static_cast<std::uint64_t>(spsf));
+        w.put_svarint(c.sf_index - b.sf_index * spsf);
         w.put_varint(static_cast<std::uint64_t>(c.n_cces));
         w.put_u8(static_cast<std::uint8_t>(c.coding));
         w.put_f64(c.control_ber);
@@ -248,7 +229,7 @@ void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
 }
 
 bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
-                   std::string& err, std::uint16_t version) {
+                   std::string& err) {
   out = Record{};
   const std::uint8_t tag = r.get_u8();
   if (!r.ok()) {
@@ -270,26 +251,21 @@ bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
       for (std::uint64_t i = 0; i < n; ++i) {
         CellCapture c;
         c.cell = static_cast<phy::CellId>(r.get_varint());
-        if (version >= 2) {
-          const std::uint64_t spsf = r.get_varint();
-          const std::int64_t slot = r.get_svarint();
-          if (!r.ok()) break;
-          if (spsf == 0 || spsf > 16 || (spsf & (spsf - 1)) != 0) {
-            err = "record: implausible slots/subframe " + std::to_string(spsf);
-            return false;
-          }
-          if (slot < 0 || slot >= static_cast<std::int64_t>(spsf)) {
-            err = "record: slot " + std::to_string(slot) +
-                  " outside subframe (spsf=" + std::to_string(spsf) + ")";
-            return false;
-          }
-          c.tick = util::kSubframe / static_cast<util::Duration>(spsf);
-          c.sf_index =
-              out.batch.sf_index * static_cast<std::int64_t>(spsf) + slot;
-        } else {
-          c.tick = util::kSubframe;
-          c.sf_index = out.batch.sf_index;
+        const std::uint64_t spsf = r.get_varint();
+        const std::int64_t slot = r.get_svarint();
+        if (!r.ok()) break;
+        if (spsf == 0 || spsf > 16 || (spsf & (spsf - 1)) != 0) {
+          err = "record: implausible slots/subframe " + std::to_string(spsf);
+          return false;
         }
+        if (slot < 0 || slot >= static_cast<std::int64_t>(spsf)) {
+          err = "record: slot " + std::to_string(slot) +
+                " outside subframe (spsf=" + std::to_string(spsf) + ")";
+          return false;
+        }
+        c.tick = util::kSubframe / static_cast<util::Duration>(spsf);
+        c.sf_index =
+            out.batch.sf_index * static_cast<std::int64_t>(spsf) + slot;
         const std::uint64_t n_cces = r.get_varint();
         if (!r.ok()) break;
         if (n_cces == 0 || n_cces > kMaxCces) {
@@ -298,7 +274,7 @@ bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
         }
         c.n_cces = static_cast<int>(n_cces);
         const std::uint8_t coding = r.get_u8();
-        if (coding > max_coding_for(version)) {
+        if (coding > kMaxCoding) {
           err = "record: unknown PDCCH coding " + std::to_string(coding);
           return false;
         }

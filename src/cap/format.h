@@ -31,14 +31,12 @@
 namespace pbecc::cap {
 
 inline constexpr std::uint8_t kMagic[4] = {'P', 'B', 'T', '1'};
-// Version 2 adds 5G NR: per-cell RAT + numerology + CORESET/search-space
-// layout in the header, the kPolar coding mode, and per-cell slot indices
-// in batch records (an NR cell contributes one capture per slot, not per
-// 1 ms subframe). Version 1 files decode exactly as before; version-1
-// encoding is still supported so LTE-only traces stay byte-identical with
-// old builds.
+// The one version this build writes and reads. Version 2 added 5G NR:
+// per-cell RAT + numerology + CORESET/search-space layout in the header,
+// the kPolar coding mode, and per-cell slot indices in batch records (an
+// NR cell contributes one capture per slot, not per 1 ms subframe). Older
+// traces are regenerated, not migrated.
 inline constexpr std::uint16_t kFormatVersion = 2;
-inline constexpr std::uint16_t kMinFormatVersion = 1;
 // Upper bound on any length field read from disk; anything larger is
 // treated as corruption rather than allocated.
 inline constexpr std::uint32_t kMaxChunkBytes = 1u << 26;  // 64 MiB
@@ -62,10 +60,10 @@ struct TraceHeader {
 struct CellCapture {
   phy::CellId cell = 0;
   // Tick index on the cell's own slot clock and that clock's period. The
-  // instant captured is sf_index * tick. For LTE cells (and every v1
-  // trace) tick == util::kSubframe and sf_index equals the batch's
-  // subframe index; an NR cell at 2^mu slots/subframe appears 2^mu times
-  // per batch with consecutive sf_index values. v2 stores the pair as
+  // instant captured is sf_index * tick. For LTE cells tick ==
+  // util::kSubframe and sf_index equals the batch's subframe index; an NR
+  // cell at 2^mu slots/subframe appears 2^mu times per batch with
+  // consecutive sf_index values. The record stores the pair as
   // (slots_per_subframe, slot-within-subframe) per cell.
   std::int64_t sf_index = 0;
   util::Duration tick = util::kSubframe;
@@ -122,17 +120,12 @@ struct DeltaState {
 
 // --- Header codec (payload only; file-level framing is the writer's and
 // reader's job). decode returns false with `err` set on malformed input.
-// `version` selects the wire layout; both sides must agree (the reader
-// passes the file header's version).
-void encode_header(const TraceHeader& h, ByteWriter& w,
-                   std::uint16_t version = kFormatVersion);
-bool decode_header(ByteReader& r, TraceHeader& out, std::string& err,
-                   std::uint16_t version = kFormatVersion);
+void encode_header(const TraceHeader& h, ByteWriter& w);
+bool decode_header(ByteReader& r, TraceHeader& out, std::string& err);
 
 // --- Record codec.
-void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
-                   std::uint16_t version = kFormatVersion);
+void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w);
 bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
-                   std::string& err, std::uint16_t version = kFormatVersion);
+                   std::string& err);
 
 }  // namespace pbecc::cap

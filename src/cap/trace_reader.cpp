@@ -26,10 +26,10 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     return;
   }
   const std::uint16_t version = fr.get_u16();
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     fail(path_ + ": unsupported trace version " + std::to_string(version) +
-         " (this build reads versions " + std::to_string(kMinFormatVersion) +
-         ".." + std::to_string(kFormatVersion) + ")");
+         " (this build reads version " + std::to_string(kFormatVersion) +
+         ")");
     return;
   }
   version_ = version;
@@ -50,7 +50,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   }
   ByteReader hr(payload.data(), payload.size());
   std::string err;
-  if (!decode_header(hr, header_, err, version_)) {
+  if (!decode_header(hr, header_, err)) {
     fail(path_ + ": " + err);
     return;
   }
@@ -112,7 +112,7 @@ bool TraceReader::load_chunk() {
   std::string err;
   for (std::uint32_t i = 0; i < n_records; ++i) {
     Record rec;
-    if (!decode_record(br, delta_, rec, err, version_)) {
+    if (!decode_record(br, delta_, rec, err)) {
       fail(path_ + ": chunk " + std::to_string(chunks_read_) + ": " + err);
       pending_.clear();  // a chunk is all-or-nothing
       return false;

@@ -29,8 +29,8 @@ class TraceReader {
   bool ok() const { return err_.empty(); }
   const std::string& error() const { return err_; }
   const TraceHeader& header() const { return header_; }
-  // On-disk format version of the open trace (kMinFormatVersion ..
-  // kFormatVersion); 0 until the file header parsed.
+  // On-disk format version of the open trace (kFormatVersion, the only
+  // one this build reads); 0 until the file header parsed.
   std::uint16_t version() const { return version_; }
 
   // Fills `out` with the next record. Returns false at end-of-trace or on

@@ -14,15 +14,9 @@ namespace {
 constexpr std::size_t kChunkFlushBytes = 256 * 1024;
 }  // namespace
 
-TraceWriter::TraceWriter(std::string path, std::size_t chunk_records,
-                         std::uint16_t version)
+TraceWriter::TraceWriter(std::string path, std::size_t chunk_records)
     : path_(std::move(path)),
-      chunk_records_(chunk_records == 0 ? 1 : chunk_records),
-      version_(version) {
-  if (version_ < kMinFormatVersion || version_ > kFormatVersion) {
-    fail(path_ + ": unwritable trace version " + std::to_string(version_));
-  }
-}
+      chunk_records_(chunk_records == 0 ? 1 : chunk_records) {}
 
 TraceWriter::~TraceWriter() { close(); }
 
@@ -50,27 +44,16 @@ void TraceWriter::begin(const TraceHeader& header) {
   }
   begun_ = true;
   if (!ok()) return;
-  if (version_ < 2) {
-    // Version 1 has no wire layout for NR cells or the polar coding mode.
-    for (const auto& c : header.cells) {
-      if (c.rat != phy::Rat::kLte ||
-          c.pdcch_coding == phy::PdcchCoding::kPolar) {
-        fail(path_ + ": version 1 cannot record NR cells (cell " +
-             std::to_string(c.id) + ")");
-        return;
-      }
-    }
-  }
   file_ = std::fopen(path_.c_str(), "wb");
   if (file_ == nullptr) {
     fail(path_ + ": open failed: " + std::strerror(errno));
     return;
   }
   ByteWriter payload;
-  encode_header(header, payload, version_);
+  encode_header(header, payload);
   ByteWriter framed;
   framed.put_bytes(kMagic, sizeof kMagic);
-  framed.put_u16(version_);
+  framed.put_u16(kFormatVersion);
   framed.put_u32(static_cast<std::uint32_t>(payload.size()));
   framed.put_u32(util::crc32(payload.buf().data(), payload.size()));
   framed.put_bytes(payload.buf().data(), payload.size());
@@ -83,7 +66,7 @@ void TraceWriter::append(const Record& rec) {
     return;
   }
   if (!ok()) return;
-  encode_record(rec, delta_, chunk_, version_);
+  encode_record(rec, delta_, chunk_);
   ++chunk_count_;
   ++records_written_;
   if (chunk_count_ >= chunk_records_ || chunk_.size() >= kChunkFlushBytes) {

@@ -24,13 +24,9 @@ namespace pbecc::cap {
 class TraceWriter {
  public:
   // `chunk_records` bounds how many records a chunk holds (a size cap on
-  // the encoded payload applies too, whichever is hit first). `version`
-  // selects the on-disk format: the current kFormatVersion by default;
-  // pass 1 to emit traces readable by pre-NR builds (only valid for
-  // LTE-only configurations — begin() fails on an NR cell or kPolar
-  // coding).
-  explicit TraceWriter(std::string path, std::size_t chunk_records = 256,
-                       std::uint16_t version = kFormatVersion);
+  // the encoded payload applies too, whichever is hit first). The file is
+  // written in kFormatVersion.
+  explicit TraceWriter(std::string path, std::size_t chunk_records = 256);
   ~TraceWriter();
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
@@ -53,7 +49,6 @@ class TraceWriter {
   bool ok() const { return err_.empty(); }
   const std::string& error() const { return err_; }
   const std::string& path() const { return path_; }
-  std::uint16_t version() const { return version_; }
   std::uint64_t records_written() const { return records_written_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
 
@@ -65,7 +60,6 @@ class TraceWriter {
 
   std::string path_;
   std::size_t chunk_records_;
-  std::uint16_t version_ = kFormatVersion;
   std::FILE* file_ = nullptr;
   bool begun_ = false;
   std::string err_;

@@ -57,7 +57,7 @@ void BaseStation::add_ue(const UeConfig& cfg, DeliveryHandler deliver) {
       .harq = {},
       .channels = {},
       .ch_now = {},
-      .ca = CaManager{cfg.aggregated_cells, cfg.ca},
+      .ca = CaManager{cfg.aggregated_cells},
       .newest_secondary_prbs_this_sf = 0,
       .total_prbs_this_sf = 0,
       .prbs_this_sf_by_cell = {},
@@ -624,7 +624,7 @@ void BaseStation::handover(UeId ue_id, const std::vector<phy::CellId>& new_cells
   // Fig-15 "ever aggregated" statistic is history, not timer state — the
   // PR-4 eviction path silently zeroed it on every handover.
   const bool ever_aggregated = ue.ca.ever_aggregated();
-  ue.ca = CaManager{new_cells, ue.cfg.ca};
+  ue.ca = CaManager{new_cells};
   ue.ca.restore_history(ever_aggregated);
   // After eviction + install the tracked set is exactly the new cell set.
   PBECC_INVARIANT(ue.harq.size() == new_cells.size() &&
@@ -690,7 +690,7 @@ void BaseStation::admit_ue(UeMigration m, const std::vector<phy::CellId>& new_ce
       .harq = {},
       .channels = {},
       .ch_now = {},
-      .ca = CaManager{new_cells, m.cfg.ca},
+      .ca = CaManager{new_cells},
       .newest_secondary_prbs_this_sf = 0,
       .total_prbs_this_sf = 0,
       .prbs_this_sf_by_cell = {},

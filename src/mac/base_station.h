@@ -49,7 +49,6 @@ struct UeConfig {
   // Primary first; CA activates the rest sequentially.
   std::vector<phy::CellId> aggregated_cells;
   phy::ChannelConfig channel{};
-  CaConfig ca{};
   // Scheduling weight under the cell's fairness policy (1.0 = equal share).
   double scheduling_weight = 1.0;
   // Per-user downlink buffer at the base station (the paper notes the BS

@@ -5,13 +5,23 @@
 namespace pbecc::mac {
 
 namespace {
-// Mean PRBs per subframe on the newest secondary below which it counts
-// as idle (see CaConfig::deactivation_delay).
+// The paper's footnote 1: buffering is *not* a prerequisite — consuming a
+// large fraction of the serving cells' bandwidth also activates the next
+// carrier. Fraction of serving PRBs this user must hold (smoothed)...
+constexpr double kActivationUtilization = 0.65;
+// ...for this long.
+constexpr util::Duration kUtilizationDelay = 120 * util::kMillisecond;
+// Cool-down between consecutive activations (lets the new cell take load
+// before judging whether yet another is needed).
+constexpr util::Duration kActivationCooldown = 100 * util::kMillisecond;
+// Deactivate the newest secondary when the user's mean allocation on it
+// stays below kDeactivationPrbThreshold PRBs for kDeactivationDelay.
 constexpr double kDeactivationPrbThreshold = 2.0;
+constexpr util::Duration kDeactivationDelay = 500 * util::kMillisecond;
 }  // namespace
 
-CaManager::CaManager(std::vector<phy::CellId> aggregated_cells, CaConfig cfg)
-    : all_(std::move(aggregated_cells)), cfg_(cfg) {
+CaManager::CaManager(std::vector<phy::CellId> aggregated_cells)
+    : all_(std::move(aggregated_cells)) {
   if (all_.empty()) throw std::invalid_argument("UE needs at least a primary cell");
   active_.push_back(all_.front());
 }
@@ -35,13 +45,13 @@ CaManager::Update CaManager::on_subframe(util::Time now,
   // large fraction of the serving bandwidth for a while (footnote 1 of the
   // paper: buffering is not a prerequisite).
   if (active_.size() < all_.size()) {
-    const bool queue_high = queue_bytes >= cfg_.activation_queue_bytes;
+    const bool queue_high = queue_bytes >= kCaActivationQueueBytes;
     if (queue_high) {
       if (queue_high_since_ == util::kNever) queue_high_since_ = now;
     } else {
       queue_high_since_ = util::kNever;
     }
-    const bool util_high = utilization_ewma_ >= cfg_.activation_utilization;
+    const bool util_high = utilization_ewma_ >= kActivationUtilization;
     if (util_high) {
       if (utilization_high_since_ == util::kNever) utilization_high_since_ = now;
     } else {
@@ -49,12 +59,12 @@ CaManager::Update CaManager::on_subframe(util::Time now,
     }
 
     const bool queue_trigger = queue_high_since_ != util::kNever &&
-                               now - queue_high_since_ >= cfg_.activation_delay;
+                               now - queue_high_since_ >= kCaActivationDelay;
     const bool util_trigger =
         utilization_high_since_ != util::kNever &&
-        now - utilization_high_since_ >= cfg_.utilization_delay;
+        now - utilization_high_since_ >= kUtilizationDelay;
     if ((queue_trigger || util_trigger) &&
-        now - last_activation_ >= cfg_.activation_cooldown) {
+        now - last_activation_ >= kActivationCooldown) {
       active_.push_back(all_[active_.size()]);
       last_activation_ = now;
       queue_high_since_ = util::kNever;
@@ -76,7 +86,7 @@ CaManager::Update CaManager::on_subframe(util::Time now,
         alpha * (static_cast<double>(newest_secondary_prbs) - secondary_prb_ewma_);
     if (secondary_prb_ewma_ < kDeactivationPrbThreshold) {
       if (secondary_idle_since_ == util::kNever) secondary_idle_since_ = now;
-      if (now - secondary_idle_since_ >= cfg_.deactivation_delay) {
+      if (now - secondary_idle_since_ >= kDeactivationDelay) {
         u.deactivated = true;
         u.cell = active_.back();
         active_.pop_back();

@@ -16,28 +16,14 @@
 
 namespace pbecc::mac {
 
-struct CaConfig {
-  // Queue depth that signals the active set is insufficient.
-  std::int64_t activation_queue_bytes = 40 * 1024;
-  // The paper's footnote 1: buffering is *not* a prerequisite — consuming
-  // a large fraction of the serving cells' bandwidth also activates the
-  // next carrier. Fraction of serving PRBs this user must hold...
-  double activation_utilization = 0.65;
-  // ...for this long (smoothed).
-  util::Duration utilization_delay = 120 * util::kMillisecond;
-  // How long the queue must stay above the threshold before activating.
-  util::Duration activation_delay = 60 * util::kMillisecond;
-  // Deactivate the newest secondary when the user's mean allocation on it
-  // stays below kDeactivationPrbThreshold PRBs for this long.
-  util::Duration deactivation_delay = 500 * util::kMillisecond;
-  // Cool-down between consecutive activations (lets the new cell take
-  // load before judging whether yet another is needed).
-  util::Duration activation_cooldown = 100 * util::kMillisecond;
-};
+// Queue depth that signals the active set is insufficient, once it has
+// stood kCaActivationDelay: the next aggregated cell activates.
+inline constexpr std::int64_t kCaActivationQueueBytes = 40 * 1024;
+inline constexpr util::Duration kCaActivationDelay = 60 * util::kMillisecond;
 
 class CaManager {
  public:
-  CaManager(std::vector<phy::CellId> aggregated_cells, CaConfig cfg);
+  explicit CaManager(std::vector<phy::CellId> aggregated_cells);
 
   // Active prefix of the aggregated list (primary first).
   const std::vector<phy::CellId>& active_cells() const { return active_; }
@@ -70,7 +56,6 @@ class CaManager {
  private:
   std::vector<phy::CellId> all_;
   std::vector<phy::CellId> active_;
-  CaConfig cfg_;
 
   util::Time queue_high_since_ = util::kNever;
   util::Time utilization_high_since_ = util::kNever;

@@ -147,36 +147,9 @@ std::vector<SchedAllocation> ProportionalFairScheduler::allocate(
   return out;
 }
 
-std::vector<SchedAllocation> RoundRobinScheduler::allocate(
-    int available_prbs, const std::vector<SchedRequest>& requests) {
-  PBECC_PROF_SCOPE("scheduler_allocate");
-  // Serve users in UE-id order starting after the last user served,
-  // each to full demand, until PRBs run out.
-  std::vector<const SchedRequest*> order;
-  for (const auto& r : requests) {
-    if (demand_prbs(r) > 0) order.push_back(&r);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const SchedRequest* a, const SchedRequest* b) { return a->ue < b->ue; });
-  std::stable_partition(order.begin(), order.end(),
-                        [this](const SchedRequest* r) { return r->ue > next_after_; });
-
-  std::vector<SchedAllocation> out;
-  int remaining = available_prbs;
-  for (const auto* r : order) {
-    if (remaining == 0) break;
-    const int give = std::min(demand_prbs(*r), remaining);
-    out.push_back({r->ue, give});
-    remaining -= give;
-    next_after_ = r->ue;
-  }
-  return out;
-}
-
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
   if (name == "fair-share") return std::make_unique<FairShareScheduler>();
   if (name == "proportional-fair") return std::make_unique<ProportionalFairScheduler>();
-  if (name == "round-robin") return std::make_unique<RoundRobinScheduler>();
   throw std::invalid_argument("unknown scheduler: " + name);
 }
 

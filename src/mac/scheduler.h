@@ -3,8 +3,8 @@
 // The paper's fairness results (§6.4) lean on the base station's fairness
 // policy: backlogged users share PRBs max-min fairly, and per-user queues
 // isolate flows. FairShareScheduler implements exactly that policy;
-// ProportionalFair and RoundRobin are provided for ablations (§7 notes
-// PBE-CC adapts to arbitrary fairness policies).
+// ProportionalFair is provided for ablations (§7 notes PBE-CC adapts to
+// arbitrary fairness policies).
 #pragma once
 
 #include <cstdint>
@@ -48,18 +48,6 @@ class ProportionalFairScheduler final : public Scheduler {
 
  private:
   std::map<UeId, double> avg_rate_;  // EWMA of served bits per subframe
-};
-
-// Strict round-robin over backlogged users, one user served to completion
-// per turn.
-class RoundRobinScheduler final : public Scheduler {
- public:
-  std::vector<SchedAllocation> allocate(
-      int available_prbs, const std::vector<SchedRequest>& requests) override;
-  std::string name() const override { return "round-robin"; }
-
- private:
-  UeId next_after_ = 0;
 };
 
 // Demand in whole PRBs for a request.

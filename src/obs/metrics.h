@@ -14,8 +14,7 @@
 // the reference once and update it on the hot path; reset() zeroes values
 // but keeps the registrations (and cached references) valid. Counter totals
 // stay deterministic under concurrency (increments commute); only histogram
-// min/max interleavings and trace ordering across *concurrent scenarios* are
-// timing-dependent.
+// min/max interleavings across *concurrent scenarios* are timing-dependent.
 #pragma once
 
 #include <array>

@@ -71,73 +71,33 @@ const EventSchema& schema(EventKind k) {
   return kSchemas[static_cast<int>(k)];
 }
 
-Trace& Trace::instance() {
-  static Trace t;
-  return t;
-}
-
-void Trace::start(TraceConfig cfg) {
-  std::lock_guard<std::mutex> lk(m_);
-  cfg_ = cfg;
+Trace::Trace(TraceConfig cfg) : cfg_(cfg) {
   if (cfg_.capacity == 0) cfg_.capacity = 1;
   if (cfg_.sample_every == 0) cfg_.sample_every = 1;
-  ring_.clear();
   ring_.reserve(std::min<std::size_t>(cfg_.capacity, 1u << 16));
-  next_ = 0;
-  recorded_ = dropped_ = sampled_out_ = hf_seq_ = 0;
-  active_ = true;
-  detail::g_trace = this;
-}
-
-void Trace::stop() {
-  // Unpublish first so no new record() call starts, then take the lock to
-  // wait out in-flight ones.
-  detail::g_trace = nullptr;
-  std::lock_guard<std::mutex> lk(m_);
-  active_ = false;
-}
-
-void Trace::clear() {
-  stop();
-  std::lock_guard<std::mutex> lk(m_);
-  ring_.clear();
-  ring_.shrink_to_fit();
-  next_ = 0;
-  recorded_ = dropped_ = sampled_out_ = hf_seq_ = 0;
-}
-
-void Trace::record(const Event& e) {
-  std::lock_guard<std::mutex> lk(m_);
-  record_locked(e);
 }
 
 void Trace::record_batch(const std::vector<Event>& events) {
-  if (events.empty()) return;
-  std::lock_guard<std::mutex> lk(m_);
-  for (const Event& e : events) record_locked(e);
-}
-
-void Trace::record_locked(const Event& e) {
-  if (!active_) return;
-  if (schema(e.kind).high_freq && cfg_.sample_every > 1) {
-    if (hf_seq_++ % cfg_.sample_every != 0) {
-      ++sampled_out_;
-      return;
+  for (const Event& e : events) {
+    if (schema(e.kind).high_freq && cfg_.sample_every > 1) {
+      if (hf_seq_++ % cfg_.sample_every != 0) {
+        ++sampled_out_;
+        continue;
+      }
     }
+    ++recorded_;
+    if (ring_.size() < cfg_.capacity) {
+      ring_.push_back(e);
+      continue;
+    }
+    // Ring full: overwrite the oldest event.
+    ring_[next_] = e;
+    next_ = (next_ + 1) % cfg_.capacity;
+    ++dropped_;
   }
-  ++recorded_;
-  if (ring_.size() < cfg_.capacity) {
-    ring_.push_back(e);
-    return;
-  }
-  // Ring full: overwrite the oldest event.
-  ring_[next_] = e;
-  next_ = (next_ + 1) % cfg_.capacity;
-  ++dropped_;
 }
 
 std::vector<Event> Trace::snapshot() const {
-  std::lock_guard<std::mutex> lk(m_);
   std::vector<Event> out;
   out.reserve(ring_.size());
   // next_ is the oldest slot once the ring has wrapped.

@@ -1,21 +1,23 @@
 // Structured event tracing keyed on the simulation clock.
 //
 // Modules emit fixed-size typed events (DCI decoded, HARQ retransmission,
-// capacity update, sender mode switch, ...) into one in-memory ring buffer;
-// at the end of a run the buffer exports to JSONL (one event per line) or
-// to the Chrome trace_event format (load in chrome://tracing or Perfetto,
-// where each event category renders as its own timeline track).
+// capacity update, sender mode switch, ...). A traced run owns one Trace:
+// an in-memory ring of its events, which exports to JSONL (one event per
+// line) or to the Chrome trace_event format (load in chrome://tracing or
+// Perfetto, where each event category renders as its own timeline track).
 //
 // Timestamps are util::Time (simulation microseconds), never wall clock, so
 // decoder, estimator, MAC and transport events line up on one timebase.
 //
-// Cost model: emit() is one branch when no trace is active. High-frequency
-// kinds (per-DCI, per-feedback) can additionally be sampled 1-in-N at
-// runtime via TraceConfig.
+// emit() appends to the calling thread's sink, a plain event buffer that
+// the run installs (ThreadSinkScope) around the work it traces and later
+// appends to its Trace in a fixed order (DESIGN.md §15). A thread with no
+// sink drops the event at the cost of one branch. High-frequency kinds
+// (per-DCI, per-feedback) can additionally be sampled 1-in-N via
+// TraceConfig.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,24 +83,16 @@ struct TraceConfig {
   std::uint32_t sample_every = 1;   // keep 1 in N high-frequency events
 };
 
+// One run's event timeline. The run appends its sinks' buffers to it
+// from the one thread in its serial phase, so it takes no lock; several
+// runs may share one Trace only one after another (run_experiment --algo
+// all builds one timeline that way).
 class Trace {
  public:
-  static Trace& instance();
+  explicit Trace(TraceConfig cfg = {});
 
-  void start(TraceConfig cfg = {});
-  void stop();             // stops recording; the buffer stays readable
-  void clear();            // stop + drop the buffer
-  bool active() const { return active_; }
-
-  void record(const Event& e);
-
-  // Barrier flush for sharded scenarios (DESIGN.md §15): apply a batch of
-  // events under one lock, in order, with the same sampling/ring logic as
-  // record(). Domains buffer events into per-thread sinks during the
-  // parallel phase and the scenario flushes the buffers in domain-index
-  // order at each barrier, so the ring contents (and digest()) are a
-  // function of the domain event sequences alone — byte-identical for any
-  // worker count.
+  // Apply a batch of events in order: high-frequency sampling, then the
+  // ring.
   void record_batch(const std::vector<Event>& events);
 
   // Events currently retained, oldest first (ring order restored).
@@ -119,16 +113,6 @@ class Trace {
   std::uint64_t digest() const;
 
  private:
-  Trace() = default;
-
-  void record_locked(const Event& e);
-
-  // record() may be called from pool threads (parallel scenario
-  // replications both tracing into the global ring); the ring, cursors and
-  // counters are guarded by one mutex. emit()'s fast path (no active
-  // trace) stays lock-free.
-  mutable std::mutex m_;
-  bool active_ = false;
   TraceConfig cfg_;
   std::vector<Event> ring_;
   std::size_t next_ = 0;  // write position once the ring is full
@@ -139,24 +123,18 @@ class Trace {
 };
 
 namespace detail {
-// Null when no trace is active: emit() stays a single test-and-branch.
-inline Trace* g_trace = nullptr;
-// When set, emit() on this thread appends raw events to the sink instead of
-// the global ring; sampling and ring logic are deferred to record_batch().
+// The calling thread's event buffer; null when nothing on this thread is
+// traced, which keeps emit() a single test-and-branch.
 inline thread_local std::vector<Event>* g_sink = nullptr;
 }  // namespace detail
 
-// Redirect this thread's emitted events into `sink` (nullptr restores the
-// global ring). Used by sharded scenario stepping; pair with
-// Trace::record_batch at the barrier.
-inline void set_thread_sink(std::vector<Event>* sink) {
-  detail::g_sink = sink;
-}
-
-// RAII form for exception safety around a domain step.
-struct ThreadSinkScope {
-  explicit ThreadSinkScope(std::vector<Event>* sink)
-      : prev_(detail::g_sink) {
+// Route this thread's emit() calls into `sink` for the scope's lifetime
+// (null drops them), restoring the previous sink on exit. A traced
+// sim::Scenario installs one around each domain step and one around its
+// serial barrier phase.
+class ThreadSinkScope {
+ public:
+  explicit ThreadSinkScope(std::vector<Event>* sink) : prev_(detail::g_sink) {
     detail::g_sink = sink;
   }
   ~ThreadSinkScope() { detail::g_sink = prev_; }
@@ -167,20 +145,16 @@ struct ThreadSinkScope {
   std::vector<Event>* prev_;
 };
 
-// True while a trace is collecting. Call sites with instrumentation that
+// True while this thread has a sink. Call sites with instrumentation that
 // is expensive to *compute* (not just to record) can skip the work when
 // nothing is listening.
-inline bool tracing_active() { return detail::g_trace != nullptr; }
+inline bool tracing_active() { return detail::g_sink != nullptr; }
 
 inline void emit(EventKind kind, util::Time t, std::uint16_t id,
                  std::uint32_t id2, std::int64_t a = 0, double x = 0,
                  double y = 0) {
-  if (detail::g_trace != nullptr) {
-    if (detail::g_sink != nullptr) {
-      detail::g_sink->push_back(Event{t, kind, id, id2, a, x, y});
-    } else {
-      detail::g_trace->record(Event{t, kind, id, id2, a, x, y});
-    }
+  if (std::vector<Event>* sink = detail::g_sink) {
+    sink->push_back(Event{t, kind, id, id2, a, x, y});
   }
 }
 

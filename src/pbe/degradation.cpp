@@ -43,8 +43,8 @@ void DegradationMachine::on_estimates(util::Time now, double phy_bps,
     // the claim, so acked collapses to match any underreport within one
     // window and delivery evidence alone can never refute it. Note the
     // clean-run invariant that keeps both branches quiet: delay_bps <=
-    // max_vs_acked x acked and acked tracks the PHY pace, so with
-    // kDivergenceRatio > max_vs_acked an honest feed cannot trip the
+    // kAimdMaxVsAcked x acked and acked tracks the PHY pace, so with
+    // kDivergenceRatio > kAimdMaxVsAcked an honest feed cannot trip the
     // overclaim branch, and honest cell-share variation stays well inside
     // kMemoryRatio.
     const bool overclaim =

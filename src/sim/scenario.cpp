@@ -181,7 +181,6 @@ void Scenario::add_ue(const UeSpec& spec) {
   cfg.channel.trace = spec.trace;
   cfg.channel.noise_floor_dbm = spec.noise_floor_dbm;
   cfg.channel.seed = rng_.next_u64();
-  cfg.ca = spec.ca;
   cfg.scheduling_weight = spec.scheduling_weight;
 
   ue_records_[spec.id] = UeRecord{spec, dom, 0};
@@ -644,22 +643,6 @@ void Scenario::do_migrate(mac::UeId ue,
   rec.domain = target;
 }
 
-void Scenario::migrate_ue(mac::UeId ue,
-                          const std::vector<std::size_t>& cell_indices) {
-  if (!ue_records_.contains(ue)) {
-    throw std::invalid_argument("migrate_ue: UE not registered");
-  }
-  const int target = domain_of(cell_indices, "migrate_ue");
-  in_barrier_ = true;
-  try {
-    do_migrate(ue, cell_indices, target);
-  } catch (...) {
-    in_barrier_ = false;
-    throw;
-  }
-  in_barrier_ = false;
-}
-
 void Scenario::apply_msg(ShardMsg msg) {
   switch (msg.kind) {
     case ShardMsg::Kind::kPacket:
@@ -709,38 +692,41 @@ void Scenario::start_once() {
 
 void Scenario::run_until(util::Time t) {
   start_once();
-  if (domains_.size() == 1) {
-    // Single-cluster fast path: one loop, no barriers, no sinks —
-    // byte-identical to the pre-shard simulator.
-    domains_.front()->loop.run_until(t);
-    now_ = std::max(now_, t);
-    return;
-  }
+  const bool traced = cfg_.capture.trace != nullptr;
   while (now_ < t) {
     const util::Time step = std::min<util::Time>(
         t, (now_ / kShardBarrier + 1) * kShardBarrier);
     // Parallel phase: each domain advances to the barrier on a worker,
-    // tracing into its private sink. No shared mutable state is touched
-    // (mailbox lanes are single-writer, UE domain tags are frozen).
-    shard_pool().parallel_for(
-        domains_.size(), [this, step](std::size_t d) {
-          obs::ThreadSinkScope sink(&domains_[d]->trace_buf);
-          domains_[d]->loop.run_until(step);
-        });
-    // Serial phase: flush trace buffers in domain-index order (canonical,
-    // worker-independent), then apply cross-domain messages in merged
-    // (time, source, seq) order with every clock aligned at `step`.
+    // tracing into its own buffer. No shared mutable state is touched
+    // (mailbox lanes are single-writer, UE domain tags are frozen). The
+    // closure holds only [this, step], which fits std::function's inline
+    // buffer, so a step allocates nothing.
+    shard_pool().parallel_for(domains_.size(), [this, step](std::size_t d) {
+      Domain& dom = *domains_[d];
+      obs::ThreadSinkScope sink(cfg_.capture.trace ? &dom.trace_buf : nullptr);
+      dom.loop.run_until(step);
+    });
+    // Serial phase: apply cross-domain messages in merged (time, source,
+    // seq) order with every clock aligned at `step`, tracing into the
+    // barrier buffer. Then the trace takes the domain buffers in
+    // domain-index order (canonical, worker-independent) and the
+    // barrier's events after them.
     in_barrier_ = true;
-    for (auto& dom : domains_) {
-      if (!dom->trace_buf.empty()) {
-        obs::Trace::instance().record_batch(dom->trace_buf);
-        dom->trace_buf.clear();
+    {
+      obs::ThreadSinkScope sink(traced ? &barrier_trace_buf_ : nullptr);
+      for (auto& msg : mailbox_.drain()) {
+        apply_msg(std::move(msg.payload));
       }
     }
-    for (auto& msg : mailbox_.drain()) {
-      apply_msg(std::move(msg.payload));
-    }
     in_barrier_ = false;
+    if (traced) {
+      for (auto& dom : domains_) {
+        cfg_.capture.trace->record_batch(dom->trace_buf);
+        dom->trace_buf.clear();
+      }
+      cfg_.capture.trace->record_batch(barrier_trace_buf_);
+      barrier_trace_buf_.clear();
+    }
     now_ = step;
   }
 }

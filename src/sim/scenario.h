@@ -14,8 +14,7 @@
 // (time, source domain, seq) order. Those keys are functions of each
 // domain's own deterministic event sequence, so results are byte-identical
 // for any worker count (`ScenarioConfig::shards`). A single-cluster
-// scenario takes the direct fast path: one loop, no barriers, behavior
-// identical to the pre-shard simulator.
+// scenario steps through the same barrier loop; its mailbox stays empty.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +80,6 @@ struct UeSpec {
   std::vector<std::size_t> cell_indices = {0};
   phy::MobilityTrace trace = phy::MobilityTrace::stationary(-92.0);
   double noise_floor_dbm = -108.0;
-  mac::CaConfig ca{};
   // Weight under the cell's fairness policy (ablations, §7).
   double scheduling_weight = 1.0;
   // Alternative serving sets (each single-cluster, primary first) the
@@ -139,18 +137,22 @@ struct AggregateBackgroundSpec {
   mac::AggregateTrafficConfig traffic{};
 };
 
-// Optional pbecc::cap / pbecc::tel hookup for a run (all unowned, all may
-// be null), attached to the first PBE flow added:
+// Optional instruments for a run (all unowned, all may be null). The
+// first three attach to the first PBE flow added:
 //   * `writer` records its measurement pipeline (begin() is called with
 //     the client's trace header);
 //   * `digest` folds its outputs for record→replay fidelity checks;
 //   * `telemetry` samples the pipeline's est.*/decode.* series, while a
 //     sim-clock event samples ground truth, flow, degradation, queue and
 //     invariant series on the same cadence.
+// `trace` receives every obs event the whole run emits, in a fixed
+// order: at each barrier the domains' events by domain index, then the
+// serial phase's (DESIGN.md §15). Null leaves the run untraced.
 struct CaptureOptions {
   cap::TraceWriter* writer = nullptr;
   cap::PipelineDigest* digest = nullptr;
   tel::Sampler* telemetry = nullptr;
+  obs::Trace* trace = nullptr;
 };
 
 struct ScenarioConfig {
@@ -168,7 +170,7 @@ struct ScenarioConfig {
   // different fault schedules and vice versa.
   fault::FaultProfile fault{};
   std::uint64_t fault_seed = 1;
-  // Instruments on the first PBE flow's measurement pipeline.
+  // Capture, telemetry and trace for the run (see CaptureOptions).
   CaptureOptions capture{};
 };
 
@@ -181,13 +183,6 @@ class Scenario {
   int add_flow(const FlowSpec& spec);  // returns flow index
   void add_background(const BackgroundSpec& spec);
   void add_background_aggregate(const AggregateBackgroundSpec& spec);
-
-  // Move a registered UE onto a new serving set (indices into the cell
-  // list, primary first, single cluster — possibly a different one).
-  // Callable between run_until calls; same-cluster sets degrade to a
-  // plain handover, cross-cluster sets perform the full extract/admit
-  // migration immediately (the caller is the barrier context).
-  void migrate_ue(mac::UeId ue, const std::vector<std::size_t>& cell_indices);
 
   void run_until(util::Time t);
 
@@ -213,8 +208,8 @@ class Scenario {
   std::uint64_t storm_handovers() const;
 
  private:
-  // One shard domain: a cell-cluster's loop, base station and the
-  // thread-local trace buffer its step fills between barriers.
+  // One shard domain: a cell-cluster's loop, base station and the trace
+  // buffer its step fills between barriers (traced runs only).
   struct Domain {
     int cluster = 0;
     net::EventLoop loop;
@@ -308,10 +303,13 @@ class Scenario {
   std::unique_ptr<fault::FaultInjector> faults_;
   std::unique_ptr<par::ThreadPool> pool_;  // lazily sized shard workers
   util::Time now_ = 0;
-  // True during the serial barrier phase (and inside migrate_ue): cross-
-  // domain deliveries may run directly — every domain clock stands at the
-  // barrier time and no worker threads are live.
+  // True during the serial barrier phase: cross-domain deliveries may run
+  // directly — every domain clock stands at the barrier time and no
+  // worker threads are live.
   bool in_barrier_ = false;
+  // What the serial barrier phase emits (traced runs only); appended to
+  // the trace after the domains' buffers.
+  std::vector<obs::Event> barrier_trace_buf_;
 
   std::vector<std::unique_ptr<FlowCtx>> flows_;
   // Per UE: receivers indexed by flow id (a device can run several

@@ -203,8 +203,7 @@ util::Time past_grace(AimdRateControl& aimd) {
 }
 
 TEST(Aimd, OveruseCutsToBetaTimesAcked) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 10e6);
+  AimdRateControl aimd(10e6);
   util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 8e6, 40 * kMs);
   t += 100 * kMs;
@@ -215,8 +214,7 @@ TEST(Aimd, OveruseCutsToBetaTimesAcked) {
 }
 
 TEST(Aimd, CutsAreRateLimited) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 10e6);
+  AimdRateControl aimd(10e6);
   util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kOverusing, 8e6, 40 * kMs);
   const double after_first = aimd.target_bps();
@@ -227,8 +225,7 @@ TEST(Aimd, CutsAreRateLimited) {
 }
 
 TEST(Aimd, UnderuseHoldsTheRate) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 10e6);
+  AimdRateControl aimd(10e6);
   util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 9e6, 40 * kMs);
   const double before = aimd.target_bps();
@@ -241,21 +238,19 @@ TEST(Aimd, UnderuseHoldsTheRate) {
 }
 
 TEST(Aimd, IncreaseIsClampedToAckedMultiple) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 10e6);
+  AimdRateControl aimd(10e6);
   util::Time t = past_grace(aimd);
   // Many normal verdicts with delivery pinned at 8 Mbit/s: growth may not
-  // outrun max_vs_acked x acked.
+  // outrun kAimdMaxVsAcked x acked.
   for (int i = 0; i < 200; ++i) {
     t += 20 * kMs;
     aimd.update(t, BandwidthUsage::kNormal, 8e6, 40 * kMs);
   }
-  EXPECT_LE(aimd.target_bps(), cfg.max_vs_acked * 8e6 * (1.0 + 1e-12));
+  EXPECT_LE(aimd.target_bps(), kAimdMaxVsAcked * 8e6 * (1.0 + 1e-12));
 }
 
 TEST(Aimd, SeedSuspendsTheClampUntilEvidence) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 2e6);
+  AimdRateControl aimd(2e6);
   util::Time t = past_grace(aimd);
   aimd.update(t, BandwidthUsage::kNormal, 2e6, 40 * kMs);
   aimd.seed(20e6);
@@ -272,8 +267,7 @@ TEST(Aimd, SeedSuspendsTheClampUntilEvidence) {
 }
 
 TEST(Aimd, StartupGraceFloorsAtInitialRate) {
-  AimdConfig cfg;
-  AimdRateControl aimd(cfg, 5e6);
+  AimdRateControl aimd(5e6);
   // Overuse on the very first verdicts (the startup-burst transient): the
   // target must not dig below the initial rate, and the capacity tracker
   // must not learn the bogus basis.
@@ -326,7 +320,7 @@ TEST(DelayBwe, ConvergesUpToCapacity) {
   const double target = converge(bwe, link, 0, 6 * util::kSecond);
   // Converged into the AIMD's operating band around capacity: above the
   // post-cut floor (beta x capacity, minus margin), below the probing
-  // ceiling (max_vs_acked x capacity).
+  // ceiling (kAimdMaxVsAcked x capacity).
   EXPECT_GE(target, 0.8 * 12e6);
   EXPECT_LE(target, 1.3 * 12e6);
 }
@@ -370,40 +364,50 @@ TEST(DelayBwe, TracksACapacityRaise) {
   EXPECT_GE(target, 0.8 * 12e6);
 }
 
-// The regression ISSUE 9 satellite 1 pins: a canned persistent +7.5%
-// overshoot. With max_vs_acked = 1.075 the AIMD's probing ceiling paces
-// 7.5% over capacity forever once the queue is standing (acked ==
-// capacity), writing an OWD slope of 0.075 ms/ms. The trendline's
-// modified trend is 0.075 x 20 (window) x 4 (gain) = 6.0 — exactly its
-// min threshold, and the comparison is strict — so gradient detection
-// NEVER fires and the queue grows ~75 ms of delay per second, unbounded.
-// The standing-queue level detector must catch this by OWD level alone,
-// with no hybrid/PBE assistance: sustained excess over the windowed-min
-// base forces an AIMD cut, and the latch caps probing at the acked rate
-// until the queue demonstrably drains. The result is a bounded sawtooth.
+// A canned persistent +7.5% overshoot. Paced 7.5% over capacity, the
+// queue grows at 0.075 ms of delay per ms, and the trendline's modified
+// trend is 0.075 x 20 (window) x 4 (gain) = 6.0 — exactly its min
+// threshold, and the comparison is strict — so gradient detection NEVER
+// fires and the queue grows ~75 ms of delay per second, unbounded. A
+// sender whose pacing runs at most 7.5% over the acked rate (a tighter
+// ceiling than kAimdMaxVsAcked) writes that overshoot forever once the
+// queue is standing (acked == capacity). The standing-queue level
+// detector must catch it by OWD level alone, with no hybrid/PBE
+// assistance: sustained excess over the windowed-min base forces an AIMD
+// cut, and the latch caps probing at the acked rate until the queue
+// demonstrably drains. The result is a bounded sawtooth.
 TEST(DelayBwe, StandingQueueLevelDetectorBoundsSubThresholdOvershoot) {
-  DelayBasedBweConfig cfg;
-  cfg.aimd.max_vs_acked = 1.075;
-  DelayBasedBweConfig blind = cfg;
-  blind.level_threshold_ms = 0;  // detector disabled: the counterfactual
-
-  DelayBasedBwe bwe(cfg);
-  DelayBasedBwe off(blind);
-  ToyLink link{10e6};
-  ToyLink link_off{10e6};
+  constexpr double kCapacity = 10e6;
+  constexpr double kOvershoot = 1.075;
   constexpr util::Time kDt = 5 * kMs;
   constexpr util::Time kEnd = 30 * util::kSecond;
+
+  // Counterfactual first: the overshoot really is invisible to the
+  // trendline, and the queue runs away.
+  TrendlineEstimator trendline;
+  ToyLink open_loop{kCapacity};
+  bool convicted = false;
+  for (util::Time t = 0; t < kEnd; t += kDt) {
+    const net::AckSample s = open_loop.ack(t, kOvershoot * kCapacity, 5e-3);
+    trendline.update(s.now, util::to_seconds(s.one_way_delay) * 1e3);
+    convicted |= trendline.state() == BandwidthUsage::kOverusing;
+  }
+  EXPECT_FALSE(convicted);
+  EXPECT_GT(open_loop.queue_ms, 500.0);
+
+  DelayBasedBwe bwe;
+  ToyLink link{kCapacity};
   double peak_tail_ms = 0;  // worst queue depth over the final 5 s
   for (util::Time t = 0; t < kEnd; t += kDt) {
-    bwe.on_ack(link.ack(t, bwe.target_bps(), 5e-3));
-    off.on_ack(link_off.ack(t, off.target_bps(), 5e-3));
+    const double acked = bwe.acked_bps();
+    const double paced = acked > 0
+                             ? std::min(bwe.target_bps(), kOvershoot * acked)
+                             : bwe.target_bps();
+    bwe.on_ack(link.ack(t, paced, 5e-3));
     if (t >= kEnd - 5 * util::kSecond) {
       peak_tail_ms = std::max(peak_tail_ms, link.queue_ms);
     }
   }
-  // Counterfactual first: with the detector off, the overshoot really is
-  // invisible to the trendline and the queue runs away.
-  EXPECT_GT(link_off.queue_ms, 500.0);
   // The detector fired...
   EXPECT_GT(bwe.level_trips(), 0u);
   // ...and the steady state is a bounded standing queue, not a runaway.

@@ -28,12 +28,8 @@ namespace {
 
 // Whole-file FNV-1a of a fixed synthetic trace; pinned by
 // CapGolden.FormatDigestIsPinned. Changing the on-disk format requires a
-// kFormatVersion bump alongside an update here (v2 value; the v1 stream
-// is pinned separately by CapGolden.V1FormatDigestIsPinned).
+// kFormatVersion bump alongside an update here.
 constexpr std::uint64_t kGoldenFormatDigest = 0xb71cb82813050b54ull;
-// Same synthetic stream written with version 1: must stay bit-for-bit
-// what pre-NR builds produced, forever.
-constexpr std::uint64_t kGoldenV1FormatDigest = 0x5de14db212f2e18full;
 
 // --- helpers -------------------------------------------------------------
 
@@ -466,12 +462,13 @@ TEST(CapFailClosed, BadMagicAndFutureVersion) {
     EXPECT_NE(reader.error().find("magic"), std::string::npos);
   }
 
-  auto future = bytes;
-  future[4] = 99;  // version u16 little-endian low byte
-  write_file(path, future);
-  {
+  // A future version and the retired version 1 are both refused.
+  for (const std::uint8_t version : {std::uint8_t{99}, std::uint8_t{1}}) {
+    auto other = bytes;
+    other[4] = version;  // version u16 little-endian low byte
+    write_file(path, other);
     cap::TraceReader reader(path);
-    EXPECT_FALSE(reader.ok());
+    EXPECT_FALSE(reader.ok()) << "version " << int{version};
     EXPECT_NE(reader.error().find("version"), std::string::npos);
   }
   std::remove(path.c_str());
@@ -497,12 +494,10 @@ TEST(CapFailClosed, EmptyAndGarbageFiles) {
 // Pins the on-disk byte stream: any change to the wire format, header
 // layout, chunking or CRC must bump kFormatVersion — this test failing
 // without a version bump means old traces silently changed meaning.
-std::uint64_t golden_stream_digest(std::uint16_t version) {
-  // One file per version: ctest runs the v1 and v2 tests as concurrent
-  // processes, and a shared path let one remove the other's stream.
-  const auto path = tmp_path("golden_v" + std::to_string(version) + ".pbt");
+std::uint64_t golden_stream_digest() {
+  const auto path = tmp_path("golden.pbt");
   util::Rng rng(1234);
-  cap::TraceWriter writer(path, 16, version);
+  cap::TraceWriter writer(path, 16);
   writer.begin(sample_header(true));
   for (const auto& rec : random_records(rng, 64)) {
     if (rec.kind == cap::Record::Kind::kBatch) writer.record_batch(rec.batch);
@@ -518,19 +513,10 @@ std::uint64_t golden_stream_digest(std::uint16_t version) {
 }
 
 TEST(CapGolden, FormatDigestIsPinned) {
-  const std::uint64_t digest = golden_stream_digest(cap::kFormatVersion);
+  const std::uint64_t digest = golden_stream_digest();
   EXPECT_EQ(digest, kGoldenFormatDigest)
       << "on-disk format changed: bump cap::kFormatVersion and update "
          "this digest (got 0x" << std::hex << digest << ")";
-}
-
-// The version-1 encoder must keep producing the exact byte stream pre-NR
-// builds wrote: old readers and archived traces depend on it.
-TEST(CapGolden, V1FormatDigestIsPinned) {
-  const std::uint64_t digest = golden_stream_digest(1);
-  EXPECT_EQ(digest, kGoldenV1FormatDigest)
-      << "the version-1 stream regressed (got 0x" << std::hex << digest
-      << ") - v1 is frozen; only the current version may change";
 }
 
 // --- trace surgery (cut / merge / verify) --------------------------------
@@ -602,24 +588,22 @@ TEST(CapTools, MergeRejectsMismatchedHeaders) {
   for (const auto& p : {a, b, out}) std::remove(p.c_str());
 }
 
-// summarize() reports the version the file was written in, not the
-// build's cap::kFormatVersion: a v1 trace must not describe itself as v2.
+// summarize() reports the version the file header carries (trace_tool
+// info prints it).
 TEST(CapTools, SummaryCarriesTheFileVersion) {
-  for (const std::uint16_t version : {std::uint16_t{1}, cap::kFormatVersion}) {
-    const auto path = tmp_path("summary_v" + std::to_string(version) + ".pbt");
-    {
-      cap::TraceWriter w(path, 16, version);
-      w.begin(sample_header(false));
-      w.record_probe(1000);
-      ASSERT_TRUE(w.close()) << w.error();
-    }
-    cap::TraceSummary s;
-    std::string err;
-    ASSERT_TRUE(cap::summarize(path, s, err)) << err;
-    EXPECT_EQ(s.version, version);
-    EXPECT_EQ(s.probes, 1u);
-    std::remove(path.c_str());
+  const auto path = tmp_path("summary.pbt");
+  {
+    cap::TraceWriter w(path, 16);
+    w.begin(sample_header(false));
+    w.record_probe(1000);
+    ASSERT_TRUE(w.close()) << w.error();
   }
+  cap::TraceSummary s;
+  std::string err;
+  ASSERT_TRUE(cap::summarize(path, s, err)) << err;
+  EXPECT_EQ(s.version, cap::kFormatVersion);
+  EXPECT_EQ(s.probes, 1u);
+  std::remove(path.c_str());
 }
 
 // --- record → replay fidelity (the tentpole guarantee) -------------------

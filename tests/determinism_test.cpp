@@ -5,9 +5,8 @@
 // state: the metrics registry, static counters, thread-local scratch. So
 // every case below runs alone, and again concurrently with all the other
 // cases on a 4-thread pool; the two results must agree field for field:
-// FlowStats (every throughput window and delay sample) and blind-decode
-// attempt counters. The trace sink is process-wide too, so these runs are
-// untraced; DeterminismGolden pins the trace digest of serial runs. The
+// FlowStats (every throughput window and delay sample), blind-decode
+// attempt counters and the digest of the run's own event trace. The
 // shard lanes further down step one scenario's cell clusters on
 // ScenarioConfig::shards worker threads.
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -36,33 +36,23 @@ struct RunDigest {
   bool ca = false;
   std::vector<double> wins, delays;
   std::uint64_t attempts = 0;
-  std::uint64_t trace_digest = 0;  // 0 unless the run was traced
+  std::uint64_t trace_digest = 0;  // of the run's own obs::Trace
   std::uint64_t storm_handovers = 0;  // set by the shard lanes only
 
   bool operator==(const RunDigest&) const = default;
 };
 
-// Starts the process-wide trace when `traced`; finish_trace() collects it.
-void start_trace(bool traced) {
-  if (traced) obs::Trace::instance().start(obs::TraceConfig{});
-}
-
-void finish_trace(bool traced, RunDigest& d) {
-  if (!traced) return;
-  obs::Trace::instance().stop();
-  d.trace_digest = obs::Trace::instance().digest();
-  obs::Trace::instance().clear();
-}
-
 RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
-                   const std::string& algo = "pbe", bool traced = false) {
-  start_trace(traced);
+                   const std::string& algo = "pbe") {
+  obs::Trace trace;
+  sim::CaptureOptions capture;
+  capture.trace = &trace;
   auto loc = sim::location(3);  // 2-cell busy indoor
   loc.seed = seed;
   const auto profile = *fault::profile_by_name(profile_name);
-  const auto r =
-      sim::run_location(loc, algo, 3 * util::kSecond,
-                        profile.active() ? &profile : nullptr, /*fault_seed=*/3);
+  const auto r = sim::run_location(loc, algo, 3 * util::kSecond,
+                                   profile.active() ? &profile : nullptr,
+                                   /*fault_seed=*/3, capture);
 
   RunDigest d;
   d.tput = r.avg_tput_mbps;
@@ -74,18 +64,19 @@ RunDigest run_once(const std::string& profile_name, std::uint64_t seed,
                 r.window_tputs.samples().end());
   d.delays.assign(r.delays_ms.samples().begin(), r.delays_ms.samples().end());
   d.attempts = r.decode_candidates;
-  finish_trace(traced, d);
+  d.trace_digest = trace.digest();
   return d;
 }
 
 // The convolutional-PDCCH decode path (Viterbi + span memoization) gets its
 // own lane, since no location profile enables it.
-RunDigest run_conv_once(bool traced = false) {
-  start_trace(traced);
+RunDigest run_conv_once() {
+  obs::Trace trace;
   sim::ScenarioConfig cfg;
   cfg.seed = 77;
   cfg.cells = {{10.0, 0.3}};
   cfg.cells.front().convolutional_pdcch = true;
+  cfg.capture.trace = &trace;
   sim::Scenario s{cfg};
   sim::UeSpec ue;
   ue.cell_indices = {0};
@@ -111,7 +102,7 @@ RunDigest run_conv_once(bool traced = false) {
   const auto& dl = s.stats(f).delays_ms().samples();
   d.delays.assign(dl.begin(), dl.end());
   d.attempts = s.pbe_client(f)->monitor().total_candidates_tried();
-  finish_trace(traced, d);
+  d.trace_digest = trace.digest();
   return d;
 }
 
@@ -167,6 +158,7 @@ void expect_concurrent_matches_serial(const Case& c) {
   const RunDigest serial = run_case(c);
   const RunDigest& concurrent = concurrent_result(c);
   EXPECT_GT(serial.attempts, 0u);
+  EXPECT_NE(serial.trace_digest, obs::Trace{}.digest());  // events kept
 
   // Field-by-field first so a failure names the divergent quantity...
   EXPECT_EQ(serial.tput, concurrent.tput);
@@ -175,6 +167,7 @@ void expect_concurrent_matches_serial(const Case& c) {
   EXPECT_EQ(serial.p50_d, concurrent.p50_d);
   EXPECT_EQ(serial.ca, concurrent.ca);
   EXPECT_EQ(serial.attempts, concurrent.attempts);
+  EXPECT_EQ(serial.trace_digest, concurrent.trace_digest);
   ASSERT_EQ(serial.wins.size(), concurrent.wins.size());
   for (std::size_t i = 0; i < serial.wins.size(); ++i) {
     ASSERT_EQ(serial.wins[i], concurrent.wins[i]) << "window " << i;
@@ -241,7 +234,7 @@ TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
 // sample — on the Viterbi pipeline and on the repetition-coded one (whose
 // decode path adds the CRC-first screen). Equality between serial and
 // concurrent runs is DeterminismConvolutional's and DeterminismTest's job.
-// The trace digest is pinned only when obs instrumentation is compiled in.
+// Each run's trace digest is pinned too.
 struct Golden {
   double tput = 0;
   double p95_d = 0;
@@ -261,11 +254,11 @@ void expect_golden(const RunDigest& d, const Golden& g, const char* lane) {
 }
 
 TEST(DeterminismGolden, BatchDecodeReproducesScalarResults) {
-  expect_golden(run_conv_once(/*traced=*/true),
+  expect_golden(run_conv_once(),
                 {45.339719466301744, 42.154800000000002, 27996,
                  0x9d51114c9cdaa8a1ull, 0x36dcef7405076f3cull},
                 "convolutional");
-  expect_golden(run_once("none", 21, "pbe", /*traced=*/true),
+  expect_golden(run_once("none", 21, "pbe"),
                 {47.159999999999997, 70.797999999999973, 39317,
                  0xed4da36b7674d987ull, 0xb1345341b5ed4275ull},
                 "repetition");
@@ -360,10 +353,10 @@ std::vector<int> populate_sharded(sim::Scenario& s) {
 
 RunDigest run_sharded_once(const std::string& profile, std::uint64_t seed,
                            int shards) {
-  obs::Trace::instance().start(obs::TraceConfig{});
-
+  obs::Trace trace;
   auto cfg = sharded_config(profile, seed);
   cfg.shards = shards;
+  cfg.capture.trace = &trace;
   sim::Scenario s{cfg};
   const auto flows = populate_sharded(s);
   s.run_until(kShardStop);
@@ -383,12 +376,22 @@ RunDigest run_sharded_once(const std::string& profile, std::uint64_t seed,
   d.p50_d = s.ue_domain(2);
   d.p95_d = s.ue_domain(3);
   d.storm_handovers = s.storm_handovers();
-
-  obs::Trace::instance().stop();
-  d.trace_digest = obs::Trace::instance().digest();
-  obs::Trace::instance().clear();
+  d.trace_digest = trace.digest();
   return d;
 }
+
+// Trace digests of the seed-11 shard and mixed-NR lanes. Comparing shard
+// counts with each other cannot see an event that is lost at every count
+// (one the serial barrier phase emits, say), so each lane's trace is
+// pinned as well.
+const std::map<std::string, std::uint64_t> kShardTraceDigests = {
+    {"none", 0xf1feede0220b10ccull},
+    {"handover-storm", 0x2e55f015cf1c9fdcull},
+};
+const std::map<std::string, std::uint64_t> kMixedNrTraceDigests = {
+    {"none", 0x6f88f915e37692bbull},
+    {"handover-storm", 0xd40d812d91227d9aull},
+};
 
 class ShardDeterminismTest : public ::testing::TestWithParam<std::string> {};
 
@@ -397,6 +400,8 @@ TEST_P(ShardDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
   const auto base = run_sharded_once(profile, 11, 1);
   ASSERT_GT(base.wins.size(), 0u);
   ASSERT_GT(base.attempts, 0u);
+  EXPECT_EQ(base.trace_digest, kShardTraceDigests.at(profile))
+      << std::hex << "0x" << base.trace_digest;
   if (profile == "handover-storm") {
     // The lane must actually exercise cross-shard churn, not vacuously
     // pass on a quiet scenario.
@@ -491,10 +496,10 @@ std::vector<int> populate_mixed_nr(sim::Scenario& s) {
 
 RunDigest run_mixed_nr_once(const std::string& profile, std::uint64_t seed,
                             int shards) {
-  obs::Trace::instance().start(obs::TraceConfig{});
-
+  obs::Trace trace;
   auto cfg = mixed_nr_config(profile, seed);
   cfg.shards = shards;
+  cfg.capture.trace = &trace;
   sim::Scenario s{cfg};
   const auto flows = populate_mixed_nr(s);
   s.run_until(kShardStop);
@@ -513,10 +518,7 @@ RunDigest run_mixed_nr_once(const std::string& profile, std::uint64_t seed,
   d.p50_d = s.ue_domain(2);
   d.p95_d = s.ue_domain(3);
   d.storm_handovers = s.storm_handovers();
-
-  obs::Trace::instance().stop();
-  d.trace_digest = obs::Trace::instance().digest();
-  obs::Trace::instance().clear();
+  d.trace_digest = trace.digest();
   return d;
 }
 
@@ -528,6 +530,8 @@ TEST_P(MixedNrDeterminismTest, AnyShardAndThreadCountIsByteIdentical) {
   const auto base = run_mixed_nr_once(profile, 11, 1);
   ASSERT_GT(base.wins.size(), 0u);
   ASSERT_GT(base.attempts, 0u);
+  EXPECT_EQ(base.trace_digest, kMixedNrTraceDigests.at(profile))
+      << std::hex << "0x" << base.trace_digest;
   expect_same_run(base, run_mixed_nr_once(profile, 11, 4), 4);
 }
 

@@ -584,12 +584,12 @@ TEST(PbeClientFault, ConfidenceTracksBlackoutMonotonically) {
 // ------------------------------------------------- Scenario integration
 
 std::vector<obs::Event> run_traced_scenario(std::uint64_t fault_seed) {
-  obs::Trace::instance().clear();
-  obs::Trace::instance().start({});
+  obs::Trace trace;
   {
     sim::ScenarioConfig cfg = sim::scenario_config_for(sim::location(2));
     cfg.fault = *fault::profile_by_name("feedback-loss");
     cfg.fault_seed = fault_seed;
+    cfg.capture.trace = &trace;
     sim::Scenario s{std::move(cfg)};
     s.add_ue(sim::ue_spec_for(sim::location(2)));
     sim::FlowSpec flow;
@@ -600,15 +600,13 @@ std::vector<obs::Event> run_traced_scenario(std::uint64_t fault_seed) {
     s.add_flow(flow);
     s.run_until(3 * util::kSecond);
   }
-  obs::Trace::instance().stop();
   std::vector<obs::Event> out;
-  for (const auto& e : obs::Trace::instance().snapshot()) {
+  for (const auto& e : trace.snapshot()) {
     if (e.kind == obs::EventKind::kFaultInjected ||
         e.kind == obs::EventKind::kDegradationSwitch) {
       out.push_back(e);
     }
   }
-  obs::Trace::instance().clear();
   return out;
 }
 

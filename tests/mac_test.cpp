@@ -111,21 +111,9 @@ TEST(ProportionalFair, FavoursBetterChannelInstantaneously) {
   EXPECT_EQ(granted(allocs, 2), 4);
 }
 
-TEST(RoundRobin, Rotates) {
-  RoundRobinScheduler s;
-  const auto a1 = s.allocate(10, {req(1, 1e6), req(2, 1e6)});
-  const auto a2 = s.allocate(10, {req(1, 1e6), req(2, 1e6)});
-  // Each turn one user is served to the PRB limit; the next turn starts
-  // after the previously served user.
-  EXPECT_EQ(total(a1), 10);
-  EXPECT_EQ(total(a2), 10);
-  EXPECT_NE(a1.front().ue, a2.front().ue);
-}
-
 TEST(SchedulerFactory, Names) {
   EXPECT_EQ(make_scheduler("fair-share")->name(), "fair-share");
   EXPECT_EQ(make_scheduler("proportional-fair")->name(), "proportional-fair");
-  EXPECT_EQ(make_scheduler("round-robin")->name(), "round-robin");
   EXPECT_THROW(make_scheduler("nope"), std::invalid_argument);
 }
 
@@ -417,18 +405,20 @@ TEST(Reorder, DeliveryOrderedAfterSkip) {
 // --------------------------------------------------- carrier aggregation
 
 TEST(CarrierAggregation, QueueTriggeredActivation) {
-  CaConfig cfg;
-  cfg.activation_queue_bytes = 1000;
-  cfg.activation_delay = 10 * util::kMillisecond;
-  CaManager ca({1, 2, 3}, cfg);
+  CaManager ca({1, 2, 3});
   EXPECT_EQ(ca.num_active(), 1u);
+  // A queue at the threshold from the first subframe on, and no PRBs held:
+  // the second cell activates once the queue has stood the delay.
+  const util::Time first = util::kSubframe;
   util::Time t = 0;
-  bool activated = false;
-  for (int i = 0; i < 30; ++i) {
+  util::Time activated_at = -1;
+  for (int i = 0; i < 100; ++i) {
     t += util::kSubframe;
-    activated |= ca.on_subframe(t, 5000, 0, 0, 50).activated;
+    if (ca.on_subframe(t, kCaActivationQueueBytes, 0, 0, 50).activated) {
+      if (activated_at < 0) activated_at = t;
+    }
   }
-  EXPECT_TRUE(activated);
+  EXPECT_EQ(activated_at, first + kCaActivationDelay);
   EXPECT_EQ(ca.num_active(), 2u);
   EXPECT_TRUE(ca.ever_aggregated());
   EXPECT_EQ(ca.active_cells()[1], 2u);
@@ -436,9 +426,7 @@ TEST(CarrierAggregation, QueueTriggeredActivation) {
 
 TEST(CarrierAggregation, UtilizationTriggeredActivation) {
   // No queue at all, but the user holds ~90% of the serving cell.
-  CaConfig cfg;
-  cfg.utilization_delay = 50 * util::kMillisecond;
-  CaManager ca({1, 2}, cfg);
+  CaManager ca({1, 2});
   util::Time t = 0;
   bool activated = false;
   for (int i = 0; i < 400 && !activated; ++i) {
@@ -449,15 +437,11 @@ TEST(CarrierAggregation, UtilizationTriggeredActivation) {
 }
 
 TEST(CarrierAggregation, IdleSecondaryDeactivated) {
-  CaConfig cfg;
-  cfg.activation_queue_bytes = 1000;
-  cfg.activation_delay = 5 * util::kMillisecond;
-  cfg.deactivation_delay = 100 * util::kMillisecond;
-  CaManager ca({1, 2}, cfg);
+  CaManager ca({1, 2});
   util::Time t = 0;
   while (ca.num_active() == 1) {
     t += util::kSubframe;
-    ca.on_subframe(t, 5000, 20, 40, 50);
+    ca.on_subframe(t, kCaActivationQueueBytes, 20, 40, 50);
     ASSERT_LT(t, util::kSecond);
   }
   // Queue gone, secondary unused.
@@ -471,11 +455,7 @@ TEST(CarrierAggregation, IdleSecondaryDeactivated) {
 }
 
 TEST(CarrierAggregation, NeverExceedsConfiguredCells) {
-  CaConfig cfg;
-  cfg.activation_queue_bytes = 1;
-  cfg.activation_delay = util::kMillisecond;
-  cfg.activation_cooldown = util::kMillisecond;
-  CaManager ca({7}, cfg);
+  CaManager ca({7});
   util::Time t = 0;
   for (int i = 0; i < 100; ++i) {
     t += util::kSubframe;
@@ -486,7 +466,7 @@ TEST(CarrierAggregation, NeverExceedsConfiguredCells) {
 }
 
 TEST(CarrierAggregation, EmptyCellListThrows) {
-  EXPECT_THROW(CaManager({}, CaConfig{}), std::invalid_argument);
+  EXPECT_THROW(CaManager({}), std::invalid_argument);
 }
 
 // --------------------------------------------------------- control traffic
@@ -784,7 +764,7 @@ TEST(Reorder, SnapshotRestoreCarriesResidue) {
 }
 
 TEST(CarrierAggregation, RestoreHistoryIsSticky) {
-  CaManager fresh({1, 2}, CaConfig{});
+  CaManager fresh({1, 2});
   EXPECT_FALSE(fresh.ever_aggregated());
   fresh.restore_history(true);
   EXPECT_TRUE(fresh.ever_aggregated());

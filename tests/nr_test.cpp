@@ -2,7 +2,7 @@
 // pipeline: scalable numerology, CORESET/search-space candidate
 // enumeration (per SCS, encode and decode side), polar-coded (stand-in)
 // blind decoding, heterogeneous-clock message fusion, the mixed LTE+NR
-// scenario axis, and the .pbt v1/v2 compatibility contract.
+// scenario axis, and the .pbt capture of NR cells.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -316,57 +316,7 @@ TEST(NrScenario, ScenarioConfigBuildsNrSecondaries) {
   EXPECT_EQ(ue.serving_sets[0], (std::vector<std::size_t>{0}));
 }
 
-// ----------------------------------------------- .pbt v1/v2 compatibility
-
-// Record the same LTE run with the v1 (pre-NR) and v2 writers: both files
-// must replay to the digest of the live run — the version bump cannot
-// perturb LTE replays.
-TEST(CapCompat, V1LteTraceReplaysByteIdentical) {
-  const std::string v1_path = ::testing::TempDir() + "nr_compat_v1.pbt";
-  const std::string v2_path = ::testing::TempDir() + "nr_compat_v2.pbt";
-
-  auto loc = sim::location(3);
-  loc.seed = 1234;
-  cap::PipelineDigest live[2];
-  const std::string paths[2] = {v1_path, v2_path};
-  for (int v = 1; v <= 2; ++v) {
-    cap::TraceWriter writer(paths[v - 1], 256,
-                            static_cast<std::uint16_t>(v));
-    sim::CaptureOptions capture;
-    capture.writer = &writer;
-    capture.digest = &live[v - 1];
-    sim::run_location(loc, "pbe", 2 * util::kSecond, nullptr, 1, capture);
-    ASSERT_TRUE(writer.close()) << writer.error();
-    EXPECT_EQ(writer.version(), v);
-  }
-  // Same seed, same scenario: the live tap stream does not depend on the
-  // writer version.
-  EXPECT_TRUE(live[0] == live[1]);
-  EXPECT_GT(live[0].observations(), 0u);
-
-  for (int v = 1; v <= 2; ++v) {
-    cap::TraceReader reader(paths[v - 1]);
-    ASSERT_TRUE(reader.ok()) << reader.error();
-    EXPECT_EQ(reader.version(), v);
-    cap::PipelineDigest replayed;
-    cap::ReplayDriver driver(reader.header(), &replayed);
-    driver.run(reader);
-    EXPECT_TRUE(reader.ok()) << reader.error();
-    EXPECT_TRUE(live[v - 1] == replayed) << "version " << v;
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
-
-TEST(CapCompat, V1WriterRejectsNrConfigurations) {
-  const std::string path = ::testing::TempDir() + "nr_compat_reject.pbt";
-  cap::TraceWriter writer(path, 256, 1);
-  cap::TraceHeader h;
-  h.cells.push_back(nr_cell_for(nr::Scs::k30kHz));
-  writer.begin(h);
-  EXPECT_FALSE(writer.ok());
-  std::remove(path.c_str());
-}
+// ----------------------------------------------------- .pbt NR capture
 
 // NR record -> replay: the tentpole fidelity check. A mixed-carrier
 // capture at 120 kHz must replay to the identical pipeline digest.

@@ -16,13 +16,35 @@
 namespace pbecc::obs {
 namespace {
 
-// Every test starts from a clean slate; the registry and trace are
-// process-global and other tests in this binary mutate them.
+// Every test starts from zeroed metrics: the registry is process-global
+// and other tests in this binary count into it. Its registrations outlive
+// reset(), so a test checks only the names it registers itself.
 class ObsTest : public ::testing::Test {
  protected:
-  void SetUp() override { reset_all(); }
-  void TearDown() override { reset_all(); }
+  void SetUp() override { Registry::instance().reset(); }
+  void TearDown() override { Registry::instance().reset(); }
 };
+
+// The events `body` emits on this thread, recorded into a fresh trace.
+template <typename Body>
+Trace trace_of(Body body, TraceConfig cfg = {}) {
+  std::vector<Event> sink;
+  {
+    ThreadSinkScope scope(&sink);
+    body();
+  }
+  Trace trace(cfg);
+  trace.record_batch(sink);
+  return trace;
+}
+
+// How many entries of a registry snapshot carry `name`.
+template <typename Snapshot>
+std::size_t entries_named(const Snapshot& snapshot, const std::string& name) {
+  std::size_t n = 0;
+  for (const auto& entry : snapshot) n += entry.first == name;
+  return n;
+}
 
 // ------------------------------------------------------------- registry
 
@@ -41,12 +63,14 @@ TEST_F(ObsTest, FindOrCreateReturnsSameObject) {
   Counter& a = counter("test.same");
   Counter& b = counter("test.same");
   EXPECT_EQ(&a, &b);
-  // Same name in different metric families are distinct objects.
+  // Same name in different metric families are distinct objects, and
+  // each family registered the name once.
   gauge("test.same");
   histogram("test.same");
-  EXPECT_EQ(Registry::instance().counters().size(), 1u);
-  EXPECT_EQ(Registry::instance().gauges().size(), 1u);
-  EXPECT_EQ(Registry::instance().histograms().size(), 1u);
+  const Registry& reg = Registry::instance();
+  EXPECT_EQ(entries_named(reg.counters(), "test.same"), 1u);
+  EXPECT_EQ(entries_named(reg.gauges(), "test.same"), 1u);
+  EXPECT_EQ(entries_named(reg.histograms(), "test.same"), 1u);
 }
 
 TEST_F(ObsTest, ResetZeroesButKeepsRegistrations) {
@@ -54,8 +78,7 @@ TEST_F(ObsTest, ResetZeroesButKeepsRegistrations) {
   c.inc(10);
   Registry::instance().reset();
   EXPECT_EQ(c.value(), 0u);  // cached reference still valid and zeroed
-  ASSERT_EQ(Registry::instance().counters().size(), 1u);
-  EXPECT_EQ(Registry::instance().counters()[0].first, "test.reset");
+  EXPECT_EQ(entries_named(Registry::instance().counters(), "test.reset"), 1u);
   c.inc();
   EXPECT_EQ(c.value(), 1u);
 }
@@ -159,19 +182,29 @@ TEST_F(ObsTest, RegistryJsonContainsEverything) {
 // ---------------------------------------------------------------- trace
 
 TEST_F(ObsTest, EmitWithoutActiveTraceIsSafe) {
-  EXPECT_FALSE(Trace::instance().active());
-  emit(EventKind::kHandover, 1000, 1, 2, 3);  // must not crash or record
-  EXPECT_EQ(Trace::instance().size(), 0u);
+  EXPECT_FALSE(tracing_active());
+  emit(EventKind::kHandover, 1000, 1, 2, 3);  // no sink: dropped, no crash
+  std::vector<Event> sink;
+  {
+    ThreadSinkScope scope(&sink);
+    EXPECT_TRUE(tracing_active());
+  }
+  EXPECT_FALSE(tracing_active());
+  EXPECT_TRUE(sink.empty());
 }
 
 TEST_F(ObsTest, RecordsInOrderAndStops) {
-  Trace::instance().start();
-  emit(EventKind::kHandover, 10, 1, 7, 2);
-  emit(EventKind::kQueueDrop, 20, 0, 7, 1500);
-  Trace::instance().stop();
-  emit(EventKind::kHandover, 30, 1, 7, 2);  // after stop: ignored
+  std::vector<Event> sink;
+  {
+    ThreadSinkScope scope(&sink);
+    emit(EventKind::kHandover, 10, 1, 7, 2);
+    emit(EventKind::kQueueDrop, 20, 0, 7, 1500);
+  }
+  emit(EventKind::kHandover, 30, 1, 7, 2);  // scope closed: dropped
 
-  const auto events = Trace::instance().snapshot();
+  Trace tr;
+  tr.record_batch(sink);
+  const auto events = tr.snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].t, 10);
   EXPECT_EQ(events[0].kind, EventKind::kHandover);
@@ -183,11 +216,11 @@ TEST_F(ObsTest, RecordsInOrderAndStops) {
 TEST_F(ObsTest, RingWrapKeepsNewestOldestFirst) {
   TraceConfig cfg;
   cfg.capacity = 4;
-  Trace::instance().start(cfg);
-  for (int i = 0; i < 10; ++i) {
-    emit(EventKind::kHandover, i, 1, 1, i);
-  }
-  Trace& tr = Trace::instance();
+  const Trace tr = trace_of(
+      [] {
+        for (int i = 0; i < 10; ++i) emit(EventKind::kHandover, i, 1, 1, i);
+      },
+      cfg);
   EXPECT_EQ(tr.size(), 4u);
   EXPECT_EQ(tr.recorded(), 10u);
   EXPECT_EQ(tr.dropped(), 6u);
@@ -200,11 +233,15 @@ TEST_F(ObsTest, RingWrapKeepsNewestOldestFirst) {
 TEST_F(ObsTest, HighFrequencySampling) {
   TraceConfig cfg;
   cfg.sample_every = 4;
-  Trace::instance().start(cfg);
   // kDciDecoded is high-frequency: 1 in 4 kept. kHandover is not: all kept.
-  for (int i = 0; i < 16; ++i) emit(EventKind::kDciDecoded, i, 1, 2, 3);
-  for (int i = 0; i < 3; ++i) emit(EventKind::kHandover, 100 + i, 1, 1, 1);
-  Trace& tr = Trace::instance();
+  const Trace tr = trace_of(
+      [] {
+        for (int i = 0; i < 16; ++i) emit(EventKind::kDciDecoded, i, 1, 2, 3);
+        for (int i = 0; i < 3; ++i) {
+          emit(EventKind::kHandover, 100 + i, 1, 1, 1);
+        }
+      },
+      cfg);
   EXPECT_EQ(tr.size(), 4u + 3u);
   EXPECT_EQ(tr.sampled_out(), 12u);
 }
@@ -222,11 +259,12 @@ TEST_F(ObsTest, SchemaTableIsComplete) {
 }
 
 TEST_F(ObsTest, JsonlExportRoundTrips) {
-  Trace::instance().start();
-  emit(EventKind::kDciDecoded, 5000, 1, 61453, 25, 374.0, 8);
-  emit(EventKind::kRtoFired, 6000, 0, 3, 0, 12000.0);
+  const Trace tr = trace_of([] {
+    emit(EventKind::kDciDecoded, 5000, 1, 61453, 25, 374.0, 8);
+    emit(EventKind::kRtoFired, 6000, 0, 3, 0, 12000.0);
+  });
   const std::string path = ::testing::TempDir() + "/obs_test_trace.jsonl";
-  ASSERT_TRUE(Trace::instance().write_jsonl(path));
+  ASSERT_TRUE(tr.write_jsonl(path));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -243,11 +281,12 @@ TEST_F(ObsTest, JsonlExportRoundTrips) {
 }
 
 TEST_F(ObsTest, ChromeExportIsWellFormed) {
-  Trace::instance().start();
-  emit(EventKind::kCapacityUpdate, 1000, 0, 0, 2, 5000.0, 4000.0);
-  emit(EventKind::kHarqRetx, 2000, 1, 9, 3, 12.0);
+  const Trace tr = trace_of([] {
+    emit(EventKind::kCapacityUpdate, 1000, 0, 0, 2, 5000.0, 4000.0);
+    emit(EventKind::kHarqRetx, 2000, 1, 9, 3, 12.0);
+  });
   const std::string path = ::testing::TempDir() + "/obs_test_trace.json";
-  ASSERT_TRUE(Trace::instance().write_chrome(path));
+  ASSERT_TRUE(tr.write_chrome(path));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -297,12 +336,13 @@ TEST_F(ObsTest, TracedScenarioRunCoversPipeline) {
   using util::kMillisecond;
   using util::kSecond;
 
-  Trace::instance().start();
+  Trace trace;
   set_profiling(true);
 
   sim::ScenarioConfig cfg;
   cfg.seed = 11;
   cfg.cells = {{10.0, 0.05}};
+  cfg.capture.trace = &trace;
   sim::Scenario s{cfg};
   sim::UeSpec ue;
   ue.cell_indices = {0};
@@ -315,13 +355,12 @@ TEST_F(ObsTest, TracedScenarioRunCoversPipeline) {
   s.stats(f).finish(fs.stop);
 
   set_profiling(false);
-  Trace::instance().stop();
 
   // Events from decoder and PBE stages are on the timeline...
   bool saw_dci = false, saw_subframe = false, saw_capacity = false,
        saw_feedback = false;
   util::Time prev_t = 0;
-  for (const Event& e : Trace::instance().snapshot()) {
+  for (const Event& e : trace.snapshot()) {
     saw_dci |= e.kind == EventKind::kDciDecoded;
     saw_subframe |= e.kind == EventKind::kSubframeObserved;
     saw_capacity |= e.kind == EventKind::kCapacityUpdate;

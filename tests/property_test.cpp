@@ -128,8 +128,7 @@ TEST_P(SchedulerProp, ConservationAndDemandLimits) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SchedulerProp,
-    ::testing::Combine(::testing::Values("fair-share", "proportional-fair",
-                                         "round-robin"),
+    ::testing::Combine(::testing::Values("fair-share", "proportional-fair"),
                        ::testing::Values(6, 25, 50, 100),
                        ::testing::Values(1, 3, 8, 20)));
 
